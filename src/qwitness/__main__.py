@@ -1,0 +1,5 @@
+"""``python -m qwitness``: the command-line front end."""
+
+from .cli import main
+
+raise SystemExit(main())

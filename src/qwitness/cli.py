@@ -38,8 +38,8 @@ from . import __version__
 from .discord import (
     BipartiteState,
     bell_state,
-    conditional_state,
-    protocol_demo,
+    select_outcome,
+    witness_conditionals,
     x_measurement,
     z_measurement,
 )
@@ -56,6 +56,7 @@ from .interferometer import (
     run_circuit_sampled,
     shots_to_resolve,
 )
+from .linalg import complex_from_json
 from .scans import SCAN_KINDS, run_scan
 from .states import (
     DensityOperator,
@@ -169,7 +170,10 @@ def _print(obj) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nests too deeply") from exc
 
 
 def _parse_state(spec: str) -> DensityOperator:
@@ -201,9 +205,10 @@ def _load_probe(path: str) -> np.ndarray:
     obj = _read_json(path)
     if isinstance(obj, dict) and ("witness_vector" in obj or "amplitudes" in obj):
         pairs = obj.get("witness_vector", obj.get("amplitudes"))
-        vec = np.array([complex(re, im) for re, im in pairs],
-                       dtype=np.complex128)
-        return as_pure_state(vec)
+        if not isinstance(pairs, list):
+            raise ValueError("probe amplitudes must be a list of [re, im] pairs")
+        return as_pure_state([complex_from_json(cell, f"amplitude {i}")
+                              for i, cell in enumerate(pairs)])
     state, _ = state_from_json(obj)
     return _top_vector(state)
 
@@ -390,20 +395,16 @@ def cmd_discord(args) -> int:
             raise ValueError(
                 f"unknown measurement {name!r}; have {sorted(_MEASUREMENTS)}")
         measurements.append(_MEASUREMENTS[name]())
-    report = protocol_demo(rho_ab, measurements[0], measurements[1],
-                           outcomes[0], outcomes[1],
-                           tol_witness=tols["witness"],
-                           tol_null=tols["null"], tol_comm=tols["comm"])
-    probabilities = {}
-    conditionals = {}
-    for key, meas, outcome in (("first", measurements[0], outcomes[0]),
-                               ("second", measurements[1], outcomes[1])):
-        prob, state = conditional_state(rho_ab, meas[outcome])
-        probabilities[key] = prob
-        conditionals[key] = None if state is None else state_to_json(state)
+    selected = {which: select_outcome(rho_ab, meas, outcome, which)
+                for which, meas, outcome in zip(("first", "second"),
+                                                measurements, outcomes)}
+    report = witness_conditionals(selected["first"][1], selected["second"][1],
+                                  tol_witness=tols["witness"],
+                                  tol_null=tols["null"], tol_comm=tols["comm"])
     _print({
-        "probabilities": probabilities,
-        "conditionals": conditionals,
+        "probabilities": {which: prob for which, (prob, _) in selected.items()},
+        "conditionals": {which: state_to_json(state)
+                         for which, (_, state) in selected.items()},
         "report": report.to_dict(tol_witness=tols["witness"],
                                  tol_null=tols["null"]),
     })

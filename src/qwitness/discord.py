@@ -1,10 +1,12 @@
 """Conditional-state commutation as an operational discord probe.
 
-A bipartite state has zero discord with respect to measurements on one
-side exactly when every pair of conditional states of the other side
-commutes. One party applies local operations and communicates, while
-the other runs the anticommutator witness on the conditional states it
-ends up holding, so noncommutativity (hence discord) is certified from
+Alice (side A) applies local operations and communicates the outcome;
+Bob (side B) runs the anticommutator witness on the conditional states
+he ends up holding. If those conditional states of B commute for every
+operation on A, the state has zero discord for measurements on B: it
+is classical on B, block diagonal in one basis of B (Dakić, Vedral &
+Brukner, PRL 105, 190502 (2010)). A witnessed pair of noncommuting
+conditionals therefore certifies discord for measurements on B from
 single-system measurements.
 """
 
@@ -15,14 +17,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NullOutcomeError, PositivityError
-from .linalg import as_matrix, commutator, frobenius_norm, partial_trace, tensor
-from .states import DensityOperator, as_pure_state
+from .errors import (
+    DegenerateSpectrumError,
+    DimensionError,
+    NullOutcomeError,
+    PositivityError,
+)
+from .linalg import as_matrix, commutator, frobenius_norm
+from .states import DensityOperator, pure_projector
 from .tolerances import TOL_COMM, TOL_F, TOL_NULL, TOL_PSD, TOL_TRACE, TOL_WITNESS
 from .witness import (
-    NestedWitnessResult,
     WitnessReport,
+    leading_overlap,
     nested_witness,
+    safe_nested_target,
     witness_anticommutator,
 )
 
@@ -36,8 +44,11 @@ __all__ = [
     "z_measurement",
     "x_measurement",
     "conditional_state",
+    "select_outcome",
     "ConditionalEnsemble",
+    "compare_conditionals",
     "commutation_scan",
+    "witness_conditionals",
     "protocol_demo",
 ]
 
@@ -55,14 +66,6 @@ class BipartiteState:
             raise DimensionError(
                 f"dims {da}x{db} do not factor dimension {self.state.dim}"
             )
-
-    @property
-    def dim_a(self) -> int:
-        return self.dims[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.dims[1]
 
 
 def bell_state() -> BipartiteState:
@@ -87,9 +90,7 @@ def classical_quantum_state(probs: Sequence[float],
     for i, (pi, rho) in enumerate(zip(p, bob_states)):
         if rho.dim != db:
             raise DimensionError("conditional states must share one dimension")
-        block = np.zeros((da, da), dtype=np.complex128)
-        block[i, i] = pi
-        m += tensor(block, rho.matrix, cap=da * db)
+        m[i * db:(i + 1) * db, i * db:(i + 1) * db] = pi * rho.matrix
     return BipartiteState(state=DensityOperator(m), dims=(da, db))
 
 
@@ -105,13 +106,10 @@ class LocalOperation:
         if not self.kraus_ops:
             raise DimensionError("operation needs at least one Kraus operator")
         mats = tuple(as_matrix(k) for k in self.kraus_ops)
-        d = mats[0].shape[0]
-        total = np.zeros((d, d), dtype=np.complex128)
-        for k in mats:
-            if k.shape[0] != d:
-                raise DimensionError("Kraus operators must share one dimension")
-            total += k.conj().T @ k
-        top = float(np.linalg.eigvalsh((total + total.conj().T) / 2).max())
+        if any(k.shape != mats[0].shape for k in mats):
+            raise DimensionError("Kraus operators must share one dimension")
+        total = sum(k.conj().T @ k for k in mats)
+        top = float(np.linalg.eigvalsh((total + total.conj().T) / 2)[-1])
         if top > 1.0 + TOL_PSD:
             raise PositivityError(
                 f"operation increases trace: max eigenvalue of sum K†K is "
@@ -126,8 +124,7 @@ class LocalOperation:
 
 def projector_operation(vec, label: str = "") -> LocalOperation:
     """Rank-one projective outcome onto ``vec``."""
-    return LocalOperation(kraus_ops=(np.ascontiguousarray(
-        np.outer(as_pure_state(vec), as_pure_state(vec).conj())),), label=label)
+    return LocalOperation(kraus_ops=(pure_projector(vec),), label=label)
 
 
 def measurement_from_unitary(u, labels: Sequence[str] | None = None
@@ -159,27 +156,40 @@ def conditional_state(rho_ab: BipartiteState, op: LocalOperation
     """Apply a local operation on A and trace A out.
 
     Returns (probability, normalized conditional state of B); the state
-    is None when the outcome has zero probability.
+    is None when the outcome has zero probability. Each Kraus operator
+    K adds sum_a K[a,i] rho[ib,jc] conj(K[a,j]) to the state of B.
     """
-    if op.dim != rho_ab.dim_a:
-        raise DimensionError(
-            f"operation dimension {op.dim} does not match side A "
-            f"({rho_ab.dim_a})"
-        )
     da, db = rho_ab.dims
-    eye_b = np.eye(db, dtype=np.complex128)
-    total_dim = da * db
-    m = rho_ab.state.matrix
-    out = np.zeros_like(m)
-    for k in op.kraus_ops:
-        big = tensor(k, eye_b, cap=total_dim)
-        out += big @ m @ big.conj().T
-    prob = float(out.trace().real)
+    if op.dim != da:
+        raise DimensionError(
+            f"operation dimension {op.dim} does not match side A ({da})")
+    r = rho_ab.state.matrix.reshape(da, db, da, db)
+    reduced = sum(np.einsum("ai,ibjc,aj->bc", k, r, k.conj())
+                  for k in op.kraus_ops)
+    prob = float(reduced.trace().real)
     if prob <= TOL_TRACE:
         return max(prob, 0.0), None
-    reduced = partial_trace(out, (da, db), "B") / prob
-    reduced = (reduced + reduced.conj().T) / 2
-    return prob, DensityOperator(reduced)
+    return prob, DensityOperator(reduced / prob)
+
+
+def select_outcome(rho_ab: BipartiteState,
+                   measurement: Mapping[str, LocalOperation], outcome: str,
+                   which: str) -> tuple[float, DensityOperator]:
+    """(probability, conditional state) of one named outcome. Raises
+    KeyError for an unknown outcome and NullOutcomeError for one of zero
+    probability; ``which`` names the measurement in messages."""
+    if outcome not in measurement:
+        raise KeyError(
+            f"unknown outcome {outcome!r} for the {which} measurement; "
+            f"have {sorted(measurement)}"
+        )
+    prob, state = conditional_state(rho_ab, measurement[outcome])
+    if state is None:
+        raise NullOutcomeError(
+            f"the {which} selected outcome {outcome!r} has probability "
+            f"{prob:.3e}"
+        )
+    return prob, state
 
 
 @dataclass(frozen=True)
@@ -196,28 +206,53 @@ class ConditionalEnsemble:
     noncommuting_found: bool
 
 
+def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | None]],
+                         *, tol_comm: float = TOL_COMM) -> ConditionalEnsemble:
+    """Pairwise commutators of (probability, state) pairs as returned
+    by :func:`conditional_state`; null outcomes are dropped."""
+    kept = tuple((prob, state) for prob, state in conditionals
+                 if state is not None)
+    n = len(kept)
+    norms = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            norms[i, j] = norms[j, i] = frobenius_norm(
+                commutator(kept[i][1].matrix, kept[j][1].matrix))
+    return ConditionalEnsemble(states=kept,
+                               pairwise_commutator_norms=norms,
+                               noncommuting_found=bool((norms > tol_comm).any()))
+
+
 def commutation_scan(rho_ab: BipartiteState,
                      ops: Sequence[LocalOperation], *,
                      tol_comm: float = TOL_COMM) -> ConditionalEnsemble:
     """Collect conditional states for each operation and compare them."""
-    kept: list[tuple[float, DensityOperator]] = []
-    for op in ops:
-        prob, state = conditional_state(rho_ab, op)
-        if state is not None:
-            kept.append((prob, state))
-    n = len(kept)
-    norms = np.zeros((n, n), dtype=np.float64)
-    found = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            norm = frobenius_norm(commutator(kept[i][1].matrix,
-                                             kept[j][1].matrix))
-            norms[i, j] = norms[j, i] = norm
-            if norm > tol_comm:
-                found = True
-    return ConditionalEnsemble(states=tuple(kept),
-                               pairwise_commutator_norms=norms,
-                               noncommuting_found=found)
+    return compare_conditionals([conditional_state(rho_ab, op) for op in ops],
+                                tol_comm=tol_comm)
+
+
+def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
+                         tol_witness: float = TOL_WITNESS,
+                         tol_null: float = TOL_NULL,
+                         tol_comm: float = TOL_COMM) -> WitnessReport:
+    """Anticommutator witness on two conditional states of B.
+
+    Noncommuting states are amplified toward :func:`safe_nested_target`
+    first. Commuting states (zero-discord inputs) get the direct
+    spectral report, never NONPOSITIVE_WITNESSED; so do pairs with a
+    leading-vector overlap at a boundary or a tied leading eigenvalue.
+    """
+    if frobenius_norm(commutator(rho1.matrix, rho2.matrix)) > tol_comm:
+        f = leading_overlap(rho1, rho2)
+        if TOL_F < f < 1.0 - TOL_F:
+            try:
+                return nested_witness(
+                    rho1, rho2, safe_nested_target(f), tol_comm=tol_comm,
+                    tol_witness=tol_witness, tol_null=tol_null).report
+            except DegenerateSpectrumError:
+                pass
+    return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
+                                  tol_null=tol_null)
 
 
 def protocol_demo(rho_ab: BipartiteState,
@@ -230,48 +265,9 @@ def protocol_demo(rho_ab: BipartiteState,
     """Witness discord from two conditional states of B.
 
     Applies one outcome of each measurement family, then hands the two
-    conditional states to the anticommutator witness, amplifying first
-    when they are mixed. Commuting conditionals (zero-discord inputs)
-    short-circuit to a plain spectral report, which is then never
-    NONPOSITIVE_WITNESSED.
+    conditional states to :func:`witness_conditionals`.
     """
-    conds = []
-    for meas, outcome, which in ((measurement1, outcome1, "first"),
-                                 (measurement2, outcome2, "second")):
-        if outcome not in meas:
-            raise KeyError(
-                f"unknown outcome {outcome!r} for the {which} measurement; "
-                f"have {sorted(meas)}"
-            )
-        prob, state = conditional_state(rho_ab, meas[outcome])
-        if state is None:
-            raise NullOutcomeError(
-                f"the {which} selected outcome {outcome!r} has probability "
-                f"{prob:.3e}"
-            )
-        conds.append(state)
-    rho1, rho2 = conds
-    comm_norm = frobenius_norm(commutator(rho1.matrix, rho2.matrix))
-    if comm_norm <= tol_comm:
-        return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
-                                      tol_null=tol_null)
-    result = _nested_or_direct(rho1, rho2, tol_witness, tol_null, tol_comm)
-    return result
-
-
-def _nested_or_direct(rho1: DensityOperator, rho2: DensityOperator,
-                      tol_witness: float, tol_null: float,
-                      tol_comm: float) -> WitnessReport:
-    f = abs(complex(np.vdot(rho1.spectrum.eigenvectors[:, 0],
-                            rho2.spectrum.eigenvectors[:, 0])))
-    if f <= TOL_F or f >= 1.0 - TOL_F:
-        # boundary overlap: the margin condition cannot apply, but the
-        # direct spectrum is still an honest report
-        return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
-                                      tol_null=tol_null)
-    # small enough that a met margin condition guarantees the witness
-    target = min((1.0 - f * f) / 10.0, f * (1.0 - f) / 8.0)
-    result: NestedWitnessResult = nested_witness(
-        rho1, rho2, target, tol_comm=tol_comm,
-        tol_witness=tol_witness, tol_null=tol_null)
-    return result.report
+    _, rho1 = select_outcome(rho_ab, measurement1, outcome1, "first")
+    _, rho2 = select_outcome(rho_ab, measurement2, outcome2, "second")
+    return witness_conditionals(rho1, rho2, tol_witness=tol_witness,
+                                tol_null=tol_null, tol_comm=tol_comm)

@@ -9,6 +9,7 @@ anti-Hermitian) input.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Literal, Sequence
@@ -27,11 +28,6 @@ from .tolerances import EIGEN_DIM_CAP, TOL_HERM, TOTAL_DIM_CAP
 __all__ = [
     "SpectralDecomposition",
     "as_matrix",
-    "add",
-    "sub",
-    "scale",
-    "matmul",
-    "adjoint",
     "anticommutator",
     "commutator",
     "frobenius_norm",
@@ -42,6 +38,7 @@ __all__ = [
     "partial_trace",
     "matrix_to_json",
     "matrix_from_json",
+    "complex_from_json",
 ]
 
 
@@ -50,7 +47,7 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -61,30 +58,6 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a, b
-
-
-def add(a, b) -> np.ndarray:
-    a, b = _pair(a, b)
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = _pair(a, b)
-    return a - b
-
-
-def scale(a, c: complex) -> np.ndarray:
-    return as_matrix(a) * complex(c)
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = _pair(a, b)
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -122,13 +95,36 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+
+def _hermitian_part(a: np.ndarray, what: str, tol: float = TOL_HERM) -> np.ndarray:
+    """(a + a†)/2 of a square complex array, after checking that ``a``
+    deviates from its adjoint by at most ``tol`` times max(norm, 1)."""
+    adj = a.conj().T
+    defect = float(np.abs(a - adj).max())
+    if defect > tol:  # the margin is at least tol
+        margin = tol * max(frobenius_norm(a), 1.0)
+        if defect > margin:
+            raise HermiticityError(
+                f"{what} is not Hermitian: defect {defect:.3e} exceeds "
+                f"margin {margin:.3e}"
+            )
+    return (a + adj) / 2
+
+
+def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of an exactly Hermitian array, largest first."""
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    return SpectralDecomposition(
+        eigenvalues=np.ascontiguousarray(w[::-1]),
+        eigenvectors=np.ascontiguousarray(v[:, ::-1]),
+    )
 
 
 def hermitian_eigen(a, *, tol: float = TOL_HERM, cap: int = EIGEN_DIM_CAP) -> SpectralDecomposition:
@@ -148,22 +144,7 @@ def hermitian_eigen(a, *, tol: float = TOL_HERM, cap: int = EIGEN_DIM_CAP) -> Sp
     d = a.shape[0]
     if d > cap:
         raise CapacityError(f"dimension {d} exceeds eigensolver cap {cap}")
-    norm = frobenius_norm(a)
-    defect = hermiticity_defect(a)
-    if defect > tol * max(norm, 1.0):
-        raise HermiticityError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{tol:.1e} * max(norm, 1) = {tol * max(norm, 1.0):.3e}"
-        )
-    h = (a + a.conj().T) / 2
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return SpectralDecomposition(
-        eigenvalues=np.ascontiguousarray(w[::-1]),
-        eigenvectors=np.ascontiguousarray(v[:, ::-1]),
-    )
+    return _eigh_descending(_hermitian_part(a, "matrix", tol))
 
 
 def tensor(a, b, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
@@ -227,11 +208,10 @@ def matrix_from_json(obj) -> np.ndarray:
     """Parse and validate the matrix JSON layout."""
     if not isinstance(obj, dict):
         raise DimensionError("matrix JSON must be an object")
-    try:
-        d = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionError("matrix JSON needs integer 'dim' and 'entries'") from exc
+    d = obj.get("dim")
+    entries = obj.get("entries")
+    if isinstance(d, bool) or not isinstance(d, int) or entries is None:
+        raise DimensionError("matrix JSON needs integer 'dim' and 'entries'")
     if d < 1:
         raise DimensionError(f"matrix dimension must be positive, got {d}")
     if not isinstance(entries, list) or len(entries) != d:
@@ -241,13 +221,25 @@ def matrix_from_json(obj) -> np.ndarray:
         if not isinstance(row, list) or len(row) != d:
             raise DimensionError(f"row {i} does not have {d} entries")
         for j, cell in enumerate(row):
-            if not isinstance(cell, (list, tuple)) or len(cell) != 2:
-                raise DimensionError(f"entry ({i},{j}) is not a [re, im] pair")
-            re, im = float(cell[0]), float(cell[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
-                raise ValueError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
+            out[i, j] = complex_from_json(cell, f"entry ({i},{j})")
     return out
+
+
+def complex_from_json(cell, where: str) -> complex:
+    """A finite complex number from a ``[re, im]`` pair of JSON numbers;
+    ``where`` names the cell in error messages."""
+    if (not isinstance(cell, (list, tuple)) or len(cell) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in cell)):
+        raise DimensionError(f"{where} is not a [re, im] pair of numbers")
+    try:
+        z = complex(cell[0], cell[1])
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where} is not finite")
+    return z
 
 
 def assert_agreement(x: complex, y: complex, tol: float, what: str) -> None:

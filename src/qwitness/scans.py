@@ -15,12 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConditionUnreachableError,
-    DegenerateSpectrumError,
-    NullOutcomeError,
-)
-from .linalg import anticommutator, commutator, frobenius_norm, matmul
+from .errors import ConditionUnreachableError, DegenerateSpectrumError
+from .linalg import anticommutator, commutator, frobenius_norm
 from .states import (
     DensityOperator,
     bloch_to_state,
@@ -33,17 +29,17 @@ from .states import (
 from .tolerances import TOL_COMM, TOL_NULL, TOL_WITNESS
 from .witness import (
     Verdict,
-    closed_form_purity,
+    leading_overlap,
     nested_witness,
     pure_mixed_test,
     qubit_bloch_condition,
+    safe_nested_target,
 )
 from . import discord as discord_mod
 
 __all__ = [
     "SCAN_KINDS",
     "run_scan",
-    "safe_nested_target",
     "scan_pure_mixed",
     "scan_nested",
     "scan_bloch",
@@ -91,10 +87,9 @@ def scan_pure_mixed(trials: int, dims: Sequence[int], seed: int, *,
         rho2 = _nondegenerate_density(d, rng, full_spectrum=True)
         report = pure_mixed_test(psi, rho2)
         comm_norm = frobenius_norm(commutator(pure_projector(psi), rho2.matrix))
-        closed = closed_form_purity(psi, rho2)
-        deviation = (abs(closed - report.purity_criterion)
-                     if closed is not None and report.purity_criterion is not None
-                     else 0.0)
+        closed = report.closed_form_criterion
+        deviation = (0.0 if closed is None
+                     else abs(closed - report.purity_criterion))
         witnessed = report.verdict == Verdict.NONPOSITIVE_WITNESSED
         noncommuting = comm_norm > TOL_COMM
         return {
@@ -121,19 +116,6 @@ def scan_pure_mixed(trials: int, dims: Sequence[int], seed: int, *,
     return records, summary
 
 
-def safe_nested_target(f: float) -> float:
-    """Amplification target that makes the margin condition sufficient.
-
-    The first-order margin condition alone does not control the exact
-    spectrum when the leading-vector overlap is small: the pure-pair
-    anticommutator bottoms out at -|f|(1-|f|), and the mixing terms
-    perturb eigenvalues by at most 2(eps1+eps2). Capping the target at
-    |f|(1-|f|)/8 keeps the perturbation under half the pure-pair gap,
-    so a met condition really forces a negative eigenvalue.
-    """
-    return min((1.0 - f * f) / 10.0, f * (1.0 - f) / 8.0)
-
-
 def scan_nested(trials: int, dims: Sequence[int], seed: int, *,
                 jobs: int = 1) -> tuple[list[dict], dict]:
     """Margin condition after planned amplification forces a witness."""
@@ -145,9 +127,7 @@ def scan_nested(trials: int, dims: Sequence[int], seed: int, *,
         sigma1 = _nondegenerate_density(d, rng, full_spectrum=False)
         sigma2 = _nondegenerate_density(d, rng, full_spectrum=False)
         base = {"trial": t, "dim": d}
-        f = abs(complex(np.vdot(sigma1.spectrum.eigenvectors[:, 0],
-                                sigma2.spectrum.eigenvectors[:, 0])))
-        target = safe_nested_target(f)
+        target = safe_nested_target(leading_overlap(sigma1, sigma2))
         try:
             result = nested_witness(sigma1, sigma2, target)
         except (DegenerateSpectrumError, ConditionUnreachableError) as exc:
@@ -262,13 +242,12 @@ def scan_null(trials: int, dims: Sequence[int], seed: int, *,
             comp = basis[:, 1:]
             rank = int(rng.integers(1, d))
             inner = random_density(d - 1, rank, rng)
-            m = comp @ inner.matrix @ comp.conj().T
-            rho2 = DensityOperator((m + m.conj().T) / 2)
+            rho2 = DensityOperator(comp @ inner.matrix @ comp.conj().T)
         else:
             rho2 = random_density(d, d, rng)
         proj = pure_projector(psi)
         anti_norm = frobenius_norm(anticommutator(proj, rho2.matrix))
-        product_norm = frobenius_norm(matmul(proj, rho2.matrix))
+        product_norm = frobenius_norm(proj @ rho2.matrix)
         null = anti_norm <= TOL_NULL
         return {
             "trial": t,
@@ -291,56 +270,59 @@ def scan_null(trials: int, dims: Sequence[int], seed: int, *,
     return records, summary
 
 
-def _best_outcome(rho_ab: discord_mod.BipartiteState,
-                  meas: dict[str, discord_mod.LocalOperation]) -> str:
-    """Deterministically pick the most likely outcome (never null)."""
-    best, best_p = None, -1.0
-    for key in sorted(meas):
-        prob, state = discord_mod.conditional_state(rho_ab, meas[key])
-        if state is not None and prob > best_p:
-            best, best_p = key, prob
-    if best is None:  # pragma: no cover - a measurement always has an outcome
-        raise NullOutcomeError("all outcomes have zero probability")
-    return best
+def _conditionals(rho_ab: discord_mod.BipartiteState,
+                  meas: dict[str, discord_mod.LocalOperation]
+                  ) -> list[tuple[float, DensityOperator | None]]:
+    """(probability, state) of every outcome, in sorted outcome order."""
+    return [discord_mod.conditional_state(rho_ab, meas[key])
+            for key in sorted(meas)]
+
+
+def _most_likely(conds: list[tuple[float, DensityOperator | None]]
+                 ) -> DensityOperator:
+    """State of the most likely outcome; ties go to the first. A
+    complete measurement always has a possible outcome."""
+    return max((c for c in conds if c[1] is not None), key=lambda c: c[0])[1]
 
 
 def scan_discord(trials: int, seed: int, *, jobs: int = 1
                  ) -> tuple[list[dict], dict]:
     """Zero-discord states never yield a witnessed verdict.
 
-    Each trial builds a random classical-quantum state (commuting
-    conditionals by construction) and a random product state, scans a
-    random pair of projective families for noncommuting conditionals,
-    and runs the two-outcome protocol on both states.
+    Each trial builds a random classical-classical state (Bob's
+    conditionals share one eigenbasis; its records keep the ``cq``
+    prefix) and a random product state, scans a random pair of
+    projective families for noncommuting conditionals of the first, and
+    witnesses the most likely outcome of each family on both states.
     """
 
     def one(t: int) -> dict:
         rng = seeded_rng(seed, t)
-        # classical-quantum: common eigenbasis for Bob's conditionals
+        # classical-classical: common eigenbasis for Bob's conditionals
         probs = rng.dirichlet(np.ones(2))
         common = random_unitary(2, rng)
         bob = []
         for _ in range(2):
             diag = rng.dirichlet(np.ones(2))
-            m = (common * diag) @ common.conj().T
-            bob.append(DensityOperator((m + m.conj().T) / 2))
-        cq = discord_mod.classical_quantum_state(probs, bob)
+            bob.append(DensityOperator((common * diag) @ common.conj().T))
+        cc = discord_mod.classical_quantum_state(probs, bob)
         product = discord_mod.BipartiteState(
             state=DensityOperator(
                 np.kron(random_density(2, 2, rng).matrix,
                         random_density(2, 2, rng).matrix)),
             dims=(2, 2),
         )
-        meas1 = discord_mod.measurement_from_unitary(random_unitary(2, rng))
-        meas2 = discord_mod.measurement_from_unitary(random_unitary(2, rng))
-        ops = list(meas1.values()) + list(meas2.values())
-        ensemble = discord_mod.commutation_scan(cq, ops)
-        verdicts = {}
-        for name, state in (("cq", cq), ("product", product)):
-            report = discord_mod.protocol_demo(
-                state, meas1, meas2,
-                _best_outcome(state, meas1), _best_outcome(state, meas2))
-            verdicts[name] = report.verdict
+        meas = [discord_mod.measurement_from_unitary(random_unitary(2, rng))
+                for _ in range(2)]
+        cc_conds, product_conds = ([_conditionals(state, m) for m in meas]
+                                   for state in (cc, product))
+        ensemble = discord_mod.compare_conditionals(cc_conds[0] + cc_conds[1])
+        verdicts = {
+            name: discord_mod.witness_conditionals(
+                _most_likely(first), _most_likely(second)).verdict
+            for name, (first, second) in (("cq", cc_conds),
+                                          ("product", product_conds))
+        }
         witnessed = any(v == Verdict.NONPOSITIVE_WITNESSED
                         for v in verdicts.values())
         return {

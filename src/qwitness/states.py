@@ -13,15 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, HermiticityError, PositivityError, TraceError
-from .linalg import SpectralDecomposition, as_matrix, hermitian_eigen
-from .tolerances import TOL_DEGEN, TOL_HERM, TOL_PSD, TOL_TRACE
+from .errors import DimensionError, PositivityError, TraceError
+from .linalg import SpectralDecomposition, _eigh_descending, _hermitian_part, as_matrix
+from .tolerances import TOL_DEGEN, TOL_PSD, TOL_TRACE
 
 __all__ = [
     "DensityOperator",
     "make_density",
     "PureDecomposition",
     "pure_decompose",
+    "top_gap",
     "reconstruct_decomposition",
     "purity",
     "as_pure_state",
@@ -44,21 +45,19 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 class DensityOperator:
     """A validated quantum state.
 
-    The wrapped matrix is stored read-only; the spectral decomposition
-    is computed lazily and cached.
+    The stored matrix is the read-only Hermitian part (M + M†)/2 of the
+    input M, which equals M when M is exactly Hermitian. Construction
+    decomposes it once; the positivity check and every later reader of
+    ``spectrum`` share that decomposition. A caller that already holds
+    the decomposition (descending, as from ``amplify``) passes it
+    as ``spectrum`` instead.
     """
 
     __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix, *, spectrum: SpectralDecomposition | None = None):
-        m = as_matrix(matrix).copy()
-        defect = linalg.hermiticity_defect(m)
-        norm = linalg.frobenius_norm(m)
-        if defect > TOL_HERM * max(norm, 1.0):
-            raise HermiticityError(
-                f"state is not Hermitian: defect {defect:.3e} exceeds margin "
-                f"{TOL_HERM * max(norm, 1.0):.3e}"
-            )
+        m = as_matrix(matrix)
+        h = _hermitian_part(m, "state")
         tr = m.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise TraceError(
@@ -66,16 +65,14 @@ class DensityOperator:
                 f"by {abs(tr - 1.0):.3e} (margin {TOL_TRACE:.1e})"
             )
         if spectrum is None:
-            eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        else:
-            eigs = spectrum.eigenvalues
-        low = float(eigs.min())
-        if low < -TOL_PSD:
+            spectrum = _eigh_descending(h)
+        low = float(spectrum.eigenvalues[-1])
+        if not low >= -TOL_PSD:  # NaN from an overflowing matrix fails too
             raise PositivityError(
                 f"state has eigenvalue {low:.3e} below -{TOL_PSD:.1e}"
             )
-        m.setflags(write=False)
-        self._matrix = m
+        h.setflags(write=False)
+        self._matrix = h
         self._spectrum = spectrum
 
     @property
@@ -88,17 +85,16 @@ class DensityOperator:
 
     @property
     def spectrum(self) -> SpectralDecomposition:
-        if self._spectrum is None:
-            self._spectrum = hermitian_eigen(self._matrix)
+        """Eigenvalues (descending) and eigenvectors of the state."""
         return self._spectrum
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={purity(self):.6f})"
 
 
-def make_density(matrix, *, spectrum: SpectralDecomposition | None = None) -> DensityOperator:
+def make_density(matrix) -> DensityOperator:
     """Validate ``matrix`` as a density operator."""
-    return DensityOperator(matrix, spectrum=spectrum)
+    return DensityOperator(matrix)
 
 
 def purity(rho: DensityOperator) -> float:
@@ -125,13 +121,24 @@ class PureDecomposition:
     gap: float
 
 
+def top_gap(rho: DensityOperator) -> tuple[float, bool]:
+    """(lambda_1 - lambda_2, degenerate), where degenerate means a gap of
+    at most TOL_DEGEN * lambda_1, too small for amplification to single
+    out the leading eigenvector; a 1-dimensional state has gap lambda_1."""
+    lam = rho.spectrum.eigenvalues
+    top = float(lam[0])
+    if rho.dim == 1:
+        return top, False
+    gap = float(top - lam[1])
+    return gap, gap <= TOL_DEGEN * top
+
+
 def pure_decompose(rho: DensityOperator) -> PureDecomposition:
     """Split a state around its leading eigenvector."""
     dec = rho.spectrum
     lam = dec.eigenvalues
     top = float(lam[0])
-    gap = float(top - lam[1]) if rho.dim > 1 else float(top)
-    degenerate = rho.dim > 1 and gap <= TOL_DEGEN * max(top, 0.0)
+    gap, degenerate = top_gap(rho)
     psi = np.ascontiguousarray(dec.eigenvectors[:, 0])
     eps = 1.0 - top
     if eps <= TOL_PSD:
@@ -139,9 +146,7 @@ def pure_decompose(rho: DensityOperator) -> PureDecomposition:
                                  degenerate=degenerate, gap=gap)
     tail = np.clip(lam[1:], 0.0, None)
     vecs = dec.eigenvectors[:, 1:]
-    eta_m = (vecs * (tail / tail.sum())) @ vecs.conj().T
-    eta_m = (eta_m + eta_m.conj().T) / 2
-    eta = DensityOperator(eta_m)
+    eta = DensityOperator((vecs * (tail / tail.sum())) @ vecs.conj().T)
     return PureDecomposition(epsilon=eps, psi=psi, eta=eta,
                              degenerate=degenerate, gap=gap)
 

@@ -6,14 +6,8 @@ ones are compared directly.
 
 from __future__ import annotations
 
-# eigendecomposition residual and eigenvalue agreement (relative)
-TOL_EIG = 1e-12
-
 # allowed Hermiticity deviation, relative to the Frobenius norm
 TOL_HERM = 1e-10
-
-# eigenvector orthonormality deviation (absolute)
-TOL_ORTH = 1e-10
 
 # allowed |trace - 1| for density operators (absolute)
 TOL_TRACE = 1e-10

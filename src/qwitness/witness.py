@@ -13,7 +13,7 @@ second-order analyses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,11 +45,11 @@ from .states import (
     pure_decompose,
     pure_projector,
     reconstruct_decomposition,
+    top_gap,
 )
 from .tolerances import (
     PLAN_CAP,
     TOL_COMM,
-    TOL_DEGEN,
     TOL_F,
     TOL_NULL,
     TOL_PSD,
@@ -70,6 +70,8 @@ __all__ = [
     "overlap_data",
     "nonpositivity_condition",
     "first_order_purity",
+    "leading_overlap",
+    "safe_nested_target",
     "NestedWitnessResult",
     "nested_witness",
     "second_order_indicator",
@@ -99,7 +101,9 @@ class WitnessReport:
     operator vanishes. ``purity_criterion`` is tr[m^2] of the
     trace-normalized anticommutator and is None for a null operator;
     any value above 1 implies a negative eigenvalue (the converse may
-    fail, so the eigenvalue is authoritative).
+    fail, so the eigenvalue is authoritative). ``closed_form_criterion``
+    is the same criterion by :func:`closed_form_purity`; only
+    :func:`pure_mixed_test` sets it, after checking the two agree.
     """
 
     min_eigenvalue: float
@@ -107,6 +111,7 @@ class WitnessReport:
     purity_criterion: float | None
     anticommutator_trace: float
     verdict: Verdict
+    closed_form_criterion: float | None = None
 
     def to_dict(self, *, tol_witness: float = TOL_WITNESS,
                 tol_null: float = TOL_NULL, seed: int | None = None) -> dict:
@@ -186,7 +191,7 @@ def pure_mixed_test(psi, rho2: DensityOperator, *,
 
     The purity criterion is computed twice, by direct eigen-analysis
     and by the closed form over rho2's spectrum, and the two routes
-    must agree within 1e-10.
+    must agree within 1e-10. The report carries both.
     """
     vec = as_pure_state(psi)
     if vec.shape[0] != rho2.dim:
@@ -204,7 +209,7 @@ def pure_mixed_test(psi, rho2: DensityOperator, *,
     if closed is not None and report.purity_criterion is not None:
         assert_agreement(closed, report.purity_criterion, 1e-10,
                          "purity criterion (closed form vs eigen-analysis)")
-    return report
+    return replace(report, closed_form_criterion=closed)
 
 
 def qubit_bloch_condition(b1, b2) -> bool:
@@ -236,9 +241,8 @@ def amplify(rho: DensityOperator, n: int) -> DensityOperator:
     w = ratios**n
     w = w / w.sum()
     v = dec.eigenvectors
-    m = (v * w) @ v.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityOperator(m, spectrum=SpectralDecomposition(w, v))
+    return DensityOperator((v * w) @ v.conj().T,
+                           spectrum=SpectralDecomposition(w, v))
 
 
 @dataclass(frozen=True)
@@ -264,11 +268,9 @@ def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
     target = float(target_epsilon)
     if not (0.0 <= target < 1.0):
         raise ValueError(f"target epsilon must lie in [0, 1), got {target}")
-    dec = rho.spectrum
-    lam = np.clip(dec.eigenvalues, 0.0, None)
+    lam = np.clip(rho.spectrum.eigenvalues, 0.0, None)
     top = float(lam[0])
-    gap = float(top - lam[1]) if lam.shape[0] > 1 else top
-    if lam.shape[0] > 1 and gap <= TOL_DEGEN * top:
+    if top_gap(rho)[1]:
         return AmplificationPlan(n=0, achieved_epsilon=1.0 - top,
                                  requested_epsilon=target, degenerate=True)
     ratios = lam[1:] / top
@@ -367,6 +369,25 @@ def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
     return (1.0 + af * af + 2.0 * s) / denom
 
 
+def leading_overlap(sigma1: DensityOperator, sigma2: DensityOperator) -> float:
+    """|<psi1|psi2>| for the leading eigenvectors of two states."""
+    return abs(complex(np.vdot(sigma1.spectrum.eigenvectors[:, 0],
+                               sigma2.spectrum.eigenvectors[:, 0])))
+
+
+def safe_nested_target(f: float) -> float:
+    """Amplification target that makes the margin condition sufficient.
+
+    The first-order margin condition alone does not control the exact
+    spectrum when the leading-vector overlap is small: the pure-pair
+    anticommutator bottoms out at -|f|(1-|f|), and the mixing terms
+    perturb eigenvalues by at most 2(eps1+eps2). Capping the target at
+    |f|(1-|f|)/8 keeps the perturbation under half the pure-pair gap,
+    so a met condition really forces a negative eigenvalue.
+    """
+    return min((1.0 - f * f) / 10.0, f * (1.0 - f) / 8.0)
+
+
 @dataclass(frozen=True)
 class NestedWitnessResult:
     report: WitnessReport
@@ -396,16 +417,16 @@ def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
     enough. A target at or below |f|(1-|f|)/8, with f the
     leading-vector overlap, keeps the residual mixing perturbation
     under half of the pure-pair gap |f|(1-|f|), which makes the
-    guarantee rigorous (see ``qwitness.scans.safe_nested_target``). For
+    guarantee rigorous (see :func:`safe_nested_target`). For
     looser targets the report stays honest: the condition flag and the
     spectral verdict are computed independently and may disagree.
     """
     for name, sigma in (("first", sigma1), ("second", sigma2)):
-        lam = sigma.spectrum.eigenvalues
-        if sigma.dim > 1 and float(lam[0] - lam[1]) <= TOL_DEGEN * float(lam[0]):
+        gap, degenerate = top_gap(sigma)
+        if degenerate:
             raise DegenerateSpectrumError(
                 f"{name} input has a degenerate leading eigenvalue "
-                f"(gap {float(lam[0] - lam[1]):.3e})"
+                f"(gap {gap:.3e})"
             )
     comm_norm = frobenius_norm(commutator(sigma1.matrix, sigma2.matrix))
     if comm_norm <= tol_comm:

@@ -7,6 +7,7 @@ straight off a captured pytest run.
 
 import json
 import subprocess
+import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 from io import StringIO
@@ -295,6 +296,9 @@ def test_criterion_9_discord_demo_and_zero_discord_corpora(capsys):
             assert not r["cq_noncommuting"]
 
 
+QWITNESS = [sys.executable, "-m", "qwitness"]
+
+
 def battery(tmp_path):
     state1 = tmp_path / "s1.json"
     state2 = tmp_path / "s2.json"
@@ -308,42 +312,42 @@ def battery(tmp_path):
     probe = tmp_path / "probe.json"
     probe.write_text('{"amplitudes": [[1, 0], [0, 0]]}', encoding="utf-8")
     return [
-        ["qwitness", "witness", "--states", "0,0,1", "1,0,0"],
-        ["qwitness", "nested", "--states", str(state1), str(state2),
+        [*QWITNESS, "witness", "--states", "0,0,1", "1,0,0"],
+        [*QWITNESS, "nested", "--states", str(state1), str(state2),
          "--target", "0.05"],
-        ["qwitness", "amplify", "--state", str(state1), "--target", "0.01"],
-        ["qwitness", "circuit", "--states", "0,0,1", "1,0,0",
+        [*QWITNESS, "amplify", "--state", str(state1), "--target", "0.01"],
+        [*QWITNESS, "circuit", "--states", "0,0,1", "1,0,0",
          "--probe", str(probe), "--shots", "10000", "--seed", "3"],
-        ["qwitness", "discord-demo", "--state", "bell", "--ops", "z,x",
+        [*QWITNESS, "discord-demo", "--state", "bell", "--ops", "z,x",
          "--outcomes", "0,+"],
-        ["qwitness", "scan", "--kind", "pure-mixed", "--trials", "60",
+        [*QWITNESS, "scan", "--kind", "pure-mixed", "--trials", "60",
          "--dims", "2,3,4", "--seed", "1"],
-        ["qwitness", "scan", "--kind", "nested", "--trials", "30",
+        [*QWITNESS, "scan", "--kind", "nested", "--trials", "30",
          "--dims", "2,3", "--seed", "2"],
-        ["qwitness", "scan", "--kind", "bloch", "--grid", "20"],
-        ["qwitness", "scan", "--kind", "null", "--trials", "40",
+        [*QWITNESS, "scan", "--kind", "bloch", "--grid", "20"],
+        [*QWITNESS, "scan", "--kind", "null", "--trials", "40",
          "--dims", "2,3,4", "--seed", "4"],
-        ["qwitness", "scan", "--kind", "discord", "--trials", "20",
+        [*QWITNESS, "scan", "--kind", "discord", "--trials", "20",
          "--seed", "5"],
     ]
 
 
-def run_battery(cmds) -> bytes:
+def run_battery(cmds, env) -> bytes:
     chunks = []
     for cmd in cmds:
-        result = subprocess.run(cmd, capture_output=True, check=False)
+        result = subprocess.run(cmd, capture_output=True, check=False, env=env)
         assert result.returncode in (0, 10), (cmd, result.stderr)
         chunks.append(result.stdout)
     return b"".join(chunks)
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path, capsys):
+def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env):
     with criterion(10, "reruns with identical seeds emit byte-identical "
                        "JSONL; acceptance module stays inside the budget", capsys):
         cmds = battery(tmp_path)
         start = time.monotonic()
-        first = run_battery(cmds)
-        second = run_battery(cmds)
+        first = run_battery(cmds, subprocess_env)
+        second = run_battery(cmds, subprocess_env)
         elapsed = time.monotonic() - start
         assert first == second
         for line in first.decode("utf-8").splitlines():

@@ -1,15 +1,27 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwitness.cli import dumps, main
+from qwitness.discord import classical_quantum_state
 from qwitness.linalg import tensor
-from qwitness.states import make_density, state_to_json
+from qwitness.states import (
+    make_density,
+    random_density,
+    seeded_rng,
+    state_to_json,
+)
+from qwitness.witness import witness_anticommutator
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 MIN_EIG_PAIR = (1.0 - np.sqrt(2.0)) / 2.0
@@ -107,6 +119,34 @@ def test_witness_invalid_state_payload(capsys, tmp_path):
     code, _, err = run_cli(capsys, "witness", "--states", str(bad), "1,0,0")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"dim": 2, "entries": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    {"dim": 2, "entries": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]},
+    {"dim": 2, "entries": [[[0.5, None], [0, 0]], [[0, 0], [0.5, 0]]]},
+    {"dim": 2, "entries": [[[10**400, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    {"dim": True, "entries": [[[1, 0]]]},
+    {"dim": "1", "entries": [[[1, 0]]]},
+    {"dim": 1.0, "entries": [[[1, 0]]]},
+])
+def test_state_file_needs_json_numbers(capsys, tmp_path, obj):
+    """Entries must be JSON numbers and ``dim`` a JSON integer: strings,
+    booleans, null and integers beyond the float range are rejected."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run_cli(capsys, "amplify", "--state", str(bad),
+                           "--target", "0.1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000, encoding="utf-8")
+    code, _, err = run_cli(capsys, "witness", "--states", str(bad), "1,0,0")
+    assert code == 2
+    assert "nests too deeply" in err
 
 
 # --------------------------------------------------------------- nested
@@ -330,6 +370,41 @@ def test_discord_demo_unknown_measurement(capsys):
     assert "unknown measurement" in err
 
 
+def test_discord_demo_degenerate_conditional_reports_direct(capsys, tmp_path):
+    """(|0><0| (x) rho1 + |1><1| (x) rho2) / 2 with a tied leading
+    eigenvalue in rho1: the exit code follows the direct verdict."""
+    rho1 = make_density(np.diag([0.4, 0.4, 0.2]))
+    rho2 = random_density(3, 3, seeded_rng(11))
+    f = write_state(tmp_path, "cq.json",
+                    classical_quantum_state([0.5, 0.5], [rho1, rho2]).state.matrix)
+    code, out, _ = run_cli(capsys, "discord-demo", "--state", f,
+                           "--dims", "2,3", "--ops", "z,z",
+                           "--outcomes", "0,1")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "POSITIVE"
+    assert report["min_eigenvalue"] == pytest.approx(
+        witness_anticommutator(rho1, rho2).min_eigenvalue, abs=1e-12)
+
+
+def test_discord_demo_runs_above_the_eigensolver_cap(capsys, tmp_path):
+    """A 2x130 state (dimension 260 > EIGEN_DIM_CAP) still validates;
+    only its 130-dimensional conditionals are analyzed."""
+    rng = seeded_rng(5)
+    m = tensor(random_density(2, 2, rng).matrix,
+               random_density(130, 130, rng).matrix)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(state_to_json(make_density(m))),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "discord-demo", "--state", str(path),
+                           "--dims", "2,130", "--ops", "z,x",
+                           "--outcomes", "0,+")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["conditionals"]["first"]["dim"] == 130
+    assert obj["report"]["verdict"] == "POSITIVE"
+
+
 # ----------------------------------------------------------------- scan
 
 def test_scan_stdout_layout(capsys):
@@ -419,10 +494,11 @@ def test_unknown_flag(capsys):
     assert code == 2
 
 
-def test_console_script_byte_identical():
+def test_console_script_byte_identical(subprocess_env):
     cmd = [sys.executable, "-m", "qwitness.cli", "scan", "--kind", "bloch",
            "--grid", "4", "--seed", "1"]
-    runs = [subprocess.run(cmd, capture_output=True, check=False)
+    runs = [subprocess.run(cmd, capture_output=True, check=False,
+                           env=subprocess_env)
             for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
@@ -430,9 +506,113 @@ def test_console_script_byte_identical():
     assert b"records in" not in runs[0].stdout
 
 
-def test_console_script_witness_exit_code():
+def test_console_script_witness_exit_code(subprocess_env):
+    """Runs the ``[project.scripts]`` target the way the installed
+    ``qwitness`` script would, so no install step is needed."""
+    import tomllib
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qwitness"]
+    module, _, func = target.partition(":")
+    launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     result = subprocess.run(
-        ["qwitness", "witness", "--states", "0,0,1", "1,0,0"],
-        capture_output=True, check=False)
+        [sys.executable, "-c", launcher, "witness", "--states", "0,0,1", "1,0,0"],
+        capture_output=True, check=False, env=subprocess_env)
     assert result.returncode == 10
     assert json.loads(result.stdout)["verdict"] == "NONPOSITIVE_WITNESSED"
+
+
+# ------------------------------------------------------ malformed input
+
+_JSON_NON_NUMBERS = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+# not a positive integer dimension, or an integer that mismatches the rows
+_BAD_DIMS = st.one_of(
+    _JSON_NON_NUMBERS, st.floats(allow_nan=False),
+    st.integers().filter(lambda d: d not in (2, 4)),
+)
+_BAD_CELLS = st.one_of(
+    _JSON_NON_NUMBERS,
+    st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
+    .filter(lambda cell: len(cell) != 2),
+    st.tuples(st.integers(min_value=10**309, max_value=10**320),
+              st.just(0)).map(list),
+)
+
+
+@st.composite
+def _malformed_matrix_text(draw, valid: dict) -> str:
+    """The JSON text of ``valid`` with one defect, or unparsable text."""
+    obj = json.loads(json.dumps(valid))
+    how = draw(st.sampled_from(["dim", "cell", "drop", "row", "text"]))
+    if how == "dim":
+        obj["dim"] = draw(_BAD_DIMS)
+    elif how == "cell":
+        d = valid["dim"]
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        obj["entries"][i][j] = draw(_BAD_CELLS)
+    elif how == "drop":
+        del obj[draw(st.sampled_from(["dim", "entries"]))]
+    elif how == "row":
+        obj["entries"][draw(st.integers(0, valid["dim"] - 1))] = draw(
+            _JSON_NON_NUMBERS)
+    else:
+        return draw(st.sampled_from(["", "{", "[" * 50_000, "nul", "{'a': 1}",
+                                     "[1, 2]", "3", '"state"', "{}"]))
+    return json.dumps(obj)
+
+
+@st.composite
+def _malformed_probe_text(draw) -> str:
+    obj = {"amplitudes": [[1, 0], [0, 0]]}
+    how = draw(st.sampled_from(["cell", "list"]))
+    if how == "cell":
+        obj["amplitudes"][draw(st.integers(0, 1))] = draw(_BAD_CELLS)
+    else:
+        obj["amplitudes"] = draw(st.one_of(st.text(max_size=3), st.none(),
+                                           st.integers(), st.just([])))
+    return json.dumps(obj)
+
+
+def _exit_code(path, text: str, argv: list[str]) -> int:
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code != 2 or err.getvalue().startswith("error:")
+    return code
+
+
+_STATE_JSON = state_to_json(make_density(np.diag([0.7, 0.3])))
+_BIPARTITE_JSON = state_to_json(make_density(
+    tensor(np.full((2, 2), 0.5), np.diag([0.6, 0.4]))))
+_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@given(text=_malformed_matrix_text(_STATE_JSON))
+@_FUZZ
+def test_fuzz_malformed_state_file_exits_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    assert _exit_code(path, text,
+                      ["witness", "--states", str(path), "0,0,1"]) == 2
+
+
+@given(text=_malformed_probe_text())
+@_FUZZ
+def test_fuzz_malformed_probe_file_exits_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "probe.json"
+    assert _exit_code(path, text, ["circuit", "--states", "0,0,1", "1,0,0",
+                                   "--probe", str(path)]) == 2
+
+
+@given(text=_malformed_matrix_text(_BIPARTITE_JSON))
+@_FUZZ
+def test_fuzz_malformed_bipartite_file_exits_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "ab.json"
+    assert _exit_code(path, text, ["discord-demo", "--state", str(path),
+                                   "--dims", "2,2", "--ops", "z,x",
+                                   "--outcomes", "0,+"]) == 2

@@ -13,19 +13,27 @@ from qwitness.discord import (
     measurement_from_unitary,
     projector_operation,
     protocol_demo,
+    select_outcome,
+    witness_conditionals,
     x_measurement,
     z_measurement,
 )
-from qwitness.errors import DimensionError, NullOutcomeError, PositivityError
-from qwitness.linalg import tensor
+from qwitness.errors import (
+    DegenerateSpectrumError,
+    DimensionError,
+    NullOutcomeError,
+    PositivityError,
+)
+from qwitness.linalg import partial_trace, tensor
 from qwitness.states import (
     DensityOperator,
     bloch_to_state,
     make_density,
+    random_density,
     random_unitary,
     seeded_rng,
 )
-from qwitness.witness import Verdict
+from qwitness.witness import Verdict, nested_witness, witness_anticommutator
 
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
 
@@ -202,3 +210,65 @@ def test_protocol_demo_null_outcome():
         state=make_density(np.diag([1.0, 0.0, 0.0, 0.0])), dims=(2, 2))
     with pytest.raises(NullOutcomeError):
         protocol_demo(pure00, z_measurement(), z_measurement(), "0", "1")
+
+
+def kron_conditional_state(rho_ab, op):
+    """Reference route: sum_k (K (x) I) rho (K (x) I)^dagger on the full
+    space, then the partial trace over A."""
+    da, db = rho_ab.dims
+    m = rho_ab.state.matrix
+    out = sum(np.kron(k, np.eye(db)) @ m @ np.kron(k, np.eye(db)).conj().T
+              for k in op.kraus_ops)
+    prob = float(out.trace().real)
+    return prob, partial_trace(out, (da, db), "B") / prob
+
+
+def random_kraus(da, count, rng):
+    """``count`` Kraus operators with sum K^dagger K = s I, s in [0.5, 1]."""
+    g = rng.normal(size=(count * da, da)) + 1j * rng.normal(size=(count * da, da))
+    q = np.linalg.qr(g)[0] * np.sqrt(rng.uniform(0.5, 1.0))
+    return LocalOperation(kraus_ops=tuple(q[i * da:(i + 1) * da]
+                                          for i in range(count)))
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_conditional_state_matches_kron_reference(da, db):
+    for t in range(10):
+        rng = seeded_rng(83, da, db, t)
+        rho_ab = BipartiteState(
+            state=random_density(da * db, int(rng.integers(1, da * db + 1)), rng),
+            dims=(da, db))
+        op = random_kraus(da, 1 + t % 3, rng)
+        prob, state = conditional_state(rho_ab, op)
+        ref_prob, ref = kron_conditional_state(rho_ab, op)
+        assert abs(prob - ref_prob) <= 1e-14
+        np.testing.assert_allclose(state.matrix, ref, rtol=0, atol=1e-14)
+
+
+def test_protocol_demo_degenerate_conditional_falls_back_to_direct():
+    """A tied leading eigenvalue leaves amplification nothing to sharpen;
+    the report is then the direct spectrum of the conditional pair."""
+    rho1 = make_density(np.diag([0.4, 0.4, 0.2]))
+    rho2 = random_density(3, 3, seeded_rng(11))
+    with pytest.raises(DegenerateSpectrumError):
+        nested_witness(rho1, rho2, 0.01)
+    cq = classical_quantum_state([0.5, 0.5], [rho1, rho2])
+    report = protocol_demo(cq, z_measurement(), z_measurement(), "0", "1")
+    direct = witness_anticommutator(rho1, rho2)
+    assert report.verdict is direct.verdict is Verdict.POSITIVE
+    assert report.min_eigenvalue == pytest.approx(direct.min_eigenvalue,
+                                                  abs=1e-12)
+    assert report.min_eigenvalue == pytest.approx(0.0171, abs=1e-4)
+
+
+def test_witness_conditionals_takes_the_selected_states():
+    bell = bell_state()
+    prob1, rho1 = select_outcome(bell, z_measurement(), "0", "first")
+    prob2, rho2 = select_outcome(bell, x_measurement(), "+", "second")
+    assert prob1 == pytest.approx(0.5) and prob2 == pytest.approx(0.5)
+    report = witness_conditionals(rho1, rho2)
+    expected = protocol_demo(bell, z_measurement(), x_measurement(), "0", "+")
+    assert report.min_eigenvalue == expected.min_eigenvalue
+    with pytest.raises(KeyError, match="first measurement"):
+        select_outcome(bell, z_measurement(), "+", "first")
+

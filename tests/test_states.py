@@ -27,7 +27,9 @@ from qwitness.states import (
     state_from_json,
     state_to_bloch,
     state_to_json,
+    top_gap,
 )
+from qwitness.witness import amplify
 
 
 def test_valid_density_operator():
@@ -178,3 +180,43 @@ def test_random_density_psd_property(seed, d):
     rho = random_density(d, d, seeded_rng(seed))
     assert float(rho.spectrum.eigenvalues[-1]) >= -1e-10
     assert purity(rho) <= 1.0 + 1e-10
+
+
+def test_construction_decomposes_once(monkeypatch):
+    """One eigensolver call validates and decomposes a state; reading
+    the spectrum or amplifying reuses it."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    m = random_density(4, 4, seeded_rng(17)).matrix
+    calls.clear()
+    rho = DensityOperator(m)
+    assert len(calls) == 1
+    assert rho.spectrum is rho.spectrum
+    sharp = amplify(rho, 5)
+    assert sharp.spectrum.eigenvalues[0] > rho.spectrum.eigenvalues[0]
+    assert len(calls) == 1
+
+
+def test_rejects_overflowing_matrix():
+    """Finite entries whose Hermitian part overflows never validate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PositivityError):
+            make_density(np.array([[0.5, 1.7e308], [1.7e308, 0.5]]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_top_gap(d):
+    lam = [0.5, 0.3, 0.2][:d]
+    rho = make_density(np.diag(np.array(lam) / sum(lam)))
+    gap, degenerate = top_gap(rho)
+    top = lam[0] / sum(lam)
+    assert gap == pytest.approx(top if d == 1 else top - lam[1] / sum(lam))
+    assert not degenerate
+    assert top_gap(make_density(np.eye(d) / d))[1] == (d > 1)

@@ -17,7 +17,6 @@ from qwitness.errors import (
     ProjectorError,
 )
 from qwitness.linalg import anticommutator, commutator, frobenius_norm
-from qwitness.scans import safe_nested_target
 from qwitness.states import (
     PureDecomposition,
     bloch_to_state,
@@ -46,6 +45,7 @@ from qwitness.witness import (
     plan_amplification,
     pure_mixed_test,
     qubit_bloch_condition,
+    safe_nested_target,
     second_order_indicator,
     witness_anticommutator,
 )
