@@ -53,7 +53,7 @@ from .errors import (
 from .interferometer import (
     ShiftExperiment,
     run_circuit_exact,
-    run_circuit_sampled,
+    sample_readout,
     shots_to_resolve,
 )
 from .linalg import complex_from_json
@@ -227,10 +227,10 @@ def _tols(args) -> dict[str, float]:
             "comm": TOL_COMM, "f": TOL_F}
     for item in args.tol or ():
         name, sep, value = item.partition("=")
-        if not sep or name not in tols:
+        if not sep or name not in tols or not 0.0 <= float(value) < math.inf:
             raise ValueError(
                 f"bad --tol {item!r}; expected NAME=VALUE with NAME in "
-                f"{sorted(tols)}")
+                f"{sorted(tols)} and VALUE finite and >= 0")
         tols[name] = float(value)
     return tols
 
@@ -337,18 +337,15 @@ def cmd_circuit(args) -> int:
         states = states * copies
     probe = _load_probe(args.probe)
     cap = args.cap if args.cap is not None else TOTAL_DIM_CAP
+    if args.shots is not None and args.shots < 1:
+        raise ValueError("--shots must be >= 1")
+    exact = run_circuit_exact(
+        ShiftExperiment(copies=tuple(states), probe=probe), cap=cap)
     if args.shots is None:
-        exact = run_circuit_exact(
-            ShiftExperiment(copies=tuple(states), probe=probe), cap=cap)
         _print({"exact": exact})
         return EXIT_OK
-    if args.shots < 1:
-        raise ValueError("--shots must be >= 1")
     seed = _resolve_seed(args)
-    experiment = ShiftExperiment(copies=tuple(states), probe=probe,
-                                 shots=args.shots, seed=seed)
-    exact = run_circuit_exact(experiment, cap=cap)
-    estimate, stderr = run_circuit_sampled(experiment, cap=cap)
+    estimate, stderr = sample_readout(exact, args.shots, seed)
     try:
         recommended = shots_to_resolve(exact, 5.0)
     except UnresolvableError:
@@ -412,18 +409,20 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
+    for flag in ("trials", "grid", "jobs"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     fmt = args.format or "jsonl"
     if fmt not in ("jsonl", "csv"):
         raise ValueError("scan emits jsonl or csv, not json")
     seed = _resolve_seed(args)
     dims = tuple(int(p) for p in args.dims.split(","))
+    if args.jobs > 1:
+        print(f"note: --jobs {args.jobs} is ignored; scans run serially",
+              file=sys.stderr)
     start = time.perf_counter()
     records, summary = run_scan(args.kind, trials=args.trials, dims=dims,
-                                seed=seed, jobs=args.jobs, grid=args.grid)
+                                seed=seed, grid=args.grid)
     elapsed = time.perf_counter() - start
     summary = {**summary, "version": __version__}
     if fmt == "csv":
@@ -450,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a tolerance: witness, null, comm, f")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for scans")
+                        help="accepted for compatibility; scans run serially")
     common.add_argument("--format", choices=["json", "jsonl", "csv"],
                         default=None, help="output format")
     common.add_argument("--cap", type=int, default=None,

@@ -25,6 +25,7 @@ __all__ = [
     "ShiftExperiment",
     "run_circuit_exact",
     "run_circuit_sampled",
+    "sample_readout",
     "shots_to_resolve",
 ]
 
@@ -111,7 +112,13 @@ class ShiftExperiment:
     seed: int | None = None
 
 
-def _final_control_expectation(e: ShiftExperiment, cap: int) -> float:
+def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
+    """Exact sigma_z expectation of the control qubit.
+
+    Evolves the full density matrix through Hadamard, controlled shift,
+    Hadamard. Equals Re tr[S (rho_1 x ... x rho_l x |psi><psi|)]; for a
+    single pair that is <psi| {rho_1, rho_2} |psi> / 2.
+    """
     if not e.copies:
         raise DimensionError("experiment needs at least one state register")
     d = e.copies[0].dim
@@ -140,37 +147,32 @@ def _final_control_expectation(e: ShiftExperiment, cap: int) -> float:
     return float(np.trace(observable @ state).real)
 
 
-def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
-    """Exact sigma_z expectation of the control qubit.
+def sample_readout(exact: float, shots: int | None,
+                   seed: int | None) -> tuple[float, float]:
+    """Simulate control-qubit readout statistics at a known expectation.
 
-    Evolves the full density matrix through Hadamard, controlled shift,
-    Hadamard. Equals Re tr[S (rho_1 x ... x rho_l x |psi><psi|)]; for a
-    single pair that is <psi| {rho_1, rho_2} |psi> / 2.
-    """
-    return _final_control_expectation(e, cap)
-
-
-def run_circuit_sampled(e: ShiftExperiment, *,
-                        cap: int = TOTAL_DIM_CAP) -> tuple[float, float]:
-    """Simulate control-qubit readout statistics.
-
-    Draws ``shots`` Bernoulli outcomes at the exact zero-outcome
-    probability from the seeded generator and returns
+    Draws ``shots`` Bernoulli outcomes at the zero-outcome probability
+    (1 + exact) / 2 from the seeded generator and returns
     (estimate, standard error) with estimate = (n0 - n1) / shots and
     stderr = sqrt((1 - estimate^2) / shots).
     """
-    if e.shots is None or int(e.shots) < 1:
-        raise ValueError(f"sampled run needs shots >= 1, got {e.shots}")
-    if e.seed is None:
+    if shots is None or int(shots) < 1:
+        raise ValueError(f"sampled run needs shots >= 1, got {shots}")
+    if seed is None:
         raise ValueError("sampled run needs an explicit seed")
-    shots = int(e.shots)
-    exact = _final_control_expectation(e, cap)
+    shots = int(shots)
     p0 = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    rng = seeded_rng(int(e.seed))
+    rng = seeded_rng(int(seed))
     n0 = int(rng.binomial(shots, p0))
     estimate = (2 * n0 - shots) / shots
     stderr = math.sqrt(max(1.0 - estimate * estimate, 0.0) / shots)
     return estimate, stderr
+
+
+def run_circuit_sampled(e: ShiftExperiment, *,
+                        cap: int = TOTAL_DIM_CAP) -> tuple[float, float]:
+    """Readout of ``e.shots`` shots at ``e.seed``; see :func:`sample_readout`."""
+    return sample_readout(run_circuit_exact(e, cap=cap), e.shots, e.seed)
 
 
 def shots_to_resolve(target: float, confidence_sigmas: float) -> int:

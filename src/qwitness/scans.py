@@ -1,17 +1,16 @@
 """Randomized and gridded property scans.
 
-Each scan runs seeded independent trials, returns one record per trial
-plus a summary, and counts counterexamples (expected zero) instead of
-stopping at the first failure. Trials draw from per-trial substreams,
-so results do not depend on worker count and repeat runs are
-bit-identical.
+Each scan runs seeded independent trials in order, returns one record
+per trial plus a summary, and counts counterexamples (expected zero)
+instead of stopping at the first failure. Trial ``t`` draws only from
+its own substream ``seeded_rng(seed, t)``, so its record does not
+depend on how many trials run and repeat runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,13 +51,6 @@ SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 _REDRAW_LIMIT = 128
 
 
-def _run_trials(fn: Callable[[int], dict], trials: int, jobs: int) -> list[dict]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
-
-
 def _nondegenerate_density(d: int, rng: np.random.Generator,
                            full_spectrum: bool) -> DensityOperator:
     """Draw a full-rank state whose spectrum has no (near-)ties.
@@ -75,8 +67,8 @@ def _nondegenerate_density(d: int, rng: np.random.Generator,
     raise RuntimeError("could not draw a nondegenerate state")  # pragma: no cover
 
 
-def scan_pure_mixed(trials: int, dims: Sequence[int], seed: int, *,
-                    jobs: int = 1) -> tuple[list[dict], dict]:
+def scan_pure_mixed(trials: int, dims: Sequence[int],
+                    seed: int) -> tuple[list[dict], dict]:
     """Witnessed verdict == noncommutation, for pure-vs-mixed pairs."""
     dims = list(dims)
 
@@ -103,7 +95,7 @@ def scan_pure_mixed(trials: int, dims: Sequence[int], seed: int, *,
             "counterexample": witnessed != noncommuting,
         }
 
-    records = _run_trials(one, trials, jobs)
+    records = [one(t) for t in range(trials)]
     summary = {
         "kind": "pure-mixed",
         "trials": trials,
@@ -116,8 +108,8 @@ def scan_pure_mixed(trials: int, dims: Sequence[int], seed: int, *,
     return records, summary
 
 
-def scan_nested(trials: int, dims: Sequence[int], seed: int, *,
-                jobs: int = 1) -> tuple[list[dict], dict]:
+def scan_nested(trials: int, dims: Sequence[int],
+                seed: int) -> tuple[list[dict], dict]:
     """Margin condition after planned amplification forces a witness."""
     dims = list(dims)
 
@@ -150,7 +142,7 @@ def scan_nested(trials: int, dims: Sequence[int], seed: int, *,
             "counterexample": result.condition_met and not witnessed,
         }
 
-    records = _run_trials(one, trials, jobs)
+    records = [one(t) for t in range(trials)]
     summary = {
         "kind": "nested",
         "trials": trials,
@@ -173,8 +165,7 @@ def _bloch_axis(count: int) -> list[tuple[float, float]]:
     return pairs[:count]
 
 
-def scan_bloch(grid: int = 100, *, seed: int = 0,
-               jobs: int = 1) -> tuple[list[dict], dict]:
+def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
     """Qubit ball condition implies a positive anticommutator.
 
     The two-vector geometry only depends on the radii and the angle
@@ -209,7 +200,7 @@ def scan_bloch(grid: int = 100, *, seed: int = 0,
             "converse_positive": (not condition) and min_eig >= -TOL_WITNESS,
         }
 
-    records = _run_trials(one, len(axis) ** 2, jobs)
+    records = [one(t) for t in range(len(axis) ** 2)]
     summary = {
         "kind": "bloch",
         "trials": len(records),
@@ -221,8 +212,8 @@ def scan_bloch(grid: int = 100, *, seed: int = 0,
     return records, summary
 
 
-def scan_null(trials: int, dims: Sequence[int], seed: int, *,
-              jobs: int = 1) -> tuple[list[dict], dict]:
+def scan_null(trials: int, dims: Sequence[int],
+              seed: int) -> tuple[list[dict], dict]:
     """A vanishing anticommutator with a pure factor kills the product.
 
     Even trials construct a state supported orthogonally to the pure
@@ -258,7 +249,7 @@ def scan_null(trials: int, dims: Sequence[int], seed: int, *,
             "counterexample": null and product_norm > 10.0 * TOL_NULL,
         }
 
-    records = _run_trials(one, trials, jobs)
+    records = [one(t) for t in range(trials)]
     summary = {
         "kind": "null",
         "trials": trials,
@@ -285,8 +276,7 @@ def _most_likely(conds: list[tuple[float, DensityOperator | None]]
     return max((c for c in conds if c[1] is not None), key=lambda c: c[0])[1]
 
 
-def scan_discord(trials: int, seed: int, *, jobs: int = 1
-                 ) -> tuple[list[dict], dict]:
+def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     """Zero-discord states never yield a witnessed verdict.
 
     Each trial builds a random classical-classical state (Bob's
@@ -333,7 +323,7 @@ def scan_discord(trials: int, seed: int, *, jobs: int = 1
             "counterexample": ensemble.noncommuting_found or witnessed,
         }
 
-    records = _run_trials(one, trials, jobs)
+    records = [one(t) for t in range(trials)]
     summary = {
         "kind": "discord",
         "trials": trials,
@@ -345,16 +335,16 @@ def scan_discord(trials: int, seed: int, *, jobs: int = 1
 
 def run_scan(kind: str, *, trials: int = 1000,
              dims: Sequence[int] = (2, 3, 4), seed: int = 0,
-             jobs: int = 1, grid: int = 100) -> tuple[list[dict], dict]:
+             grid: int = 100) -> tuple[list[dict], dict]:
     """Dispatch one scan kind with its natural parameters."""
     if kind == "pure-mixed":
-        return scan_pure_mixed(trials, dims, seed, jobs=jobs)
+        return scan_pure_mixed(trials, dims, seed)
     if kind == "nested":
-        return scan_nested(trials, dims, seed, jobs=jobs)
+        return scan_nested(trials, dims, seed)
     if kind == "bloch":
-        return scan_bloch(grid, seed=seed, jobs=jobs)
+        return scan_bloch(grid, seed=seed)
     if kind == "null":
-        return scan_null(trials, dims, seed, jobs=jobs)
+        return scan_null(trials, dims, seed)
     if kind == "discord":
-        return scan_discord(trials, seed, jobs=jobs)
+        return scan_discord(trials, seed)
     raise ValueError(f"unknown scan kind {kind!r}; have {', '.join(SCAN_KINDS)}")

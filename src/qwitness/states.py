@@ -205,8 +205,8 @@ def state_to_bloch(rho: DensityOperator) -> np.ndarray:
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator from a seed plus optional stream indices.
 
-    Parallel scans pass the trial index as the stream so workers draw
-    from disjoint, reproducible substreams.
+    Scans pass the trial index as the stream, so each trial draws from
+    its own reproducible substream whatever the other trials draw.
     """
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 

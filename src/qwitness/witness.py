@@ -268,6 +268,8 @@ def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
     target = float(target_epsilon)
     if not (0.0 <= target < 1.0):
         raise ValueError(f"target epsilon must lie in [0, 1), got {target}")
+    if cap < 1:
+        raise ValueError(f"plan cap must be >= 1, got {cap}")
     lam = np.clip(rho.spectrum.eigenvalues, 0.0, None)
     top = float(lam[0])
     if top_gap(rho)[1]:

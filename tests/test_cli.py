@@ -92,10 +92,14 @@ def test_witness_rejects_csv_format(capsys):
 
 
 def test_bad_tolerance_flag(capsys):
-    code, _, err = run_cli(capsys, "witness", "--states", "0,0,1", "1,0,0",
-                           "--tol", "fuzz=1")
-    assert code == 2
-    assert "bad --tol" in err
+    # identical states commute, so a negative tolerance must not get as
+    # far as a witnessed verdict
+    for tol in ("fuzz=1", "witness=-0.5", "null=inf", "comm=-inf", "f=nan"):
+        code, out, err = run_cli(capsys, "witness", "--states", "0,0,1",
+                                 "0,0,1", "--tol", tol)
+        assert code == 2, tol
+        assert out == ""
+        assert "bad --tol" in err
 
 
 def test_witness_missing_file(capsys, tmp_path):
@@ -246,6 +250,17 @@ def test_amplify_rejects_bad_n(capsys, tmp_path):
     code, _, err = run_cli(capsys, "amplify", "--state", f, "--n", "0")
     assert code == 2
     assert "--n must be" in err
+    # a nonpositive plan cap is malformed input, not a capped-out plan
+    f1, f2 = mixed_pair_files(tmp_path)
+    for argv in (("amplify", "--state", "0,0,0.5", "--target", "0.01",
+                  "--cap", "-4"),
+                 ("amplify", "--state", f, "--target", "0.05", "--cap", "0"),
+                 ("nested", "--states", f1, f2, "--target", "0.05",
+                  "--cap", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "cap must be >= 1" in err
 
 
 # -------------------------------------------------------------- circuit
@@ -320,6 +335,26 @@ def test_circuit_rejects_zero_shots(capsys, tmp_path):
                            "--probe", probe, "--shots", "0")
     assert code == 2
     assert "--shots" in err
+
+
+def test_circuit_runs_one_dense_evolution(capsys, tmp_path, monkeypatch):
+    import qwitness.interferometer as interferometer
+
+    probe = witness_report_file(capsys, tmp_path)
+    calls = []
+    original = interferometer.shift_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interferometer, "shift_operator", counted)
+    for extra in ((), ("--shots", "100", "--seed", "2")):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "circuit", "--states", "0,0,1", "1,0,0",
+                             "--probe", probe, *extra)
+        assert code == 0
+        assert len(calls) == 1, extra
 
 
 # --------------------------------------------------------- discord-demo
@@ -427,8 +462,9 @@ def test_scan_stdout_is_reproducible(capsys):
             "--seed", "9")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
-    _, pooled, _ = run_cli(capsys, *args, "--jobs", "3")
+    _, pooled, err = run_cli(capsys, *args, "--jobs", "3")
     assert first == second == pooled
+    assert "scans run serially" in err
 
 
 def test_scan_seed_from_environment(capsys, monkeypatch):
@@ -469,9 +505,13 @@ def test_scan_rejects_json_format(capsys):
 
 
 def test_scan_rejects_bad_trials(capsys):
-    code, _, err = run_cli(capsys, "scan", "--kind", "null", "--trials", "0")
-    assert code == 2
-    assert "--trials" in err
+    for flag, value in (("--trials", "0"), ("--grid", "0"), ("--grid", "-3"),
+                        ("--jobs", "0")):
+        code, out, err = run_cli(capsys, "scan", "--kind", "bloch",
+                                 flag, value)
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert f"{flag} must be >= 1" in err
 
 
 # ------------------------------------------------------------- plumbing

@@ -8,6 +8,7 @@ from qwitness.interferometer import (
     ShiftExperiment,
     run_circuit_exact,
     run_circuit_sampled,
+    sample_readout,
     shift_operator,
     shots_to_resolve,
     trace_product_via_shift,
@@ -158,6 +159,16 @@ def test_sampled_run_deterministic_outcome_has_zero_stderr():
     assert run_circuit_sampled(e) == (1.0, 0.0)
 
 
+def test_sample_readout_matches_sampled_run():
+    report = witness_anticommutator(P0, PLUS)
+    for e in (ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector,
+                              shots=4000, seed=11),
+              ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]),
+                              shots=50, seed=0)):
+        assert sample_readout(run_circuit_exact(e), e.shots, e.seed) == (
+            run_circuit_sampled(e))
+
+
 def test_sampled_run_validation():
     e = ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -168,6 +179,9 @@ def test_sampled_run_validation():
     with pytest.raises(ValueError):
         run_circuit_sampled(ShiftExperiment(
             copies=(P0,), probe=np.array([1.0, 0.0]), shots=10))
+    for shots, seed in ((None, 1), (0, 1), (-3, 1), (10, None)):
+        with pytest.raises(ValueError):
+            sample_readout(0.5, shots, seed)
 
 
 def test_shots_to_resolve_frozen_value():

@@ -40,12 +40,13 @@ def test_nested_scan_small_corpus():
             assert r["verdict"] == "NONPOSITIVE_WITNESSED"
 
 
-def test_scan_records_do_not_depend_on_worker_count():
-    for kind, kwargs in (("pure-mixed", {"trials": 12, "dims": [2, 3]}),
-                         ("null", {"trials": 12, "dims": [2, 3]})):
-        solo = run_scan(kind, seed=3, jobs=1, **kwargs)
-        pooled = run_scan(kind, seed=3, jobs=3, **kwargs)
-        assert solo == pooled
+def test_scan_records_do_not_depend_on_trial_count():
+    # each trial draws from its own substream, so a longer scan starts
+    # with the records of a shorter one
+    for kind in ("pure-mixed", "nested", "null", "discord"):
+        short, _ = run_scan(kind, trials=5, dims=(2, 3), seed=3)
+        long, _ = run_scan(kind, trials=12, dims=(2, 3), seed=3)
+        assert long[:5] == short
 
 
 def test_bloch_scan_grid():

@@ -241,6 +241,9 @@ def test_plan_amplification_target_validation():
         plan_amplification(rho, 1.0)
     with pytest.raises(ValueError):
         plan_amplification(rho, -0.1)
+    for cap in (0, -4):
+        with pytest.raises(ValueError, match="cap"):
+            plan_amplification(rho, 0.01, cap=cap)
 
 
 def test_plan_is_minimal_across_targets():
