@@ -52,6 +52,7 @@ from .errors import (
 )
 from .interferometer import (
     ShiftExperiment,
+    check_circuit_dimension,
     run_circuit_exact,
     sample_readout,
     shots_to_resolve,
@@ -330,13 +331,14 @@ def cmd_circuit(args) -> int:
     copies = args.copies if args.copies is not None else len(states)
     if copies < 1:
         raise ValueError("--copies must be >= 1")
+    cap = args.cap if args.cap is not None else TOTAL_DIM_CAP
     if copies != len(states):
         if len(states) != 1:
             raise ValueError(
                 "give exactly --copies states, or one state to replicate")
+        check_circuit_dimension(states[0].dim, copies + 1, cap)
         states = states * copies
     probe = _load_probe(args.probe)
-    cap = args.cap if args.cap is not None else TOTAL_DIM_CAP
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be >= 1")
     exact = run_circuit_exact(

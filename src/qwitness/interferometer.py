@@ -5,6 +5,10 @@ plus one probe register maps the quantity Re<psi| rho_1 ... rho_l |psi>
 onto the sigma_z expectation of the control qubit. For l = 2 that
 expectation is <psi| {rho_1, rho_2} |psi> / 2, so a negative witness
 eigenvector makes the interference visibility go negative.
+
+That readout is Re tr[S R], R the register tensor and S the cyclic
+shift (Ekert et al., PRL 88, 217901 (2002)); S is a permutation, so it
+is read off R as a sum of D entries, with no gate of the circuit built.
 """
 
 from __future__ import annotations
@@ -24,16 +28,9 @@ __all__ = [
     "trace_product_via_shift",
     "ShiftExperiment",
     "run_circuit_exact",
-    "run_circuit_sampled",
     "sample_readout",
     "shots_to_resolve",
 ]
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-_P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 def _shift_permutation(d: int, l: int) -> np.ndarray:
     """Index map of the cyclic shift sending register contents one slot
@@ -64,6 +61,22 @@ def shift_operator(d: int, l: int, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
     return s
 
 
+def _shift_trace(mats: list[np.ndarray], d: int, *, cap: int) -> complex:
+    """tr[S (m_1 x ... x m_l)], S the shift over len(mats) registers of
+    dimension d, as the sum of the tensor's entries M[x, perm[x]]."""
+    big = tensor_all(mats, cap=cap)
+    perm = _shift_permutation(d, len(mats))
+    return complex(big[np.arange(perm.size), perm].sum())
+
+
+def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
+    """CapacityError if 2 * d**registers exceeds ``cap``; the power stops
+    at cap's bit length, past which any d >= 2 is over the cap."""
+    if 2 * d ** min(registers, cap.bit_length()) > cap:
+        raise CapacityError(
+            f"circuit dimension 2*{d}^{registers} exceeds cap {cap}")
+
+
 def trace_product_via_shift(states: list[DensityOperator], *,
                             cap: int = TOTAL_DIM_CAP) -> float | complex:
     """tr[rho_1 ... rho_l], computed two independent ways.
@@ -80,12 +93,7 @@ def trace_product_via_shift(states: list[DensityOperator], *,
         if s.dim != d:
             raise DimensionError("states must share one dimension")
     l = len(states)
-    if d**l > cap:
-        raise CapacityError(f"total dimension {d**l} exceeds cap {cap}")
-    big = tensor_all([s.matrix for s in states], cap=cap)
-    perm = _shift_permutation(d, l)
-    # tr[S M] with S a permutation: sum over M[x, row-preimage of x]
-    contracted = complex(big[np.arange(d**l), perm].sum())
+    contracted = _shift_trace([s.matrix for s in states], d, cap=cap)
     direct = states[0].matrix
     for s in states[1:]:
         direct = direct @ s.matrix
@@ -102,22 +110,21 @@ class ShiftExperiment:
     """One controlled-shift interferometer configuration.
 
     ``copies`` are the state registers in circuit order, ``probe`` the
-    pure state loaded into the final register. ``shots``/``seed`` only
-    matter for sampled runs.
+    pure state loaded into the final register.
     """
 
     copies: tuple[DensityOperator, ...]
     probe: np.ndarray
-    shots: int | None = None
-    seed: int | None = None
 
 
 def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
     """Exact sigma_z expectation of the control qubit.
 
-    Evolves the full density matrix through Hadamard, controlled shift,
-    Hadamard. Equals Re tr[S (rho_1 x ... x rho_l x |psi><psi|)]; for a
-    single pair that is <psi| {rho_1, rho_2} |psi> / 2.
+    The Hadamard, controlled-shift, Hadamard circuit leaves the control
+    qubit at Re tr[S (rho_1 x ... x rho_l x |psi><psi|)], read here off
+    the register tensor as a permuted sum; for a single pair that is
+    <psi| {rho_1, rho_2} |psi> / 2. ``cap`` bounds the circuit dimension
+    2 * d**l, control qubit included.
     """
     if not e.copies:
         raise DimensionError("experiment needs at least one state register")
@@ -130,21 +137,9 @@ def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
         raise DimensionError(
             f"probe dimension {probe.shape[0]} does not match registers ({d})"
         )
-    l = len(e.copies) + 1
-    total = 2 * d**l
-    if total > cap:
-        raise CapacityError(f"circuit dimension {total} exceeds cap {cap}")
-    regs = tensor_all([s.matrix for s in e.copies] + [pure_projector(probe)],
-                      cap=cap)
-    dim = regs.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    state = np.kron(_P0, regs)
-    hadamard = np.kron(_HADAMARD, eye)
-    controlled = np.kron(_P0, eye) + np.kron(_P1, shift_operator(d, l, cap=cap))
-    for u in (hadamard, controlled, hadamard):
-        state = u @ state @ u.conj().T
-    observable = np.kron(_SIGMA_Z, eye)
-    return float(np.trace(observable @ state).real)
+    check_circuit_dimension(d, len(e.copies) + 1, cap)
+    mats = [s.matrix for s in e.copies] + [pure_projector(probe)]
+    return _shift_trace(mats, d, cap=cap).real
 
 
 def sample_readout(exact: float, shots: int | None,
@@ -167,12 +162,6 @@ def sample_readout(exact: float, shots: int | None,
     estimate = (2 * n0 - shots) / shots
     stderr = math.sqrt(max(1.0 - estimate * estimate, 0.0) / shots)
     return estimate, stderr
-
-
-def run_circuit_sampled(e: ShiftExperiment, *,
-                        cap: int = TOTAL_DIM_CAP) -> tuple[float, float]:
-    """Readout of ``e.shots`` shots at ``e.seed``; see :func:`sample_readout`."""
-    return sample_readout(run_circuit_exact(e, cap=cap), e.shots, e.seed)
 
 
 def shots_to_resolve(target: float, confidence_sigmas: float) -> int:

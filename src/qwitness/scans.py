@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditionUnreachableError, DegenerateSpectrumError
+from .errors import (CommutingInputsError, ConditionUnreachableError,
+                     DegenerateSpectrumError)
 from .linalg import anticommutator, commutator, frobenius_norm
 from .states import (
     DensityOperator,
@@ -122,7 +123,8 @@ def scan_nested(trials: int, dims: Sequence[int],
         target = safe_nested_target(leading_overlap(sigma1, sigma2))
         try:
             result = nested_witness(sigma1, sigma2, target)
-        except (DegenerateSpectrumError, ConditionUnreachableError) as exc:
+        except (DegenerateSpectrumError, CommutingInputsError,
+                ConditionUnreachableError) as exc:
             return {**base, "skipped": True, "reason": type(exc).__name__,
                     "condition": False, "min_eigenvalue": None,
                     "verdict": None, "counterexample": False}

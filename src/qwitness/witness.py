@@ -262,14 +262,20 @@ class AmplificationPlan:
     degenerate: bool
 
 
-def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
-                       cap: int = PLAN_CAP) -> AmplificationPlan:
-    """Plan the smallest n with 1 - lambda_max(amplify(rho, n)) <= target."""
+def _check_plan_args(target_epsilon: float, cap: int) -> float:
+    """The target as a float; rejects a target outside [0, 1) or a cap < 1."""
     target = float(target_epsilon)
     if not (0.0 <= target < 1.0):
         raise ValueError(f"target epsilon must lie in [0, 1), got {target}")
     if cap < 1:
         raise ValueError(f"plan cap must be >= 1, got {cap}")
+    return target
+
+
+def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
+                       cap: int = PLAN_CAP) -> AmplificationPlan:
+    """Plan the smallest n with 1 - lambda_max(amplify(rho, n)) <= target."""
+    target = _check_plan_args(target_epsilon, cap)
     lam = np.clip(rho.spectrum.eigenvalues, 0.0, None)
     top = float(lam[0])
     if top_gap(rho)[1]:
@@ -423,6 +429,7 @@ def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
     looser targets the report stays honest: the condition flag and the
     spectral verdict are computed independently and may disagree.
     """
+    _check_plan_args(target_epsilon, plan_cap)
     for name, sigma in (("first", sigma1), ("second", sigma2)):
         gap, degenerate = top_gap(sigma)
         if degenerate:

@@ -19,7 +19,7 @@ from qwitness.cli import dumps, main
 from qwitness.interferometer import (
     ShiftExperiment,
     run_circuit_exact,
-    run_circuit_sampled,
+    sample_readout,
     trace_product_via_shift,
 )
 from qwitness.linalg import anticommutator
@@ -266,12 +266,11 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
                                  make_density(np.full((2, 2), 0.5)))
         pair = (make_density(np.diag([1.0, 0.0])),
                 make_density(np.full((2, 2), 0.5)))
+        exact = run_circuit_exact(
+            ShiftExperiment(copies=pair, probe=report.witness_vector))
         hits = 0
         for seed in range(100):
-            e = ShiftExperiment(copies=pair, probe=report.witness_vector,
-                                shots=100_000, seed=seed)
-            exact = run_circuit_exact(e)
-            estimate, stderr = run_circuit_sampled(e)
+            estimate, stderr = sample_readout(exact, 100_000, seed)
             if abs(estimate - exact) <= 5.0 * stderr:
                 hits += 1
         assert hits >= 99

@@ -250,17 +250,26 @@ def test_amplify_rejects_bad_n(capsys, tmp_path):
     code, _, err = run_cli(capsys, "amplify", "--state", f, "--n", "0")
     assert code == 2
     assert "--n must be" in err
-    # a nonpositive plan cap is malformed input, not a capped-out plan
+    # a nonpositive plan cap or an out-of-range target is malformed
+    # input, not a capped-out plan, even on degenerate or commuting pairs
     f1, f2 = mixed_pair_files(tmp_path)
-    for argv in (("amplify", "--state", "0,0,0.5", "--target", "0.01",
-                  "--cap", "-4"),
-                 ("amplify", "--state", f, "--target", "0.05", "--cap", "0"),
-                 ("nested", "--states", f1, f2, "--target", "0.05",
-                  "--cap", "0")):
+    for argv, message in (
+            (("amplify", "--state", "0,0,0.5", "--target", "0.01",
+              "--cap", "-4"), "cap must be >= 1"),
+            (("amplify", "--state", f, "--target", "0.05", "--cap", "0"),
+             "cap must be >= 1"),
+            (("nested", "--states", f1, f2, "--target", "0.05",
+              "--cap", "0"), "cap must be >= 1"),
+            (("nested", "--states", "0,0,0", "1,0,0", "--target", "0.05",
+              "--cap", "0"), "cap must be >= 1"),
+            (("nested", "--states", "0,0,0", "1,0,0", "--target", "1.5"),
+             "target epsilon must lie in [0, 1)"),
+            (("nested", "--states", "0,0,1", "0,0,0.5", "--target", "1.5"),
+             "target epsilon must lie in [0, 1)")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert "cap must be >= 1" in err
+        assert message in err
 
 
 # -------------------------------------------------------------- circuit
@@ -337,7 +346,7 @@ def test_circuit_rejects_zero_shots(capsys, tmp_path):
     assert "--shots" in err
 
 
-def test_circuit_runs_one_dense_evolution(capsys, tmp_path, monkeypatch):
+def test_circuit_builds_no_shift_matrix(capsys, tmp_path, monkeypatch):
     import qwitness.interferometer as interferometer
 
     probe = witness_report_file(capsys, tmp_path)
@@ -354,7 +363,17 @@ def test_circuit_runs_one_dense_evolution(capsys, tmp_path, monkeypatch):
         code, _, _ = run_cli(capsys, "circuit", "--states", "0,0,1", "1,0,0",
                              "--probe", probe, *extra)
         assert code == 0
-        assert len(calls) == 1, extra
+        assert calls == [], extra
+
+
+def test_circuit_copies_over_cap_rejected_before_replicating(capsys,
+                                                             tmp_path):
+    probe = witness_report_file(capsys, tmp_path)
+    code, out, err = run_cli(capsys, "circuit", "--states", "0,0,1",
+                             "--copies", "20000000", "--probe", probe)
+    assert code == 2
+    assert out == ""
+    assert "circuit dimension 2*2^20000001 exceeds cap 512" in err
 
 
 # --------------------------------------------------------- discord-demo
@@ -465,6 +484,22 @@ def test_scan_stdout_is_reproducible(capsys):
     _, pooled, err = run_cli(capsys, *args, "--jobs", "3")
     assert first == second == pooled
     assert "scans run serially" in err
+
+
+def test_scan_nested_skips_one_dimensional_trials(capsys):
+    # a 1x1 pair always commutes: its trials are skipped, not fatal
+    for dims, skipped in (("1", 4), ("1,2", 2)):
+        code, out, _ = run_cli(capsys, "scan", "--kind", "nested",
+                               "--trials", "4", "--dims", dims, "--seed", "0")
+        assert code == 0, dims
+        records = [json.loads(line) for line in out.splitlines()]
+        summary = records.pop()
+        assert summary["skipped"] == skipped
+        assert summary["counterexamples"] == 0
+        for r in records:
+            assert r["skipped"] == (r["dim"] == 1)
+            if r["skipped"]:
+                assert r["reason"] == "CommutingInputsError"
 
 
 def test_scan_seed_from_environment(capsys, monkeypatch):

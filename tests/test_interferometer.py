@@ -1,21 +1,26 @@
 """Tests for the controlled-shift interferometer simulation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from qwitness.cli import main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
 from qwitness.interferometer import (
     ShiftExperiment,
+    check_circuit_dimension,
     run_circuit_exact,
-    run_circuit_sampled,
     sample_readout,
     shift_operator,
     shots_to_resolve,
     trace_product_via_shift,
 )
+from qwitness.linalg import tensor_all
 from qwitness.states import (
     bloch_to_state,
     make_density,
+    pure_projector,
     random_density,
     random_pure,
     seeded_rng,
@@ -24,6 +29,23 @@ from qwitness.witness import witness_anticommutator
 
 P0 = make_density(np.diag([1.0, 0.0]))
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
+
+
+def dense_circuit_reference(e: ShiftExperiment) -> float:
+    """Control-qubit sigma_z after evolving the full density matrix
+    through dense H, controlled-shift and H gates on 2 * d**l."""
+    d = e.copies[0].dim
+    l = len(e.copies) + 1
+    regs = tensor_all([s.matrix for s in e.copies] + [pure_projector(e.probe)])
+    eye = np.eye(regs.shape[0])
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    hadamard = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), eye)
+    controlled = np.kron(p0, eye) + np.kron(p1, shift_operator(d, l))
+    state = np.kron(p0, regs)
+    for u in (hadamard, controlled, hadamard):
+        state = u @ state @ u.conj().T
+    return float(np.trace(np.kron(np.diag([1.0, -1.0]), eye) @ state).real)
 
 
 def test_shift_two_registers_is_swap():
@@ -116,6 +138,23 @@ def test_circuit_pair_gives_half_anticommutator_form():
             float((psi.conj() @ anti @ psi).real) / 2.0, abs=1e-12)
 
 
+def test_circuit_matches_dense_reference():
+    worst = 0.0
+    for d in (2, 3, 4):
+        for copies in (1, 2, 3):
+            if 2 * d ** (copies + 1) > 128:
+                continue
+            for t in range(5):
+                rng = seeded_rng(66, d, copies, t)
+                e = ShiftExperiment(
+                    copies=tuple(random_density(d, d, rng)
+                                 for _ in range(copies)),
+                    probe=random_pure(d, rng))
+                worst = max(worst, abs(run_circuit_exact(e)
+                                       - dense_circuit_reference(e)))
+    assert worst <= 1e-10
+
+
 def test_circuit_witness_probe_reads_negative_visibility():
     report = witness_anticommutator(P0, PLUS)
     e = ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector)
@@ -137,51 +176,56 @@ def test_circuit_validation():
     with pytest.raises(CapacityError):
         run_circuit_exact(ShiftExperiment(
             copies=(P0, P0), probe=np.array([1.0, 0])), cap=15)
+    # a huge register count is rejected without building 2 * d**l
+    with pytest.raises(CapacityError, match=r"2\*2\^1000000000 exceeds"):
+        check_circuit_dimension(2, 10**9, 512)
+    check_circuit_dimension(1, 10**9, 2)
+    check_circuit_dimension(2, 8, 512)
+    with pytest.raises(CapacityError):
+        check_circuit_dimension(2, 9, 512)
 
 
 def test_sampled_run_is_deterministic():
     report = witness_anticommutator(P0, PLUS)
-    e = ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector,
-                        shots=4000, seed=11)
-    first = run_circuit_sampled(e)
-    second = run_circuit_sampled(e)
+    exact = run_circuit_exact(
+        ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector))
+    first = sample_readout(exact, 4000, 11)
+    second = sample_readout(exact, 4000, 11)
     assert first == second
     estimate, stderr = first
     assert stderr == pytest.approx(
         np.sqrt((1.0 - estimate**2) / 4000.0), abs=1e-15)
-    exact = run_circuit_exact(e)
     assert abs(estimate - exact) <= 5.0 * stderr
 
 
 def test_sampled_run_deterministic_outcome_has_zero_stderr():
-    e = ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]),
-                        shots=50, seed=0)
-    assert run_circuit_sampled(e) == (1.0, 0.0)
+    e = ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]))
+    assert sample_readout(run_circuit_exact(e), 50, 0) == (1.0, 0.0)
 
 
-def test_sample_readout_matches_sampled_run():
-    report = witness_anticommutator(P0, PLUS)
-    for e in (ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector,
-                              shots=4000, seed=11),
-              ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]),
-                              shots=50, seed=0)):
-        assert sample_readout(run_circuit_exact(e), e.shots, e.seed) == (
-            run_circuit_sampled(e))
+def test_sample_readout_matches_sampled_run(capsys, tmp_path):
+    probe = tmp_path / "probe.json"
+    probe.write_text('{"amplitudes": [[1, 0], [0, 0]]}', encoding="utf-8")
+    for copies, states, shots, seed in (((P0, PLUS), ("0,0,1", "1,0,0"),
+                                         4000, 11),
+                                        ((P0,), ("0,0,1",), 50, 0)):
+        exact = run_circuit_exact(
+            ShiftExperiment(copies=copies, probe=np.array([1.0, 0.0])))
+        code = main(["circuit", "--states", *states, "--probe", str(probe),
+                     "--shots", str(shots), "--seed", str(seed)])
+        assert code == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["exact"] == exact
+        assert (obj["estimate"], obj["stderr"]) == sample_readout(
+            exact, shots, seed)
 
 
 def test_sampled_run_validation():
-    e = ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        run_circuit_sampled(e)
-    with pytest.raises(ValueError):
-        run_circuit_sampled(ShiftExperiment(
-            copies=(P0,), probe=np.array([1.0, 0.0]), shots=0, seed=1))
-    with pytest.raises(ValueError):
-        run_circuit_sampled(ShiftExperiment(
-            copies=(P0,), probe=np.array([1.0, 0.0]), shots=10))
+    exact = run_circuit_exact(
+        ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0])))
     for shots, seed in ((None, 1), (0, 1), (-3, 1), (10, None)):
         with pytest.raises(ValueError):
-            sample_readout(0.5, shots, seed)
+            sample_readout(exact, shots, seed)
 
 
 def test_shots_to_resolve_frozen_value():

@@ -244,6 +244,14 @@ def test_plan_amplification_target_validation():
     for cap in (0, -4):
         with pytest.raises(ValueError, match="cap"):
             plan_amplification(rho, 0.01, cap=cap)
+    # nested_witness checks its plan arguments before analysing the pair
+    mixed = make_density(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="cap"):
+        nested_witness(mixed, rho, 0.05, plan_cap=0)
+    with pytest.raises(ValueError, match="target"):
+        nested_witness(mixed, rho, 1.5)
+    with pytest.raises(ValueError, match="target"):
+        nested_witness(rho, rho, 1.5)
 
 
 def test_plan_is_minimal_across_targets():
