@@ -223,9 +223,14 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _tols(args) -> dict[str, float]:
-    tols = {"witness": TOL_WITNESS, "null": TOL_NULL,
-            "comm": TOL_COMM, "f": TOL_F}
+_TOL_DEFAULTS = {"witness": TOL_WITNESS, "null": TOL_NULL,
+                 "comm": TOL_COMM, "f": TOL_F}
+
+
+def _tols(args, names: Sequence[str]) -> dict[str, float]:
+    """The tolerances ``names`` a command reads, with the --tol
+    overrides; naming any other tolerance is malformed input."""
+    tols = {name: _TOL_DEFAULTS[name] for name in names}
     for item in args.tol or ():
         name, sep, value = item.partition("=")
         if not sep or name not in tols or not 0.0 <= float(value) < math.inf:
@@ -236,11 +241,6 @@ def _tols(args) -> dict[str, float]:
     return tols
 
 
-def _require_json_format(args) -> None:
-    if args.format not in (None, "json"):
-        raise ValueError(f"this command only emits json, not {args.format}")
-
-
 def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_WITNESSED if verdict is Verdict.NONPOSITIVE_WITNESSED else EXIT_OK
 
@@ -248,8 +248,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 # -------------------------------------------------------------- commands
 
 def cmd_witness(args) -> int:
-    _require_json_format(args)
-    tols = _tols(args)
+    tols = _tols(args, ("witness", "null"))
     rho1 = _parse_state(args.states[0])
     rho2 = _parse_state(args.states[1])
     lam = rho1.spectrum.eigenvalues
@@ -262,7 +261,7 @@ def cmd_witness(args) -> int:
         report = witness_anticommutator(rho1, rho2,
                                         tol_witness=tols["witness"],
                                         tol_null=tols["null"])
-    _print(report.to_dict(tol_witness=tols["witness"], tol_null=tols["null"]))
+    _print(report.to_dict())
     return _verdict_exit(report.verdict)
 
 
@@ -276,15 +275,14 @@ def _plan_dict(plan) -> dict:
 
 
 def cmd_nested(args) -> int:
-    _require_json_format(args)
-    tols = _tols(args)
+    tols = _tols(args, ("witness", "null", "comm", "f"))
     sigma1 = _parse_state(args.states[0])
     sigma2 = _parse_state(args.states[1])
     result = nested_witness(
         sigma1, sigma2, args.target,
         tol_comm=tols["comm"], tol_witness=tols["witness"],
         tol_null=tols["null"], tol_f=tols["f"],
-        plan_cap=args.cap if args.cap is not None else PLAN_CAP)
+        plan_cap=args.cap)
     o = result.overlap
     af = abs(o.f)
     _print({
@@ -299,14 +297,12 @@ def cmd_nested(args) -> int:
             "met": result.condition_met,
         },
         "first_order_purity": first_order_purity(o, tol_f=tols["f"]),
-        "report": result.report.to_dict(tol_witness=tols["witness"],
-                                        tol_null=tols["null"]),
+        "report": result.report.to_dict(),
     })
     return _verdict_exit(result.report.verdict)
 
 
 def cmd_amplify(args) -> int:
-    _require_json_format(args)
     rho = _parse_state(args.state)
     if args.n is not None:
         if args.n < 1:
@@ -319,30 +315,27 @@ def cmd_amplify(args) -> int:
         else:
             _print(payload)
         return EXIT_OK
-    plan = plan_amplification(
-        rho, args.target, cap=args.cap if args.cap is not None else PLAN_CAP)
+    plan = plan_amplification(rho, args.target, cap=args.cap)
     _print(_plan_dict(plan))
     return EXIT_DEGENERATE if plan.degenerate else EXIT_OK
 
 
 def cmd_circuit(args) -> int:
-    _require_json_format(args)
     states = [_parse_state(s) for s in args.states]
     copies = args.copies if args.copies is not None else len(states)
     if copies < 1:
         raise ValueError("--copies must be >= 1")
-    cap = args.cap if args.cap is not None else TOTAL_DIM_CAP
     if copies != len(states):
         if len(states) != 1:
             raise ValueError(
                 "give exactly --copies states, or one state to replicate")
-        check_circuit_dimension(states[0].dim, copies + 1, cap)
+        check_circuit_dimension(states[0].dim, copies + 1, args.cap)
         states = states * copies
     probe = _load_probe(args.probe)
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be >= 1")
     exact = run_circuit_exact(
-        ShiftExperiment(copies=tuple(states), probe=probe), cap=cap)
+        ShiftExperiment(copies=tuple(states), probe=probe), cap=args.cap)
     if args.shots is None:
         _print({"exact": exact})
         return EXIT_OK
@@ -380,8 +373,7 @@ def _parse_bipartite(spec: str, dims: str | None) -> BipartiteState:
 
 
 def cmd_discord(args) -> int:
-    _require_json_format(args)
-    tols = _tols(args)
+    tols = _tols(args, ("witness", "null", "comm"))
     rho_ab = _parse_bipartite(args.state, args.dims)
     op_names = args.ops.split(",")
     outcomes = args.outcomes.split(",")
@@ -404,8 +396,7 @@ def cmd_discord(args) -> int:
         "probabilities": {which: prob for which, (prob, _) in selected.items()},
         "conditionals": {which: state_to_json(state)
                          for which, (_, state) in selected.items()},
-        "report": report.to_dict(tol_witness=tols["witness"],
-                                 tol_null=tols["null"]),
+        "report": report.to_dict(),
     })
     return _verdict_exit(report.verdict)
 
@@ -414,9 +405,6 @@ def cmd_scan(args) -> int:
     for flag in ("trials", "grid", "jobs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1")
-    fmt = args.format or "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValueError("scan emits jsonl or csv, not json")
     seed = _resolve_seed(args)
     dims = tuple(int(p) for p in args.dims.split(","))
     if args.jobs > 1:
@@ -427,7 +415,7 @@ def cmd_scan(args) -> int:
                                 seed=seed, grid=args.grid)
     elapsed = time.perf_counter() - start
     summary = {**summary, "version": __version__}
-    if fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write(_csv_text(records))
     else:
         for record in records:
@@ -445,18 +433,6 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (falls back to ${_ENV_SEED}, then 0)")
-    common.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="override a tolerance: witness, null, comm, f")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; scans run serially")
-    common.add_argument("--format", choices=["json", "jsonl", "csv"],
-                        default=None, help="output format")
-    common.add_argument("--cap", type=int, default=None,
-                        help="capacity cap (plan iterations / circuit dimension)")
-
     parser = argparse.ArgumentParser(
         prog="qwitness",
         description="Anticommutator quantumness witnesses for state pairs.")
@@ -464,31 +440,36 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness",
                        help="spectral witness report for a state pair")
     p.add_argument("--states", nargs=2, required=True, metavar="STATE",
                    help="two state files or inline Bloch triples x,y,z")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a tolerance: witness, null")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("nested", parents=[common],
-                       help="amplify two mixed states, then witness")
+    p = sub.add_parser("nested", help="amplify two mixed states, then witness")
     p.add_argument("--states", nargs=2, required=True, metavar="STATE")
     p.add_argument("--target", type=float, required=True,
                    help="target mixedness epsilon after amplification")
+    p.add_argument("--cap", type=int, default=PLAN_CAP,
+                   help="iteration cap of each amplification plan")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a tolerance: witness, null, comm, f")
     p.set_defaults(func=cmd_nested)
 
-    p = sub.add_parser("amplify", parents=[common],
-                       help="plan or apply purity amplification")
+    p = sub.add_parser("amplify", help="plan or apply purity amplification")
     p.add_argument("--state", required=True, metavar="STATE")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", type=float,
                        help="plan the smallest n reaching this epsilon")
     group.add_argument("--n", type=int, help="apply rho -> rho^n / tr")
     p.add_argument("--out", help="write the amplified state here")
+    p.add_argument("--cap", type=int, default=PLAN_CAP,
+                   help="iteration cap of the plan")
     p.set_defaults(func=cmd_amplify)
 
-    p = sub.add_parser("circuit", parents=[common],
-                       help="controlled-shift interferometer run")
+    p = sub.add_parser("circuit", help="controlled-shift interferometer run")
     p.add_argument("--states", nargs="+", required=True, metavar="STATE")
     p.add_argument("--probe", required=True,
                    help="probe file: witness report, amplitudes, or pure state")
@@ -496,9 +477,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample this many control readouts")
     p.add_argument("--copies", type=int, default=None,
                    help="number of state registers")
+    p.add_argument("--cap", type=int, default=TOTAL_DIM_CAP,
+                   help="cap on the circuit dimension 2*d^l")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"RNG seed (falls back to ${_ENV_SEED}, then 0)")
     p.set_defaults(func=cmd_circuit)
 
-    p = sub.add_parser("discord-demo", parents=[common],
+    p = sub.add_parser("discord-demo",
                        help="witness discord from two conditional states")
     p.add_argument("--state", required=True,
                    help='"bell" or a bipartite state file')
@@ -508,9 +493,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="two measurement families, e.g. z,x")
     p.add_argument("--outcomes", required=True,
                    help="one outcome label per family, e.g. 0,+")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help="override a tolerance: witness, null, comm")
     p.set_defaults(func=cmd_discord)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan",
                        help="randomized property scan, JSONL per trial")
     p.add_argument("--kind", required=True, choices=SCAN_KINDS)
     p.add_argument("--trials", type=int, default=1000)
@@ -520,9 +507,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="vectors per axis for the bloch grid")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write the summary as CSV here")
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl",
+                   help="format of the trial records")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; scans run serially")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"RNG seed (falls back to ${_ENV_SEED}, then 0)")
     p.set_defaults(func=cmd_scan)
 
     return parser
+
+
+# the errors a command reports; the first matching row decides the code
+_REPORTED = (QwitnessError, KeyError, OSError, ValueError, TypeError)
+_EXIT_CODES = (
+    (CommutingInputsError, EXIT_COMMUTING),
+    (DegenerateSpectrumError, EXIT_DEGENERATE),
+    (ConditionUnreachableError, EXIT_UNREACHABLE),
+    (_REPORTED, EXIT_INPUT),
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -536,25 +539,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except CommutingInputsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMMUTING
-    except DegenerateSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ConditionUnreachableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except QwitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except KeyError as exc:
-        detail = exc.args[0] if exc.args else exc
+    except _REPORTED as exc:
+        # a KeyError's str() quotes its key; print the bare message
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

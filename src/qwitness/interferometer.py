@@ -70,11 +70,16 @@ def _shift_trace(mats: list[np.ndarray], d: int, *, cap: int) -> complex:
 
 
 def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
-    """CapacityError if 2 * d**registers exceeds ``cap``; the power stops
-    at cap's bit length, past which any d >= 2 is over the cap."""
-    if 2 * d ** min(registers, cap.bit_length()) > cap:
+    """CapacityError if 2 * d**registers exceeds ``cap``, or if there are
+    more registers than cap's bit length: past it any d >= 2 is over the
+    cap, and for d = 1 the work would grow with the count unbounded."""
+    bound = cap.bit_length()
+    if 2 * d ** min(registers, bound) > cap:
         raise CapacityError(
             f"circuit dimension 2*{d}^{registers} exceeds cap {cap}")
+    if registers > bound:
+        raise CapacityError(
+            f"{registers} registers exceed the {bound} that cap {cap} allows")
 
 
 def trace_product_via_shift(states: list[DensityOperator], *,
@@ -124,7 +129,8 @@ def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
     qubit at Re tr[S (rho_1 x ... x rho_l x |psi><psi|)], read here off
     the register tensor as a permuted sum; for a single pair that is
     <psi| {rho_1, rho_2} |psi> / 2. ``cap`` bounds the circuit dimension
-    2 * d**l, control qubit included.
+    2 * d**l, control qubit included, and the register count (see
+    :func:`check_circuit_dimension`).
     """
     if not e.copies:
         raise DimensionError("experiment needs at least one state register")

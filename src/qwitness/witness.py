@@ -104,6 +104,8 @@ class WitnessReport:
     fail, so the eigenvalue is authoritative). ``closed_form_criterion``
     is the same criterion by :func:`closed_form_purity`; only
     :func:`pure_mixed_test` sets it, after checking the two agree.
+    ``tol_witness`` and ``tol_null`` are the thresholds the verdict was
+    judged with.
     """
 
     min_eigenvalue: float
@@ -111,11 +113,12 @@ class WitnessReport:
     purity_criterion: float | None
     anticommutator_trace: float
     verdict: Verdict
+    tol_witness: float
+    tol_null: float
     closed_form_criterion: float | None = None
 
-    def to_dict(self, *, tol_witness: float = TOL_WITNESS,
-                tol_null: float = TOL_NULL, seed: int | None = None) -> dict:
-        obj = {
+    def to_dict(self) -> dict:
+        return {
             "min_eigenvalue": float(self.min_eigenvalue),
             "trace": float(self.anticommutator_trace),
             "purity_criterion": (
@@ -125,11 +128,8 @@ class WitnessReport:
             "witness_vector": [
                 [float(z.real), float(z.imag)] for z in self.witness_vector
             ],
-            "tolerances": {"witness": float(tol_witness), "null": float(tol_null)},
+            "tolerances": {"witness": self.tol_witness, "null": self.tol_null},
         }
-        if seed is not None:
-            obj["seed"] = int(seed)
-        return obj
 
 
 def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float) -> WitnessReport:
@@ -153,6 +153,8 @@ def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float) -> WitnessRe
         purity_criterion=criterion,
         anticommutator_trace=tr,
         verdict=verdict,
+        tol_witness=float(tol_witness),
+        tol_null=float(tol_null),
     )
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness.cli import dumps, main
+from qwitness.cli import _build_parser, dumps, main
 from qwitness.discord import classical_quantum_state
 from qwitness.linalg import tensor
 from qwitness.states import (
@@ -88,16 +89,24 @@ def test_witness_rejects_csv_format(capsys):
     code, _, err = run_cli(capsys, "witness", "--states", "0,0,1", "1,0,0",
                            "--format", "csv")
     assert code == 2
-    assert "only emits json" in err
+    assert "unrecognized arguments: --format csv" in err
 
 
 def test_bad_tolerance_flag(capsys):
     # identical states commute, so a negative tolerance must not get as
-    # far as a witnessed verdict
-    for tol in ("fuzz=1", "witness=-0.5", "null=inf", "comm=-inf", "f=nan"):
-        code, out, err = run_cli(capsys, "witness", "--states", "0,0,1",
-                                 "0,0,1", "--tol", tol)
-        assert code == 2, tol
+    # far as a witnessed verdict; a name the command does not read (comm
+    # and f on witness, f on discord-demo) is rejected, not dropped
+    argv = {"witness": ["--states", "0,0,1", "0,0,1"],
+            "nested": ["--states", "0,0,1", "0,0,1", "--target", "0.05"],
+            "discord-demo": ["--state", "bell", "--ops", "z,x",
+                             "--outcomes", "0,+"]}
+    for command, tol in (("witness", "fuzz=1"), ("witness", "witness=-0.5"),
+                         ("witness", "null=inf"), ("nested", "comm=-inf"),
+                         ("nested", "f=nan"), ("witness", "comm=5"),
+                         ("witness", "f=0.4"), ("discord-demo", "f=0.49")):
+        code, out, err = run_cli(capsys, command, *argv[command],
+                                 "--tol", tol)
+        assert code == 2, (command, tol)
         assert out == ""
         assert "bad --tol" in err
 
@@ -376,6 +385,23 @@ def test_circuit_copies_over_cap_rejected_before_replicating(capsys,
     assert "circuit dimension 2*2^20000001 exceeds cap 512" in err
 
 
+def test_circuit_register_count_bounded_in_one_dimension(capsys, tmp_path):
+    # 2 * 1**l never exceeds the cap, so the register count is bounded
+    # on its own: at most cap.bit_length() = 10 registers for cap 512
+    state = tmp_path / "one.json"
+    state.write_text('{"dim": 1, "entries": [[[1, 0]]]}', encoding="utf-8")
+    probe = tmp_path / "probe.json"
+    probe.write_text('{"amplitudes": [[1, 0]]}', encoding="utf-8")
+    argv = ["circuit", "--states", str(state), "--probe", str(probe)]
+    code, out, _ = run_cli(capsys, *argv, "--copies", "9")
+    assert code == 0
+    assert json.loads(out) == {"exact": 1}
+    code, out, err = run_cli(capsys, *argv, "--copies", "100000")
+    assert code == 2
+    assert out == ""
+    assert "100001 registers exceed the 10 that cap 512 allows" in err
+
+
 # --------------------------------------------------------- discord-demo
 
 def test_discord_demo_bell(capsys):
@@ -536,7 +562,7 @@ def test_scan_rejects_json_format(capsys):
     code, _, err = run_cli(capsys, "scan", "--kind", "bloch", "--grid", "3",
                            "--format", "json")
     assert code == 2
-    assert "jsonl or csv" in err
+    assert "invalid choice: 'json'" in err
 
 
 def test_scan_rejects_bad_trials(capsys):
@@ -567,6 +593,58 @@ def test_unknown_flag(capsys):
     code, _, _ = run_cli(capsys, "witness", "--states", "0,0,1", "1,0,0",
                          "--frobnicate")
     assert code == 2
+
+
+# each subcommand takes only the flags it reads
+_UNREAD_FLAGS = {
+    "witness": ("--seed", "--jobs", "--format", "--cap"),
+    "nested": ("--seed", "--jobs", "--format"),
+    "amplify": ("--seed", "--tol", "--jobs", "--format"),
+    "circuit": ("--tol", "--jobs", "--format"),
+    "discord-demo": ("--seed", "--jobs", "--format", "--cap"),
+    "scan": ("--tol", "--cap"),
+}
+_FLAG_VALUES = {"--seed": "4", "--jobs": "1", "--format": "json",
+                "--cap": "5", "--tol": "witness=0.1"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in _UNREAD_FLAGS.items()
+    for flag in flags])
+def test_unread_flag_rejected(capsys, tmp_path, command, flag):
+    probe = tmp_path / "probe.json"
+    probe.write_text('{"amplitudes": [[1, 0], [0, 0]]}', encoding="utf-8")
+    argv = {
+        "witness": ["--states", "0,0,1", "1,0,0"],
+        "nested": ["--states", "0,0,0.5", "0.5,0,0", "--target", "0.05"],
+        "amplify": ["--state", "0,0,0.5", "--target", "0.05"],
+        "circuit": ["--states", "0,0,1", "1,0,0", "--probe", str(probe)],
+        "discord-demo": ["--state", "bell", "--ops", "z,x",
+                         "--outcomes", "0,+"],
+        "scan": ["--kind", "bloch", "--grid", "2"],
+    }[command]
+    assert main([command, *argv]) in (0, 10)
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, command, *argv, flag, _FLAG_VALUES[flag])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # the benchmark's command lines are part of the CLI contract
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    parser = _build_parser()
+    for name in workloads.WORKLOADS:
+        ops = workloads.build(name, 0, str(tmp_path / name))
+        assert ops, name
+        for op in ops:
+            args = parser.parse_args(op.argv)
+            assert args.command == op.argv[0], op.argv
 
 
 def test_console_script_byte_identical(subprocess_env):
@@ -611,7 +689,8 @@ _BAD_DIMS = st.one_of(
     st.integers().filter(lambda d: d not in (2, 4)),
 )
 _BAD_CELLS = st.one_of(
-    _JSON_NON_NUMBERS,
+    # a pair of JSON integers such as [0, 0] is a valid cell
+    _JSON_NON_NUMBERS.filter(lambda v: not (isinstance(v, list) and len(v) == 2)),
     st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
     .filter(lambda cell: len(cell) != 2),
     st.tuples(st.integers(min_value=10**309, max_value=10**320),

@@ -179,7 +179,13 @@ def test_circuit_validation():
     # a huge register count is rejected without building 2 * d**l
     with pytest.raises(CapacityError, match=r"2\*2\^1000000000 exceeds"):
         check_circuit_dimension(2, 10**9, 512)
-    check_circuit_dimension(1, 10**9, 2)
+    # a 1-dimensional register never grows 2 * d**l, so the register
+    # count is bounded by itself, at cap's bit length
+    with pytest.raises(CapacityError, match="10 that cap 512 allows"):
+        check_circuit_dimension(1, 11, 512)
+    with pytest.raises(CapacityError):
+        check_circuit_dimension(1, 10**9, 2)
+    check_circuit_dimension(1, 10, 512)
     check_circuit_dimension(2, 8, 512)
     with pytest.raises(CapacityError):
         check_circuit_dimension(2, 9, 512)

@@ -104,10 +104,13 @@ def test_null_anticommutator():
 
 
 def test_report_to_dict():
-    obj = pure_mixed_test(PSI0, PLUS).to_dict(seed=9)
+    obj = pure_mixed_test(PSI0, PLUS).to_dict()
     assert obj["verdict"] == "NONPOSITIVE_WITNESSED"
-    assert obj["seed"] == 9
     assert obj["tolerances"] == {"witness": 1e-10, "null": 1e-10}
+    # the report prints the thresholds it was judged with
+    obj = pure_mixed_test(PSI0, PLUS, tol_witness=0.5, tol_null=0.25).to_dict()
+    assert obj["verdict"] == "POSITIVE"
+    assert obj["tolerances"] == {"witness": 0.5, "null": 0.25}
     assert len(obj["witness_vector"]) == 2
 
 
