@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwitness.cli import _build_parser, dumps, main
@@ -689,8 +689,7 @@ _BAD_DIMS = st.one_of(
     st.integers().filter(lambda d: d not in (2, 4)),
 )
 _BAD_CELLS = st.one_of(
-    # a pair of JSON integers such as [0, 0] is a valid cell
-    _JSON_NON_NUMBERS.filter(lambda v: not (isinstance(v, list) and len(v) == 2)),
+    _JSON_NON_NUMBERS,
     st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4)
     .filter(lambda cell: len(cell) != 2),
     st.tuples(st.integers(min_value=10**309, max_value=10**320),
@@ -708,7 +707,11 @@ def _malformed_matrix_text(draw, valid: dict) -> str:
     elif how == "cell":
         d = valid["dim"]
         i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-        obj["entries"][i][j] = draw(_BAD_CELLS)
+        cell = draw(_BAD_CELLS)
+        # an integer pair breaks Hermiticity or the trace unless it equals
+        # the cell it replaces, such as [0, 0] over [0.0, 0.0]
+        assume(cell != obj["entries"][i][j])
+        obj["entries"][i][j] = cell
     elif how == "drop":
         del obj[draw(st.sampled_from(["dim", "entries"]))]
     elif how == "row":
@@ -725,7 +728,13 @@ def _malformed_probe_text(draw) -> str:
     obj = {"amplitudes": [[1, 0], [0, 0]]}
     how = draw(st.sampled_from(["cell", "list"]))
     if how == "cell":
-        obj["amplitudes"][draw(st.integers(0, 1))] = draw(_BAD_CELLS)
+        i, cell = draw(st.integers(0, 1)), draw(_BAD_CELLS)
+        # the other amplitude is 0, so an integer pair keeps the probe a unit
+        # vector when |cell|^2 is 1 at index 0 (a phase) or 0 at index 1
+        assume(not (isinstance(cell, list) and len(cell) == 2
+                    and all(type(x) is int for x in cell)
+                    and cell[0] ** 2 + cell[1] ** 2 == 1 - i))
+        obj["amplitudes"][i] = cell
     else:
         obj["amplitudes"] = draw(st.one_of(st.text(max_size=3), st.none(),
                                            st.integers(), st.just([])))
