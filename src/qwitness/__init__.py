@@ -7,184 +7,17 @@ this spectrally, plans purity amplification so mixed pairs can be
 sharpened into witnessable ones, simulates the controlled-shift
 interferometer that measures the witness, and demonstrates the link to
 quantum discord on bipartite states.
+
+The top level exports ``__version__`` and the two names of the README
+example, :func:`make_density` and :func:`witness_anticommutator`.
+Everything else is imported from its defining module:
+``qwitness.states``, ``qwitness.witness``, ``qwitness.interferometer``,
+``qwitness.discord``, ``qwitness.scans`` and ``qwitness.errors``.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BoundaryError,
-    CapacityError,
-    CommutingInputsError,
-    ConditionUnreachableError,
-    ConvergenceError,
-    DegenerateDenominatorError,
-    DegenerateSpectrumError,
-    DimensionError,
-    HermiticityError,
-    NullOutcomeError,
-    PositivityError,
-    PreconditionError,
-    ProjectorError,
-    QwitnessError,
-    TraceError,
-    UnresolvableError,
-)
-from .linalg import (
-    SpectralDecomposition,
-    anticommutator,
-    commutator,
-    frobenius_norm,
-    hermitian_eigen,
-    partial_trace,
-    tensor,
-)
-from .states import (
-    DensityOperator,
-    PureDecomposition,
-    bloch_to_state,
-    make_density,
-    pure_decompose,
-    purity,
-    random_density,
-    random_pure,
-    random_unitary,
-    seeded_rng,
-    state_from_json,
-    state_to_bloch,
-    state_to_json,
-)
-from .witness import (
-    AmplificationPlan,
-    DegenerateCaseReport,
-    DegenerateVerdict,
-    NestedWitnessResult,
-    OrthogonalCaseReport,
-    OverlapData,
-    Verdict,
-    WitnessReport,
-    amplify,
-    closed_form_purity,
-    degenerate_case_analysis,
-    first_order_purity,
-    nested_witness,
-    nonpositivity_condition,
-    orthogonal_case_analysis,
-    overlap_data,
-    parallel_case_indicator,
-    plan_amplification,
-    pure_mixed_test,
-    qubit_bloch_condition,
-    second_order_indicator,
-    witness_anticommutator,
-)
-from .interferometer import (
-    ShiftExperiment,
-    run_circuit_exact,
-    sample_readout,
-    shift_operator,
-    shots_to_resolve,
-    trace_product_via_shift,
-)
-from .discord import (
-    BipartiteState,
-    ConditionalEnsemble,
-    LocalOperation,
-    bell_state,
-    classical_quantum_state,
-    commutation_scan,
-    conditional_state,
-    measurement_from_unitary,
-    projector_operation,
-    protocol_demo,
-    x_measurement,
-    z_measurement,
-)
-from .scans import run_scan
+from .states import make_density
+from .witness import witness_anticommutator
 
-__all__ = [
-    "__version__",
-    # errors
-    "QwitnessError",
-    "BoundaryError",
-    "CapacityError",
-    "CommutingInputsError",
-    "ConditionUnreachableError",
-    "ConvergenceError",
-    "DegenerateDenominatorError",
-    "DegenerateSpectrumError",
-    "DimensionError",
-    "HermiticityError",
-    "NullOutcomeError",
-    "PositivityError",
-    "PreconditionError",
-    "ProjectorError",
-    "TraceError",
-    "UnresolvableError",
-    # linear algebra
-    "SpectralDecomposition",
-    "anticommutator",
-    "commutator",
-    "frobenius_norm",
-    "hermitian_eigen",
-    "partial_trace",
-    "tensor",
-    # states
-    "DensityOperator",
-    "PureDecomposition",
-    "bloch_to_state",
-    "make_density",
-    "pure_decompose",
-    "purity",
-    "random_density",
-    "random_pure",
-    "random_unitary",
-    "seeded_rng",
-    "state_from_json",
-    "state_to_bloch",
-    "state_to_json",
-    # witness
-    "AmplificationPlan",
-    "DegenerateCaseReport",
-    "DegenerateVerdict",
-    "NestedWitnessResult",
-    "OrthogonalCaseReport",
-    "OverlapData",
-    "Verdict",
-    "WitnessReport",
-    "amplify",
-    "closed_form_purity",
-    "degenerate_case_analysis",
-    "first_order_purity",
-    "nested_witness",
-    "nonpositivity_condition",
-    "orthogonal_case_analysis",
-    "overlap_data",
-    "parallel_case_indicator",
-    "plan_amplification",
-    "pure_mixed_test",
-    "qubit_bloch_condition",
-    "second_order_indicator",
-    "witness_anticommutator",
-    # interferometer
-    "ShiftExperiment",
-    "run_circuit_exact",
-    "sample_readout",
-    "shift_operator",
-    "shots_to_resolve",
-    "trace_product_via_shift",
-    # discord
-    "BipartiteState",
-    "ConditionalEnsemble",
-    "LocalOperation",
-    "bell_state",
-    "classical_quantum_state",
-    "commutation_scan",
-    "conditional_state",
-    "measurement_from_unitary",
-    "projector_operation",
-    "protocol_demo",
-    "x_measurement",
-    "z_measurement",
-    # scans
-    "run_scan",
-]
+__all__ = ["__version__", "make_density", "witness_anticommutator"]

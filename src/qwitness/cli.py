@@ -71,6 +71,7 @@ from .witness import (
     Verdict,
     amplify,
     first_order_purity,
+    margin_terms,
     nested_witness,
     plan_amplification,
     pure_mixed_test,
@@ -188,8 +189,7 @@ def _parse_state(spec: str) -> DensityOperator:
             triple = None
         if triple is not None:
             return bloch_to_state(triple)
-    state, _ = state_from_json(_read_json(spec))
-    return state
+    return state_from_json(_read_json(spec))
 
 
 def _top_vector(state: DensityOperator) -> np.ndarray:
@@ -210,8 +210,7 @@ def _load_probe(path: str) -> np.ndarray:
             raise ValueError("probe amplitudes must be a list of [re, im] pairs")
         return as_pure_state([complex_from_json(cell, f"amplitude {i}")
                               for i, cell in enumerate(pairs)])
-    state, _ = state_from_json(obj)
-    return _top_vector(state)
+    return _top_vector(state_from_json(obj))
 
 
 def _resolve_seed(args) -> int:
@@ -232,12 +231,16 @@ def _tols(args, names: Sequence[str]) -> dict[str, float]:
     overrides; naming any other tolerance is malformed input."""
     tols = {name: _TOL_DEFAULTS[name] for name in names}
     for item in args.tol or ():
-        name, sep, value = item.partition("=")
-        if not sep or name not in tols or not 0.0 <= float(value) < math.inf:
+        name, sep, text = item.partition("=")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not sep or name not in tols or not 0.0 <= value < math.inf:
             raise ValueError(
                 f"bad --tol {item!r}; expected NAME=VALUE with NAME in "
                 f"{sorted(tols)} and VALUE finite and >= 0")
-        tols[name] = float(value)
+        tols[name] = value
     return tols
 
 
@@ -284,18 +287,14 @@ def cmd_nested(args) -> int:
         tol_null=tols["null"], tol_f=tols["f"],
         plan_cap=args.cap)
     o = result.overlap
-    af = abs(o.f)
+    lhs, rhs = margin_terms(o)
     _print({
         "target_epsilon": args.target,
         "plan1": _plan_dict(result.plan1),
         "plan2": _plan_dict(result.plan2),
-        "overlap": {"f": af, "g1": o.g1, "g2": o.g2,
+        "overlap": {"f": abs(o.f), "g1": o.g1, "g2": o.g2,
                     "eps1": o.eps1, "eps2": o.eps2},
-        "condition": {
-            "lhs": o.eps1 * o.g1 + o.eps2 * o.g2,
-            "rhs": (1.0 - af * af) / 2.0,
-            "met": result.condition_met,
-        },
+        "condition": {"lhs": lhs, "rhs": rhs, "met": result.condition_met},
         "first_order_purity": first_order_purity(o, tol_f=tols["f"]),
         "report": result.report.to_dict(),
     })
@@ -363,7 +362,7 @@ _MEASUREMENTS = {"z": z_measurement, "x": x_measurement}
 def _parse_bipartite(spec: str, dims: str | None) -> BipartiteState:
     if spec == "bell":
         return bell_state()
-    state, _ = state_from_json(_read_json(spec))
+    state = state_from_json(_read_json(spec))
     if dims is None:
         raise ValueError("file states need --dims dA,dB")
     parts = dims.split(",")

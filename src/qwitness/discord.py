@@ -47,9 +47,7 @@ __all__ = [
     "select_outcome",
     "ConditionalEnsemble",
     "compare_conditionals",
-    "commutation_scan",
     "witness_conditionals",
-    "protocol_demo",
 ]
 
 
@@ -223,14 +221,6 @@ def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | N
                                noncommuting_found=bool((norms > tol_comm).any()))
 
 
-def commutation_scan(rho_ab: BipartiteState,
-                     ops: Sequence[LocalOperation], *,
-                     tol_comm: float = TOL_COMM) -> ConditionalEnsemble:
-    """Collect conditional states for each operation and compare them."""
-    return compare_conditionals([conditional_state(rho_ab, op) for op in ops],
-                                tol_comm=tol_comm)
-
-
 def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
                          tol_witness: float = TOL_WITNESS,
                          tol_null: float = TOL_NULL,
@@ -254,20 +244,3 @@ def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
     return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
                                   tol_null=tol_null)
 
-
-def protocol_demo(rho_ab: BipartiteState,
-                  measurement1: Mapping[str, LocalOperation],
-                  measurement2: Mapping[str, LocalOperation],
-                  outcome1: str, outcome2: str, *,
-                  tol_witness: float = TOL_WITNESS,
-                  tol_null: float = TOL_NULL,
-                  tol_comm: float = TOL_COMM) -> WitnessReport:
-    """Witness discord from two conditional states of B.
-
-    Applies one outcome of each measurement family, then hands the two
-    conditional states to :func:`witness_conditionals`.
-    """
-    _, rho1 = select_outcome(rho_ab, measurement1, outcome1, "first")
-    _, rho2 = select_outcome(rho_ab, measurement2, outcome2, "second")
-    return witness_conditionals(rho1, rho2, tol_witness=tol_witness,
-                                tol_null=tol_null, tol_comm=tol_comm)

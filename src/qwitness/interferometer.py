@@ -19,18 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnresolvableError
-from .linalg import assert_agreement, tensor_all
+from .linalg import tensor_all
 from .states import DensityOperator, as_pure_state, pure_projector, seeded_rng
 from .tolerances import TOTAL_DIM_CAP
 
 __all__ = [
-    "shift_operator",
-    "trace_product_via_shift",
     "ShiftExperiment",
     "run_circuit_exact",
     "sample_readout",
     "shots_to_resolve",
 ]
+
 
 def _shift_permutation(d: int, l: int) -> np.ndarray:
     """Index map of the cyclic shift sending register contents one slot
@@ -39,26 +38,6 @@ def _shift_permutation(d: int, l: int) -> np.ndarray:
     first = x // d ** (l - 1)
     rest = x % d ** (l - 1)
     return rest * d + first
-
-
-def shift_operator(d: int, l: int, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
-    """Permutation matrix cycling l registers of dimension d.
-
-    Acting on a product vector it satisfies
-    S (v1 x v2 x ... x vl) = v2 x ... x vl x v1, which makes
-    tr[S (rho_1 x ... x rho_l)] = tr[rho_1 rho_2 ... rho_l].
-    """
-    d = int(d)
-    l = int(l)
-    if d < 1 or l < 1:
-        raise DimensionError(f"need d >= 1 and l >= 1, got d={d}, l={l}")
-    total = d**l
-    if total > cap:
-        raise CapacityError(f"shift dimension {total} exceeds cap {cap}")
-    perm = _shift_permutation(d, l)
-    s = np.zeros((total, total), dtype=np.complex128)
-    s[perm, np.arange(total)] = 1.0
-    return s
 
 
 def _shift_trace(mats: list[np.ndarray], d: int, *, cap: int) -> complex:
@@ -80,34 +59,6 @@ def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
     if registers > bound:
         raise CapacityError(
             f"{registers} registers exceed the {bound} that cap {cap} allows")
-
-
-def trace_product_via_shift(states: list[DensityOperator], *,
-                            cap: int = TOTAL_DIM_CAP) -> float | complex:
-    """tr[rho_1 ... rho_l], computed two independent ways.
-
-    The tensor-contraction route pairs the shift permutation with the
-    full product operator; the direct route multiplies the matrices.
-    Both must agree within 1e-10. The value is real for l <= 2 and
-    complex in general.
-    """
-    if not states:
-        raise DimensionError("need at least one state")
-    d = states[0].dim
-    for s in states:
-        if s.dim != d:
-            raise DimensionError("states must share one dimension")
-    l = len(states)
-    contracted = _shift_trace([s.matrix for s in states], d, cap=cap)
-    direct = states[0].matrix
-    for s in states[1:]:
-        direct = direct @ s.matrix
-    direct_tr = complex(direct.trace())
-    assert_agreement(contracted, direct_tr, 1e-10,
-                     "product trace (shift contraction vs direct product)")
-    if l <= 2:
-        return float(direct_tr.real)
-    return direct_tr
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Literal, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "hermitian_eigen",
     "tensor",
     "tensor_all",
-    "partial_trace",
     "matrix_to_json",
     "matrix_from_json",
     "complex_from_json",
@@ -95,18 +94,14 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
-
-def _hermitian_part(a: np.ndarray, what: str, tol: float = TOL_HERM) -> np.ndarray:
+def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """(a + a†)/2 of a square complex array, after checking that ``a``
-    deviates from its adjoint by at most ``tol`` times max(norm, 1)."""
+    deviates from its adjoint by at most TOL_HERM times max(norm, 1)."""
     adj = a.conj().T
     defect = float(np.abs(a - adj).max())
-    if defect > tol:  # the margin is at least tol
-        margin = tol * max(frobenius_norm(a), 1.0)
+    if defect > TOL_HERM:  # the margin is at least TOL_HERM
+        margin = TOL_HERM * max(frobenius_norm(a), 1.0)
         if defect > margin:
             raise HermiticityError(
                 f"{what} is not Hermitian: defect {defect:.3e} exceeds "
@@ -127,24 +122,25 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
     )
 
 
-def hermitian_eigen(a, *, tol: float = TOL_HERM, cap: int = EIGEN_DIM_CAP) -> SpectralDecomposition:
+def hermitian_eigen(a) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Raises
     ------
     HermiticityError
-        if the deviation from Hermiticity exceeds ``tol`` relative to
+        if the deviation from Hermiticity exceeds TOL_HERM relative to
         the Frobenius norm.
     CapacityError
-        if the matrix dimension exceeds ``cap``.
+        if the matrix dimension exceeds EIGEN_DIM_CAP.
     ConvergenceError
         if the underlying solver fails to converge.
     """
     a = as_matrix(a)
     d = a.shape[0]
-    if d > cap:
-        raise CapacityError(f"dimension {d} exceeds eigensolver cap {cap}")
-    return _eigh_descending(_hermitian_part(a, "matrix", tol))
+    if d > EIGEN_DIM_CAP:
+        raise CapacityError(
+            f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
+    return _eigh_descending(_hermitian_part(a, "matrix"))
 
 
 def tensor(a, b, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
@@ -162,35 +158,6 @@ def tensor_all(mats: Iterable, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
     if not mats:
         raise DimensionError("tensor_all needs at least one factor")
     return reduce(lambda x, y: tensor(x, y, cap=cap), mats)
-
-
-def partial_trace(a, dims: Sequence[int], keep: Literal["A", "B"]) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    Parameters
-    ----------
-    a : array_like
-        Operator on the product space, shape ``(dA*dB, dA*dB)``.
-    dims : (dA, dB)
-        Factor dimensions.
-    keep : "A" or "B"
-        Which subsystem survives.
-    """
-    a = as_matrix(a)
-    try:
-        da, db = (int(dims[0]), int(dims[1]))
-    except (TypeError, IndexError) as exc:
-        raise DimensionError(f"dims must be a pair, got {dims!r}") from exc
-    if da < 1 or db < 1 or da * db != a.shape[0]:
-        raise DimensionError(
-            f"dims {da}x{db} do not factor the matrix dimension {a.shape[0]}"
-        )
-    r = a.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijil->jl", r)
-    raise DimensionError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def matrix_to_json(a) -> dict:

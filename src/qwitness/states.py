@@ -28,7 +28,6 @@ __all__ = [
     "as_pure_state",
     "pure_projector",
     "bloch_to_state",
-    "state_to_bloch",
     "random_density",
     "random_pure",
     "random_unitary",
@@ -190,18 +189,6 @@ def bloch_to_state(b) -> DensityOperator:
     return DensityOperator(m)
 
 
-def state_to_bloch(rho: DensityOperator) -> np.ndarray:
-    """Bloch vector (tr[rho sigma_k]) of a qubit state."""
-    if rho.dim != 2:
-        raise DimensionError(f"Bloch coordinates need a qubit, got dim {rho.dim}")
-    m = rho.matrix
-    return np.array([
-        float(np.trace(m @ _SIGMA_X).real),
-        float(np.trace(m @ _SIGMA_Y).real),
-        float(np.trace(m @ _SIGMA_Z).real),
-    ])
-
-
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator from a seed plus optional stream indices.
 
@@ -248,14 +235,11 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def state_to_json(rho: DensityOperator, label: str | None = None) -> dict:
-    obj = linalg.matrix_to_json(rho.matrix)
-    if label is not None:
-        obj["label"] = str(label)
-    return obj
+def state_to_json(rho: DensityOperator) -> dict:
+    return linalg.matrix_to_json(rho.matrix)
 
 
-def state_from_json(obj) -> tuple[DensityOperator, str | None]:
-    m = linalg.matrix_from_json(obj)
-    label = obj.get("label") if isinstance(obj, dict) else None
-    return DensityOperator(m), (str(label) if label is not None else None)
+def state_from_json(obj) -> DensityOperator:
+    """A validated state from the matrix JSON layout; other keys, such
+    as an optional ``"label"``, are ignored."""
+    return DensityOperator(linalg.matrix_from_json(obj))

@@ -68,6 +68,7 @@ __all__ = [
     "plan_amplification",
     "OverlapData",
     "overlap_data",
+    "margin_terms",
     "nonpositivity_condition",
     "first_order_purity",
     "leading_overlap",
@@ -353,14 +354,22 @@ def _guard_overlap(o: OverlapData, tol_f: float) -> float:
     return af
 
 
+def margin_terms(o: OverlapData) -> tuple[float, float]:
+    """(eps1*g1 + eps2*g2, (1 - |f|^2)/2), the two sides of the margin
+    condition."""
+    af = abs(o.f)
+    return o.eps1 * o.g1 + o.eps2 * o.g2, (1.0 - af * af) / 2.0
+
+
 def nonpositivity_condition(o: OverlapData, *, tol_f: float = TOL_F) -> bool:
     """eps1*g1 + eps2*g2 < (1 - |f|^2)/2.
 
     When true, the anticommutator of the reconstructed pair is not
     positive semidefinite.
     """
-    af = _guard_overlap(o, tol_f)
-    return o.eps1 * o.g1 + o.eps2 * o.g2 < (1.0 - af * af) / 2.0
+    _guard_overlap(o, tol_f)
+    lhs, rhs = margin_terms(o)
+    return lhs < rhs
 
 
 def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
@@ -371,7 +380,7 @@ def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
     :func:`nonpositivity_condition` holds.
     """
     af = _guard_overlap(o, tol_f)
-    s = o.eps1 * o.g1 + o.eps2 * o.g2
+    s, _ = margin_terms(o)
     denom = 2.0 * (af * af + 2.0 * s)
     if denom <= TOL_NULL:
         raise DegenerateDenominatorError(

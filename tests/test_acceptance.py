@@ -18,9 +18,9 @@ import pytest
 from qwitness.cli import dumps, main
 from qwitness.interferometer import (
     ShiftExperiment,
+    _shift_trace,
     run_circuit_exact,
     sample_readout,
-    trace_product_via_shift,
 )
 from qwitness.linalg import anticommutator
 from qwitness.states import (
@@ -35,6 +35,7 @@ from qwitness.states import (
     state_to_json,
 )
 from qwitness.scans import scan_bloch, scan_discord, scan_nested, scan_pure_mixed
+from qwitness.tolerances import TOTAL_DIM_CAP
 from qwitness.witness import (
     DegenerateVerdict,
     OverlapData,
@@ -231,11 +232,12 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
             l = 2 + t % 2
             d = 2 + t % 3
             states = [random_density(d, d, rng) for _ in range(l)]
-            value = trace_product_via_shift(states)  # dual-route at 1e-10
+            value = _shift_trace([s.matrix for s in states], d,
+                                 cap=TOTAL_DIM_CAP)
             direct = states[0].matrix
             for s in states[1:]:
                 direct = direct @ s.matrix
-            assert abs(complex(value) - complex(direct.trace())) <= 1e-10
+            assert abs(value - complex(direct.trace())) <= 1e-10
         for t in range(100):
             rng = seeded_rng(71, t)
             d = 2 + t % 3

@@ -1,18 +1,22 @@
 """Tests for the conditional-state discord protocol."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+from qwitness.cli import main
 from qwitness.discord import (
     BipartiteState,
     bell_state,
     classical_quantum_state,
-    commutation_scan,
+    compare_conditionals,
     conditional_state,
     LocalOperation,
     measurement_from_unitary,
     projector_operation,
-    protocol_demo,
     select_outcome,
     witness_conditionals,
     x_measurement,
@@ -24,7 +28,7 @@ from qwitness.errors import (
     NullOutcomeError,
     PositivityError,
 )
-from qwitness.linalg import partial_trace, tensor
+from qwitness.linalg import tensor
 from qwitness.states import (
     DensityOperator,
     bloch_to_state,
@@ -42,6 +46,20 @@ def product_state(rho_a, rho_b):
     return BipartiteState(
         state=make_density(tensor(rho_a.matrix, rho_b.matrix)),
         dims=(rho_a.dim, rho_b.dim))
+
+
+def commutation_scan(rho_ab, ops):
+    """The conditional states of B for each operation, compared pairwise
+    as ``scan_discord`` compares them."""
+    return compare_conditionals([conditional_state(rho_ab, op) for op in ops])
+
+
+def protocol_demo(rho_ab, measurement1, measurement2, outcome1, outcome2):
+    """The calls ``discord-demo`` makes: condition B on one outcome of
+    each measurement, then witness the two conditional states."""
+    _, rho1 = select_outcome(rho_ab, measurement1, outcome1, "first")
+    _, rho2 = select_outcome(rho_ab, measurement2, outcome2, "second")
+    return witness_conditionals(rho1, rho2)
 
 
 def test_bell_state_matrix():
@@ -220,7 +238,7 @@ def kron_conditional_state(rho_ab, op):
     out = sum(np.kron(k, np.eye(db)) @ m @ np.kron(k, np.eye(db)).conj().T
               for k in op.kraus_ops)
     prob = float(out.trace().real)
-    return prob, partial_trace(out, (da, db), "B") / prob
+    return prob, np.einsum("ijil->jl", out.reshape(da, db, da, db)) / prob
 
 
 def random_kraus(da, count, rng):
@@ -267,8 +285,12 @@ def test_witness_conditionals_takes_the_selected_states():
     prob2, rho2 = select_outcome(bell, x_measurement(), "+", "second")
     assert prob1 == pytest.approx(0.5) and prob2 == pytest.approx(0.5)
     report = witness_conditionals(rho1, rho2)
-    expected = protocol_demo(bell, z_measurement(), x_measurement(), "0", "+")
-    assert report.min_eigenvalue == expected.min_eigenvalue
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["discord-demo", "--state", "bell", "--ops", "z,x",
+                     "--outcomes", "0,+"])
+    assert code == 10
+    assert json.loads(buf.getvalue())["report"] == report.to_dict()
     with pytest.raises(KeyError, match="first measurement"):
         select_outcome(bell, z_measurement(), "+", "first")
 

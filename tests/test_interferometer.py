@@ -9,12 +9,12 @@ from qwitness.cli import main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
 from qwitness.interferometer import (
     ShiftExperiment,
+    _shift_permutation,
+    _shift_trace,
     check_circuit_dimension,
     run_circuit_exact,
     sample_readout,
-    shift_operator,
     shots_to_resolve,
-    trace_product_via_shift,
 )
 from qwitness.linalg import tensor_all
 from qwitness.states import (
@@ -25,10 +25,22 @@ from qwitness.states import (
     random_pure,
     seeded_rng,
 )
+from qwitness.tolerances import TOTAL_DIM_CAP
 from qwitness.witness import witness_anticommutator
 
 P0 = make_density(np.diag([1.0, 0.0]))
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
+
+
+def shift_operator(d: int, l: int) -> np.ndarray:
+    """Dense cyclic shift on l registers of dimension d, built from its
+    action on basis states: |i_1 i_2 ... i_l> -> |i_2 ... i_l i_1>."""
+    shape = (d,) * l
+    digits = np.unravel_index(np.arange(d**l), shape)
+    image = np.ravel_multi_index(digits[1:] + digits[:1], shape)
+    s = np.zeros((d**l, d**l), dtype=np.complex128)
+    s[image, np.arange(d**l)] = 1.0
+    return s
 
 
 def dense_circuit_reference(e: ShiftExperiment) -> float:
@@ -71,15 +83,23 @@ def test_shift_is_a_permutation():
     s = shift_operator(2, 3)
     np.testing.assert_allclose(s @ s.conj().T, np.eye(8), atol=1e-15)
     assert set(np.abs(s).sum(axis=0)) == {1.0}
+    # the package reads the same permutation off the register tensor
+    for d, l in ((2, 3), (3, 2), (3, 3), (4, 2)):
+        s = shift_operator(d, l)
+        perm = _shift_permutation(d, l)
+        np.testing.assert_array_equal(s[perm, np.arange(d**l)], 1.0)
 
 
-def test_shift_validation():
-    with pytest.raises(DimensionError):
-        shift_operator(0, 2)
-    with pytest.raises(DimensionError):
-        shift_operator(2, 0)
-    with pytest.raises(CapacityError):
-        shift_operator(2, 10)
+def direct_product_trace(states) -> complex:
+    direct = states[0].matrix
+    for s in states[1:]:
+        direct = direct @ s.matrix
+    return complex(direct.trace())
+
+
+def shift_trace(states) -> complex:
+    return _shift_trace([s.matrix for s in states], states[0].dim,
+                        cap=TOTAL_DIM_CAP)
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -87,34 +107,26 @@ def test_trace_product_matches_direct(l):
     for t in range(10):
         rng = seeded_rng(61, l, t)
         states = [random_density(3, 3, rng) for _ in range(l)]
-        value = trace_product_via_shift(states)
-        direct = states[0].matrix
-        for s in states[1:]:
-            direct = direct @ s.matrix
-        expected = complex(direct.trace())
-        if l == 2:
-            assert isinstance(value, float)
-            assert value == pytest.approx(expected.real, abs=1e-12)
-        else:
-            assert isinstance(value, complex)
-            assert value == pytest.approx(expected, abs=1e-12)
+        assert shift_trace(states) == pytest.approx(
+            direct_product_trace(states), abs=1e-12)
 
 
 def test_trace_product_single_state_is_unit():
     rng = seeded_rng(62)
-    assert trace_product_via_shift([random_density(4, 4, rng)]) == \
+    assert shift_trace([random_density(4, 4, rng)]) == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_product_validation():
     rng = seeded_rng(63)
     with pytest.raises(DimensionError):
-        trace_product_via_shift([])
-    with pytest.raises(DimensionError):
-        trace_product_via_shift([random_density(2, 2, rng),
-                                 random_density(3, 3, rng)])
+        _shift_trace([], 2, cap=TOTAL_DIM_CAP)
     with pytest.raises(CapacityError):
-        trace_product_via_shift([random_density(2, 2, rng)] * 3, cap=7)
+        _shift_trace([random_density(2, 2, rng).matrix] * 3, 2, cap=7)
+    # registers of different dimensions are rejected before the trace
+    with pytest.raises(DimensionError, match="share one dimension"):
+        run_circuit_exact(ShiftExperiment(
+            copies=(P0, random_density(3, 3, rng)), probe=np.array([1.0, 0])))
 
 
 def test_circuit_single_register_gives_fidelity():

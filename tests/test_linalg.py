@@ -21,15 +21,20 @@ from qwitness.linalg import (
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     tensor,
     tensor_all,
 )
+from qwitness.tolerances import EIGEN_DIM_CAP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 PPLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+def reconstruct(dec):
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.conj().T
 
 
 def random_hermitian(d, seed):
@@ -75,7 +80,7 @@ def test_hermitian_eigen_sorted_and_reconstructs():
     h = random_hermitian(6, 42)
     dec = hermitian_eigen(h)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
-    np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(dec), h, atol=1e-12)
     # columns are orthonormal
     v = dec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
@@ -88,8 +93,10 @@ def test_hermitian_eigen_rejects_nonhermitian():
 
 
 def test_hermitian_eigen_cap():
-    with pytest.raises(CapacityError):
-        hermitian_eigen(np.eye(8), cap=4)
+    d = EIGEN_DIM_CAP  # 256
+    assert hermitian_eigen(np.eye(d)).eigenvalues.shape == (d,)
+    with pytest.raises(CapacityError, match=f"{d + 1} exceeds eigensolver cap"):
+        hermitian_eigen(np.eye(d + 1))
 
 
 def test_hermiticity_defect():
@@ -111,25 +118,6 @@ def test_tensor_cap():
     assert tensor_all([SX, SX, SX]).shape == (8, 8)
     with pytest.raises(DimensionError):
         tensor_all([])
-
-
-def test_partial_trace_of_product():
-    a = random_hermitian(2, 1)
-    b = random_hermitian(3, 2)
-    ab = tensor(a, b)
-    np.testing.assert_allclose(partial_trace(ab, (2, 3), "A"),
-                               a * np.trace(b).real, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(ab, (2, 3), "B"),
-                               b * np.trace(a).real, atol=1e-12)
-
-
-def test_partial_trace_validation():
-    with pytest.raises(DimensionError):
-        partial_trace(np.eye(6), (2, 2), "A")
-    with pytest.raises(DimensionError):
-        partial_trace(np.eye(6), (2, 3), "C")
-    with pytest.raises(DimensionError):
-        partial_trace(np.eye(6), 6, "A")
 
 
 def test_matrix_json_roundtrip():
@@ -186,5 +174,5 @@ def test_anticommutator_is_hermitian(a, b):
 @settings(max_examples=60, deadline=None)
 def test_eigen_reconstruction_property(h):
     dec = hermitian_eigen(h)
-    np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-10)
+    np.testing.assert_allclose(reconstruct(dec), h, atol=1e-10)
     assert abs(float(np.sum(dec.eigenvalues)) - float(np.trace(h).real)) < 1e-10

@@ -1,0 +1,32 @@
+"""The Python API that README documents."""
+
+import pathlib
+import re
+
+import qwitness
+from qwitness.witness import Verdict
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def test_readme_python_example_shows_what_it_computes():
+    (block,) = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report = scope["report"]
+    shown = dict(re.findall(r"^(report\.\w+)\s+# (.+)$", block, re.M))
+    assert shown == {"report.min_eigenvalue": "-0.2071067811865475...",
+                     "report.verdict": "Verdict.NONPOSITIVE_WITNESSED"}
+    assert repr(report.min_eigenvalue).startswith("-0.2071067811865475")
+    assert report.verdict is Verdict.NONPOSITIVE_WITNESSED
+
+
+def test_top_level_exports_exactly_what_readme_imports():
+    imported = set()
+    for names in re.findall(r"^from qwitness import (.+)$", README, re.M):
+        imported.update(name.strip() for name in names.split(","))
+    assert imported
+    assert sorted(qwitness.__all__) == sorted({"__version__"} | imported)
+    for name in qwitness.__all__:
+        assert hasattr(qwitness, name)

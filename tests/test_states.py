@@ -25,7 +25,6 @@ from qwitness.states import (
     reconstruct_decomposition,
     seeded_rng,
     state_from_json,
-    state_to_bloch,
     state_to_json,
     top_gap,
 )
@@ -106,7 +105,10 @@ def test_pure_projector():
 def test_bloch_roundtrip():
     b = np.array([0.3, -0.4, 0.5])
     rho = bloch_to_state(b)
-    np.testing.assert_allclose(state_to_bloch(rho), b, atol=1e-12)
+    x, y, z = b
+    np.testing.assert_allclose(
+        rho.matrix, [[(1 + z) / 2, (x - 1j * y) / 2],
+                     [(x + 1j * y) / 2, (1 - z) / 2]], atol=1e-15)
     assert purity(rho) == pytest.approx((1 + 0.5) / 2)
 
 
@@ -116,11 +118,6 @@ def test_bloch_surface_and_outside():
         bloch_to_state([0.8, 0.8, 0.8])
     with pytest.raises(DimensionError):
         bloch_to_state([1.0, 0.0])
-
-
-def test_state_to_bloch_needs_qubit():
-    with pytest.raises(DimensionError):
-        state_to_bloch(make_density(np.eye(3) / 3))
 
 
 def test_seeded_rng_streams():
@@ -159,10 +156,10 @@ def test_random_pure_and_unitary():
 
 def test_state_json_roundtrip_with_label():
     rho = bloch_to_state([0.1, 0.2, 0.3])
-    obj = state_to_json(rho, label="probe")
-    assert obj["label"] == "probe"
-    back, label = state_from_json(obj)
-    assert label == "probe"
+    obj = state_to_json(rho)
+    assert set(obj) == {"dim", "entries"}
+    obj["label"] = "probe"  # an optional key that parsing ignores
+    back = state_from_json(obj)
     np.testing.assert_array_equal(back.matrix, rho.matrix)
 
 

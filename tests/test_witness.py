@@ -27,7 +27,6 @@ from qwitness.states import (
     random_unitary,
     reconstruct_decomposition,
     seeded_rng,
-    state_to_bloch,
 )
 from qwitness.witness import (
     DegenerateVerdict,
@@ -578,3 +577,45 @@ def test_degenerate_case_validation():
         degenerate_case_analysis(good, 1, good, 1, 1.5, 0.0)
     with pytest.raises(DimensionError):
         degenerate_case_analysis(good, 1, np.diag([1.0, 0.0, 0.0]), 1, 0.0, 0.0)
+
+
+# ------------------------------------------------- metamorphic relations
+
+def conjugated(rho, u):
+    return make_density(u @ rho.matrix @ u.conj().T)
+
+
+def seeded_pairs():
+    """State pairs of every rank at d = 2, 3, 4, each with a Haar
+    unitary."""
+    for d in (2, 3, 4):
+        for t in range(12):
+            rng = seeded_rng(97, d, t)
+            yield (random_density(d, 1 + t % d, rng),
+                   random_density(d, 1 + (t // d) % d, rng),
+                   random_unitary(d, rng))
+
+
+def test_witness_report_is_symmetric_in_the_pair():
+    # ab + ba and ba + ab are the same floats, so the reports are equal
+    for a, b, _ in seeded_pairs():
+        assert witness_anticommutator(b, a).to_dict() == \
+            witness_anticommutator(a, b).to_dict()
+
+
+def test_witness_is_invariant_under_joint_conjugation():
+    verdicts = set()
+    for a, b, u in seeded_pairs():
+        base = witness_anticommutator(a, b)
+        moved = witness_anticommutator(conjugated(a, u), conjugated(b, u))
+        assert moved.verdict is base.verdict
+        assert abs(moved.min_eigenvalue - base.min_eigenvalue) <= 1e-12
+        verdicts.add(base.verdict)
+    assert verdicts == {Verdict.NONPOSITIVE_WITNESSED, Verdict.POSITIVE}
+
+
+def test_nested_plans_are_invariant_under_joint_conjugation():
+    for a, b, u in seeded_pairs():
+        base = nested_witness(a, b, 0.05)
+        moved = nested_witness(conjugated(a, u), conjugated(b, u), 0.05)
+        assert (moved.plan1.n, moved.plan2.n) == (base.plan1.n, base.plan2.n)
