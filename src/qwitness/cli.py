@@ -66,7 +66,8 @@ from .states import (
     state_from_json,
     state_to_json,
 )
-from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS, TOTAL_DIM_CAP
+from .tolerances import (EIGEN_DIM_CAP, PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL,
+                         TOL_WITNESS, TOTAL_DIM_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -94,47 +95,57 @@ _ENV_SEED = "QWITNESS_SEED"
 # ---------------------------------------------------------------- output
 
 def _float_repr(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("refusing to serialize a non-finite number")
     return format(x, ".17g")
 
 
-def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_repr(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+# encoders of the exact types a record holds, looked up without an
+# isinstance chain; numpy scalars, lists, tuples and subclasses take
+# the chain in dumps
+_SCALARS = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _float_repr,
+    str: json.dumps,
+}
+_KEYS: dict[str, str] = {}  # the encoded '"key": ' of each string key seen
+_KEYS_MAX = 1024
+
+
+def _key(key) -> str:
+    prefix = _KEYS.get(key) if type(key) is str else None
+    if prefix is None:
+        prefix = json.dumps(str(key)) + ": "
+        if type(key) is str and len(_KEYS) < _KEYS_MAX:
+            _KEYS[key] = prefix
+    return prefix
 
 
 def dumps(obj) -> str:
     """Deterministic one-line JSON with 17-significant-digit floats."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, dict):  # a record's scalar values need no recursion
+        parts = []
+        for key, value in obj.items():
+            scalar = _SCALARS.get(type(value))
+            parts.append(_key(key) + (scalar(value) if scalar is not None
+                                      else dumps(value)))
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_repr(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([dumps(value) for value in obj]) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _csv_cell(value) -> str:
@@ -401,11 +412,16 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    for flag in ("trials", "grid", "jobs"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be >= 1")
-    seed = _resolve_seed(args)
     dims = tuple(int(p) for p in args.dims.split(","))
+    for flag, value in (("trials", args.trials), ("grid", args.grid),
+                        ("jobs", args.jobs), *(("dims", d) for d in dims)):
+        if value < 1:
+            raise ValueError(f"--{flag} must be >= 1")
+    # bounded before any trial draws or allocates a d x d stack
+    if max(dims) > EIGEN_DIM_CAP:
+        raise ValueError(f"--dims entries must be <= {EIGEN_DIM_CAP}, "
+                         f"got {max(dims)}")
+    seed = _resolve_seed(args)
     if args.jobs > 1:
         print(f"note: --jobs {args.jobs} is ignored; scans run serially",
               file=sys.stderr)

@@ -1,8 +1,11 @@
 """Dense complex linear algebra with strict shape and symmetry checks.
 
-All operators are square ``complex128`` arrays. Operations validate
-dimensions up front and raise typed errors instead of letting numpy
-broadcast silently. Anticommutators and commutators are symmetrized on
+All operators are square ``complex128`` arrays; the functions the
+batched scans use also take stacks (n, d, d) and work member by member.
+Operations validate dimensions up front and raise typed errors instead
+of letting numpy broadcast silently. A check on a stack raises for its
+first failing member, with that member's index in the error's
+``member`` attribute. Anticommutators and commutators are symmetrized on
 output so later eigendecompositions see exactly Hermitian (respectively
 anti-Hermitian) input.
 """
@@ -10,6 +13,7 @@ anti-Hermitian) input.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -31,6 +35,7 @@ __all__ = [
     "anticommutator",
     "commutator",
     "frobenius_norm",
+    "frobenius_norms",
     "hermiticity_defect",
     "hermitian_eigen",
     "tensor",
@@ -41,40 +46,77 @@ __all__ = [
 ]
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce ``x`` to a square, finite complex matrix."""
+def _member_error(exc: Exception, member: int) -> Exception:
+    """``exc`` tagged with the index of the stack member it is about
+    (0 for a single matrix), so that a caller checking a stack can tell
+    which member a serial loop would have failed on."""
+    exc.member = member
+    return exc
+
+
+def _first_failing(bad) -> int | None:
+    """Index of the first True of a per-member failure mask, or None;
+    one matrix has a single flag, member 0."""
+    if bad.ndim == 0:  # a numpy scalar, read without an array reduction
+        return 0 if bad else None
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def as_matrix(x, *, stacked: bool = False) -> np.ndarray:
+    """Coerce ``x`` to a square, finite complex matrix, or with
+    ``stacked`` to a stack (n, d, d) of them."""
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        what = "matrix stack" if stacked else "matrix"
+        raise DimensionError(f"expected a square {what}, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise _member_error(ValueError("matrix contains non-finite entries"),
+                            int(np.argmin(finite.all(axis=(-2, -1)))))
     return a
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each member of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = as_matrix(a)
-    b = as_matrix(b)
+    stacked = getattr(a, "ndim", 2) == 3  # stacks are arrays already
+    a = as_matrix(a, stacked=stacked)
+    b = as_matrix(b, stacked=stacked)
     if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+        raise DimensionError(f"stack shape mismatch: {a.shape} vs {b.shape}"
+                             if stacked else
+                             f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a, b
 
 
 def anticommutator(a, b) -> np.ndarray:
-    """ab + ba, symmetrized to (M + M†)/2 so the result is exactly Hermitian."""
+    """ab + ba, symmetrized to (M + M†)/2 so the result is exactly
+    Hermitian; of two matrices or, member by member, of two stacks."""
     a, b = _pair(a, b)
     m = a @ b + b @ a
-    return (m + m.conj().T) / 2
+    return (m + _adjoint(m)) / 2
 
 
 def commutator(a, b) -> np.ndarray:
-    """ab - ba, antisymmetrized to (M - M†)/2."""
+    """ab - ba, antisymmetrized to (M - M†)/2; of two matrices or two stacks."""
     a, b = _pair(a, b)
     m = a @ b - b @ a
-    return (m - m.conj().T) / 2
+    return (m - _adjoint(m)) / 2
 
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
+
+
+def frobenius_norms(stack: np.ndarray) -> list[float]:
+    """``frobenius_norm`` of each member of a stack, summed in the same
+    order, row by row; a stacked ``np.linalg.norm`` or einsum rounds
+    differently in the last bit."""
+    return [math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
+            for row in stack.reshape(len(stack), math.prod(stack.shape[1:]))]
 
 
 def hermiticity_defect(a) -> float:
@@ -88,7 +130,8 @@ class SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and sorted descending; ``eigenvectors``
-    holds the matching orthonormal column vectors.
+    holds the matching orthonormal column vectors. Of a stack, both
+    carry the stack axis first.
     """
 
     eigenvalues: np.ndarray
@@ -96,29 +139,41 @@ class SpectralDecomposition:
 
 
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
-    """(a + a†)/2 of a square complex array, after checking that ``a``
-    deviates from its adjoint by at most TOL_HERM times max(norm, 1)."""
-    adj = a.conj().T
-    defect = float(np.abs(a - adj).max())
-    if defect > TOL_HERM:  # the margin is at least TOL_HERM
-        margin = TOL_HERM * max(frobenius_norm(a), 1.0)
-        if defect > margin:
-            raise HermiticityError(
-                f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-                f"margin {margin:.3e}"
-            )
+    """(a + a†)/2 of a square complex matrix or stack, after checking
+    that each member deviates from its adjoint by at most TOL_HERM times
+    max(norm, 1). The first member that does not raises, tagged."""
+    adj = _adjoint(a)
+    diff = np.abs(a - adj)
+    if diff.max() > TOL_HERM:  # the margin is at least TOL_HERM
+        members = a if a.ndim == 3 else a[None]
+        defects = np.atleast_1d(diff.max(axis=(-2, -1)))
+        for k in np.flatnonzero(defects > TOL_HERM):
+            defect = float(defects[k])
+            margin = TOL_HERM * max(frobenius_norm(members[k]), 1.0)
+            if defect > margin:
+                raise _member_error(HermiticityError(
+                    f"{what} is not Hermitian: defect {defect:.3e} exceeds "
+                    f"margin {margin:.3e}"
+                ), int(k))
     return (a + adj) / 2
 
 
 def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of an exactly Hermitian array, largest first."""
+    """Eigendecomposition of an exactly Hermitian matrix, or of each
+    member of a stack, largest eigenvalue first."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        for k in range(len(h)) if h.ndim == 3 else ():
+            try:  # find the member a serial loop would fail on
+                _eigh_descending(h[k])
+            except ConvergenceError as member_exc:
+                raise _member_error(member_exc, k) from exc
+        raise _member_error(ConvergenceError(
+            f"eigendecomposition failed: {exc}"), 0) from exc
     return SpectralDecomposition(
-        eigenvalues=np.ascontiguousarray(w[::-1]),
-        eigenvectors=np.ascontiguousarray(v[:, ::-1]),
+        eigenvalues=np.ascontiguousarray(w[..., ::-1]),
+        eigenvectors=np.ascontiguousarray(v[..., ::-1]),
     )
 
 

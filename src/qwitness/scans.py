@@ -1,10 +1,21 @@
 """Randomized and gridded property scans.
 
-Each scan runs seeded independent trials in order, returns one record
-per trial plus a summary, and counts counterexamples (expected zero)
-instead of stopping at the first failure. Trial ``t`` draws only from
-its own substream ``seeded_rng(seed, t)``, so its record does not
-depend on how many trials run and repeat runs are bit-identical.
+Each scan returns one record per trial plus a summary, and counts
+counterexamples (expected zero) instead of stopping at the first
+failure. Trial ``t`` draws only from its own substream
+``seeded_rng(seed, t)``, so its record does not depend on how many
+trials run and repeat runs are bit-identical.
+
+``pure-mixed``, ``nested`` and ``discord`` run their trials one after
+another. ``bloch`` and ``null`` compute stacked: ``bloch`` builds each
+axis state once and takes the anticommutators and spectra of all pairs
+in stacked calls; ``null`` draws every trial in order from its stream,
+then runs the linear algebra over stacks of trials that share a
+dimension and branch. The stacked calls are bit-identical to the
+per-matrix ones, each norm is summed as ``np.linalg.norm`` sums it, and
+each state passes ``DensityOperator``'s checks, so the records keep
+their bytes; a failed check raises what the serial loop would raise
+first.
 """
 
 from __future__ import annotations
@@ -15,10 +26,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (CommutingInputsError, ConditionUnreachableError,
-                     DegenerateSpectrumError)
-from .linalg import anticommutator, commutator, frobenius_norm
+                     DegenerateSpectrumError, DimensionError)
+from .linalg import (_adjoint, anticommutator, commutator, frobenius_norm,
+                     frobenius_norms)
 from .states import (
     DensityOperator,
+    _density_from_ginibre,
+    _density_stack,
+    _ginibre,
+    _unitary_from_ginibre,
     bloch_to_state,
     pure_projector,
     random_density,
@@ -50,6 +66,11 @@ __all__ = [
 SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 
 _REDRAW_LIMIT = 128
+
+# bytes of the matrices one stacked pass of a batched scan starts from
+# (null-scan draws, bloch pair states); its intermediate stacks are a
+# few times this, whatever the trial count or dimension
+_CHUNK_BYTES = 1 << 21
 
 
 def _nondegenerate_density(d: int, rng: np.random.Generator,
@@ -173,40 +194,38 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
     The two-vector geometry only depends on the radii and the angle
     between them, so the axes sample radius/angle pairs in a plane.
     Converse failures (condition false, operator still positive) are
-    recorded but never counted as counterexamples.
+    recorded but never counted as counterexamples. Each axis state is
+    built once; the pairs' anticommutators and spectra are stacked.
     """
     axis = _bloch_axis(grid)
-
-    def vec(r: float, theta: float) -> np.ndarray:
-        return np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
-
-    def one(t: int) -> dict:
-        i, j = divmod(t, len(axis))
-        r1, a1 = axis[i]
-        r2, a2 = axis[j]
-        b1, b2 = vec(r1, a1), vec(r2, a2)
-        condition = qubit_bloch_condition(b1, b2)
-        anti = anticommutator(bloch_to_state(b1).matrix,
-                              bloch_to_state(b2).matrix)
-        min_eig = float(np.linalg.eigvalsh(anti).min())
-        return {
-            "i": i,
-            "j": j,
-            "r1": r1,
-            "theta1": a1,
-            "r2": r2,
-            "theta2": a2,
-            "condition": condition,
-            "min_eigenvalue": min_eig,
-            "counterexample": condition and min_eig < -TOL_WITNESS,
-            "converse_positive": (not condition) and min_eig >= -TOL_WITNESS,
-        }
-
-    records = [one(t) for t in range(len(axis) ** 2)]
+    n = len(axis)
+    vecs = [np.array([r * math.sin(a), 0.0, r * math.cos(a)]) for r, a in axis]
+    axis_states = np.array([bloch_to_state(b).matrix for b in vecs])
+    records = []
+    step = max(1, _CHUNK_BYTES // axis_states[0].nbytes)
+    for start in range(0, n * n, step):
+        rows, cols = np.divmod(np.arange(start, min(start + step, n * n)), n)
+        min_eigs = np.linalg.eigvalsh(
+            anticommutator(axis_states[rows], axis_states[cols])).min(axis=-1)
+        for i, j, min_eig in zip(rows.tolist(), cols.tolist(), min_eigs.tolist()):
+            (r1, a1), (r2, a2) = axis[i], axis[j]
+            condition = qubit_bloch_condition(vecs[i], vecs[j])
+            records.append({
+                "i": i,
+                "j": j,
+                "r1": r1,
+                "theta1": a1,
+                "r2": r2,
+                "theta2": a2,
+                "condition": condition,
+                "min_eigenvalue": min_eig,
+                "counterexample": condition and min_eig < -TOL_WITNESS,
+                "converse_positive": (not condition) and min_eig >= -TOL_WITNESS,
+            })
     summary = {
         "kind": "bloch",
         "trials": len(records),
-        "grid": len(axis),
+        "grid": n,
         "seed": seed,
         "counterexamples": sum(r["counterexample"] for r in records),
         "converse_positive": sum(r["converse_positive"] for r in records),
@@ -221,37 +240,34 @@ def scan_null(trials: int, dims: Sequence[int],
     Even trials construct a state supported orthogonally to the pure
     one (anticommutator exactly null); odd trials draw generic pairs,
     for which the premise almost surely fails and the check is vacuous.
+
+    Each trial draws in order from its own stream; the draws then go
+    through the linear algebra stacked, in blocks of _CHUNK_BYTES.
     """
     dims = list(dims)
-
-    def one(t: int) -> dict:
+    records: list[dict] = []
+    block: dict[tuple[int, int], list] = {}
+    size = 0
+    for t in range(trials):
         d = dims[t % len(dims)]
         rng = seeded_rng(seed, t)
-        psi = random_pure(d, rng)
+        try:
+            psi = random_pure(d, rng)
+        except DimensionError:
+            _null_block(block)  # a failure of an earlier trial comes first
+            raise
         if t % 2 == 0 and d > 1:
-            basis = np.linalg.qr(
-                np.column_stack([psi, random_unitary(d, rng)[:, 1:]])
-            )[0]
-            comp = basis[:, 1:]
+            ginibre = _ginibre(d, d, rng)
             rank = int(rng.integers(1, d))
-            inner = random_density(d - 1, rank, rng)
-            rho2 = DensityOperator(comp @ inner.matrix @ comp.conj().T)
+            draws = (psi, ginibre, _ginibre(d - 1, rank, rng))
         else:
-            rho2 = random_density(d, d, rng)
-        proj = pure_projector(psi)
-        anti_norm = frobenius_norm(anticommutator(proj, rho2.matrix))
-        product_norm = frobenius_norm(proj @ rho2.matrix)
-        null = anti_norm <= TOL_NULL
-        return {
-            "trial": t,
-            "dim": d,
-            "anticommutator_norm": anti_norm,
-            "product_norm": product_norm,
-            "null": null,
-            "counterexample": null and product_norm > 10.0 * TOL_NULL,
-        }
-
-    records = [one(t) for t in range(trials)]
+            rank = d
+            draws = (psi, _ginibre(d, d, rng))
+        block.setdefault((d, rank), []).append((t, *draws))
+        size += sum(a.nbytes for a in draws)
+        if size >= _CHUNK_BYTES or t == trials - 1:
+            records += _null_block(block)
+            block, size = {}, 0
     summary = {
         "kind": "null",
         "trials": trials,
@@ -261,6 +277,57 @@ def scan_null(trials: int, dims: Sequence[int],
         "counterexamples": sum(r["counterexample"] for r in records),
     }
     return records, summary
+
+
+def _null_block(block: dict[tuple[int, int], list]) -> list[dict]:
+    """Records of one block of null-scan draws, in trial order.
+
+    ``block`` maps (d, rank) to the trials that drew a d-dimensional
+    pair whose mixed state has that rank (rank < d: the constructed
+    branch). A failed state check raises the error that the serial
+    scan meets first.
+    """
+    done, failures = [], []
+
+    def keep(members, trial_ids):
+        # a trial's later states are built only if its earlier ones pass
+        h, _, failure = _density_stack(members)
+        if failure is not None:
+            failures.append((trial_ids[failure.member], failure))
+        return h
+
+    for (d, rank), items in block.items():
+        trial_ids, psi, ginibre, *inner_ginibre = zip(*items)
+        psi = np.array(psi)
+        if rank < d:
+            unitary = _unitary_from_ginibre(np.array(ginibre))
+            basis = np.linalg.qr(np.concatenate(
+                [psi[..., None], unitary[..., 1:]], axis=-1))[0]
+            inner = keep(_density_from_ginibre(np.array(inner_ginibre[0])),
+                         trial_ids)
+            comp = basis[:len(inner), :, 1:]
+            mixed = comp @ inner @ _adjoint(comp)
+        else:
+            mixed = _density_from_ginibre(np.array(ginibre))
+        rho2 = keep(mixed, trial_ids)
+        psi = psi[:len(rho2)]
+        proj = psi[:, :, None] * psi[:, None, :].conj()
+        for t, anti_norm, product_norm in zip(
+                trial_ids, frobenius_norms(anticommutator(proj, rho2)),
+                frobenius_norms(proj @ rho2)):
+            null = anti_norm <= TOL_NULL
+            done.append((t, {
+                "trial": t,
+                "dim": d,
+                "anticommutator_norm": anti_norm,
+                "product_norm": product_norm,
+                "null": null,
+                "counterexample": null and product_norm > 10.0 * TOL_NULL,
+            }))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    done.sort(key=lambda item: item[0])
+    return [record for _, record in done]
 
 
 def _conditionals(rho_ab: discord_mod.BipartiteState,

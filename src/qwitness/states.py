@@ -1,8 +1,9 @@
 """Density operators, pure states, Bloch vectors, and seeded sampling.
 
 A :class:`DensityOperator` validates Hermiticity, unit trace, and
-positivity on construction and caches its spectral decomposition. The
-random samplers draw from the Hilbert-Schmidt (Ginibre) ensemble with an
+positivity on construction and caches its spectral decomposition; the
+batched scans run the same checks on stacks of matrices. The random
+samplers draw from the Hilbert-Schmidt (Ginibre) ensemble with an
 explicit 64-bit seed so every run is reproducible bit for bit.
 """
 
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, PositivityError, TraceError
-from .linalg import SpectralDecomposition, _eigh_descending, _hermitian_part, as_matrix
+from .errors import DimensionError, PositivityError, QwitnessError, TraceError
+from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
+                     _first_failing, _hermitian_part, _member_error,
+                     as_matrix)
 from .tolerances import TOL_DEGEN, TOL_PSD, TOL_TRACE
 
 __all__ = [
@@ -55,24 +58,9 @@ class DensityOperator:
     __slots__ = ("_matrix", "_spectrum")
 
     def __init__(self, matrix, *, spectrum: SpectralDecomposition | None = None):
-        m = as_matrix(matrix)
-        h = _hermitian_part(m, "state")
-        tr = m.trace()
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise TraceError(
-                f"state trace {tr.real:.17g}{tr.imag:+.3e}j deviates from 1 "
-                f"by {abs(tr - 1.0):.3e} (margin {TOL_TRACE:.1e})"
-            )
-        if spectrum is None:
-            spectrum = _eigh_descending(h)
-        low = float(spectrum.eigenvalues[-1])
-        if not low >= -TOL_PSD:  # NaN from an overflowing matrix fails too
-            raise PositivityError(
-                f"state has eigenvalue {low:.3e} below -{TOL_PSD:.1e}"
-            )
+        h, self._spectrum = _density_checks(as_matrix(matrix), spectrum)
         h.setflags(write=False)
         self._matrix = h
-        self._spectrum = spectrum
 
     @property
     def matrix(self) -> np.ndarray:
@@ -89,6 +77,58 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={purity(self):.6f})"
+
+
+def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
+                    ) -> tuple[np.ndarray, SpectralDecomposition]:
+    """The checks of :class:`DensityOperator` on a finite square matrix,
+    or on each member of a stack (n, d, d): Hermitian within its margin,
+    unit trace and positive semidefinite. Returns the Hermitian part and
+    its descending spectrum (``spectrum`` when given). The first failing
+    member raises, tagged with its index."""
+    h = _hermitian_part(m, "state")
+    tr = m.trace(axis1=-2, axis2=-1)
+    k = _first_failing(abs(tr - 1.0) > TOL_TRACE)
+    if k is not None:
+        t = np.reshape(tr, -1)[k]
+        raise _member_error(TraceError(
+            f"state trace {t.real:.17g}{t.imag:+.3e}j deviates from 1 "
+            f"by {abs(t - 1.0):.3e} (margin {TOL_TRACE:.1e})"
+        ), k)
+    if spectrum is None:
+        spectrum = _eigh_descending(h)
+    low = spectrum.eigenvalues.T[-1]  # a scalar, or one per member
+    # NaN from an overflowing matrix fails too
+    k = _first_failing(np.logical_not(low >= -TOL_PSD))
+    if k is not None:
+        raise _member_error(PositivityError(
+            f"state has eigenvalue {float(np.reshape(low, -1)[k]):.3e} "
+            f"below -{TOL_PSD:.1e}"
+        ), k)
+    return h, spectrum
+
+
+def _density_stack(stack: np.ndarray
+                   ) -> tuple[np.ndarray, SpectralDecomposition, Exception | None]:
+    """:class:`DensityOperator`'s checks on each member of a stack
+    (n, d, d), in order.
+
+    Returns the Hermitian parts and spectra of the members before the
+    first one that fails, and the error that ``DensityOperator`` raises
+    for that member (None when all pass), tagged with its index. A
+    serial loop over the members would stop at that error.
+    """
+    failure = None
+    while len(stack):
+        try:
+            return (*_density_checks(as_matrix(stack, stacked=True)), failure)
+        except (ValueError, QwitnessError) as exc:
+            if not hasattr(exc, "member"):
+                raise
+            # members before it pass every check; rerun them alone
+            failure, stack = exc, stack[:exc.member]
+    empty = np.empty(stack.shape[:-1])
+    return stack, SpectralDecomposition(empty, stack), failure
 
 
 def make_density(matrix) -> DensityOperator:
@@ -203,6 +243,24 @@ def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
+def _density_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """G G† / tr[G G†], exactly Hermitian, of one d x rank Ginibre
+    matrix G or of each member of a stack of them. Not yet checked."""
+    m = g @ _adjoint(g)
+    m = (m + _adjoint(m)) / 2
+    tr = m.trace(axis1=-2, axis2=-1).real
+    return m / (tr if m.ndim == 2 else tr[:, None, None])
+
+
+def _unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Haar unitary Q·diag(phases of R) from the QR decomposition of
+    one square Ginibre matrix, or of each member of a stack of them."""
+    q, r = np.linalg.qr(g)
+    phases = r.diagonal(0, -2, -1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperator:
     """Hilbert-Schmidt random state of the given rank.
 
@@ -213,10 +271,7 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperat
         raise DimensionError(f"dimension must be positive, got {d}")
     if rank < 1 or rank > d:
         raise DimensionError(f"rank must lie in [1, {d}], got {rank}")
-    g = _ginibre(d, rank, rng)
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityOperator(m / m.trace().real)
+    return DensityOperator(_density_from_ginibre(_ginibre(d, rank, rng)))
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,10 +284,7 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(_ginibre(d, d, rng))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _unitary_from_ginibre(_ginibre(d, d, rng))
 
 
 def state_to_json(rho: DensityOperator) -> dict:

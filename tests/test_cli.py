@@ -569,13 +569,40 @@ def test_scan_rejects_json_format(capsys):
 
 
 def test_scan_rejects_bad_trials(capsys):
-    for flag, value in (("--trials", "0"), ("--grid", "0"), ("--grid", "-3"),
-                        ("--jobs", "0")):
+    for flag, value, message in (
+            ("--trials", "0", "--trials must be >= 1"),
+            ("--grid", "0", "--grid must be >= 1"),
+            ("--grid", "-3", "--grid must be >= 1"),
+            ("--jobs", "0", "--jobs must be >= 1"),
+            # every --dims entry is bounded before any trial runs, also
+            # for the kinds that do not read it
+            ("--dims", "0", "--dims must be >= 1"),
+            ("--dims", "2,-1", "--dims must be >= 1"),
+            ("--dims", "257", "--dims entries must be <= 256, got 257")):
         code, out, err = run_cli(capsys, "scan", "--kind", "bloch",
                                  flag, value)
         assert code == 2, (flag, value)
         assert out == ""
-        assert f"{flag} must be >= 1" in err
+        assert message in err
+
+
+def test_dumps_pins_every_encoded_type():
+    # records take the exact-type fast path; numpy scalars, subclasses,
+    # lists and tuples take the general one, with the same bytes
+    obj = {"f": np.float64(0.1), "b": np.bool_(True), "n": np.int64(-7),
+           "nested": [1, (2.5, [False, None]), ()], "s": 'a "q"\\\n\u00e9',
+           "none": None, "i": 3, "x": 1e-300, "t": True, 2: "int key"}
+    assert dumps(obj) == (
+        '{"f": 0.10000000000000001, "b": true, "n": -7, '
+        '"nested": [1, [2.5, [false, null]], []], '
+        '"s": "a \\"q\\"\\\\\\n\\u00e9", "none": null, "i": 3, '
+        '"x": 1e-300, "t": true, "2": "int key"}')
+    assert dumps([np.float32(0.5), (np.int32(1),)]) == "[0.5, [1]]"
+    for bad in (float("nan"), np.float64("inf"), {"k": [float("-inf")]}):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(bad)
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps({"k": {1}})
 
 
 # ------------------------------------------------------------- plumbing

@@ -1,9 +1,22 @@
 """Tests for the randomized property scans."""
 
-import pytest
+import contextlib
+import hashlib
+import io
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwitness import scans, states
+from qwitness.cli import dumps, main
+from qwitness.errors import DimensionError, TraceError
+from qwitness.linalg import anticommutator, frobenius_norm
 from qwitness.scans import (
     SCAN_KINDS,
+    _bloch_axis,
     run_scan,
     scan_bloch,
     scan_discord,
@@ -11,6 +24,86 @@ from qwitness.scans import (
     scan_null,
     scan_pure_mixed,
 )
+from qwitness.states import (
+    DensityOperator,
+    bloch_to_state,
+    pure_projector,
+    random_density,
+    random_pure,
+    random_unitary,
+    seeded_rng,
+)
+from qwitness.tolerances import TOL_NULL, TOL_WITNESS
+from qwitness.witness import qubit_bloch_condition
+
+
+# ------------------------------------------------- per-trial references
+
+def serial_scan_bloch(grid, seed=0):
+    """The bloch scan one pair at a time, both states built per pair."""
+    axis = _bloch_axis(grid)
+
+    def vec(r, theta):
+        return np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
+
+    def one(t):
+        i, j = divmod(t, len(axis))
+        r1, a1 = axis[i]
+        r2, a2 = axis[j]
+        b1, b2 = vec(r1, a1), vec(r2, a2)
+        condition = qubit_bloch_condition(b1, b2)
+        anti = anticommutator(bloch_to_state(b1).matrix,
+                              bloch_to_state(b2).matrix)
+        min_eig = float(np.linalg.eigvalsh(anti).min())
+        return {"i": i, "j": j, "r1": r1, "theta1": a1, "r2": r2,
+                "theta2": a2, "condition": condition,
+                "min_eigenvalue": min_eig,
+                "counterexample": condition and min_eig < -TOL_WITNESS,
+                "converse_positive": (not condition)
+                and min_eig >= -TOL_WITNESS}
+
+    records = [one(t) for t in range(len(axis) ** 2)]
+    return records, {
+        "kind": "bloch", "trials": len(records), "grid": len(axis),
+        "seed": seed,
+        "counterexamples": sum(r["counterexample"] for r in records),
+        "converse_positive": sum(r["converse_positive"] for r in records)}
+
+
+def serial_scan_null(trials, dims, seed):
+    """The null scan one trial at a time, every state validated alone."""
+    dims = list(dims)
+
+    def one(t):
+        d = dims[t % len(dims)]
+        rng = seeded_rng(seed, t)
+        psi = random_pure(d, rng)
+        if t % 2 == 0 and d > 1:
+            basis = np.linalg.qr(
+                np.column_stack([psi, random_unitary(d, rng)[:, 1:]]))[0]
+            comp = basis[:, 1:]
+            inner = random_density(d - 1, int(rng.integers(1, d)), rng)
+            rho2 = DensityOperator(comp @ inner.matrix @ comp.conj().T)
+        else:
+            rho2 = random_density(d, d, rng)
+        proj = pure_projector(psi)
+        anti_norm = frobenius_norm(anticommutator(proj, rho2.matrix))
+        product_norm = frobenius_norm(proj @ rho2.matrix)
+        null = anti_norm <= TOL_NULL
+        return {"trial": t, "dim": d, "anticommutator_norm": anti_norm,
+                "product_norm": product_norm, "null": null,
+                "counterexample": null and product_norm > 10.0 * TOL_NULL}
+
+    records = [one(t) for t in range(trials)]
+    return records, {
+        "kind": "null", "trials": trials, "dims": dims, "seed": seed,
+        "null_pairs": sum(bool(r["null"]) for r in records),
+        "counterexamples": sum(r["counterexample"] for r in records)}
+
+
+def printed(result):
+    records, summary = result
+    return [dumps(r) for r in records] + [dumps(summary)]
 
 
 def test_pure_mixed_scan_small_corpus():
@@ -95,3 +188,141 @@ def test_run_scan_dispatch():
     assert len(records) == 16
     with pytest.raises(ValueError, match="unknown scan kind"):
         run_scan("swap")
+
+
+# ------------------------------------- batched scans against references
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       dims=st.lists(st.integers(min_value=1, max_value=6),
+                     min_size=1, max_size=4),
+       trials=st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_null_scan_prints_what_the_per_trial_loop_prints(seed, dims, trials):
+    assert printed(scan_null(trials, dims, seed)) == \
+        printed(serial_scan_null(trials, dims, seed))
+
+
+@given(grid=st.integers(min_value=1, max_value=15),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bloch_scan_prints_what_the_per_pair_loop_prints(grid, seed):
+    assert printed(scan_bloch(grid, seed=seed)) == \
+        printed(serial_scan_bloch(grid, seed=seed))
+
+
+def test_null_scan_blocks_cover_large_dimensions(monkeypatch):
+    # a small budget splits the trials into many blocks, each holding
+    # several dimension groups; a large d is alone in its block
+    monkeypatch.setattr(scans, "_CHUNK_BYTES", 4096)
+    for dims in ((2, 3, 4), (1, 9, 17), (40,)):
+        assert printed(scan_null(24, dims, 11)) == \
+            printed(serial_scan_null(24, dims, 11))
+
+
+def _skew_large_draws(monkeypatch):
+    """Push the trace of each state whose Ginibre matrix starts with a
+    large entry off 1 by an amount unique to it, so that its TraceError
+    message names the trial. Serial and batched draws see the same
+    matrices."""
+    real = states._density_from_ginibre
+
+    def skewed(g):
+        lead = np.abs(g[..., 0, 0].real)
+        scale = np.where(lead > 1.5, 1.0 + 1e-6 * lead, 1.0)
+        return real(g) * scale[..., None, None]
+
+    monkeypatch.setattr(states, "_density_from_ginibre", skewed)
+    monkeypatch.setattr(scans, "_density_from_ginibre", skewed)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (4, 1), (2, 0)])
+def test_null_scan_raises_the_error_the_serial_scan_meets_first(
+        monkeypatch, dims):
+    _skew_large_draws(monkeypatch)
+    with pytest.raises((TraceError, DimensionError)) as serial:
+        serial_scan_null(60, dims, 5)
+    with pytest.raises(type(serial.value)) as batched:
+        scan_null(60, dims, 5)
+    assert str(batched.value) == str(serial.value)
+
+
+# ------------------------------------------------------ golden stdout
+
+def _scan_digest(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["scan", *argv])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+_SIZES = {"pure-mixed": ("--trials", "30"), "nested": ("--trials", "20"),
+          "bloch": ("--grid", "7"), "null": ("--trials", "40"),
+          "discord": ("--trials", "10")}
+_WIDE = ("--dims", "1,2,5")  # d = 1 branches and a dimension above 4
+# sha256 of stdout, recorded before the bloch and null scans
+# were batched; every scan kind must keep these bytes
+_GOLDEN = {
+    (0, "pure-mixed", ()):
+        "b3e29dc8a01fcbb4ddc549dec8586d6f1fe00988b98476dfbd4da1223c75bb26",
+    (0, "nested", ()):
+        "8ed6171d49231309bc0b5a5e4c101eaaa7bb5e7fdc8f6a7f5d8e538ad5bd8b03",
+    (0, "bloch", ()):
+        "2697be1dbc68e56e32508d8a1596024e1f54251686641c4b3be11fe727d6e9ee",
+    (0, "null", ()):
+        "5fa590d444ffa93caae13b5f5f5efca518bf98dfb1a069ed269ea20dc69fbfba",
+    (0, "discord", ()):
+        "b79950b70b02d920445ca1432479235d232a4f9a2ce7f60d600acb013e953e96",
+    (0, "pure-mixed", _WIDE):
+        "eb4962a5e0346aae5356d1861213ee94b9d2af3fed9cebde2dceeae3a9e5b99f",
+    (0, "nested", _WIDE):
+        "2f3d732b613ba5c91c8e44f7638e203f9cda32c398fe84a9fd582b0491c9d614",
+    (0, "null", _WIDE):
+        "64a082ccd0595052de87bec275227c4ef4b4e35146032b8847033253e507665d",
+    (0, "null", ("--format", "csv")):
+        "8c843593bea24447f892cb434276207495eb8e6bddcd23ccba6e11eab7cb6b8e",
+    (1, "pure-mixed", ()):
+        "a63ff683bccb09f4060b2678627606c0793a63efd87f60851e07b447c7958b0f",
+    (1, "nested", ()):
+        "c2eafac970315e8332231eb69b94e767c7f659388c4bb52bdedf6bc3feb2c1a3",
+    (1, "bloch", ()):
+        "8216d3dafdc42688bdef2d1c86241ca3d79ed8d51629ae1c716005e0a822dad6",
+    (1, "null", ()):
+        "8e2b375df9475b0fde19b6f13cd202ff6fc187b00746c48eea4061b31c4122a6",
+    (1, "discord", ()):
+        "3d8a6e52678cf06665829ca344ca8cd954b45f441fee740233a293a30479da33",
+    (1, "pure-mixed", _WIDE):
+        "60b34b45d3c5a052cd549dad2831dbe2fea349f7f8392fe895b896cfe42a2e3c",
+    (1, "nested", _WIDE):
+        "a802c84052ef974202f251b0181c69ba9cd24cccf8ef5a9c5dc1fdba2b277251",
+    (1, "null", _WIDE):
+        "b95e73ae381eae693656e3f0aa013e52831f29040b8e893771937c3b2d14d78a",
+    (1, "null", ("--format", "csv")):
+        "010052cd9ba413e9e0de4e99523d732616eee1d7413e5aee543a0847ab6a9309",
+    (2, "pure-mixed", ()):
+        "58c61e0d591a1dc6b4a533641c78ea0a56f1cf48d903685980ed83e8f476dd93",
+    (2, "nested", ()):
+        "a973080b0504fe1a6b385f542b40fa7592eb0897638430fcaf43cf41b4f8ba58",
+    (2, "bloch", ()):
+        "204d18cbc87c5d87ccd3ae965e95fc3ae6cf6b4b6585a07b87ad5fe5a8dc92be",
+    (2, "null", ()):
+        "7777476282969a444eade79cf53a297b3a9eca7b395dcbeede792225bccbf5bf",
+    (2, "discord", ()):
+        "fe0f93f3c7dc641a20b678ade03317490872d85208b38072a8ff5c35a32fec8f",
+    (2, "pure-mixed", _WIDE):
+        "2f5174f1c63c0b2d46ea41865a74a1e0bec973d0fbea0e7832cb4484b89230f7",
+    (2, "nested", _WIDE):
+        "165821d3d6eb1b42151a4b96109684be0c0aff0866a94349f8abf75c7c5f8c9f",
+    (2, "null", _WIDE):
+        "dd265188ef2fbe9326ad371f4c034aa5527cce8f816970baa49b374d1d730e90",
+    (2, "null", ("--format", "csv")):
+        "f5778d6dd8e2aefefe68fdef324f8c693e4d08184dffd07d5b143558c26aa07a",
+}
+
+
+@pytest.mark.parametrize("seed,kind,extra", sorted(_GOLDEN, key=str))
+def test_scan_stdout_matches_golden_digest(seed, kind, extra):
+    code, digest = _scan_digest("--kind", kind, *_SIZES[kind], *extra,
+                                "--seed", str(seed))
+    assert code == 0
+    assert digest == _GOLDEN[seed, kind, extra]

@@ -13,6 +13,7 @@ from qwitness.errors import (
 )
 from qwitness.states import (
     DensityOperator,
+    _density_stack,
     as_pure_state,
     bloch_to_state,
     make_density,
@@ -217,3 +218,55 @@ def test_top_gap(d):
     assert gap == pytest.approx(top if d == 1 else top - lam[1] / sum(lam))
     assert not degenerate
     assert top_gap(make_density(np.eye(d) / d))[1] == (d > 1)
+
+
+# ------------------------------------------------------- stacked checks
+
+def _member(kind, d, rng):
+    """A d x d matrix that passes DensityOperator's checks, or fails the
+    one that ``kind`` names."""
+    m = random_density(d, d, rng).matrix.copy()
+    if kind == "nonhermitian":
+        m[0, -1] += 1e-3j if d == 1 else 1e-3
+    elif kind == "offtrace":
+        m *= 1.01
+    elif kind == "nonpsd":
+        u = random_unitary(d, rng)
+        m = (u * np.array([1.2, -0.2] + [0.0] * (d - 2))) @ u.conj().T
+    elif kind == "nonfinite":
+        m[-1, 0] = np.nan if rng.random() < 0.5 else np.inf
+    return m
+
+
+_KINDS = ("valid", "nonhermitian", "offtrace", "nonpsd", "nonfinite")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       d=st.integers(min_value=1, max_value=4),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_stack_check_fails_as_its_first_failing_member_would(seed, d, kinds):
+    # members after the first failing one may fail other checks first;
+    # the stack still reports what a serial loop meets first
+    if d == 1:  # a unit-trace 1x1 Hermitian matrix is positive
+        kinds = [k for k in kinds if k != "nonpsd"] or ["valid"]
+    rng = seeded_rng(seed)
+    stack = np.array([_member(kind, d, rng) for kind in kinds])
+    h, spectrum, failure = _density_stack(stack)
+    bad = next((k for k, kind in enumerate(kinds) if kind != "valid"), None)
+    if bad is None:
+        assert failure is None
+    else:
+        with pytest.raises(Exception) as serial:
+            DensityOperator(stack[bad])
+        assert type(failure) is type(serial.value)
+        assert str(failure) == str(serial.value)
+        assert failure.member == bad
+    assert len(h) == len(spectrum.eigenvalues) == (len(kinds) if bad is None
+                                                   else bad)
+    for k in range(len(h)):
+        rho = DensityOperator(stack[k])
+        assert np.array_equal(h[k], rho.matrix)
+        assert np.array_equal(spectrum.eigenvalues[k], rho.spectrum.eigenvalues)
+        assert np.array_equal(spectrum.eigenvectors[k],
+                              rho.spectrum.eigenvectors)
