@@ -51,7 +51,6 @@ from .errors import (
     UnresolvableError,
 )
 from .interferometer import (
-    ShiftExperiment,
     check_circuit_dimension,
     run_circuit_exact,
     sample_readout,
@@ -66,8 +65,8 @@ from .states import (
     state_from_json,
     state_to_json,
 )
-from .tolerances import (EIGEN_DIM_CAP, PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL,
-                         TOL_WITNESS, TOTAL_DIM_CAP)
+from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, TOL_COMM, TOL_F,
+                         TOL_NULL, TOL_WITNESS, TOTAL_DIM_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -149,15 +148,15 @@ def dumps(obj) -> str:
 
 
 def _csv_cell(value) -> str:
+    """A CSV cell: empty for None, a bare string, list entries joined
+    by ';', and any other scalar as ``dumps`` encodes it."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _float_repr(float(value))
+    if isinstance(value, str):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
-    return str(value)
+    return dumps(value)
 
 
 def _csv_text(rows: Sequence[dict]) -> str:
@@ -224,13 +223,30 @@ def _load_probe(path: str) -> np.ndarray:
     return _top_vector(state_from_json(obj))
 
 
+def _parse_dims(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of a --dims value."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad --dims {text!r}; expected comma-separated "
+                         "integers") from None
+
+
 def _resolve_seed(args) -> int:
+    """--seed, else $QWITNESS_SEED, else 0; a value that is not an
+    integer >= 0 is malformed input, named by its flag or variable."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        return int(env)
-    return 0
+        name, seed = "--seed", args.seed
+    else:
+        name, text = _ENV_SEED, os.environ.get(_ENV_SEED, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"bad {name} {text!r}; expected an integer "
+                             ">= 0") from None
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 _TOL_DEFAULTS = {"witness": TOL_WITNESS, "null": TOL_NULL,
@@ -344,8 +360,7 @@ def cmd_circuit(args) -> int:
     probe = _load_probe(args.probe)
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be >= 1")
-    exact = run_circuit_exact(
-        ShiftExperiment(copies=tuple(states), probe=probe), cap=args.cap)
+    exact = run_circuit_exact(states, probe, cap=args.cap)
     if args.shots is None:
         _print({"exact": exact})
         return EXIT_OK
@@ -371,15 +386,18 @@ _MEASUREMENTS = {"z": z_measurement, "x": x_measurement}
 
 
 def _parse_bipartite(spec: str, dims: str | None) -> BipartiteState:
-    if spec == "bell":
-        return bell_state()
-    state = state_from_json(_read_json(spec))
-    if dims is None:
-        raise ValueError("file states need --dims dA,dB")
-    parts = dims.split(",")
-    if len(parts) != 2:
+    pair = None if dims is None else _parse_dims(dims)
+    if pair is not None and len(pair) != 2:
         raise ValueError(f"bad --dims {dims!r}; expected dA,dB")
-    return BipartiteState(state=state, dims=(int(parts[0]), int(parts[1])))
+    if spec == "bell":
+        bell = bell_state()
+        if pair not in (None, bell.dims):
+            raise ValueError(f"bad --dims {dims!r}; the bell state is 2,2")
+        return bell
+    state = state_from_json(_read_json(spec))
+    if pair is None:
+        raise ValueError("file states need --dims dA,dB")
+    return BipartiteState(state=state, dims=pair)
 
 
 def cmd_discord(args) -> int:
@@ -412,11 +430,13 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    dims = tuple(int(p) for p in args.dims.split(","))
+    dims = _parse_dims(args.dims)
     for flag, value in (("trials", args.trials), ("grid", args.grid),
                         ("jobs", args.jobs), *(("dims", d) for d in dims)):
         if value < 1:
             raise ValueError(f"--{flag} must be >= 1")
+        if flag == "grid" and value > GRID_CAP:
+            raise ValueError(f"--grid must be <= {GRID_CAP}, got {value}")
     # bounded before any trial draws or allocates a d x d stack
     if max(dims) > EIGEN_DIM_CAP:
         raise ValueError(f"--dims entries must be <= {EIGEN_DIM_CAP}, "
@@ -534,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # the errors a command reports; the first matching row decides the code
-_REPORTED = (QwitnessError, KeyError, OSError, ValueError, TypeError)
+_REPORTED = (QwitnessError, KeyError, OSError, ValueError, TypeError,
+             MemoryError)
 _EXIT_CODES = (
     (CommutingInputsError, EXIT_COMMUTING),
     (DegenerateSpectrumError, EXIT_DEGENERATE),
@@ -557,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _REPORTED as exc:
         # a KeyError's str() quotes its key; print the bare message
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {detail}", file=sys.stderr)
+        print(f"error: {str(detail) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

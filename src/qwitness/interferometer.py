@@ -6,46 +6,42 @@ onto the sigma_z expectation of the control qubit. For l = 2 that
 expectation is <psi| {rho_1, rho_2} |psi> / 2, so a negative witness
 eigenvector makes the interference visibility go negative.
 
-That readout is Re tr[S R], R the register tensor and S the cyclic
-shift (Ekert et al., PRL 88, 217901 (2002)); S is a permutation, so it
-is read off R as a sum of D entries, with no gate of the circuit built.
+That readout is Re tr[S R], R the product of the register states and S
+the cyclic shift (Ekert et al., PRL 88, 217901 (2002)); S is a
+permutation, so the d**l entries of R it selects are gathered straight
+from the registers, with neither R nor any gate of the circuit built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnresolvableError
-from .linalg import tensor_all
 from .states import DensityOperator, as_pure_state, pure_projector, seeded_rng
 from .tolerances import TOTAL_DIM_CAP
 
-__all__ = [
-    "ShiftExperiment",
-    "run_circuit_exact",
-    "sample_readout",
-    "shots_to_resolve",
-]
+__all__ = ["run_circuit_exact", "sample_readout", "shots_to_resolve"]
 
 
-def _shift_permutation(d: int, l: int) -> np.ndarray:
-    """Index map of the cyclic shift sending register contents one slot
-    earlier (the first register's content reappears in the last slot)."""
-    x = np.arange(d**l)
-    first = x // d ** (l - 1)
-    rest = x % d ** (l - 1)
-    return rest * d + first
+def _shift_trace(mats: list[np.ndarray]) -> complex:
+    """tr[S (m_1 x ... x m_l)], S the shift sending register contents one
+    slot earlier, over l = len(mats) registers of one dimension d.
 
-
-def _shift_trace(mats: list[np.ndarray], d: int, *, cap: int) -> complex:
-    """tr[S (m_1 x ... x m_l)], S the shift over len(mats) registers of
-    dimension d, as the sum of the tensor's entries M[x, perm[x]]."""
-    big = tensor_all(mats, cap=cap)
-    perm = _shift_permutation(d, len(mats))
-    return complex(big[np.arange(perm.size), perm].sum())
+    For each basis index x = (x_1, ..., x_l) in kron order, S selects the
+    product's entry m_1[x_1, x_2] m_2[x_2, x_3] ... m_l[x_l, x_1]. Its
+    factors are multiplied left to right, as ``kron`` does, and the d**l
+    entries summed as one array in x order, so the result equals the sum
+    read off the built product bit for bit."""
+    l, d = len(mats), mats[0].shape[0]
+    rows = np.indices((d,) * l).reshape(l, -1)  # x_k of each x, kron order
+    cols = np.roll(rows, -1, axis=0)  # x_(k+1), and x_1 after x_l
+    entries = mats[0][rows[0], cols[0]]
+    for m, r, c in zip(mats[1:], rows[1:], cols[1:]):
+        entries = entries * m[r, c]
+    return complex(entries.sum())
 
 
 def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
@@ -61,42 +57,32 @@ def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
             f"{registers} registers exceed the {bound} that cap {cap} allows")
 
 
-@dataclass(frozen=True)
-class ShiftExperiment:
-    """One controlled-shift interferometer configuration.
-
-    ``copies`` are the state registers in circuit order, ``probe`` the
-    pure state loaded into the final register.
-    """
-
-    copies: tuple[DensityOperator, ...]
-    probe: np.ndarray
-
-
-def run_circuit_exact(e: ShiftExperiment, *, cap: int = TOTAL_DIM_CAP) -> float:
+def run_circuit_exact(copies: Sequence[DensityOperator], probe, *,
+                      cap: int = TOTAL_DIM_CAP) -> float:
     """Exact sigma_z expectation of the control qubit.
 
-    The Hadamard, controlled-shift, Hadamard circuit leaves the control
-    qubit at Re tr[S (rho_1 x ... x rho_l x |psi><psi|)], read here off
-    the register tensor as a permuted sum; for a single pair that is
-    <psi| {rho_1, rho_2} |psi> / 2. ``cap`` bounds the circuit dimension
-    2 * d**l, control qubit included, and the register count (see
-    :func:`check_circuit_dimension`).
+    ``copies`` are the state registers in circuit order, ``probe`` the
+    pure state loaded into the final register. The Hadamard,
+    controlled-shift, Hadamard circuit leaves the control qubit at
+    Re tr[S (rho_1 x ... x rho_l x |psi><psi|)]; for a single pair that
+    is <psi| {rho_1, rho_2} |psi> / 2. ``cap`` bounds the circuit
+    dimension 2 * d**l, control qubit included, and the register count
+    (see :func:`check_circuit_dimension`).
     """
-    if not e.copies:
+    if not copies:
         raise DimensionError("experiment needs at least one state register")
-    d = e.copies[0].dim
-    for s in e.copies:
+    d = copies[0].dim
+    for s in copies:
         if s.dim != d:
             raise DimensionError("state registers must share one dimension")
-    probe = as_pure_state(e.probe)
+    probe = as_pure_state(probe)
     if probe.shape[0] != d:
         raise DimensionError(
             f"probe dimension {probe.shape[0]} does not match registers ({d})"
         )
-    check_circuit_dimension(d, len(e.copies) + 1, cap)
-    mats = [s.matrix for s in e.copies] + [pure_projector(probe)]
-    return _shift_trace(mats, d, cap=cap).real
+    check_circuit_dimension(d, len(copies) + 1, cap)
+    mats = [s.matrix for s in copies] + [pure_projector(probe)]
+    return _shift_trace(mats).real
 
 
 def sample_readout(exact: float, shots: int | None,

@@ -15,8 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .errors import (
     DimensionError,
     HermiticityError,
 )
-from .tolerances import EIGEN_DIM_CAP, TOL_HERM, TOTAL_DIM_CAP
+from .tolerances import EIGEN_DIM_CAP, TOL_HERM
 
 __all__ = [
     "SpectralDecomposition",
@@ -38,8 +36,6 @@ __all__ = [
     "frobenius_norms",
     "hermiticity_defect",
     "hermitian_eigen",
-    "tensor",
-    "tensor_all",
     "matrix_to_json",
     "matrix_from_json",
     "complex_from_json",
@@ -196,23 +192,6 @@ def hermitian_eigen(a) -> SpectralDecomposition:
         raise CapacityError(
             f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
     return _eigh_descending(_hermitian_part(a, "matrix"))
-
-
-def tensor(a, b, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
-    """Kronecker product; row index of ``a (x) b`` is ``i_a * dim_b + i_b``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > cap:
-        raise CapacityError(f"tensor dimension {out_dim} exceeds cap {cap}")
-    return np.kron(a, b)
-
-
-def tensor_all(mats: Iterable, *, cap: int = TOTAL_DIM_CAP) -> np.ndarray:
-    mats = list(mats)
-    if not mats:
-        raise DimensionError("tensor_all needs at least one factor")
-    return reduce(lambda x, y: tensor(x, y, cap=cap), mats)
 
 
 def matrix_to_json(a) -> dict:

@@ -34,6 +34,10 @@ PLAN_CAP = 10**6
 # dimension cap for dense eigendecompositions
 EIGEN_DIM_CAP = 256
 
-# total-dimension cap for tensor products and shift circuits
+# cap on the bloch scan's vectors per axis: a scan holds grid**2
+# records, ~0.3 GB at the cap
+GRID_CAP = 1000
+
+# total-dimension cap 2 * d**l of shift circuits, control qubit included
 # (a control qubit over four 4-level registers)
 TOTAL_DIM_CAP = 2 * 4**4

@@ -17,7 +17,6 @@ import pytest
 
 from qwitness.cli import dumps, main
 from qwitness.interferometer import (
-    ShiftExperiment,
     _shift_trace,
     run_circuit_exact,
     sample_readout,
@@ -35,7 +34,6 @@ from qwitness.states import (
     state_to_json,
 )
 from qwitness.scans import scan_bloch, scan_discord, scan_nested, scan_pure_mixed
-from qwitness.tolerances import TOTAL_DIM_CAP
 from qwitness.witness import (
     DegenerateVerdict,
     OverlapData,
@@ -232,8 +230,7 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
             l = 2 + t % 2
             d = 2 + t % 3
             states = [random_density(d, d, rng) for _ in range(l)]
-            value = _shift_trace([s.matrix for s in states], d,
-                                 cap=TOTAL_DIM_CAP)
+            value = _shift_trace([s.matrix for s in states])
             direct = states[0].matrix
             for s in states[1:]:
                 direct = direct @ s.matrix
@@ -244,8 +241,7 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
             rho1 = random_density(d, d, rng)
             rho2 = random_density(d, d, rng)
             psi = random_pure(d, rng)
-            got = run_circuit_exact(
-                ShiftExperiment(copies=(rho1, rho2), probe=psi))
+            got = run_circuit_exact((rho1, rho2), psi)
             anti = anticommutator(rho1.matrix, rho2.matrix)
             want = float((psi.conj() @ anti @ psi).real) / 2.0
             assert abs(got - want) <= 1e-12
@@ -259,8 +255,7 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
             report = pure_mixed_test(psi, rho2)
             if report.verdict is not Verdict.NONPOSITIVE_WITNESSED:
                 continue
-            got = run_circuit_exact(ShiftExperiment(
-                copies=(rho1, rho2), probe=report.witness_vector))
+            got = run_circuit_exact((rho1, rho2), report.witness_vector)
             assert abs(got - report.min_eigenvalue / 2.0) <= 1e-10
             probed += 1
         assert probed >= 30
@@ -268,8 +263,7 @@ def test_criterion_8_shift_and_circuit_identities(capsys):
                                  make_density(np.full((2, 2), 0.5)))
         pair = (make_density(np.diag([1.0, 0.0])),
                 make_density(np.full((2, 2), 0.5)))
-        exact = run_circuit_exact(
-            ShiftExperiment(copies=pair, probe=report.witness_vector))
+        exact = run_circuit_exact(pair, report.witness_vector)
         hits = 0
         for seed in range(100):
             estimate, stderr = sample_readout(exact, 100_000, seed)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qwitness import cli
 from qwitness.cli import _build_parser, dumps, main
 from qwitness.discord import classical_quantum_state
-from qwitness.linalg import tensor
 from qwitness.states import (
     make_density,
     random_density,
@@ -421,7 +421,7 @@ def test_discord_demo_bell(capsys):
 
 
 def test_discord_demo_product_state_file(capsys, tmp_path):
-    m = tensor(np.full((2, 2), 0.5), np.diag([0.6, 0.4]))
+    m = np.kron(np.full((2, 2), 0.5), np.diag([0.6, 0.4]))
     f = write_state(tmp_path, "prod.json", m)
     code, out, _ = run_cli(capsys, "discord-demo", "--state", f,
                            "--dims", "2,2", "--ops", "z,x",
@@ -436,6 +436,28 @@ def test_discord_demo_file_needs_dims(capsys, tmp_path):
                            "--ops", "z,x", "--outcomes", "0,+")
     assert code == 2
     assert "--dims" in err
+
+
+def test_discord_demo_rejects_bad_dims(capsys, tmp_path):
+    f = write_state(tmp_path, "prod.json", np.eye(4) / 4)
+    bell = ("--state", "bell")
+    for state, dims, message in (
+            (("--state", f), "a,b", "bad --dims 'a,b'"),
+            (bell, "a,b", "bad --dims 'a,b'"),
+            # a --dims the bell state would ignore is refused
+            (bell, "3,3", "bad --dims '3,3'; the bell state is 2,2"),
+            (bell, "1,4", "bad --dims '1,4'; the bell state is 2,2")):
+        code, out, err = run_cli(capsys, "discord-demo", *state,
+                                 "--dims", dims, "--ops", "z,x",
+                                 "--outcomes", "0,+")
+        assert code == 2, (state, dims)
+        assert out == ""
+        assert message in err
+    code, out, _ = run_cli(capsys, "discord-demo", *bell, "--ops", "z,x",
+                           "--outcomes", "0,+")
+    assert code == 10
+    assert run_cli(capsys, "discord-demo", *bell, "--dims", "2,2",
+                   "--ops", "z,x", "--outcomes", "0,+") == (10, out, "")
 
 
 def test_discord_demo_unknown_outcome(capsys):
@@ -474,8 +496,8 @@ def test_discord_demo_runs_above_the_eigensolver_cap(capsys, tmp_path):
     """A 2x130 state (dimension 260 > EIGEN_DIM_CAP) still validates;
     only its 130-dimensional conditionals are analyzed."""
     rng = seeded_rng(5)
-    m = tensor(random_density(2, 2, rng).matrix,
-               random_density(130, 130, rng).matrix)
+    m = np.kron(random_density(2, 2, rng).matrix,
+                random_density(130, 130, rng).matrix)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(state_to_json(make_density(m))),
                     encoding="utf-8")
@@ -568,22 +590,46 @@ def test_scan_rejects_json_format(capsys):
     assert "invalid choice: 'json'" in err
 
 
-def test_scan_rejects_bad_trials(capsys):
-    for flag, value, message in (
-            ("--trials", "0", "--trials must be >= 1"),
-            ("--grid", "0", "--grid must be >= 1"),
-            ("--grid", "-3", "--grid must be >= 1"),
-            ("--jobs", "0", "--jobs must be >= 1"),
+def test_scan_rejects_bad_trials(capsys, monkeypatch):
+    for kind, flag, value, message in (
+            ("bloch", "--trials", "0", "--trials must be >= 1"),
+            ("bloch", "--grid", "0", "--grid must be >= 1"),
+            ("bloch", "--grid", "-3", "--grid must be >= 1"),
+            # the grid**2 records are bounded before any is allocated
+            ("bloch", "--grid", "1001", "--grid must be <= 1000, got 1001"),
+            ("bloch", "--grid", "100000",
+             "--grid must be <= 1000, got 100000"),
+            ("bloch", "--jobs", "0", "--jobs must be >= 1"),
             # every --dims entry is bounded before any trial runs, also
             # for the kinds that do not read it
-            ("--dims", "0", "--dims must be >= 1"),
-            ("--dims", "2,-1", "--dims must be >= 1"),
-            ("--dims", "257", "--dims entries must be <= 256, got 257")):
-        code, out, err = run_cli(capsys, "scan", "--kind", "bloch",
-                                 flag, value)
+            ("bloch", "--dims", "0", "--dims must be >= 1"),
+            ("bloch", "--dims", "2,-1", "--dims must be >= 1"),
+            ("bloch", "--dims", "257", "--dims entries must be <= 256, got 257"),
+            ("null", "--dims", "2,x", "bad --dims '2,x'"),
+            ("null", "--seed", "-1", "--seed must be >= 0, got -1")):
+        code, out, err = run_cli(capsys, "scan", "--kind", kind, flag, value)
         assert code == 2, (flag, value)
         assert out == ""
         assert message in err
+    for env, message in (("abc", "bad QWITNESS_SEED 'abc'"),
+                         ("-2", "QWITNESS_SEED must be >= 0, got -2")):
+        monkeypatch.setenv("QWITNESS_SEED", env)
+        code, out, err = run_cli(capsys, "scan", "--kind", "null")
+        assert code == 2, env
+        assert out == ""
+        assert message in err
+
+
+def test_refused_allocation_exits_2(capsys, monkeypatch):
+    # stands in for an allocation numpy refuses; none is attempted
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_scan", refuse)
+    code, out, err = run_cli(capsys, "scan", "--kind", "bloch", "--grid", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError\n"
 
 
 def test_dumps_pins_every_encoded_type():
@@ -782,7 +828,7 @@ def _exit_code(path, text: str, argv: list[str]) -> int:
 
 _STATE_JSON = state_to_json(make_density(np.diag([0.7, 0.3])))
 _BIPARTITE_JSON = state_to_json(make_density(
-    tensor(np.full((2, 2), 0.5), np.diag([0.6, 0.4]))))
+    np.kron(np.full((2, 2), 0.5), np.diag([0.6, 0.4]))))
 _FUZZ = settings(max_examples=150, deadline=None)
 
 

@@ -28,7 +28,6 @@ from qwitness.errors import (
     NullOutcomeError,
     PositivityError,
 )
-from qwitness.linalg import tensor
 from qwitness.states import (
     DensityOperator,
     bloch_to_state,
@@ -44,7 +43,7 @@ PLUS = bloch_to_state([1.0, 0.0, 0.0])
 
 def product_state(rho_a, rho_b):
     return BipartiteState(
-        state=make_density(tensor(rho_a.matrix, rho_b.matrix)),
+        state=make_density(np.kron(rho_a.matrix, rho_b.matrix)),
         dims=(rho_a.dim, rho_b.dim))
 
 

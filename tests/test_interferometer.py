@@ -1,22 +1,24 @@
 """Tests for the controlled-shift interferometer simulation."""
 
+import contextlib
+import hashlib
+import io
 import json
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qwitness.cli import main
+from qwitness.cli import dumps, main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
 from qwitness.interferometer import (
-    ShiftExperiment,
-    _shift_permutation,
     _shift_trace,
     check_circuit_dimension,
     run_circuit_exact,
     sample_readout,
     shots_to_resolve,
 )
-from qwitness.linalg import tensor_all
 from qwitness.states import (
     bloch_to_state,
     make_density,
@@ -24,6 +26,7 @@ from qwitness.states import (
     random_density,
     random_pure,
     seeded_rng,
+    state_to_json,
 )
 from qwitness.tolerances import TOTAL_DIM_CAP
 from qwitness.witness import witness_anticommutator
@@ -43,12 +46,12 @@ def shift_operator(d: int, l: int) -> np.ndarray:
     return s
 
 
-def dense_circuit_reference(e: ShiftExperiment) -> float:
+def dense_circuit_reference(copies, probe) -> float:
     """Control-qubit sigma_z after evolving the full density matrix
     through dense H, controlled-shift and H gates on 2 * d**l."""
-    d = e.copies[0].dim
-    l = len(e.copies) + 1
-    regs = tensor_all([s.matrix for s in e.copies] + [pure_projector(e.probe)])
+    d = copies[0].dim
+    l = len(copies) + 1
+    regs = reduce(np.kron, [s.matrix for s in copies] + [pure_projector(probe)])
     eye = np.eye(regs.shape[0])
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
@@ -83,11 +86,31 @@ def test_shift_is_a_permutation():
     s = shift_operator(2, 3)
     np.testing.assert_allclose(s @ s.conj().T, np.eye(8), atol=1e-15)
     assert set(np.abs(s).sum(axis=0)) == {1.0}
-    # the package reads the same permutation off the register tensor
-    for d, l in ((2, 3), (3, 2), (3, 3), (4, 2)):
-        s = shift_operator(d, l)
-        perm = _shift_permutation(d, l)
-        np.testing.assert_array_equal(s[perm, np.arange(d**l)], 1.0)
+
+
+def tensor_route_trace(mats) -> complex:
+    """tr[S R] read off the built register product R: the entry R[x, y]
+    for each column x of S and the row y = S(x) that holds its one."""
+    d, l = mats[0].shape[0], len(mats)
+    image = shift_operator(d, l).argmax(axis=0)
+    return complex(reduce(np.kron, mats)[np.arange(d**l), image].sum())
+
+
+# every register count with 2 * d**l within the circuit cap; for d = 1,
+# every count up to the cap's bit length
+_CAPPED_SHAPES = [(d, l) for d in (1, 2, 3, 4) for l in range(1, 11)
+                  if 2 * d**l <= TOTAL_DIM_CAP]
+
+
+@pytest.mark.parametrize("d,l", _CAPPED_SHAPES)
+def test_shift_trace_equals_tensor_route_exactly(d, l):
+    # the gather multiplies and sums the same entries in the same order
+    # as the built product, so not one bit may move
+    for t in range(4):
+        rng = seeded_rng(60, d, l, t)
+        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                for _ in range(l)]
+        assert _shift_trace(mats) == tensor_route_trace(mats)
 
 
 def direct_product_trace(states) -> complex:
@@ -98,8 +121,7 @@ def direct_product_trace(states) -> complex:
 
 
 def shift_trace(states) -> complex:
-    return _shift_trace([s.matrix for s in states], states[0].dim,
-                        cap=TOTAL_DIM_CAP)
+    return _shift_trace([s.matrix for s in states])
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -119,22 +141,16 @@ def test_trace_product_single_state_is_unit():
 
 def test_trace_product_validation():
     rng = seeded_rng(63)
-    with pytest.raises(DimensionError):
-        _shift_trace([], 2, cap=TOTAL_DIM_CAP)
-    with pytest.raises(CapacityError):
-        _shift_trace([random_density(2, 2, rng).matrix] * 3, 2, cap=7)
     # registers of different dimensions are rejected before the trace
     with pytest.raises(DimensionError, match="share one dimension"):
-        run_circuit_exact(ShiftExperiment(
-            copies=(P0, random_density(3, 3, rng)), probe=np.array([1.0, 0])))
+        run_circuit_exact((P0, random_density(3, 3, rng)), np.array([1.0, 0]))
 
 
 def test_circuit_single_register_gives_fidelity():
     rng = seeded_rng(64)
     rho = random_density(3, 3, rng)
     psi = random_pure(3, rng)
-    e = ShiftExperiment(copies=(rho,), probe=psi)
-    assert run_circuit_exact(e) == pytest.approx(
+    assert run_circuit_exact((rho,), psi) == pytest.approx(
         float((psi.conj() @ rho.matrix @ psi).real), abs=1e-12)
 
 
@@ -144,7 +160,7 @@ def test_circuit_pair_gives_half_anticommutator_form():
         rho1 = random_density(3, 3, rng)
         rho2 = random_density(3, 3, rng)
         psi = random_pure(3, rng)
-        got = run_circuit_exact(ShiftExperiment(copies=(rho1, rho2), probe=psi))
+        got = run_circuit_exact((rho1, rho2), psi)
         anti = rho1.matrix @ rho2.matrix + rho2.matrix @ rho1.matrix
         assert got == pytest.approx(
             float((psi.conj() @ anti @ psi).real) / 2.0, abs=1e-12)
@@ -158,19 +174,16 @@ def test_circuit_matches_dense_reference():
                 continue
             for t in range(5):
                 rng = seeded_rng(66, d, copies, t)
-                e = ShiftExperiment(
-                    copies=tuple(random_density(d, d, rng)
-                                 for _ in range(copies)),
-                    probe=random_pure(d, rng))
-                worst = max(worst, abs(run_circuit_exact(e)
-                                       - dense_circuit_reference(e)))
+                regs = [random_density(d, d, rng) for _ in range(copies)]
+                psi = random_pure(d, rng)
+                worst = max(worst, abs(run_circuit_exact(regs, psi)
+                                       - dense_circuit_reference(regs, psi)))
     assert worst <= 1e-10
 
 
 def test_circuit_witness_probe_reads_negative_visibility():
     report = witness_anticommutator(P0, PLUS)
-    e = ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector)
-    value = run_circuit_exact(e)
+    value = run_circuit_exact((P0, PLUS), report.witness_vector)
     assert value == pytest.approx(report.min_eigenvalue / 2.0, abs=1e-12)
     assert value == pytest.approx((1.0 - np.sqrt(2.0)) / 4.0, abs=1e-12)
     assert value < 0.0
@@ -178,16 +191,13 @@ def test_circuit_witness_probe_reads_negative_visibility():
 
 def test_circuit_validation():
     with pytest.raises(DimensionError):
-        run_circuit_exact(ShiftExperiment(copies=(), probe=np.array([1.0, 0])))
+        run_circuit_exact((), np.array([1.0, 0]))
     with pytest.raises(DimensionError):
-        run_circuit_exact(ShiftExperiment(
-            copies=(P0,), probe=np.array([1.0, 0, 0])))
+        run_circuit_exact((P0,), np.array([1.0, 0, 0]))
     with pytest.raises(ValueError):
-        run_circuit_exact(ShiftExperiment(
-            copies=(P0,), probe=np.array([1.0, 1.0])))
+        run_circuit_exact((P0,), np.array([1.0, 1.0]))
     with pytest.raises(CapacityError):
-        run_circuit_exact(ShiftExperiment(
-            copies=(P0, P0), probe=np.array([1.0, 0])), cap=15)
+        run_circuit_exact((P0, P0), np.array([1.0, 0]), cap=15)
     # a huge register count is rejected without building 2 * d**l
     with pytest.raises(CapacityError, match=r"2\*2\^1000000000 exceeds"):
         check_circuit_dimension(2, 10**9, 512)
@@ -203,10 +213,112 @@ def test_circuit_validation():
         check_circuit_dimension(2, 9, 512)
 
 
+def _circuit_inputs(tmp_path):
+    """State and probe files of each register dimension d = 1..4: four
+    seeded mixed states, an amplitude probe, a pure-state probe and, for
+    d >= 2, the witness report of the first two states."""
+    files = {}
+    for d in (1, 2, 3, 4):
+        rng = seeded_rng(69, d)
+        for i in range(4):
+            path = tmp_path / f"d{d}-s{i}.json"
+            path.write_text(dumps(state_to_json(random_density(d, d, rng))),
+                            encoding="utf-8")
+            files[f"d{d}-s{i}"] = str(path)
+        psi = random_pure(d, rng)
+        path = tmp_path / f"d{d}-amplitudes.json"
+        path.write_text(dumps({"amplitudes": [[z.real, z.imag] for z in psi]}),
+                        encoding="utf-8")
+        files[f"d{d}-amplitudes"] = str(path)
+        path = tmp_path / f"d{d}-pure.json"
+        path.write_text(dumps(state_to_json(make_density(pure_projector(psi)))),
+                        encoding="utf-8")
+        files[f"d{d}-pure"] = str(path)
+        if d >= 2:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["witness", "--states", files[f"d{d}-s0"],
+                      files[f"d{d}-s1"]])
+            path = tmp_path / f"d{d}-report.json"
+            path.write_text(out.getvalue(), encoding="utf-8")
+            files[f"d{d}-report"] = str(path)
+    return files
+
+
+# circuit command lines over d = 1..4, from one register to the most
+# the cap allows, with listed and --copies registers, the three probe
+# kinds and runs with and without --shots; each maps to the exit code
+# and the sha256 of stdout, recorded while the readout was still read
+# off the built register tensor
+_CIRCUIT_GOLDEN = {
+    "d1-s0 --probe d1-amplitudes":
+        [0, "0df3e45203cdeff75f15fbba172dab758ad3044973de0d1370ae71b947ab8860"],
+    "d1-s0 --copies 9 --probe d1-pure --shots 300 --seed 1":
+        [0, "24302f7150476124924a09035be4f831ff9a093b7fa3dce084e4fc67337b5e89"],
+    "d1-s0 d1-s1 d1-s2 --probe d1-amplitudes --shots 50 --seed 0":
+        [0, "973bedecf7dd4ccf55238adbcb53aaa6bd4f9cf3b30931cf7ccb1676823962ee"],
+    "d2-s0 --probe d2-report":
+        [0, "ff3eba21d4027f4ec907fd40f7e09b4e5f51ebc8afd094ccb8778293576a8d50"],
+    "d2-s0 d2-s1 --probe d2-report --shots 1000 --seed 5":
+        [0, "9fb5b67adf3424f5213ac76d0b6e6c3731f4e58d663f776e43b5d094c2413315"],
+    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 --probe d2-pure":
+        [0, "79e2414d5ce5cc348f78cac761f0233054d00f558641d5bdda6c4fb778f77989"],
+    "d2-s3 --copies 7 --probe d2-amplitudes --shots 4096 --seed 9":
+        [0, "c42705468ecdaf3391d7d75736768f79447123598d704b2d63127c369a23154b"],
+    "d3-s0 --probe d3-pure --shots 20 --seed 6":
+        [0, "e20a56d589c57c2c0e1451f1c5660f27f4a110609ff80b2bc5d3f46c1c0dec29"],
+    "d3-s0 d3-s1 --probe d3-amplitudes":
+        [0, "652f76e7d9934ae13db755b962a2b67c0a10c9c065377e1e72149f7d08125bd9"],
+    "d3-s0 d3-s1 d3-s2 d3-s3 --probe d3-report --shots 2000 --seed 2":
+        [0, "b5eac37f5bfee14de6347c17a1eda44d306e11bc363f7bb5ef6698919057d5c9"],
+    "d3-s2 --copies 4 --probe d3-pure":
+        [0, "29bb825bad714210289cab938cd1948b0cc4ec0e76213aa81a671580c4356045"],
+    "d4-s1 --probe d4-amplitudes --seed 4 --shots 10":
+        [0, "e6358f229b0f88ccb051f72506b8510bd503ba46c75dc589b1b4fa1712f77c54"],
+    "d4-s0 d4-s1 --probe d4-report":
+        [0, "f8f8873695ec3fcb221f08b9c7a3f81d51e1728ce7655180ec3979768c48fd08"],
+    "d4-s0 d4-s1 d4-s2 --probe d4-pure --shots 5000 --seed 3":
+        [0, "ce39da251731560d05c1d740a7e2cf88e65b1b83e96472a15bce3b349e064f4b"],
+    "d4-s3 --copies 3 --probe d4-report":
+        [0, "caa33b63441f73a5875f9fdcaf35a92bb93224008e39552059685122b5cc3c6d"],
+    "d4-s0 --copies 4 --probe d4-amplitudes":
+        [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+}
+
+
+@pytest.mark.parametrize("line", sorted(_CIRCUIT_GOLDEN))
+def test_circuit_stdout_matches_golden_digest(line, tmp_path):
+    files = _circuit_inputs(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["circuit", "--states",
+                     *[files.get(word, word) for word in line.split()]])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert [code, digest] == _CIRCUIT_GOLDEN[line]
+
+
+@pytest.mark.parametrize("d,copies", [(2, 7), (4, 3)])
+def test_circuit_at_the_cap_builds_no_register_tensor(d, copies):
+    # at 2 * d**l = 512 the (d**l)^2 register product alone would take
+    # 1 MiB; the gathered readout holds a few arrays of d**l entries
+    rng = seeded_rng(68, d)
+    regs = [random_density(d, d, rng) for _ in range(copies)]
+    psi = random_pure(d, rng)
+    assert 2 * d ** (copies + 1) == TOTAL_DIM_CAP
+    run_circuit_exact(regs, psi)
+    tracemalloc.start()
+    try:
+        run_circuit_exact(regs, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
 def test_sampled_run_is_deterministic():
     report = witness_anticommutator(P0, PLUS)
-    exact = run_circuit_exact(
-        ShiftExperiment(copies=(P0, PLUS), probe=report.witness_vector))
+    exact = run_circuit_exact((P0, PLUS), report.witness_vector)
     first = sample_readout(exact, 4000, 11)
     second = sample_readout(exact, 4000, 11)
     assert first == second
@@ -217,8 +329,8 @@ def test_sampled_run_is_deterministic():
 
 
 def test_sampled_run_deterministic_outcome_has_zero_stderr():
-    e = ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0]))
-    assert sample_readout(run_circuit_exact(e), 50, 0) == (1.0, 0.0)
+    exact = run_circuit_exact((P0,), np.array([1.0, 0.0]))
+    assert sample_readout(exact, 50, 0) == (1.0, 0.0)
 
 
 def test_sample_readout_matches_sampled_run(capsys, tmp_path):
@@ -227,8 +339,7 @@ def test_sample_readout_matches_sampled_run(capsys, tmp_path):
     for copies, states, shots, seed in (((P0, PLUS), ("0,0,1", "1,0,0"),
                                          4000, 11),
                                         ((P0,), ("0,0,1",), 50, 0)):
-        exact = run_circuit_exact(
-            ShiftExperiment(copies=copies, probe=np.array([1.0, 0.0])))
+        exact = run_circuit_exact(copies, np.array([1.0, 0.0]))
         code = main(["circuit", "--states", *states, "--probe", str(probe),
                      "--shots", str(shots), "--seed", str(seed)])
         assert code == 0
@@ -239,8 +350,7 @@ def test_sample_readout_matches_sampled_run(capsys, tmp_path):
 
 
 def test_sampled_run_validation():
-    exact = run_circuit_exact(
-        ShiftExperiment(copies=(P0,), probe=np.array([1.0, 0.0])))
+    exact = run_circuit_exact((P0,), np.array([1.0, 0.0]))
     for shots, seed in ((None, 1), (0, 1), (-3, 1), (10, None)):
         with pytest.raises(ValueError):
             sample_readout(exact, shots, seed)

@@ -21,8 +21,6 @@ from qwitness.linalg import (
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
-    tensor,
-    tensor_all,
 )
 from qwitness.tolerances import EIGEN_DIM_CAP
 
@@ -102,22 +100,6 @@ def test_hermitian_eigen_cap():
 def test_hermiticity_defect():
     assert hermiticity_defect(SX) == 0.0
     assert hermiticity_defect([[0, 1j], [1j, 0]]) == pytest.approx(2.0)
-
-
-def test_tensor_index_convention():
-    # row index of a (x) b is i_a * dim_b + i_b
-    a = np.diag([1.0, 2.0])
-    b = np.diag([3.0, 5.0])
-    t = tensor(a, b)
-    np.testing.assert_allclose(np.diag(t).real, [3, 5, 6, 10])
-
-
-def test_tensor_cap():
-    with pytest.raises(CapacityError):
-        tensor(np.eye(32), np.eye(32), cap=512)
-    assert tensor_all([SX, SX, SX]).shape == (8, 8)
-    with pytest.raises(DimensionError):
-        tensor_all([])
 
 
 def test_matrix_json_roundtrip():

@@ -260,8 +260,11 @@ _SIZES = {"pure-mixed": ("--trials", "30"), "nested": ("--trials", "20"),
           "bloch": ("--grid", "7"), "null": ("--trials", "40"),
           "discord": ("--trials", "10")}
 _WIDE = ("--dims", "1,2,5")  # d = 1 branches and a dimension above 4
-# sha256 of stdout, recorded before the bloch and null scans
-# were batched; every scan kind must keep these bytes
+_WIDE_CSV = (*_WIDE, "--format", "csv")  # nested leaves empty cells
+# sha256 of stdout; every scan kind must keep these bytes. The jsonl
+# and null csv digests were recorded before the bloch and null scans
+# were batched, the _WIDE_CSV ones while CSV cells had their own
+# scalar encoding
 _GOLDEN = {
     (0, "pure-mixed", ()):
         "b3e29dc8a01fcbb4ddc549dec8586d6f1fe00988b98476dfbd4da1223c75bb26",
@@ -317,12 +320,65 @@ _GOLDEN = {
         "dd265188ef2fbe9326ad371f4c034aa5527cce8f816970baa49b374d1d730e90",
     (2, "null", ("--format", "csv")):
         "f5778d6dd8e2aefefe68fdef324f8c693e4d08184dffd07d5b143558c26aa07a",
+    (0, "bloch", _WIDE_CSV):
+        "28e64df2902b1a6993a304925a7d2f19b8d541144b21f525f888568aad15891d",
+    (0, "discord", _WIDE_CSV):
+        "c80f9519b7a6a7eea4679795967bef62e73eb435ac7c67dab9ec275430d43437",
+    (0, "nested", _WIDE_CSV):
+        "f49d4d6461d3b54a6cd92b81b53eb7581ee4a27175edeb4d7dde21215ab4bb6d",
+    (0, "null", _WIDE_CSV):
+        "7dbea3bf64e26dbd76fcef231c46b71b9ca04373f4928946ed6ff5f2eaeff17d",
+    (0, "pure-mixed", _WIDE_CSV):
+        "26cdfedbe9d0ed2d5f65d05a1d1b89246c99edddbbd1602b642a0e306c4e16d9",
+    (1, "bloch", _WIDE_CSV):
+        "b89b190324ae17262b95adb53b9bbeaf90f709cdc084919b9fdbe1c7583ad155",
+    (1, "discord", _WIDE_CSV):
+        "32697c0ed87512a68e062d36d97bc1b5ca15b7b9e51c15fed904fce40855d1fd",
+    (1, "nested", _WIDE_CSV):
+        "0c473094772b4bc85689b15d665ed41800e171cbc98f2bb496cc1e7145aec4f2",
+    (1, "null", _WIDE_CSV):
+        "47a21a0210e108c110946ff34a4ba5a4fc7ff18b68e09885f1856a30f4deba5b",
+    (1, "pure-mixed", _WIDE_CSV):
+        "0497b048e0366d0004856c8354781da2f71495b0c24293f2aabce0512ae7ffe8",
+    (2, "bloch", _WIDE_CSV):
+        "09240fc72512c9be0f9dc52132a9e46a396dd8c7de4893a3273b8a5d1addeb8f",
+    (2, "discord", _WIDE_CSV):
+        "30a020cf8068bdf5cac8bc626e491053874b69e05ca553175ead3000c63fb3ba",
+    (2, "nested", _WIDE_CSV):
+        "586851ed606968d65a1c0dc49cd981290e186e7a38e51ff0d6bb0a2ee359a89d",
+    (2, "null", _WIDE_CSV):
+        "3992b35c64d9b5614fe5bc5f979b1bbca0e6c7a8bb3e9fa058dd974fe798e3a9",
+    (2, "pure-mixed", _WIDE_CSV):
+        "424aa6549fe4999a597a9b5b2841066690ba6cb9d24ad0301b23d3a8c8ebd4dc",
 }
 
 
-@pytest.mark.parametrize("seed,kind,extra", sorted(_GOLDEN, key=str))
+# the _WIDE_CSV runs sort last, so that the older cases keep their ids
+@pytest.mark.parametrize("seed,kind,extra", sorted(
+    _GOLDEN, key=lambda case: (case[2] == _WIDE_CSV, str(case))))
 def test_scan_stdout_matches_golden_digest(seed, kind, extra):
     code, digest = _scan_digest("--kind", kind, *_SIZES[kind], *extra,
                                 "--seed", str(seed))
     assert code == 0
     assert digest == _GOLDEN[seed, kind, extra]
+
+
+# sha256 of the --csv summary file at seed 0, recorded with _GOLDEN's
+# CSV digests
+_GOLDEN_SUMMARY_CSV = {
+    "bloch": "4395e33daad6faf96112af3b86e628b3491f9a52055cb7c4decbe9669530037b",
+    "discord": "33554b7db9b9341591728c1aaf2854335cb0f62f0358f66ab138123188a2550e",
+    "nested": "741496afc8d2b15b781d9bd8b1dae0c9eb7491e12b3c19bd5f92d8bd8ad62192",
+    "null": "4bb02d65794c8aff727ea55ff7e9851f2903d4593d9060f7ef898128b7b41792",
+    "pure-mixed": "2274bafbde2caaa4fa3b8ab6191d1efcb1b102a9be49e6e74139f1405774c96d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN_SUMMARY_CSV))
+def test_scan_summary_csv_file_matches_golden_digest(kind, tmp_path):
+    path = tmp_path / "summary.csv"
+    code, _ = _scan_digest("--kind", kind, *_SIZES[kind], *_WIDE,
+                           "--seed", "0", "--csv", str(path))
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_SUMMARY_CSV[kind]
