@@ -13,6 +13,7 @@ code  meaning
 11    inputs commute, nothing to witness
 12    degenerate leading eigenvalue, amplification cannot sharpen
 13    leading-vector overlap at a boundary, margin condition unusable
+141   stdout was closed before the report was written (128 + SIGPIPE)
 ====  =========================================================
 
 All floats are printed with 17 significant digits so JSON output
@@ -66,7 +67,7 @@ from .states import (
     state_to_json,
 )
 from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, TOL_COMM, TOL_F,
-                         TOL_NULL, TOL_WITNESS, TOTAL_DIM_CAP)
+                         TOL_NULL, TOL_WITNESS, TOTAL_DIM_CAP, TRIALS_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -87,6 +88,7 @@ EXIT_WITNESSED = 10
 EXIT_COMMUTING = 11
 EXIT_DEGENERATE = 12
 EXIT_UNREACHABLE = 13
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 _ENV_SEED = "QWITNESS_SEED"
 
@@ -431,12 +433,14 @@ def cmd_discord(args) -> int:
 
 def cmd_scan(args) -> int:
     dims = _parse_dims(args.dims)
+    # a scan holds all its records; bounded before any trial runs
+    caps = {"trials": TRIALS_CAP, "grid": GRID_CAP}
     for flag, value in (("trials", args.trials), ("grid", args.grid),
                         ("jobs", args.jobs), *(("dims", d) for d in dims)):
         if value < 1:
             raise ValueError(f"--{flag} must be >= 1")
-        if flag == "grid" and value > GRID_CAP:
-            raise ValueError(f"--grid must be <= {GRID_CAP}, got {value}")
+        if value > caps.get(flag, value):
+            raise ValueError(f"--{flag} must be <= {caps[flag]}, got {value}")
     # bounded before any trial draws or allocates a d x d stack
     if max(dims) > EIGEN_DIM_CAP:
         raise ValueError(f"--dims entries must be <= {EIGEN_DIM_CAP}, "
@@ -574,7 +578,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers, and the
+        # flush at shutdown, to the null device instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _REPORTED as exc:
         # a KeyError's str() quotes its key; print the bare message
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -3,9 +3,8 @@
 All operators are square ``complex128`` arrays; the functions the
 batched scans use also take stacks (n, d, d) and work member by member.
 Operations validate dimensions up front and raise typed errors instead
-of letting numpy broadcast silently. A check on a stack raises for its
-first failing member, with that member's index in the error's
-``member`` attribute. Anticommutators and commutators are symmetrized on
+of letting numpy broadcast silently. A check on a stack raises for a
+failing member. Anticommutators and commutators are symmetrized on
 output so later eigendecompositions see exactly Hermitian (respectively
 anti-Hermitian) input.
 """
@@ -42,22 +41,6 @@ __all__ = [
 ]
 
 
-def _member_error(exc: Exception, member: int) -> Exception:
-    """``exc`` tagged with the index of the stack member it is about
-    (0 for a single matrix), so that a caller checking a stack can tell
-    which member a serial loop would have failed on."""
-    exc.member = member
-    return exc
-
-
-def _first_failing(bad) -> int | None:
-    """Index of the first True of a per-member failure mask, or None;
-    one matrix has a single flag, member 0."""
-    if bad.ndim == 0:  # a numpy scalar, read without an array reduction
-        return 0 if bad else None
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def as_matrix(x, *, stacked: bool = False) -> np.ndarray:
     """Coerce ``x`` to a square, finite complex matrix, or with
     ``stacked`` to a stack (n, d, d) of them."""
@@ -65,10 +48,8 @@ def as_matrix(x, *, stacked: bool = False) -> np.ndarray:
     if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         what = "matrix stack" if stacked else "matrix"
         raise DimensionError(f"expected a square {what}, got shape {a.shape}")
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise _member_error(ValueError("matrix contains non-finite entries"),
-                            int(np.argmin(finite.all(axis=(-2, -1)))))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     return a
 
 
@@ -137,7 +118,7 @@ class SpectralDecomposition:
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """(a + a†)/2 of a square complex matrix or stack, after checking
     that each member deviates from its adjoint by at most TOL_HERM times
-    max(norm, 1). The first member that does not raises, tagged."""
+    max(norm, 1). The first member that does not raises."""
     adj = _adjoint(a)
     diff = np.abs(a - adj)
     if diff.max() > TOL_HERM:  # the margin is at least TOL_HERM
@@ -147,10 +128,9 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
             defect = float(defects[k])
             margin = TOL_HERM * max(frobenius_norm(members[k]), 1.0)
             if defect > margin:
-                raise _member_error(HermiticityError(
+                raise HermiticityError(
                     f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-                    f"margin {margin:.3e}"
-                ), int(k))
+                    f"margin {margin:.3e}")
     return (a + adj) / 2
 
 
@@ -160,13 +140,7 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        for k in range(len(h)) if h.ndim == 3 else ():
-            try:  # find the member a serial loop would fail on
-                _eigh_descending(h[k])
-            except ConvergenceError as member_exc:
-                raise _member_error(member_exc, k) from exc
-        raise _member_error(ConvergenceError(
-            f"eigendecomposition failed: {exc}"), 0) from exc
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
         eigenvectors=np.ascontiguousarray(v[..., ::-1]),
@@ -174,7 +148,8 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
 
 
 def hermitian_eigen(a) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of each member
+    of a stack (n, d, d).
 
     Raises
     ------
@@ -186,8 +161,8 @@ def hermitian_eigen(a) -> SpectralDecomposition:
     ConvergenceError
         if the underlying solver fails to converge.
     """
-    a = as_matrix(a)
-    d = a.shape[0]
+    a = as_matrix(a, stacked=getattr(a, "ndim", 2) == 3)
+    d = a.shape[-1]
     if d > EIGEN_DIM_CAP:
         raise CapacityError(
             f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")

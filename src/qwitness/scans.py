@@ -6,16 +6,18 @@ failure. Trial ``t`` draws only from its own substream
 ``seeded_rng(seed, t)``, so its record does not depend on how many
 trials run and repeat runs are bit-identical.
 
-``pure-mixed``, ``nested`` and ``discord`` run their trials one after
-another. ``bloch`` and ``null`` compute stacked: ``bloch`` builds each
-axis state once and takes the anticommutators and spectra of all pairs
-in stacked calls; ``null`` draws every trial in order from its stream,
-then runs the linear algebra over stacks of trials that share a
-dimension and branch. The stacked calls are bit-identical to the
-per-matrix ones, each norm is summed as ``np.linalg.norm`` sums it, and
-each state passes ``DensityOperator``'s checks, so the records keep
-their bytes; a failed check raises what the serial loop would raise
-first.
+Only ``discord`` runs its trials one after another. ``bloch`` builds
+each axis state once and takes the anticommutators and spectra of all
+pairs in stacked calls. ``pure-mixed``, ``nested`` and ``null`` draw
+every trial in order from its stream, then run the checks and the
+linear algebra over stacks of trials that share a dimension (``null``:
+and a branch), in blocks of _CHUNK_BYTES of draws. The stacked calls
+are bit-identical to the per-matrix ones, each norm is summed as
+``np.linalg.norm`` sums it, each per-member scalar product stays a call
+on that member, and each state passes ``DensityOperator``'s checks, so
+the records keep their bytes. A trial whose state needs drawing again
+draws again alone, from its own stream, and a failed check raises what
+the per-trial loop would raise first.
 """
 
 from __future__ import annotations
@@ -25,29 +27,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (CommutingInputsError, ConditionUnreachableError,
-                     DegenerateSpectrumError, DimensionError)
-from .linalg import (_adjoint, anticommutator, commutator, frobenius_norm,
-                     frobenius_norms)
+from .errors import DimensionError, QwitnessError
+from .linalg import _adjoint, anticommutator, commutator, frobenius_norms
 from .states import (
     DensityOperator,
+    StateStack,
     _density_from_ginibre,
-    _density_stack,
     _ginibre,
+    _projectors,
     _unitary_from_ginibre,
     bloch_to_state,
-    pure_projector,
     random_density,
     random_pure,
     random_unitary,
     seeded_rng,
 )
-from .tolerances import TOL_COMM, TOL_NULL, TOL_WITNESS
+from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS
 from .witness import (
     Verdict,
-    leading_overlap,
-    nested_witness,
-    pure_mixed_test,
+    _leading_overlaps,
+    _nested,
+    _pure_mixed_reports,
     qubit_bloch_condition,
     safe_nested_target,
 )
@@ -68,56 +68,132 @@ SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 _REDRAW_LIMIT = 128
 
 # bytes of the matrices one stacked pass of a batched scan starts from
-# (null-scan draws, bloch pair states); its intermediate stacks are a
-# few times this, whatever the trial count or dimension
+# (the draws of pure-mixed, nested and null trials, bloch pair states);
+# its intermediate stacks are a few times this, whatever the trial count
+# or dimension
 _CHUNK_BYTES = 1 << 21
+# what a batched trial adds to its block's size besides its draws: the
+# reports, plans and views a stacked pass holds per trial until it
+# returns (~4 KiB for a nested trial at d = 2), so that a block of small
+# trials holds a bounded number of them
+_TRIAL_BYTES = 2048
+
+
+def _gapped(lam: np.ndarray, full_spectrum: bool) -> np.ndarray:
+    """Which members of a stack (n, d) of descending spectra have no
+    (near-)ties: ``full_spectrum`` demands pairwise-distinct
+    eigenvalues, otherwise only the top gap matters."""
+    if lam.shape[-1] == 1:
+        return np.ones(len(lam), dtype=bool)
+    gaps = -np.diff(lam, axis=-1) if full_spectrum else lam[:, :1] - lam[:, 1:2]
+    return gaps.min(axis=-1) > 1e-6
 
 
 def _nondegenerate_density(d: int, rng: np.random.Generator,
                            full_spectrum: bool) -> DensityOperator:
-    """Draw a full-rank state whose spectrum has no (near-)ties.
-
-    ``full_spectrum`` demands pairwise-distinct eigenvalues; otherwise
-    only the top gap matters.
-    """
+    """Draw a full-rank state whose spectrum has no (near-)ties, as
+    :func:`_gapped` judges it."""
     for _ in range(_REDRAW_LIMIT):
         rho = random_density(d, d, rng)
-        lam = rho.spectrum.eigenvalues
-        gaps = -np.diff(lam) if full_spectrum else lam[:1] - lam[1:2]
-        if d == 1 or float(gaps.min()) > 1e-6:
+        if _gapped(rho.spectrum.eigenvalues[None], full_spectrum)[0]:
             return rho
     raise RuntimeError("could not draw a nondegenerate state")  # pragma: no cover
 
 
+def _batched(trials: int, dims: list[int], seed: int, draw, compute
+             ) -> list[dict]:
+    """Records of trials 0..trials-1, computed over stacks.
+
+    Trial t draws ``draw(t, d, rng)``, a tuple of arrays, in trial order
+    from its own stream; ``compute(trial_ids, draws)`` then returns the
+    records of trials whose draws have the same shapes, in trial order.
+    It runs on blocks of about _CHUNK_BYTES, counting each trial's draws
+    and _TRIAL_BYTES. When a block fails, its trials run again one at a
+    time, so that the error raised is the one a per-trial scan meets
+    first.
+    """
+    records: list[dict] = []
+    block: dict[tuple, list] = {}
+    size = 0
+
+    def flush() -> list[dict]:
+        try:
+            done = [r for items in block.values()
+                    for r in compute(*map(list, zip(*items)))]
+        except (QwitnessError, ValueError, RuntimeError):
+            for t, drawn in sorted((item for items in block.values()
+                                    for item in items), key=lambda i: i[0]):
+                compute([t], [drawn])
+            raise  # pragma: no cover - some trial fails alone as in its block
+        done.sort(key=lambda r: r["trial"])
+        return done
+
+    for t in range(trials):
+        d = dims[t % len(dims)]
+        try:
+            drawn = draw(t, d, seeded_rng(seed, t))
+        except DimensionError:
+            flush()  # a failure of an earlier trial comes first
+            raise
+        block.setdefault(tuple(a.shape for a in drawn), []).append((t, drawn))
+        size += _TRIAL_BYTES + sum(a.nbytes for a in drawn)
+        if size >= _CHUNK_BYTES or t == trials - 1:
+            records += flush()
+            block, size = {}, 0
+    return records
+
+
+def _gapped_states(g: np.ndarray, full_spectrum: bool
+                   ) -> tuple[StateStack, np.ndarray]:
+    """The checked states of a stack of Ginibre draws, and the indices
+    of those that :func:`_nondegenerate_density` would draw again."""
+    states = StateStack.check(_density_from_ginibre(g))
+    return states, np.flatnonzero(~_gapped(states.spectrum.eigenvalues,
+                                           full_spectrum))
+
+
 def scan_pure_mixed(trials: int, dims: Sequence[int],
                     seed: int) -> tuple[list[dict], dict]:
-    """Witnessed verdict == noncommutation, for pure-vs-mixed pairs."""
+    """Witnessed verdict == noncommutation, for pure-vs-mixed pairs.
+
+    Each trial draws its pure state and one Ginibre matrix; a trial
+    whose state needs drawing again runs its draws again alone.
+    """
     dims = list(dims)
 
-    def one(t: int) -> dict:
-        d = dims[t % len(dims)]
-        rng = seeded_rng(seed, t)
-        psi = random_pure(d, rng)
-        rho2 = _nondegenerate_density(d, rng, full_spectrum=True)
-        report = pure_mixed_test(psi, rho2)
-        comm_norm = frobenius_norm(commutator(pure_projector(psi), rho2.matrix))
-        closed = report.closed_form_criterion
-        deviation = (0.0 if closed is None
-                     else abs(closed - report.purity_criterion))
-        witnessed = report.verdict == Verdict.NONPOSITIVE_WITNESSED
-        noncommuting = comm_norm > TOL_COMM
-        return {
-            "trial": t,
-            "dim": d,
-            "commutator_norm": comm_norm,
-            "min_eigenvalue": report.min_eigenvalue,
-            "purity_criterion": report.purity_criterion,
-            "purity_deviation": deviation,
-            "verdict": report.verdict.value,
-            "counterexample": witnessed != noncommuting,
-        }
+    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+        return random_pure(d, rng), _ginibre(d, d, rng)
 
-    records = [one(t) for t in range(trials)]
+    def compute(trial_ids: list[int], draws: list) -> list[dict]:
+        psi, g = (np.array(a) for a in zip(*draws))
+        d = psi.shape[-1]
+        rho2, again = _gapped_states(g, full_spectrum=True)
+        for k in again.tolist():
+            rng = seeded_rng(seed, trial_ids[k])
+            random_pure(d, rng)  # psi comes first in the stream
+            rho2.put(k, _nondegenerate_density(d, rng, full_spectrum=True))
+        reports = _pure_mixed_reports(psi, rho2, TOL_WITNESS, TOL_NULL)
+        comm_norms = frobenius_norms(commutator(_projectors(psi), rho2.matrix))
+        records = []
+        for t, report, comm_norm in zip(trial_ids, reports, comm_norms):
+            closed = report.closed_form_criterion
+            deviation = (0.0 if closed is None
+                         else abs(closed - report.purity_criterion))
+            witnessed = report.verdict == Verdict.NONPOSITIVE_WITNESSED
+            noncommuting = comm_norm > TOL_COMM
+            records.append({
+                "trial": t,
+                "dim": d,
+                "commutator_norm": comm_norm,
+                "min_eigenvalue": report.min_eigenvalue,
+                "purity_criterion": report.purity_criterion,
+                "purity_deviation": deviation,
+                "verdict": report.verdict.value,
+                "counterexample": witnessed != noncommuting,
+            })
+        return records
+
+    records = _batched(trials, dims, seed, draw, compute)
     summary = {
         "kind": "pure-mixed",
         "trials": trials,
@@ -132,40 +208,59 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
 
 def scan_nested(trials: int, dims: Sequence[int],
                 seed: int) -> tuple[list[dict], dict]:
-    """Margin condition after planned amplification forces a witness."""
+    """Margin condition after planned amplification forces a witness.
+
+    Each trial draws one Ginibre matrix per state; a trial either of
+    whose states needs drawing again runs its draws again alone, both
+    states, since sigma2 is drawn after sigma1's redraws.
+    """
     dims = list(dims)
 
-    def one(t: int) -> dict:
-        d = dims[t % len(dims)]
-        rng = seeded_rng(seed, t)
-        sigma1 = _nondegenerate_density(d, rng, full_spectrum=False)
-        sigma2 = _nondegenerate_density(d, rng, full_spectrum=False)
-        base = {"trial": t, "dim": d}
-        target = safe_nested_target(leading_overlap(sigma1, sigma2))
-        try:
-            result = nested_witness(sigma1, sigma2, target)
-        except (DegenerateSpectrumError, CommutingInputsError,
-                ConditionUnreachableError) as exc:
-            return {**base, "skipped": True, "reason": type(exc).__name__,
-                    "condition": False, "min_eigenvalue": None,
-                    "verdict": None, "counterexample": False}
-        witnessed = result.report.verdict == Verdict.NONPOSITIVE_WITNESSED
-        return {
-            **base,
-            "skipped": False,
-            "reason": None,
-            "n1": result.plan1.n,
-            "n2": result.plan2.n,
-            "eps1": result.overlap.eps1,
-            "eps2": result.overlap.eps2,
-            "overlap": abs(result.overlap.f),
-            "condition": result.condition_met,
-            "min_eigenvalue": result.report.min_eigenvalue,
-            "verdict": result.report.verdict.value,
-            "counterexample": result.condition_met and not witnessed,
-        }
+    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+        return _ginibre(d, d, rng), _ginibre(d, d, rng)
 
-    records = [one(t) for t in range(trials)]
+    def compute(trial_ids: list[int], draws: list) -> list[dict]:
+        (sigma1, again1), (sigma2, again2) = (
+            _gapped_states(np.array(g), full_spectrum=False)
+            for g in zip(*draws))
+        d = sigma1.matrix.shape[-1]
+        for k in np.union1d(again1, again2).tolist():
+            rng = seeded_rng(seed, trial_ids[k])
+            for sigma in (sigma1, sigma2):
+                sigma.put(k, _nondegenerate_density(d, rng,
+                                                    full_spectrum=False))
+        targets = [safe_nested_target(f)
+                   for f in _leading_overlaps(sigma1, sigma2)]
+        results = _nested(sigma1, sigma2, targets, tol_comm=TOL_COMM,
+                          tol_witness=TOL_WITNESS, tol_null=TOL_NULL,
+                          tol_f=TOL_F, plan_cap=PLAN_CAP)
+        records = []
+        for t, result in zip(trial_ids, results):
+            base = {"trial": t, "dim": d}
+            if isinstance(result, QwitnessError):
+                records.append({
+                    **base, "skipped": True, "reason": type(result).__name__,
+                    "condition": False, "min_eigenvalue": None,
+                    "verdict": None, "counterexample": False})
+                continue
+            witnessed = result.report.verdict == Verdict.NONPOSITIVE_WITNESSED
+            records.append({
+                **base,
+                "skipped": False,
+                "reason": None,
+                "n1": result.plan1.n,
+                "n2": result.plan2.n,
+                "eps1": result.overlap.eps1,
+                "eps2": result.overlap.eps2,
+                "overlap": abs(result.overlap.f),
+                "condition": result.condition_met,
+                "min_eigenvalue": result.report.min_eigenvalue,
+                "verdict": result.report.verdict.value,
+                "counterexample": result.condition_met and not witnessed,
+            })
+        return records
+
+    records = _batched(trials, dims, seed, draw, compute)
     summary = {
         "kind": "nested",
         "trials": trials,
@@ -240,34 +335,47 @@ def scan_null(trials: int, dims: Sequence[int],
     Even trials construct a state supported orthogonally to the pure
     one (anticommutator exactly null); odd trials draw generic pairs,
     for which the premise almost surely fails and the check is vacuous.
-
-    Each trial draws in order from its own stream; the draws then go
-    through the linear algebra stacked, in blocks of _CHUNK_BYTES.
+    Trials of one dimension, branch and rank are stacked.
     """
     dims = list(dims)
-    records: list[dict] = []
-    block: dict[tuple[int, int], list] = {}
-    size = 0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        rng = seeded_rng(seed, t)
-        try:
-            psi = random_pure(d, rng)
-        except DimensionError:
-            _null_block(block)  # a failure of an earlier trial comes first
-            raise
+
+    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+        psi = random_pure(d, rng)
         if t % 2 == 0 and d > 1:
             ginibre = _ginibre(d, d, rng)
             rank = int(rng.integers(1, d))
-            draws = (psi, ginibre, _ginibre(d - 1, rank, rng))
+            return psi, ginibre, _ginibre(d - 1, rank, rng)
+        return psi, _ginibre(d, d, rng)
+
+    def compute(trial_ids: list[int], draws: list) -> list[dict]:
+        psi, ginibre, *inner = (np.array(a) for a in zip(*draws))
+        if inner:  # rank < d: the constructed branch
+            unitary = _unitary_from_ginibre(ginibre)
+            basis = np.linalg.qr(np.concatenate(
+                [psi[..., None], unitary[..., 1:]], axis=-1))[0]
+            inner_rho = StateStack.check(_density_from_ginibre(inner[0]))
+            comp = basis[:, :, 1:]
+            mixed = comp @ inner_rho.matrix @ _adjoint(comp)
         else:
-            rank = d
-            draws = (psi, _ginibre(d, d, rng))
-        block.setdefault((d, rank), []).append((t, *draws))
-        size += sum(a.nbytes for a in draws)
-        if size >= _CHUNK_BYTES or t == trials - 1:
-            records += _null_block(block)
-            block, size = {}, 0
+            mixed = _density_from_ginibre(ginibre)
+        rho2 = StateStack.check(mixed).matrix
+        proj = _projectors(psi)
+        records = []
+        for t, anti_norm, product_norm in zip(
+                trial_ids, frobenius_norms(anticommutator(proj, rho2)),
+                frobenius_norms(proj @ rho2)):
+            null = anti_norm <= TOL_NULL
+            records.append({
+                "trial": t,
+                "dim": psi.shape[-1],
+                "anticommutator_norm": anti_norm,
+                "product_norm": product_norm,
+                "null": null,
+                "counterexample": null and product_norm > 10.0 * TOL_NULL,
+            })
+        return records
+
+    records = _batched(trials, dims, seed, draw, compute)
     summary = {
         "kind": "null",
         "trials": trials,
@@ -277,57 +385,6 @@ def scan_null(trials: int, dims: Sequence[int],
         "counterexamples": sum(r["counterexample"] for r in records),
     }
     return records, summary
-
-
-def _null_block(block: dict[tuple[int, int], list]) -> list[dict]:
-    """Records of one block of null-scan draws, in trial order.
-
-    ``block`` maps (d, rank) to the trials that drew a d-dimensional
-    pair whose mixed state has that rank (rank < d: the constructed
-    branch). A failed state check raises the error that the serial
-    scan meets first.
-    """
-    done, failures = [], []
-
-    def keep(members, trial_ids):
-        # a trial's later states are built only if its earlier ones pass
-        h, _, failure = _density_stack(members)
-        if failure is not None:
-            failures.append((trial_ids[failure.member], failure))
-        return h
-
-    for (d, rank), items in block.items():
-        trial_ids, psi, ginibre, *inner_ginibre = zip(*items)
-        psi = np.array(psi)
-        if rank < d:
-            unitary = _unitary_from_ginibre(np.array(ginibre))
-            basis = np.linalg.qr(np.concatenate(
-                [psi[..., None], unitary[..., 1:]], axis=-1))[0]
-            inner = keep(_density_from_ginibre(np.array(inner_ginibre[0])),
-                         trial_ids)
-            comp = basis[:len(inner), :, 1:]
-            mixed = comp @ inner @ _adjoint(comp)
-        else:
-            mixed = _density_from_ginibre(np.array(ginibre))
-        rho2 = keep(mixed, trial_ids)
-        psi = psi[:len(rho2)]
-        proj = psi[:, :, None] * psi[:, None, :].conj()
-        for t, anti_norm, product_norm in zip(
-                trial_ids, frobenius_norms(anticommutator(proj, rho2)),
-                frobenius_norms(proj @ rho2)):
-            null = anti_norm <= TOL_NULL
-            done.append((t, {
-                "trial": t,
-                "dim": d,
-                "anticommutator_norm": anti_norm,
-                "product_norm": product_norm,
-                "null": null,
-                "counterexample": null and product_norm > 10.0 * TOL_NULL,
-            }))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    done.sort(key=lambda item: item[0])
-    return [record for _, record in done]
 
 
 def _conditionals(rho_ab: discord_mod.BipartiteState,

@@ -10,22 +10,22 @@ explicit 64-bit seed so every run is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, PositivityError, QwitnessError, TraceError
+from .errors import DimensionError, PositivityError, TraceError
 from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
-                     _first_failing, _hermitian_part, _member_error,
-                     as_matrix)
+                     _hermitian_part, as_matrix)
 from .tolerances import TOL_DEGEN, TOL_PSD, TOL_TRACE
 
 __all__ = [
     "DensityOperator",
+    "StateStack",
     "make_density",
     "PureDecomposition",
     "pure_decompose",
-    "top_gap",
     "reconstruct_decomposition",
     "purity",
     "as_pure_state",
@@ -78,57 +78,86 @@ class DensityOperator:
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={purity(self):.6f})"
 
+    @classmethod
+    def _checked(cls, h: np.ndarray,
+                 spectrum: SpectralDecomposition) -> "DensityOperator":
+        """The state whose Hermitian part and spectrum ``_density_checks``
+        returned; it is not checked again."""
+        rho = cls.__new__(cls)
+        h.setflags(write=False)
+        rho._matrix, rho._spectrum = h, spectrum
+        return rho
+
+
+class StateStack(NamedTuple):
+    """Checked states of one dimension, stacked: their Hermitian parts
+    (n, d, d) and descending spectra. The stacked formulas of the
+    witness and the scans take these; a single state goes through them
+    as a stack of one."""
+
+    matrix: np.ndarray
+    spectrum: SpectralDecomposition
+
+    @classmethod
+    def check(cls, stack: np.ndarray,
+              spectrum: SpectralDecomposition | None = None) -> "StateStack":
+        """:class:`DensityOperator`'s checks on each member of a stack;
+        a failing member raises what it raises alone."""
+        if not len(stack):
+            return cls(stack, spectrum or SpectralDecomposition(
+                np.empty(stack.shape[:-1]), stack))
+        return cls(*_density_checks(as_matrix(stack, stacked=True), spectrum))
+
+    @classmethod
+    def of(cls, rho: DensityOperator) -> "StateStack":
+        """``rho`` as a stack of one."""
+        dec = rho.spectrum
+        return cls(rho.matrix[None], SpectralDecomposition(
+            dec.eigenvalues[None], dec.eigenvectors[None]))
+
+    def take(self, members) -> "StateStack":
+        """The stack of the members that an index array or mask selects."""
+        dec = self.spectrum
+        return StateStack(self.matrix[members], SpectralDecomposition(
+            dec.eigenvalues[members], dec.eigenvectors[members]))
+
+    def put(self, k: int, rho: DensityOperator) -> None:
+        """Overwrite member ``k`` with ``rho``."""
+        self.matrix[k] = rho.matrix
+        self.spectrum.eigenvalues[k] = rho.spectrum.eigenvalues
+        self.spectrum.eigenvectors[k] = rho.spectrum.eigenvectors
+
+    def state(self, k: int) -> DensityOperator:
+        dec = self.spectrum
+        return DensityOperator._checked(self.matrix[k], SpectralDecomposition(
+            dec.eigenvalues[k], dec.eigenvectors[k]))
+
 
 def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
                     ) -> tuple[np.ndarray, SpectralDecomposition]:
     """The checks of :class:`DensityOperator` on a finite square matrix,
     or on each member of a stack (n, d, d): Hermitian within its margin,
     unit trace and positive semidefinite. Returns the Hermitian part and
-    its descending spectrum (``spectrum`` when given). The first failing
-    member raises, tagged with its index."""
+    its descending spectrum (``spectrum`` when given). Each check raises
+    for the first member that fails it."""
     h = _hermitian_part(m, "state")
     tr = m.trace(axis1=-2, axis2=-1)
-    k = _first_failing(abs(tr - 1.0) > TOL_TRACE)
-    if k is not None:
-        t = np.reshape(tr, -1)[k]
-        raise _member_error(TraceError(
+    off = abs(tr - 1.0)
+    if off.max() > TOL_TRACE:
+        t = np.reshape(tr, -1)[np.argmax(off > TOL_TRACE)]
+        raise TraceError(
             f"state trace {t.real:.17g}{t.imag:+.3e}j deviates from 1 "
-            f"by {abs(t - 1.0):.3e} (margin {TOL_TRACE:.1e})"
-        ), k)
+            f"by {abs(t - 1.0):.3e} (margin {TOL_TRACE:.1e})")
     if spectrum is None:
         spectrum = _eigh_descending(h)
     low = spectrum.eigenvalues.T[-1]  # a scalar, or one per member
     # NaN from an overflowing matrix fails too
-    k = _first_failing(np.logical_not(low >= -TOL_PSD))
-    if k is not None:
-        raise _member_error(PositivityError(
+    if not low.min() >= -TOL_PSD:
+        k = np.argmax(np.logical_not(low >= -TOL_PSD))
+        raise PositivityError(
             f"state has eigenvalue {float(np.reshape(low, -1)[k]):.3e} "
-            f"below -{TOL_PSD:.1e}"
-        ), k)
+            f"below -{TOL_PSD:.1e}")
     return h, spectrum
-
-
-def _density_stack(stack: np.ndarray
-                   ) -> tuple[np.ndarray, SpectralDecomposition, Exception | None]:
-    """:class:`DensityOperator`'s checks on each member of a stack
-    (n, d, d), in order.
-
-    Returns the Hermitian parts and spectra of the members before the
-    first one that fails, and the error that ``DensityOperator`` raises
-    for that member (None when all pass), tagged with its index. A
-    serial loop over the members would stop at that error.
-    """
-    failure = None
-    while len(stack):
-        try:
-            return (*_density_checks(as_matrix(stack, stacked=True)), failure)
-        except (ValueError, QwitnessError) as exc:
-            if not hasattr(exc, "member"):
-                raise
-            # members before it pass every check; rerun them alone
-            failure, stack = exc, stack[:exc.member]
-    empty = np.empty(stack.shape[:-1])
-    return stack, SpectralDecomposition(empty, stack), failure
 
 
 def make_density(matrix) -> DensityOperator:
@@ -160,34 +189,42 @@ class PureDecomposition:
     gap: float
 
 
-def top_gap(rho: DensityOperator) -> tuple[float, bool]:
-    """(lambda_1 - lambda_2, degenerate), where degenerate means a gap of
-    at most TOL_DEGEN * lambda_1, too small for amplification to single
-    out the leading eigenvector; a 1-dimensional state has gap lambda_1."""
-    lam = rho.spectrum.eigenvalues
-    top = float(lam[0])
-    if rho.dim == 1:
-        return top, False
-    gap = float(top - lam[1])
+def _top_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_1 - lambda_2, degenerate) of each member of a stack (n, d)
+    of descending spectra, where degenerate means a gap of at most
+    TOL_DEGEN * lambda_1, too small for amplification to single out the
+    leading eigenvector; a 1-dimensional state has gap lambda_1."""
+    top = lam[:, 0]
+    if lam.shape[-1] == 1:
+        return top, np.zeros(len(lam), dtype=bool)
+    gap = top - lam[:, 1]
     return gap, gap <= TOL_DEGEN * top
+
+
+def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
+    """:func:`pure_decompose` of each member of a stack of spectra; the
+    remainders are checked together."""
+    lam = dec.eigenvalues
+    gap, degenerate = _top_gaps(lam)
+    eps = 1.0 - lam[:, 0]
+    mixed = eps > TOL_PSD
+    psi = np.ascontiguousarray(dec.eigenvectors[:, :, 0])
+    tail = np.maximum(lam[mixed, 1:], 0.0)
+    vecs = dec.eigenvectors[mixed, :, 1:]
+    etas = StateStack.check(
+        (vecs * (tail / tail.sum(axis=-1, keepdims=True))[:, None, :])
+        @ _adjoint(vecs))
+    eta = map(etas.state, range(len(tail)))
+    return [PureDecomposition(
+        epsilon=e if m else max(e, 0.0), psi=psi[k],
+        eta=next(eta) if m else None, degenerate=dg, gap=g)
+        for k, (e, m, dg, g) in enumerate(zip(
+            eps.tolist(), mixed.tolist(), degenerate.tolist(), gap.tolist()))]
 
 
 def pure_decompose(rho: DensityOperator) -> PureDecomposition:
     """Split a state around its leading eigenvector."""
-    dec = rho.spectrum
-    lam = dec.eigenvalues
-    top = float(lam[0])
-    gap, degenerate = top_gap(rho)
-    psi = np.ascontiguousarray(dec.eigenvectors[:, 0])
-    eps = 1.0 - top
-    if eps <= TOL_PSD:
-        return PureDecomposition(epsilon=max(eps, 0.0), psi=psi, eta=None,
-                                 degenerate=degenerate, gap=gap)
-    tail = np.clip(lam[1:], 0.0, None)
-    vecs = dec.eigenvectors[:, 1:]
-    eta = DensityOperator((vecs * (tail / tail.sum())) @ vecs.conj().T)
-    return PureDecomposition(epsilon=eps, psi=psi, eta=eta,
-                             degenerate=degenerate, gap=gap)
+    return _pure_decompositions(StateStack.of(rho).spectrum)[0]
 
 
 def reconstruct_decomposition(dec: PureDecomposition) -> np.ndarray:
@@ -211,9 +248,13 @@ def as_pure_state(v) -> np.ndarray:
     return vec
 
 
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """|v><v| of a vector, or of each row of a stack (n, d) of them."""
+    return vecs[..., :, None] * vecs[..., None, :].conj()
+
+
 def pure_projector(v) -> np.ndarray:
-    vec = as_pure_state(v)
-    return np.outer(vec, vec.conj())
+    return _projectors(as_pure_state(v))
 
 
 def bloch_to_state(b) -> DensityOperator:
@@ -239,8 +280,12 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    return g
+    """A d x rank complex Gaussian matrix."""
+    if d < 1:
+        raise DimensionError(f"dimension must be positive, got {d}")
+    if rank < 1 or rank > d:
+        raise DimensionError(f"rank must lie in [1, {d}], got {rank}")
+    return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
 
 
 def _density_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -267,10 +312,6 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperat
     Draws a d x rank complex Gaussian matrix G and returns
     G G† / tr[G G†].
     """
-    if d < 1:
-        raise DimensionError(f"dimension must be positive, got {d}")
-    if rank < 1 or rank > d:
-        raise DimensionError(f"rank must lie in [1, {d}], got {rank}")
     return DensityOperator(_density_from_ginibre(_ginibre(d, rank, rng)))
 
 

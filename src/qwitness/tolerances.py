@@ -38,6 +38,10 @@ EIGEN_DIM_CAP = 256
 # records, ~0.3 GB at the cap
 GRID_CAP = 1000
 
+# cap on a scan's trials: a scan holds all its records, 250-600 bytes
+# each, ~0.6 GB at the cap
+TRIALS_CAP = 1_000_000
+
 # total-dimension cap 2 * d**l of shift circuits, control qubit included
 # (a control qubit over four 4-level registers)
 TOTAL_DIM_CAP = 2 * 4**4

@@ -13,7 +13,7 @@ second-order analyses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +27,29 @@ from .errors import (
     DimensionError,
     PreconditionError,
     ProjectorError,
+    QwitnessError,
 )
 from .linalg import (
     SpectralDecomposition,
+    _adjoint,
     anticommutator,
     as_matrix,
     assert_agreement,
     commutator,
     frobenius_norm,
+    frobenius_norms,
     hermitian_eigen,
     hermiticity_defect,
 )
 from .states import (
     DensityOperator,
     PureDecomposition,
+    StateStack,
+    _projectors,
+    _pure_decompositions,
+    _top_gaps,
     as_pure_state,
-    pure_decompose,
-    pure_projector,
     reconstruct_decomposition,
-    top_gap,
 )
 from .tolerances import (
     PLAN_CAP,
@@ -61,7 +65,6 @@ __all__ = [
     "WitnessReport",
     "witness_anticommutator",
     "pure_mixed_test",
-    "closed_form_purity",
     "qubit_bloch_condition",
     "amplify",
     "AmplificationPlan",
@@ -103,7 +106,7 @@ class WitnessReport:
     trace-normalized anticommutator and is None for a null operator;
     any value above 1 implies a negative eigenvalue (the converse may
     fail, so the eigenvalue is authoritative). ``closed_form_criterion``
-    is the same criterion by :func:`closed_form_purity`; only
+    is the same criterion by the closed form over rho2's spectrum; only
     :func:`pure_mixed_test` sets it, after checking the two agree.
     ``tol_witness`` and ``tol_null`` are the thresholds the verdict was
     judged with.
@@ -133,30 +136,48 @@ class WitnessReport:
         }
 
 
-def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float) -> WitnessReport:
+def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
+             closed: list | None = None) -> list[WitnessReport]:
+    """The report of each member of a stack (n, d, d) of anticommutators.
+
+    ``closed``, when given, holds each member's closed-form purity
+    criterion; it must agree with the eigen-analysis within 1e-10, and
+    the report carries it.
+    """
     dec = hermitian_eigen(anti)
-    idx = int(np.argmin(dec.eigenvalues))
-    min_eig = float(dec.eigenvalues[idx])
-    vec = np.ascontiguousarray(dec.eigenvectors[:, idx])
-    tr = float(anti.trace().real)
-    norm = frobenius_norm(anti)
-    if norm <= tol_null:
-        verdict = Verdict.NULL_ANTICOMMUTATOR
-        criterion = None
-    else:
-        verdict = (Verdict.NONPOSITIVE_WITNESSED if min_eig < -tol_witness
-                   else Verdict.POSITIVE)
-        criterion = (float(np.vdot(anti, anti).real / tr**2)
-                     if abs(tr) > tol_null else None)
-    return WitnessReport(
-        min_eigenvalue=min_eig,
-        witness_vector=vec,
-        purity_criterion=criterion,
-        anticommutator_trace=tr,
-        verdict=verdict,
-        tol_witness=float(tol_witness),
-        tol_null=float(tol_null),
-    )
+    lows = np.argmin(dec.eigenvalues, axis=-1).tolist()
+    traces = anti.trace(axis1=-2, axis2=-1).real.tolist()
+    reports = []
+    for k, (idx, tr, norm) in enumerate(zip(lows, traces,
+                                            frobenius_norms(anti))):
+        min_eig = float(dec.eigenvalues[k, idx])
+        if norm <= tol_null:
+            verdict = Verdict.NULL_ANTICOMMUTATOR
+            criterion = None
+        else:
+            verdict = (Verdict.NONPOSITIVE_WITNESSED if min_eig < -tol_witness
+                       else Verdict.POSITIVE)
+            criterion = (float(np.vdot(anti[k], anti[k]).real / tr**2)
+                         if abs(tr) > tol_null else None)
+        other = None if closed is None else closed[k]
+        if closed is not None and (other is None) != (criterion is None):
+            raise AgreementError(
+                "purity criterion: closed form and eigen-analysis disagree "
+                f"on nullity ({other!r} vs {criterion!r})")
+        if other is not None and criterion is not None:
+            assert_agreement(other, criterion, 1e-10,
+                             "purity criterion (closed form vs eigen-analysis)")
+        reports.append(WitnessReport(
+            min_eigenvalue=min_eig,
+            witness_vector=np.ascontiguousarray(dec.eigenvectors[k, :, idx]),
+            purity_criterion=criterion,
+            anticommutator_trace=tr,
+            verdict=verdict,
+            tol_witness=float(tol_witness),
+            tol_null=float(tol_null),
+            closed_form_criterion=other,
+        ))
+    return reports
 
 
 def witness_anticommutator(rho1: DensityOperator, rho2: DensityOperator, *,
@@ -164,27 +185,41 @@ def witness_anticommutator(rho1: DensityOperator, rho2: DensityOperator, *,
                            tol_null: float = TOL_NULL) -> WitnessReport:
     """Analyze the spectrum of {rho1, rho2}."""
     anti = anticommutator(rho1.matrix, rho2.matrix)
-    return _analyze(anti, tol_witness, tol_null)
+    return _analyze(anti[None], tol_witness, tol_null)[0]
 
 
-def closed_form_purity(psi, rho2: DensityOperator, *,
-                       tol_null: float = TOL_NULL) -> float | None:
-    """Purity of the normalized {|psi><psi|, rho2} from rho2's spectrum.
+def _closed_forms(vecs: np.ndarray, dec: SpectralDecomposition,
+                  tol_null: float) -> list[float | None]:
+    """Purity of the normalized {|psi><psi|, rho2} from rho2's spectrum,
+    for each row psi of a stack (n, d) of unit vectors against the
+    matching member of a stack of spectra.
 
     With overlaps f_i between psi and rho2's eigenvectors, the purity is
     ((sum_i l_i |f_i|^2)^2 + sum_i l_i^2 |f_i|^2) / (2 (sum_i l_i |f_i|^2)^2).
-    Returns None when the anticommutator vanishes (psi orthogonal to
+    It is None when the anticommutator vanishes (psi orthogonal to
     rho2's support).
     """
-    vec = as_pure_state(psi)
-    dec = rho2.spectrum
     lam = dec.eigenvalues
-    f2 = np.abs(dec.eigenvectors.conj().T @ vec) ** 2
-    s = float(np.dot(lam, f2))
-    if s <= tol_null:
-        return None
-    q = float(np.dot(lam**2, f2))
-    return (s * s + q) / (2.0 * s * s)
+    f2s = np.abs(_adjoint(dec.eigenvectors) @ vecs[:, :, None])[:, :, 0] ** 2
+    out = []
+    for lam_k, f2 in zip(lam, f2s):
+        s = float(np.dot(lam_k, f2))
+        if s <= tol_null:
+            out.append(None)
+            continue
+        q = float(np.dot(lam_k**2, f2))
+        out.append((s * s + q) / (2.0 * s * s))
+    return out
+
+
+def _pure_mixed_reports(vecs: np.ndarray, rho2: StateStack,
+                        tol_witness: float, tol_null: float
+                        ) -> list[WitnessReport]:
+    """:func:`pure_mixed_test` of each row of a stack (n, d) of unit
+    vectors against the matching member of ``rho2``."""
+    closed = _closed_forms(vecs, rho2.spectrum, tol_null)
+    return _analyze(anticommutator(_projectors(vecs), rho2.matrix),
+                    tol_witness, tol_null, closed)
 
 
 def pure_mixed_test(psi, rho2: DensityOperator, *,
@@ -201,18 +236,8 @@ def pure_mixed_test(psi, rho2: DensityOperator, *,
         raise DimensionError(
             f"dimension mismatch: psi has {vec.shape[0]}, state has {rho2.dim}"
         )
-    report = _analyze(anticommutator(pure_projector(vec), rho2.matrix),
-                      tol_witness, tol_null)
-    closed = closed_form_purity(vec, rho2, tol_null=tol_null)
-    if (closed is None) != (report.purity_criterion is None):
-        raise AgreementError(
-            "purity criterion: closed form and eigen-analysis disagree on "
-            f"nullity ({closed!r} vs {report.purity_criterion!r})"
-        )
-    if closed is not None and report.purity_criterion is not None:
-        assert_agreement(closed, report.purity_criterion, 1e-10,
-                         "purity criterion (closed form vs eigen-analysis)")
-    return replace(report, closed_form_criterion=closed)
+    return _pure_mixed_reports(vec[None], StateStack.of(rho2),
+                               tol_witness, tol_null)[0]
 
 
 def qubit_bloch_condition(b1, b2) -> bool:
@@ -228,6 +253,33 @@ def qubit_bloch_condition(b1, b2) -> bool:
     return float(x @ x + y @ y) <= 1.0 + float(x @ y) ** 2
 
 
+def _powers(ratios: np.ndarray, n: list[int]) -> np.ndarray:
+    """ratios[k] ** n[k] for each row of a stack (m, d). Each distinct
+    exponent is raised as a Python int, which takes numpy's scalar
+    power paths, so that a row comes out as it does alone; an exponent
+    array rounds some entries differently in the last bit."""
+    exponents = set(n)
+    if len(exponents) == 1:
+        return ratios ** exponents.pop()
+    n = np.array(n)
+    out = np.empty_like(ratios)
+    for e in exponents:
+        rows = n == e
+        out[rows] = ratios[rows] ** e
+    return out
+
+
+def _amplified(dec: SpectralDecomposition, n: list[int]) -> StateStack:
+    """:func:`amplify` of each member of a stack of spectra by its own
+    count n[k] >= 1, checked together."""
+    lam = np.maximum(dec.eigenvalues, 0.0)
+    w = _powers(lam / lam[:, :1], n)
+    w = w / w.sum(axis=-1, keepdims=True)
+    v = dec.eigenvectors
+    return StateStack.check((v * w[:, None, :]) @ _adjoint(v),
+                            SpectralDecomposition(w, v))
+
+
 def amplify(rho: DensityOperator, n: int) -> DensityOperator:
     """rho^n / tr[rho^n], evaluated in the eigenbasis.
 
@@ -238,14 +290,7 @@ def amplify(rho: DensityOperator, n: int) -> DensityOperator:
     n = int(n)
     if n < 1:
         raise ValueError(f"iteration count must be >= 1, got {n}")
-    dec = rho.spectrum
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    ratios = lam / lam[0]
-    w = ratios**n
-    w = w / w.sum()
-    v = dec.eigenvectors
-    return DensityOperator((v * w) @ v.conj().T,
-                           spectrum=SpectralDecomposition(w, v))
+    return _amplified(StateStack.of(rho).spectrum, [n]).state(0)
 
 
 @dataclass(frozen=True)
@@ -275,42 +320,78 @@ def _check_plan_args(target_epsilon: float, cap: int) -> float:
     return target
 
 
+def _search(target: float, cap: int):
+    """The plan search of one state toward ``target``: a generator that
+    yields each count n whose eps(n) it needs, is sent that value, and
+    returns (n, eps(n), capped). It tries n = 1, then doubles, then
+    bisects; eps is nonincreasing in n."""
+    e = yield 1
+    if e <= target:
+        return 1, e, False
+    lo, hi = 1, 2
+    while hi < cap:
+        e = yield hi
+        if e <= target:
+            break
+        lo, hi = hi, hi * 2
+    else:
+        hi = cap
+        e = yield cap
+        if e > target:
+            return cap, e, True
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        e_mid = yield mid
+        if e_mid <= target:
+            hi, e = mid, e_mid
+        else:
+            lo = mid
+    return hi, e, False
+
+
+def _plans(lam: np.ndarray, targets: list[float], cap: int
+           ) -> list[AmplificationPlan]:
+    """:func:`plan_amplification` of each member of a stack (n, d) of
+    descending spectra toward its own checked target.
+
+    Each member runs :func:`_search`; the eps(n) that the members ask
+    for in one round, s / (1 + s) for s the sum of the tail ratios to
+    the power n, are evaluated together.
+    """
+    _, degenerate = _top_gaps(lam)
+    lam = np.maximum(lam, 0.0)
+    ratios = lam[:, 1:] / lam[:, :1]
+    plans: list = [None] * len(lam)
+    searches = {}
+    for k, (top, dg) in enumerate(zip(lam[:, 0].tolist(),
+                                      degenerate.tolist())):
+        if dg:
+            plans[k] = AmplificationPlan(n=0, achieved_epsilon=1.0 - top,
+                                         requested_epsilon=targets[k],
+                                         degenerate=True)
+        else:
+            searches[k] = _search(targets[k], cap)
+    asks = {k: next(search) for k, search in searches.items()}
+    while asks:
+        members = list(asks)
+        s = _powers(ratios[members], list(asks.values())).sum(axis=-1)
+        asks = {}
+        for k, e in zip(members, (s / (1.0 + s)).tolist()):
+            try:
+                asks[k] = searches[k].send(e)
+            except StopIteration as done:
+                n, e, capped = done.value
+                plans[k] = AmplificationPlan(
+                    n=n, achieved_epsilon=e, requested_epsilon=targets[k],
+                    degenerate=capped)
+    return plans
+
+
 def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
                        cap: int = PLAN_CAP) -> AmplificationPlan:
     """Plan the smallest n with 1 - lambda_max(amplify(rho, n)) <= target."""
     target = _check_plan_args(target_epsilon, cap)
-    lam = np.clip(rho.spectrum.eigenvalues, 0.0, None)
-    top = float(lam[0])
-    if top_gap(rho)[1]:
-        return AmplificationPlan(n=0, achieved_epsilon=1.0 - top,
-                                 requested_epsilon=target, degenerate=True)
-    ratios = lam[1:] / top
-
-    def eps_at(n: int) -> float:
-        s = float(np.sum(ratios**n))
-        return s / (1.0 + s)
-
-    if eps_at(1) <= target:
-        return AmplificationPlan(n=1, achieved_epsilon=eps_at(1),
-                                 requested_epsilon=target, degenerate=False)
-    # scan upward by doubling, then bisect; eps_at is nonincreasing in n
-    lo = 1
-    hi = 2
-    while hi < cap and eps_at(hi) > target:
-        lo = hi
-        hi *= 2
-    hi = min(hi, cap)
-    if eps_at(hi) > target:
-        return AmplificationPlan(n=cap, achieved_epsilon=eps_at(cap),
-                                 requested_epsilon=target, degenerate=True)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return AmplificationPlan(n=hi, achieved_epsilon=eps_at(hi),
-                             requested_epsilon=target, degenerate=False)
+    return _plans(rho.spectrum.eigenvalues[None], [target], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -388,10 +469,16 @@ def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
     return (1.0 + af * af + 2.0 * s) / denom
 
 
+def _leading_overlaps(sigma1: StateStack, sigma2: StateStack) -> list[float]:
+    """:func:`leading_overlap` of each pair of members of two stacks."""
+    return [abs(complex(np.vdot(v1[:, 0], v2[:, 0])))
+            for v1, v2 in zip(sigma1.spectrum.eigenvectors,
+                              sigma2.spectrum.eigenvectors)]
+
+
 def leading_overlap(sigma1: DensityOperator, sigma2: DensityOperator) -> float:
     """|<psi1|psi2>| for the leading eigenvectors of two states."""
-    return abs(complex(np.vdot(sigma1.spectrum.eigenvectors[:, 0],
-                               sigma2.spectrum.eigenvectors[:, 0])))
+    return _leading_overlaps(StateStack.of(sigma1), StateStack.of(sigma2))[0]
 
 
 def safe_nested_target(f: float) -> float:
@@ -418,6 +505,80 @@ class NestedWitnessResult:
     condition_met: bool
 
 
+def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
+            tol_comm: float, tol_witness: float, tol_null: float,
+            tol_f: float, plan_cap: int
+            ) -> list[NestedWitnessResult | QwitnessError]:
+    """:func:`nested_witness` of each pair of members of two stacks, the
+    k-th toward targets[k].
+
+    A member that nested_witness would stop with a degenerate spectrum,
+    commuting inputs or an unreachable condition gets that error in
+    place of a result; it meets the checks in nested_witness's order,
+    so its first failing one decides. Any other failed check raises.
+    """
+    checked = [_check_plan_args(target, plan_cap) for target in targets]
+    out: list = [None] * len(targets)
+    live = list(range(len(out)))
+
+    def stop(errors: dict) -> list[int]:
+        for k, error in errors.items():
+            out[k] = error
+        return [k for k in live if k not in errors]
+
+    for name, sigma in (("first", sigma1), ("second", sigma2)):
+        gap, degenerate = (a.tolist() for a in
+                           _top_gaps(sigma.spectrum.eigenvalues))
+        live = stop({k: DegenerateSpectrumError(
+            f"{name} input has a degenerate leading eigenvalue "
+            f"(gap {gap[k]:.3e})") for k in live if degenerate[k]})
+    norms = frobenius_norms(commutator(sigma1.matrix, sigma2.matrix))
+    live = stop({k: CommutingInputsError(
+        f"inputs commute (commutator norm {norms[k]:.3e}); "
+        "no witness is possible") for k in live if norms[k] <= tol_comm})
+    plans: list[dict] = []
+    for name, sigma in (("first", sigma1), ("second", sigma2)):
+        plans.append(dict(zip(live, _plans(sigma.spectrum.eigenvalues[live],
+                                           [checked[k] for k in live],
+                                           plan_cap))))
+        live = stop({k: DegenerateSpectrumError(
+            f"amplification plan for the {name} input capped out at "
+            f"n = {p.n} without reaching epsilon {targets[k]}")
+            for k, p in plans[-1].items() if p.degenerate})
+    if not live:  # as at d = 1, where every pair commutes
+        return out
+    if len(live) < len(out):
+        sigma1, sigma2 = sigma1.take(live), sigma2.take(live)
+    amplified = [_amplified(sigma.spectrum, [ps[k].n for k in live])
+                 for sigma, ps in zip((sigma1, sigma2), plans)]
+    reach = []
+    for j, (dec1, dec2) in enumerate(zip(*(_pure_decompositions(rho.spectrum)
+                                           for rho in amplified))):
+        o = overlap_data(dec1, dec2)
+        af = abs(o.f)
+        if af <= tol_f or af >= 1.0 - tol_f:
+            out[live[j]] = ConditionUnreachableError(
+                f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
+                "boundary; the margin condition cannot certify this pair")
+        else:
+            reach.append((j, o, nonpositivity_condition(o, tol_f=tol_f)))
+    if not reach:
+        return out
+    if len(reach) < len(live):
+        rows = [j for j, _, _ in reach]
+        amplified = [rho.take(rows) for rho in amplified]
+    rho1, rho2 = amplified
+    reports = _analyze(anticommutator(rho1.matrix, rho2.matrix),
+                       tol_witness, tol_null)
+    for i, ((j, o, condition), report) in enumerate(zip(reach, reports)):
+        k = live[j]
+        out[k] = NestedWitnessResult(
+            report=report, plan1=plans[0][k], plan2=plans[1][k],
+            state1=rho1.state(i), state2=rho2.state(i), overlap=o,
+            condition_met=condition)
+    return out
+
+
 def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
                    target_epsilon: float, *,
                    tol_comm: float = TOL_COMM,
@@ -440,44 +601,13 @@ def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
     looser targets the report stays honest: the condition flag and the
     spectral verdict are computed independently and may disagree.
     """
-    _check_plan_args(target_epsilon, plan_cap)
-    for name, sigma in (("first", sigma1), ("second", sigma2)):
-        gap, degenerate = top_gap(sigma)
-        if degenerate:
-            raise DegenerateSpectrumError(
-                f"{name} input has a degenerate leading eigenvalue "
-                f"(gap {gap:.3e})"
-            )
-    comm_norm = frobenius_norm(commutator(sigma1.matrix, sigma2.matrix))
-    if comm_norm <= tol_comm:
-        raise CommutingInputsError(
-            f"inputs commute (commutator norm {comm_norm:.3e}); "
-            "no witness is possible"
-        )
-    plans = []
-    for name, sigma in (("first", sigma1), ("second", sigma2)):
-        plan = plan_amplification(sigma, target_epsilon, cap=plan_cap)
-        if plan.degenerate:
-            raise DegenerateSpectrumError(
-                f"amplification plan for the {name} input capped out at "
-                f"n = {plan.n} without reaching epsilon {target_epsilon}"
-            )
-        plans.append(plan)
-    rho1 = amplify(sigma1, plans[0].n)
-    rho2 = amplify(sigma2, plans[1].n)
-    o = overlap_data(pure_decompose(rho1), pure_decompose(rho2))
-    af = abs(o.f)
-    if af <= tol_f or af >= 1.0 - tol_f:
-        raise ConditionUnreachableError(
-            f"leading-eigenvector overlap |f| = {af:.17g} sits at a boundary; "
-            "the margin condition cannot certify this pair"
-        )
-    condition = nonpositivity_condition(o, tol_f=tol_f)
-    report = witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
-                                    tol_null=tol_null)
-    return NestedWitnessResult(report=report, plan1=plans[0], plan2=plans[1],
-                               state1=rho1, state2=rho2, overlap=o,
-                               condition_met=condition)
+    result, = _nested(StateStack.of(sigma1), StateStack.of(sigma2),
+                      [target_epsilon], tol_comm=tol_comm,
+                      tol_witness=tol_witness, tol_null=tol_null,
+                      tol_f=tol_f, plan_cap=plan_cap)
+    if isinstance(result, QwitnessError):
+        raise result
+    return result
 
 
 def second_order_indicator(eps1: float, eps2: float, g1: float, g2: float,

@@ -599,6 +599,9 @@ def test_scan_rejects_bad_trials(capsys, monkeypatch):
             ("bloch", "--grid", "1001", "--grid must be <= 1000, got 1001"),
             ("bloch", "--grid", "100000",
              "--grid must be <= 1000, got 100000"),
+            # every scan holds all its records; bounded before any runs
+            ("pure-mixed", "--trials", "1000001",
+             "--trials must be <= 1000000, got 1000001"),
             ("bloch", "--jobs", "0", "--jobs must be >= 1"),
             # every --dims entry is bounded before any trial runs, also
             # for the kinds that do not read it
@@ -733,6 +736,29 @@ def test_console_script_byte_identical(subprocess_env):
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith(b"\n")
     assert b"records in" not in runs[0].stdout
+
+
+@pytest.mark.parametrize("kind, trials, lines_read", [
+    ("pure-mixed", 3000, 1),  # `| head -1`: the records overflow the buffer
+    ("null", 5, 0),  # `| head -n 0`: only the final flush writes
+])
+def test_closed_stdout_exits_141_without_a_message(subprocess_env, kind,
+                                                   trials, lines_read):
+    env = dict(subprocess_env)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qwitness.cli", "scan", "--kind", kind,
+         "--trials", str(trials)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for trial in range(lines_read):
+        assert json.loads(proc.stdout.readline())["trial"] == trial
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert b"error:" not in err
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
 
 
 def test_console_script_witness_exit_code(subprocess_env):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from qwitness import scans, states
 from qwitness.cli import dumps, main
-from qwitness.errors import DimensionError, TraceError
-from qwitness.linalg import anticommutator, frobenius_norm
+from qwitness.errors import (CommutingInputsError, ConditionUnreachableError,
+                             DegenerateSpectrumError, DimensionError,
+                             TraceError)
+from qwitness.linalg import anticommutator, commutator, frobenius_norm
 from qwitness.scans import (
     SCAN_KINDS,
     _bloch_axis,
@@ -33,8 +35,15 @@ from qwitness.states import (
     random_unitary,
     seeded_rng,
 )
-from qwitness.tolerances import TOL_NULL, TOL_WITNESS
-from qwitness.witness import qubit_bloch_condition
+from qwitness.tolerances import TOL_COMM, TOL_NULL, TOL_WITNESS
+from qwitness.witness import (
+    Verdict,
+    leading_overlap,
+    nested_witness,
+    pure_mixed_test,
+    qubit_bloch_condition,
+    safe_nested_target,
+)
 
 
 # ------------------------------------------------- per-trial references
@@ -99,6 +108,77 @@ def serial_scan_null(trials, dims, seed):
         "kind": "null", "trials": trials, "dims": dims, "seed": seed,
         "null_pairs": sum(bool(r["null"]) for r in records),
         "counterexamples": sum(r["counterexample"] for r in records)}
+
+
+def serial_scan_pure_mixed(trials, dims, seed):
+    """The pure-mixed scan one trial at a time, through pure_mixed_test."""
+    dims = list(dims)
+
+    def one(t):
+        d = dims[t % len(dims)]
+        rng = scans.seeded_rng(seed, t)
+        psi = random_pure(d, rng)
+        rho2 = scans._nondegenerate_density(d, rng, full_spectrum=True)
+        report = pure_mixed_test(psi, rho2)
+        comm_norm = frobenius_norm(commutator(pure_projector(psi), rho2.matrix))
+        closed = report.closed_form_criterion
+        deviation = (0.0 if closed is None
+                     else abs(closed - report.purity_criterion))
+        witnessed = report.verdict == Verdict.NONPOSITIVE_WITNESSED
+        noncommuting = comm_norm > TOL_COMM
+        return {"trial": t, "dim": d, "commutator_norm": comm_norm,
+                "min_eigenvalue": report.min_eigenvalue,
+                "purity_criterion": report.purity_criterion,
+                "purity_deviation": deviation,
+                "verdict": report.verdict.value,
+                "counterexample": witnessed != noncommuting}
+
+    records = [one(t) for t in range(trials)]
+    return records, {
+        "kind": "pure-mixed", "trials": trials, "dims": dims, "seed": seed,
+        "counterexamples": sum(r["counterexample"] for r in records),
+        "max_purity_deviation": max(
+            (r["purity_deviation"] for r in records), default=0.0)}
+
+
+def serial_scan_nested(trials, dims, seed):
+    """The nested scan one trial at a time, through nested_witness."""
+    dims = list(dims)
+
+    def one(t):
+        d = dims[t % len(dims)]
+        rng = scans.seeded_rng(seed, t)
+        sigma1 = scans._nondegenerate_density(d, rng, full_spectrum=False)
+        sigma2 = scans._nondegenerate_density(d, rng, full_spectrum=False)
+        base = {"trial": t, "dim": d}
+        target = safe_nested_target(leading_overlap(sigma1, sigma2))
+        try:
+            result = nested_witness(sigma1, sigma2, target)
+        except (DegenerateSpectrumError, CommutingInputsError,
+                ConditionUnreachableError) as exc:
+            return {**base, "skipped": True, "reason": type(exc).__name__,
+                    "condition": False, "min_eigenvalue": None,
+                    "verdict": None, "counterexample": False}
+        witnessed = result.report.verdict == Verdict.NONPOSITIVE_WITNESSED
+        return {**base, "skipped": False, "reason": None,
+                "n1": result.plan1.n, "n2": result.plan2.n,
+                "eps1": result.overlap.eps1, "eps2": result.overlap.eps2,
+                "overlap": abs(result.overlap.f),
+                "condition": result.condition_met,
+                "min_eigenvalue": result.report.min_eigenvalue,
+                "verdict": result.report.verdict.value,
+                "counterexample": result.condition_met and not witnessed}
+
+    records = [one(t) for t in range(trials)]
+    return records, {
+        "kind": "nested", "trials": trials, "dims": dims, "seed": seed,
+        "skipped": sum(bool(r.get("skipped")) for r in records),
+        "condition_met": sum(bool(r["condition"]) for r in records),
+        "counterexamples": sum(r["counterexample"] for r in records)}
+
+
+_SERIAL = {"pure-mixed": serial_scan_pure_mixed, "nested": serial_scan_nested}
+_BATCHED = {"pure-mixed": scan_pure_mixed, "nested": scan_nested}
 
 
 def printed(result):
@@ -219,6 +299,96 @@ def test_null_scan_blocks_cover_large_dimensions(monkeypatch):
             printed(serial_scan_null(24, dims, 11))
 
 
+@pytest.mark.parametrize("kind", sorted(_SERIAL))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       dims=st.lists(st.integers(min_value=1, max_value=9),
+                     min_size=1, max_size=4),
+       trials=st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_mixed_scans_print_what_the_per_trial_loop_prints(kind, seed, dims,
+                                                         trials):
+    assert printed(_BATCHED[kind](trials, dims, seed)) == \
+        printed(_SERIAL[kind](trials, dims, seed))
+
+
+@pytest.mark.parametrize("kind", sorted(_SERIAL))
+def test_mixed_scan_blocks_cover_large_dimensions(monkeypatch, kind):
+    # about seven small trials to a block, of several dimensions; a
+    # trial at d = 17 shares its block with one other, one at d = 40
+    # is alone
+    monkeypatch.setattr(scans, "_CHUNK_BYTES", 16384)
+    for dims in ((2, 3, 4), (1, 9, 17), (40,)):
+        assert printed(_BATCHED[kind](24, dims, 11)) == \
+            printed(_SERIAL[kind](24, dims, 11))
+
+
+class _FlatDraws:
+    """A trial's stream whose chosen 2-D normal draws come back as the
+    identity. ``flat`` counts the 2-D draws in order, the real and the
+    imaginary part of each Ginibre matrix; flattening both parts of one
+    matrix makes it (1+i)·I, whose state I/d has no gap."""
+
+    def __init__(self, rng, flat):
+        self._rng, self._flat, self.drawn = rng, flat, 0
+
+    def normal(self, size=None):
+        out = self._rng.normal(size=size)
+        if np.ndim(out) == 2:
+            if self.drawn in self._flat:
+                out = np.eye(*out.shape)
+            self.drawn += 1
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _flatten_draws(monkeypatch, trial, flat):
+    """Route trial ``trial``'s streams through _FlatDraws; returns the
+    list of streams that trial opens."""
+    opened = []
+    real = scans.seeded_rng
+
+    def seeded(seed, *stream):
+        rng = real(seed, *stream)
+        if stream != (trial,):
+            return rng
+        opened.append(_FlatDraws(rng, flat))
+        return opened[-1]
+
+    monkeypatch.setattr(scans, "seeded_rng", seeded)
+    return opened
+
+
+# sha256 of stdout with one flat draw at trial 4 (d = 3), recorded before
+# the pure-mixed and nested scans were batched: (kind, flattened draws)
+# -> digest. Draws 0 and 1 make the first state (nested: sigma1), 2 and 3
+# nested's sigma2
+_REDRAW_GOLDEN = {
+    ("pure-mixed", (0, 1)):
+        "000a90af2c218c8ca17864a866ac03104f7c39c533ad4239730cbdd18d45b87b",
+    ("nested", (0, 1)):
+        "9ac057e360d84676db939eefafd0f810e63c2d84c1e5f0b272d6c26513325e55",
+    ("nested", (2, 3)):
+        "13a168546d9edf546c803d1264a7473c04b1f35c9e8edcb59139a76af5d9600f",
+}
+
+
+@pytest.mark.parametrize("kind,flat", sorted(_REDRAW_GOLDEN))
+def test_mixed_scans_redraw_a_state_with_no_gap(monkeypatch, kind, flat):
+    opened = _flatten_draws(monkeypatch, 4, set(flat))
+    code, digest = _scan_digest("--kind", kind, *_SIZES[kind], "--seed", "0")
+    assert code == 0
+    assert digest == _REDRAW_GOLDEN[kind, flat]
+    # the trial drew the flat state, then drew again: one more Ginibre
+    # matrix than it keeps, two normal draws each
+    kept = {"pure-mixed": 1, "nested": 2}[kind]
+    assert max(stream.drawn for stream in opened) == 2 * (kept + 1)
+    trials = int(_SIZES[kind][1])
+    assert printed(_BATCHED[kind](trials, (2, 3, 4), 0)) == \
+        printed(_SERIAL[kind](trials, (2, 3, 4), 0))
+
+
 def _skew_large_draws(monkeypatch):
     """Push the trace of each state whose Ginibre matrix starts with a
     large entry off 1 by an amount unique to it, so that its TraceError
@@ -246,6 +416,19 @@ def test_null_scan_raises_the_error_the_serial_scan_meets_first(
     assert str(batched.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("kind", sorted(_SERIAL))
+# (2, 3, 4, 2, 0): a trial fails before trial 4 draws at d = 0
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (4, 1), (2, 3, 4, 2, 0)])
+def test_mixed_scans_raise_the_error_the_serial_scan_meets_first(
+        monkeypatch, kind, dims):
+    _skew_large_draws(monkeypatch)
+    with pytest.raises((TraceError, DimensionError)) as serial:
+        _SERIAL[kind](60, dims, 5)
+    with pytest.raises(type(serial.value)) as batched:
+        _BATCHED[kind](60, dims, 5)
+    assert str(batched.value) == str(serial.value)
+
+
 # ------------------------------------------------------ golden stdout
 
 def _scan_digest(*argv):
@@ -261,10 +444,13 @@ _SIZES = {"pure-mixed": ("--trials", "30"), "nested": ("--trials", "20"),
           "discord": ("--trials", "10")}
 _WIDE = ("--dims", "1,2,5")  # d = 1 branches and a dimension above 4
 _WIDE_CSV = (*_WIDE, "--format", "csv")  # nested leaves empty cells
+_DEEP = ("--dims", "7,9,17")  # sums of 8 or more terms, and d > 16
+_ONE = ("--dims", "1")  # every nested trial skips: its later stacks are empty
 # sha256 of stdout; every scan kind must keep these bytes. The jsonl
 # and null csv digests were recorded before the bloch and null scans
 # were batched, the _WIDE_CSV ones while CSV cells had their own
-# scalar encoding
+# scalar encoding, the _DEEP and _ONE ones before the pure-mixed and
+# nested scans were batched
 _GOLDEN = {
     (0, "pure-mixed", ()):
         "b3e29dc8a01fcbb4ddc549dec8586d6f1fe00988b98476dfbd4da1223c75bb26",
@@ -350,12 +536,34 @@ _GOLDEN = {
         "3992b35c64d9b5614fe5bc5f979b1bbca0e6c7a8bb3e9fa058dd974fe798e3a9",
     (2, "pure-mixed", _WIDE_CSV):
         "424aa6549fe4999a597a9b5b2841066690ba6cb9d24ad0301b23d3a8c8ebd4dc",
+    (0, "pure-mixed", _DEEP):
+        "482b2eb14e426d229d3d930dab27f3cd8cb36960d94e6d452e541f58b02182e2",
+    (0, "nested", _DEEP):
+        "d7de40dd9bc32d669eeac11e49ef9e909760ac0db7384261bb86bd04e102d959",
+    (1, "pure-mixed", _DEEP):
+        "305e455b7e4d9c7060b1eb632915b5f09f7a837b358b88b7f2f59b459de7358d",
+    (1, "nested", _DEEP):
+        "03ac80176896f31fe47e20ee92174096d98cd241abb6fc5eb808bd6fcb06f194",
+    (2, "pure-mixed", _DEEP):
+        "073ae5b8fe9c90564992d0519f86bba81a53b7de7cefabc2356305ad5ac32878",
+    (2, "nested", _DEEP):
+        "aa8aed6915c5882e11c727003f3fe37763f4c75bbf0ea3bdbdd19e8b0a170b6c",
+    (0, "nested", _ONE):
+        "e1ccccd659477c31fde2f019527e03a224607edc40b3f9a9f32f0802ee648c4b",
+    (1, "nested", _ONE):
+        "2003c56284277d3a257f07e534ee75163879fd8d964cddc11c77c9a4b9b5cd8d",
+    (2, "nested", _ONE):
+        "7ad48c44c42cba971b1ad4467a6568fd48b4a2fb34fa3d06868b17a795051423",
 }
 
 
-# the _WIDE_CSV runs sort last, so that the older cases keep their ids
+# later additions sort after the cases before them, so that the older
+# cases keep their ids
+_ADDED = {_WIDE_CSV: 1, _DEEP: 2, _ONE: 2}
+
+
 @pytest.mark.parametrize("seed,kind,extra", sorted(
-    _GOLDEN, key=lambda case: (case[2] == _WIDE_CSV, str(case))))
+    _GOLDEN, key=lambda case: (_ADDED.get(case[2], 0), str(case))))
 def test_scan_stdout_matches_golden_digest(seed, kind, extra):
     code, digest = _scan_digest("--kind", kind, *_SIZES[kind], *extra,
                                 "--seed", str(seed))

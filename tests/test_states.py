@@ -13,7 +13,7 @@ from qwitness.errors import (
 )
 from qwitness.states import (
     DensityOperator,
-    _density_stack,
+    StateStack,
     as_pure_state,
     bloch_to_state,
     make_density,
@@ -27,7 +27,6 @@ from qwitness.states import (
     seeded_rng,
     state_from_json,
     state_to_json,
-    top_gap,
 )
 from qwitness.witness import amplify
 
@@ -213,11 +212,11 @@ def test_rejects_overflowing_matrix():
 def test_top_gap(d):
     lam = [0.5, 0.3, 0.2][:d]
     rho = make_density(np.diag(np.array(lam) / sum(lam)))
-    gap, degenerate = top_gap(rho)
+    dec = pure_decompose(rho)
     top = lam[0] / sum(lam)
-    assert gap == pytest.approx(top if d == 1 else top - lam[1] / sum(lam))
-    assert not degenerate
-    assert top_gap(make_density(np.eye(d) / d))[1] == (d > 1)
+    assert dec.gap == pytest.approx(top if d == 1 else top - lam[1] / sum(lam))
+    assert not dec.degenerate
+    assert pure_decompose(make_density(np.eye(d) / d)).degenerate == (d > 1)
 
 
 # ------------------------------------------------------- stacked checks
@@ -245,28 +244,30 @@ _KINDS = ("valid", "nonhermitian", "offtrace", "nonpsd", "nonfinite")
        d=st.integers(min_value=1, max_value=4),
        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
-def test_stack_check_fails_as_its_first_failing_member_would(seed, d, kinds):
-    # members after the first failing one may fail other checks first;
-    # the stack still reports what a serial loop meets first
+def test_state_stack_check_raises_what_a_failing_member_raises(seed, d, kinds):
+    # a stack passes exactly when every member passes alone; otherwise it
+    # raises what DensityOperator raises for one of its failing members
+    # (the scans rerun a failed block trial by trial to raise the first)
     if d == 1:  # a unit-trace 1x1 Hermitian matrix is positive
         kinds = [k for k in kinds if k != "nonpsd"] or ["valid"]
     rng = seeded_rng(seed)
     stack = np.array([_member(kind, d, rng) for kind in kinds])
-    h, spectrum, failure = _density_stack(stack)
-    bad = next((k for k, kind in enumerate(kinds) if kind != "valid"), None)
-    if bad is None:
-        assert failure is None
-    else:
-        with pytest.raises(Exception) as serial:
-            DensityOperator(stack[bad])
-        assert type(failure) is type(serial.value)
-        assert str(failure) == str(serial.value)
-        assert failure.member == bad
-    assert len(h) == len(spectrum.eigenvalues) == (len(kinds) if bad is None
-                                                   else bad)
-    for k in range(len(h)):
+    bad = [k for k, kind in enumerate(kinds) if kind != "valid"]
+    if bad:
+        with pytest.raises(Exception) as batched:
+            StateStack.check(stack)
+        alone = []
+        for k in bad:
+            with pytest.raises(Exception) as exc:
+                DensityOperator(stack[k])
+            alone.append((type(exc.value), str(exc.value)))
+        assert (type(batched.value), str(batched.value)) in alone
+        return
+    checked = StateStack.check(stack)
+    for k in range(len(stack)):
         rho = DensityOperator(stack[k])
-        assert np.array_equal(h[k], rho.matrix)
-        assert np.array_equal(spectrum.eigenvalues[k], rho.spectrum.eigenvalues)
-        assert np.array_equal(spectrum.eigenvectors[k],
+        assert np.array_equal(checked.matrix[k], rho.matrix)
+        assert np.array_equal(checked.spectrum.eigenvalues[k],
+                              rho.spectrum.eigenvalues)
+        assert np.array_equal(checked.spectrum.eigenvectors[k],
                               rho.spectrum.eigenvectors)

@@ -16,9 +16,11 @@ from qwitness.errors import (
     PreconditionError,
     ProjectorError,
 )
+from qwitness import witness
 from qwitness.linalg import anticommutator, commutator, frobenius_norm
 from qwitness.states import (
     PureDecomposition,
+    StateStack,
     bloch_to_state,
     make_density,
     pure_decompose,
@@ -33,7 +35,6 @@ from qwitness.witness import (
     OverlapData,
     Verdict,
     amplify,
-    closed_form_purity,
     degenerate_case_analysis,
     first_order_purity,
     nested_witness,
@@ -48,6 +49,7 @@ from qwitness.witness import (
     second_order_indicator,
     witness_anticommutator,
 )
+from qwitness.tolerances import PLAN_CAP
 
 PSI0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
@@ -114,18 +116,20 @@ def test_report_to_dict():
 
 
 def test_closed_form_purity_matches_eigen_route():
-    assert closed_form_purity(PSI0, PLUS) == pytest.approx(1.5, abs=1e-15)
+    closed = pure_mixed_test(PSI0, PLUS).closed_form_criterion
+    assert closed == pytest.approx(1.5, abs=1e-15)
     rng = seeded_rng(21)
     for d in (2, 3, 5):
         psi = random_pure(d, rng)
         rho2 = random_density(d, d, rng)
         report = pure_mixed_test(psi, rho2)  # raises AgreementError on drift
-        closed = closed_form_purity(psi, rho2)
+        closed = report.closed_form_criterion
         assert closed == pytest.approx(report.purity_criterion, abs=1e-10)
 
 
 def test_closed_form_purity_null():
-    assert closed_form_purity(PSI0, make_density(np.diag([0.0, 1.0]))) is None
+    report = pure_mixed_test(PSI0, make_density(np.diag([0.0, 1.0])))
+    assert report.closed_form_criterion is None
 
 
 def test_pure_mixed_dimension_mismatch():
@@ -267,6 +271,107 @@ def test_plan_is_minimal_across_targets():
         if plan.n > 1:
             s_prev = float(np.sum(ratios ** (plan.n - 1)))
             assert s_prev / (1 + s_prev) > target
+
+
+def _serial_plan(lam, target, cap):
+    """(n, achieved epsilon, capped) of the plan search for one spectrum,
+    every exponent a Python int."""
+    ratios = np.clip(lam, 0.0, None)[1:] / float(lam[0])
+
+    def eps_at(n):
+        s = float(np.sum(ratios ** n))
+        return s / (1.0 + s)
+
+    if eps_at(1) <= target:
+        return 1, eps_at(1), False
+    lo, hi = 1, 2
+    while hi < cap and eps_at(hi) > target:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, cap)
+    if eps_at(hi) > target:
+        return cap, eps_at(cap), True
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eps_at(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi, eps_at(hi), False
+
+
+def test_stacked_plans_and_amplification_match_each_state_alone():
+    # one stack whose members plan toward targets that land on different
+    # counts, n = 2 among them: an exponent array rounds x**2 differently
+    # from the x*x that a Python int exponent gives
+    rng = seeded_rng(17)
+    states = [_nondegenerate(2 + k % 4, rng) for k in range(4 * 40)]
+    counts = (1, 2, 3, 5, 37, 200)
+    for d in range(2, 6):
+        members = states[d - 2::4]
+        stack = StateStack.check(np.array([rho.matrix for rho in members]))
+        lam = stack.spectrum.eigenvalues
+        ns = [counts[k % len(counts)] for k in range(len(members))]
+        targets = [_serial_plan(row, 0.0, n)[1] for row, n in zip(lam, ns)]
+        for cap in (PLAN_CAP, 3):
+            plans = witness._plans(lam, targets, cap)
+            for row, target, plan in zip(lam, targets, plans):
+                assert (plan.n, plan.achieved_epsilon, plan.degenerate) == \
+                    _serial_plan(row, target, cap)
+        amplified = witness._amplified(stack.spectrum, ns)
+        for k, (row, n) in enumerate(zip(lam, ns)):
+            w = np.clip(row, 0.0, None)
+            w = (w / w[0]) ** n
+            assert np.array_equal(amplified.spectrum.eigenvalues[k],
+                                  w / w.sum())
+
+
+def test_nested_core_stops_each_member_as_nested_witness_stops_it():
+    # one stack in which members stop at every check, between members
+    # that go through: each member gets what nested_witness gives or
+    # raises for its pair alone
+    rng = seeded_rng(29)
+    u = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    leading_e2 = make_density(0.8 * np.diag([0.0, 1.0, 0.0])
+                              + 0.2 * np.outer(u, u))
+    pairs = [
+        (_nondegenerate(3, rng), _nondegenerate(3, rng), 0.3),
+        (make_density(np.diag([0.4, 0.4, 0.2])), _nondegenerate(3, rng), 0.3),
+        (_nondegenerate(3, rng), _nondegenerate(3, rng), 0.25),
+        (_nondegenerate(3, rng), make_density(np.diag([0.2, 0.4, 0.4])), 0.3),
+        (make_density(np.diag([0.6, 0.3, 0.1])),
+         make_density(np.diag([0.2, 0.5, 0.3])), 0.3),
+        (_nondegenerate(3, rng), _nondegenerate(3, rng), 1e-6),  # caps at 4
+        # only the second plan caps
+        (make_density(np.diag([0.98, 0.015, 0.005])), _nondegenerate(3, rng),
+         1e-6),
+        (make_density(np.diag([0.8, 0.15, 0.05])), leading_e2, 0.3),
+        (_nondegenerate(3, rng), _nondegenerate(3, rng), 0.35),
+    ]
+    stacks = [StateStack.check(np.array([pair[i].matrix for pair in pairs]))
+              for i in (0, 1)]
+    tols = dict(tol_comm=1e-10, tol_witness=1e-12, tol_null=1e-12,
+                tol_f=1e-6, plan_cap=4)
+    results = witness._nested(*stacks, [t for _, _, t in pairs], **tols)
+    kinds = []
+    for (rho1, rho2, target), got in zip(pairs, results):
+        try:
+            alone = nested_witness(rho1, rho2, target, **tols)
+        except Exception as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            kinds.append(type(exc).__name__)
+            continue
+        kinds.append("result")
+        assert (got.plan1, got.plan2, got.overlap, got.condition_met) == \
+            (alone.plan1, alone.plan2, alone.overlap, alone.condition_met)
+        assert got.report.to_dict() == alone.report.to_dict()
+        for mine, theirs in ((got.state1, alone.state1),
+                             (got.state2, alone.state2)):
+            assert np.array_equal(mine.matrix, theirs.matrix)
+    assert kinds == ["result", "DegenerateSpectrumError", "result",
+                     "DegenerateSpectrumError", "CommutingInputsError",
+                     "DegenerateSpectrumError", "DegenerateSpectrumError",
+                     "ConditionUnreachableError", "result"]
+    assert "second input capped out" in str(results[6])
 
 
 # ------------------------------------------------- first-order condition
