@@ -52,7 +52,7 @@ from .errors import (
     UnresolvableError,
 )
 from .interferometer import (
-    check_circuit_dimension,
+    check_circuit_size,
     run_circuit_exact,
     sample_readout,
     shots_to_resolve,
@@ -67,7 +67,7 @@ from .states import (
     state_to_json,
 )
 from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, TOL_COMM, TOL_F,
-                         TOL_NULL, TOL_WITNESS, TOTAL_DIM_CAP, TRIALS_CAP)
+                         TOL_NULL, TOL_WITNESS, TRIALS_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -357,12 +357,12 @@ def cmd_circuit(args) -> int:
         if len(states) != 1:
             raise ValueError(
                 "give exactly --copies states, or one state to replicate")
-        check_circuit_dimension(states[0].dim, copies + 1, args.cap)
+        check_circuit_size(states[0].dim, copies + 1)
         states = states * copies
     probe = _load_probe(args.probe)
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be >= 1")
-    exact = run_circuit_exact(states, probe, cap=args.cap)
+    exact = run_circuit_exact(states, probe)
     if args.shots is None:
         _print({"exact": exact})
         return EXIT_OK
@@ -516,8 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample this many control readouts")
     p.add_argument("--copies", type=int, default=None,
                    help="number of state registers")
-    p.add_argument("--cap", type=int, default=TOTAL_DIM_CAP,
-                   help="cap on the circuit dimension 2*d^l")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (falls back to ${_ENV_SEED}, then 0)")
     p.set_defaults(func=cmd_circuit)

@@ -1,13 +1,17 @@
 """Conditional-state commutation as an operational discord probe.
 
-Alice (side A) applies local operations and communicates the outcome;
-Bob (side B) runs the anticommutator witness on the conditional states
-he ends up holding. If those conditional states of B commute for every
-operation on A, the state has zero discord for measurements on B: it
-is classical on B, block diagonal in one basis of B (Dakić, Vedral &
-Brukner, PRL 105, 190502 (2010)). A witnessed pair of noncommuting
-conditionals therefore certifies discord for measurements on B from
-single-system measurements.
+Alice (side A) measures in an orthonormal basis and communicates the
+outcome; Bob (side B) runs the anticommutator witness on the
+conditional states he ends up holding. If those conditional states of
+B commute for every projective measurement on A, the state has zero
+discord for measurements on B: it is classical on B, block diagonal in
+one basis of B (Dakić, Vedral & Brukner, PRL 105, 190502 (2010)). A
+witnessed pair of noncommuting conditionals therefore certifies discord
+for measurements on B from single-system measurements.
+
+A measurement is a dict mapping each outcome label to the rank-one
+projector onto one basis vector, as :func:`measurement_from_unitary`
+builds it from the columns of a unitary.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ __all__ = [
     "BipartiteState",
     "bell_state",
     "classical_quantum_state",
-    "LocalOperation",
-    "projector_operation",
     "measurement_from_unitary",
     "z_measurement",
     "x_measurement",
@@ -92,42 +94,10 @@ def classical_quantum_state(probs: Sequence[float],
     return BipartiteState(state=DensityOperator(m), dims=(da, db))
 
 
-@dataclass(frozen=True)
-class LocalOperation:
-    """One completely positive, trace-nonincreasing operation on side A,
-    given by Kraus operators. Typically a single measurement outcome."""
-
-    kraus_ops: tuple[np.ndarray, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.kraus_ops:
-            raise DimensionError("operation needs at least one Kraus operator")
-        mats = tuple(as_matrix(k) for k in self.kraus_ops)
-        if any(k.shape != mats[0].shape for k in mats):
-            raise DimensionError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in mats)
-        top = float(np.linalg.eigvalsh((total + total.conj().T) / 2)[-1])
-        if top > 1.0 + TOL_PSD:
-            raise PositivityError(
-                f"operation increases trace: max eigenvalue of sum K†K is "
-                f"{top:.17g}"
-            )
-        object.__setattr__(self, "kraus_ops", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-
-def projector_operation(vec, label: str = "") -> LocalOperation:
-    """Rank-one projective outcome onto ``vec``."""
-    return LocalOperation(kraus_ops=(pure_projector(vec),), label=label)
-
-
 def measurement_from_unitary(u, labels: Sequence[str] | None = None
-                             ) -> dict[str, LocalOperation]:
-    """Complete projective measurement along the columns of ``u``."""
+                             ) -> dict[str, np.ndarray]:
+    """Projective measurement along the columns of the unitary ``u``:
+    the rank-one projector onto each column, by outcome label."""
     u = as_matrix(u)
     d = u.shape[0]
     if labels is None:
@@ -135,35 +105,33 @@ def measurement_from_unitary(u, labels: Sequence[str] | None = None
     if len(labels) != d:
         raise DimensionError(f"need {d} outcome labels, got {len(labels)}")
     return {
-        str(lab): projector_operation(u[:, i], label=str(lab))
-        for i, lab in enumerate(labels)
+        str(lab): pure_projector(u[:, i]) for i, lab in enumerate(labels)
     }
 
 
-def z_measurement() -> dict[str, LocalOperation]:
+def z_measurement() -> dict[str, np.ndarray]:
     return measurement_from_unitary(np.eye(2), labels=["0", "1"])
 
 
-def x_measurement() -> dict[str, LocalOperation]:
+def x_measurement() -> dict[str, np.ndarray]:
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
     return measurement_from_unitary(h, labels=["+", "-"])
 
 
-def conditional_state(rho_ab: BipartiteState, op: LocalOperation
+def conditional_state(rho_ab: BipartiteState, projector: np.ndarray
                       ) -> tuple[float, DensityOperator | None]:
-    """Apply a local operation on A and trace A out.
+    """Project A onto one measurement outcome and trace A out.
 
     Returns (probability, normalized conditional state of B); the state
-    is None when the outcome has zero probability. Each Kraus operator
-    K adds sum_a K[a,i] rho[ib,jc] conj(K[a,j]) to the state of B.
+    is None when the outcome has zero probability. The projector P
+    leaves sum_a P[a,i] rho[ib,jc] conj(P[a,j]) to the state of B.
     """
     da, db = rho_ab.dims
-    if op.dim != da:
-        raise DimensionError(
-            f"operation dimension {op.dim} does not match side A ({da})")
+    if projector.shape[0] != da:
+        raise DimensionError(f"projector dimension {projector.shape[0]} "
+                             f"does not match side A ({da})")
     r = rho_ab.state.matrix.reshape(da, db, da, db)
-    reduced = sum(np.einsum("ai,ibjc,aj->bc", k, r, k.conj())
-                  for k in op.kraus_ops)
+    reduced = np.einsum("ai,ibjc,aj->bc", projector, r, projector.conj())
     prob = float(reduced.trace().real)
     if prob <= TOL_TRACE:
         return max(prob, 0.0), None
@@ -171,7 +139,7 @@ def conditional_state(rho_ab: BipartiteState, op: LocalOperation
 
 
 def select_outcome(rho_ab: BipartiteState,
-                   measurement: Mapping[str, LocalOperation], outcome: str,
+                   measurement: Mapping[str, np.ndarray], outcome: str,
                    which: str) -> tuple[float, DensityOperator]:
     """(probability, conditional state) of one named outcome. Raises
     KeyError for an unknown outcome and NullOutcomeError for one of zero

@@ -54,7 +54,7 @@ class ConvergenceError(QwitnessError):
 
 
 class CapacityError(QwitnessError):
-    """A computation would exceed the configured dimension cap."""
+    """A computation would exceed a configured size limit."""
 
 
 class BoundaryError(QwitnessError):

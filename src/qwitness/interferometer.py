@@ -10,6 +10,9 @@ That readout is Re tr[S R], R the product of the register states and S
 the cyclic shift (Ekert et al., PRL 88, 217901 (2002)); S is a
 permutation, so the d**l entries of R it selects are gathered straight
 from the registers, with neither R nor any gate of the circuit built.
+Over l registers the gather holds ~16 l + 32 bytes per basis index,
+which :func:`check_circuit_size` bounds by the byte budget
+``CIRCUIT_BYTES``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnresolvableError
 from .states import DensityOperator, as_pure_state, pure_projector, seeded_rng
-from .tolerances import TOTAL_DIM_CAP
+from .tolerances import CIRCUIT_BYTES
 
 __all__ = ["run_circuit_exact", "sample_readout", "shots_to_resolve"]
 
@@ -36,7 +39,8 @@ def _shift_trace(mats: list[np.ndarray]) -> complex:
     entries summed as one array in x order, so the result equals the sum
     read off the built product bit for bit."""
     l, d = len(mats), mats[0].shape[0]
-    rows = np.indices((d,) * l).reshape(l, -1)  # x_k of each x, kron order
+    # x_k of each x in kron order, the first register's digit leading
+    rows = np.arange(d**l) // d ** np.arange(l - 1, -1, -1)[:, None] % d
     cols = np.roll(rows, -1, axis=0)  # x_(k+1), and x_1 after x_l
     entries = mats[0][rows[0], cols[0]]
     for m, r, c in zip(mats[1:], rows[1:], cols[1:]):
@@ -44,30 +48,29 @@ def _shift_trace(mats: list[np.ndarray]) -> complex:
     return complex(entries.sum())
 
 
-def check_circuit_dimension(d: int, registers: int, cap: int) -> None:
-    """CapacityError if 2 * d**registers exceeds ``cap``, or if there are
-    more registers than cap's bit length: past it any d >= 2 is over the
-    cap, and for d = 1 the work would grow with the count unbounded."""
-    bound = cap.bit_length()
-    if 2 * d ** min(registers, bound) > cap:
+def check_circuit_size(d: int, registers: int) -> None:
+    """CapacityError if reading out ``registers`` registers of dimension
+    d would take more than ``CIRCUIT_BYTES``: the gather holds
+    16 * registers + 32 bytes for each of the d**registers basis
+    indices, and the register lists 32 bytes per register, which alone
+    bound the count at d = 1. The power stops at the budget's bit
+    length, past which any d >= 2 is over budget."""
+    power = d ** min(registers, CIRCUIT_BYTES.bit_length())
+    if power * (16 * registers + 32) + 32 * registers > CIRCUIT_BYTES:
         raise CapacityError(
-            f"circuit dimension 2*{d}^{registers} exceeds cap {cap}")
-    if registers > bound:
-        raise CapacityError(
-            f"{registers} registers exceed the {bound} that cap {cap} allows")
+            f"a circuit of {registers} registers of dimension {d} exceeds "
+            f"the {CIRCUIT_BYTES >> 20} MiB budget of its readout")
 
 
-def run_circuit_exact(copies: Sequence[DensityOperator], probe, *,
-                      cap: int = TOTAL_DIM_CAP) -> float:
+def run_circuit_exact(copies: Sequence[DensityOperator], probe) -> float:
     """Exact sigma_z expectation of the control qubit.
 
     ``copies`` are the state registers in circuit order, ``probe`` the
     pure state loaded into the final register. The Hadamard,
     controlled-shift, Hadamard circuit leaves the control qubit at
     Re tr[S (rho_1 x ... x rho_l x |psi><psi|)]; for a single pair that
-    is <psi| {rho_1, rho_2} |psi> / 2. ``cap`` bounds the circuit
-    dimension 2 * d**l, control qubit included, and the register count
-    (see :func:`check_circuit_dimension`).
+    is <psi| {rho_1, rho_2} |psi> / 2. The registers, probe included,
+    must fit :func:`check_circuit_size`.
     """
     if not copies:
         raise DimensionError("experiment needs at least one state register")
@@ -80,7 +83,7 @@ def run_circuit_exact(copies: Sequence[DensityOperator], probe, *,
         raise DimensionError(
             f"probe dimension {probe.shape[0]} does not match registers ({d})"
         )
-    check_circuit_dimension(d, len(copies) + 1, cap)
+    check_circuit_size(d, len(copies) + 1)
     mats = [s.matrix for s in copies] + [pure_projector(probe)]
     return _shift_trace(mats).real
 

@@ -388,7 +388,7 @@ def scan_null(trials: int, dims: Sequence[int],
 
 
 def _conditionals(rho_ab: discord_mod.BipartiteState,
-                  meas: dict[str, discord_mod.LocalOperation]
+                  meas: dict[str, np.ndarray]
                   ) -> list[tuple[float, DensityOperator | None]]:
     """(probability, state) of every outcome, in sorted outcome order."""
     return [discord_mod.conditional_state(rho_ab, meas[key])

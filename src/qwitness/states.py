@@ -50,15 +50,13 @@ class DensityOperator:
     The stored matrix is the read-only Hermitian part (M + M†)/2 of the
     input M, which equals M when M is exactly Hermitian. Construction
     decomposes it once; the positivity check and every later reader of
-    ``spectrum`` share that decomposition. A caller that already holds
-    the decomposition (descending, as from ``amplify``) passes it
-    as ``spectrum`` instead.
+    ``spectrum`` share that decomposition.
     """
 
     __slots__ = ("_matrix", "_spectrum")
 
-    def __init__(self, matrix, *, spectrum: SpectralDecomposition | None = None):
-        h, self._spectrum = _density_checks(as_matrix(matrix), spectrum)
+    def __init__(self, matrix):
+        h, self._spectrum = _density_checks(as_matrix(matrix))
         h.setflags(write=False)
         self._matrix = h
 

@@ -42,6 +42,7 @@ GRID_CAP = 1000
 # each, ~0.6 GB at the cap
 TRIALS_CAP = 1_000_000
 
-# total-dimension cap 2 * d**l of shift circuits, control qubit included
-# (a control qubit over four 4-level registers)
-TOTAL_DIM_CAP = 2 * 4**4
+# byte budget of a shift circuit's readout, which holds ~16 l + 32
+# bytes per basis index over l registers: at most 19 registers at
+# d = 2, 12 at d = 3 and 10 at d = 4
+CIRCUIT_BYTES = 256 << 20

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,29 +383,41 @@ def test_circuit_rejects_zero_shots(capsys, tmp_path):
 
 def test_circuit_copies_over_cap_rejected_before_replicating(capsys,
                                                              tmp_path):
+    # over the byte budget of the readout: the check runs before the
+    # register list is replicated, let alone the gather allocated
     probe = witness_report_file(capsys, tmp_path)
-    code, out, err = run_cli(capsys, "circuit", "--states", "0,0,1",
-                             "--copies", "20000000", "--probe", probe)
-    assert code == 2
-    assert out == ""
-    assert "circuit dimension 2*2^20000001 exceeds cap 512" in err
+    for copies in (40, 20_000_000):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "circuit", "--states", "0,0,1",
+                                     "--copies", str(copies), "--probe", probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert (f"a circuit of {copies + 1} registers of dimension 2 "
+                "exceeds the 256 MiB budget of its readout") in err
+        assert peak < 1 << 20
 
 
 def test_circuit_register_count_bounded_in_one_dimension(capsys, tmp_path):
-    # 2 * 1**l never exceeds the cap, so the register count is bounded
-    # on its own: at most cap.bit_length() = 10 registers for cap 512
+    # d**l never grows at d = 1; the register lists' bytes bound the
+    # count on their own, so a billion registers exit 2 at once
     state = tmp_path / "one.json"
     state.write_text('{"dim": 1, "entries": [[[1, 0]]]}', encoding="utf-8")
     probe = tmp_path / "probe.json"
     probe.write_text('{"amplitudes": [[1, 0]]}', encoding="utf-8")
     argv = ["circuit", "--states", str(state), "--probe", str(probe)]
-    code, out, _ = run_cli(capsys, *argv, "--copies", "9")
-    assert code == 0
-    assert json.loads(out) == {"exact": 1}
-    code, out, err = run_cli(capsys, *argv, "--copies", "100000")
+    for copies in ("9", "1000"):
+        code, out, _ = run_cli(capsys, *argv, "--copies", copies)
+        assert code == 0
+        assert json.loads(out) == {"exact": 1}
+    code, out, err = run_cli(capsys, *argv, "--copies", "1000000000")
     assert code == 2
     assert out == ""
-    assert "100001 registers exceed the 10 that cap 512 allows" in err
+    assert ("a circuit of 1000000001 registers of dimension 1 exceeds the "
+            "256 MiB budget") in err
 
 
 # --------------------------------------------------------- discord-demo
@@ -679,7 +694,7 @@ _UNREAD_FLAGS = {
     "witness": ("--seed", "--jobs", "--format", "--cap"),
     "nested": ("--seed", "--jobs", "--format"),
     "amplify": ("--seed", "--tol", "--jobs", "--format"),
-    "circuit": ("--tol", "--jobs", "--format"),
+    "circuit": ("--tol", "--jobs", "--format", "--cap"),
     "discord-demo": ("--seed", "--jobs", "--format", "--cap"),
     "scan": ("--tol", "--cap"),
 }
@@ -708,6 +723,24 @@ def test_unread_flag_rejected(capsys, tmp_path, command, flag):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+def test_readme_flags_table_matches_parser():
+    # the Flags table in README.md lists exactly each subcommand's flags
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Flags\n")[1]
+    section = section.split("\n## ")[0]
+    documented = {}
+    for row in re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, re.M):
+        documented[row[0]] = set(re.findall(r"--[a-z][a-z-]*", row[1]))
+    parser = _build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {opt for action in sub._actions
+                    for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, sub in subparsers.choices.items()}
+    assert documented == flags
 
 
 def test_benchmark_command_lines_parse(tmp_path, monkeypatch):

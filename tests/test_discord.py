@@ -14,9 +14,7 @@ from qwitness.discord import (
     classical_quantum_state,
     compare_conditionals,
     conditional_state,
-    LocalOperation,
     measurement_from_unitary,
-    projector_operation,
     select_outcome,
     witness_conditionals,
     x_measurement,
@@ -32,7 +30,9 @@ from qwitness.states import (
     DensityOperator,
     bloch_to_state,
     make_density,
+    pure_projector,
     random_density,
+    random_pure,
     random_unitary,
     seeded_rng,
 )
@@ -47,10 +47,11 @@ def product_state(rho_a, rho_b):
         dims=(rho_a.dim, rho_b.dim))
 
 
-def commutation_scan(rho_ab, ops):
-    """The conditional states of B for each operation, compared pairwise
-    as ``scan_discord`` compares them."""
-    return compare_conditionals([conditional_state(rho_ab, op) for op in ops])
+def commutation_scan(rho_ab, projectors):
+    """The conditional states of B for each outcome projector, compared
+    pairwise as ``scan_discord`` compares them."""
+    return compare_conditionals([conditional_state(rho_ab, p)
+                                 for p in projectors])
 
 
 def protocol_demo(rho_ab, measurement1, measurement2, outcome1, outcome2):
@@ -94,16 +95,15 @@ def test_conditional_state_zero_probability_is_none():
 
 def test_conditional_state_dimension_check():
     with pytest.raises(DimensionError):
-        conditional_state(bell_state(),
-                          projector_operation(np.array([1.0, 0, 0])))
+        conditional_state(bell_state(), pure_projector([1.0, 0, 0]))
 
 
 def test_classical_quantum_state_blocks():
     bobs = [make_density(np.diag([0.7, 0.3])), PLUS]
     cq = classical_quantum_state([0.25, 0.75], bobs)
     assert cq.dims == (2, 2)
-    for i, meas in enumerate(z_measurement().values()):
-        prob, state = conditional_state(cq, meas)
+    for i, projector in enumerate(z_measurement().values()):
+        prob, state = conditional_state(cq, projector)
         assert prob == pytest.approx([0.25, 0.75][i], abs=1e-12)
         np.testing.assert_allclose(state.matrix, bobs[i].matrix, atol=1e-12)
 
@@ -120,20 +120,9 @@ def test_classical_quantum_state_validation():
         classical_quantum_state([1.2, -0.2], [bob, bob])
 
 
-def test_local_operation_validation():
-    with pytest.raises(DimensionError):
-        LocalOperation(kraus_ops=())
-    with pytest.raises(PositivityError):
-        LocalOperation(kraus_ops=(np.sqrt(1.2) * np.eye(2),))
-    with pytest.raises(DimensionError):
-        LocalOperation(kraus_ops=(np.eye(2), np.eye(3)))
-    op = LocalOperation(kraus_ops=(np.eye(3) / 2,), label="damp")
-    assert op.dim == 3 and op.label == "damp"
-
-
-def test_projector_operation_requires_unit_vector():
-    with pytest.raises(ValueError):
-        projector_operation(np.array([1.0, 1.0]))
+def test_measurement_from_unitary_requires_unit_columns():
+    with pytest.raises(ValueError, match="norm"):
+        measurement_from_unitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_measurement_from_unitary_is_complete():
@@ -141,8 +130,9 @@ def test_measurement_from_unitary_is_complete():
     u = random_unitary(3, rng)
     meas = measurement_from_unitary(u)
     assert sorted(meas) == ["0", "1", "2"]
-    total = sum(k.conj().T @ k for op in meas.values() for k in op.kraus_ops)
-    np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(sum(meas.values()), np.eye(3), atol=1e-12)
+    for p in meas.values():
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
     with pytest.raises(DimensionError):
         measurement_from_unitary(u, labels=["a", "b"])
 
@@ -150,13 +140,13 @@ def test_measurement_from_unitary_is_complete():
 def test_named_qubit_measurements():
     assert sorted(z_measurement()) == ["0", "1"]
     assert sorted(x_measurement()) == ["+", "-"]
-    plus = x_measurement()["+"].kraus_ops[0]
-    np.testing.assert_allclose(plus, np.full((2, 2), 0.5), atol=1e-12)
+    np.testing.assert_allclose(x_measurement()["+"], np.full((2, 2), 0.5),
+                               atol=1e-12)
 
 
 def test_commutation_scan_flags_bell():
-    ops = list(z_measurement().values()) + list(x_measurement().values())
-    ensemble = commutation_scan(bell_state(), ops)
+    projectors = [*z_measurement().values(), *x_measurement().values()]
+    ensemble = commutation_scan(bell_state(), projectors)
     assert ensemble.noncommuting_found
     assert len(ensemble.states) == 4
     norms = ensemble.pairwise_commutator_norms
@@ -167,8 +157,8 @@ def test_commutation_scan_flags_bell():
 def test_commutation_scan_passes_commuting_ensemble():
     bobs = [make_density(np.diag([0.7, 0.3])), make_density(np.diag([0.2, 0.8]))]
     cq = classical_quantum_state([0.5, 0.5], bobs)
-    ops = list(z_measurement().values()) + list(x_measurement().values())
-    ensemble = commutation_scan(cq, ops)
+    projectors = [*z_measurement().values(), *x_measurement().values()]
+    ensemble = commutation_scan(cq, projectors)
     assert not ensemble.noncommuting_found
     assert ensemble.pairwise_commutator_norms.max() < 1e-12
 
@@ -229,23 +219,14 @@ def test_protocol_demo_null_outcome():
         protocol_demo(pure00, z_measurement(), z_measurement(), "0", "1")
 
 
-def kron_conditional_state(rho_ab, op):
-    """Reference route: sum_k (K (x) I) rho (K (x) I)^dagger on the full
-    space, then the partial trace over A."""
+def kron_conditional_state(rho_ab, projector):
+    """Reference route: (P (x) I) rho (P (x) I)^dagger on the full space,
+    then the partial trace over A."""
     da, db = rho_ab.dims
-    m = rho_ab.state.matrix
-    out = sum(np.kron(k, np.eye(db)) @ m @ np.kron(k, np.eye(db)).conj().T
-              for k in op.kraus_ops)
+    lift = np.kron(projector, np.eye(db))
+    out = lift @ rho_ab.state.matrix @ lift.conj().T
     prob = float(out.trace().real)
     return prob, np.einsum("ijil->jl", out.reshape(da, db, da, db)) / prob
-
-
-def random_kraus(da, count, rng):
-    """``count`` Kraus operators with sum K^dagger K = s I, s in [0.5, 1]."""
-    g = rng.normal(size=(count * da, da)) + 1j * rng.normal(size=(count * da, da))
-    q = np.linalg.qr(g)[0] * np.sqrt(rng.uniform(0.5, 1.0))
-    return LocalOperation(kraus_ops=tuple(q[i * da:(i + 1) * da]
-                                          for i in range(count)))
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -255,9 +236,9 @@ def test_conditional_state_matches_kron_reference(da, db):
         rho_ab = BipartiteState(
             state=random_density(da * db, int(rng.integers(1, da * db + 1)), rng),
             dims=(da, db))
-        op = random_kraus(da, 1 + t % 3, rng)
-        prob, state = conditional_state(rho_ab, op)
-        ref_prob, ref = kron_conditional_state(rho_ab, op)
+        projector = pure_projector(random_pure(da, rng))
+        prob, state = conditional_state(rho_ab, projector)
+        ref_prob, ref = kron_conditional_state(rho_ab, projector)
         assert abs(prob - ref_prob) <= 1e-14
         np.testing.assert_allclose(state.matrix, ref, rtol=0, atol=1e-14)
 

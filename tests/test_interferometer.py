@@ -14,7 +14,7 @@ from qwitness.cli import dumps, main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
 from qwitness.interferometer import (
     _shift_trace,
-    check_circuit_dimension,
+    check_circuit_size,
     run_circuit_exact,
     sample_readout,
     shots_to_resolve,
@@ -28,7 +28,7 @@ from qwitness.states import (
     seeded_rng,
     state_to_json,
 )
-from qwitness.tolerances import TOTAL_DIM_CAP
+from qwitness.tolerances import CIRCUIT_BYTES
 from qwitness.witness import witness_anticommutator
 
 P0 = make_density(np.diag([1.0, 0.0]))
@@ -96,10 +96,10 @@ def tensor_route_trace(mats) -> complex:
     return complex(reduce(np.kron, mats)[np.arange(d**l), image].sum())
 
 
-# every register count with 2 * d**l within the circuit cap; for d = 1,
-# every count up to the cap's bit length
+# every register count with 2 * d**l within 512, the circuit dimension
+# the dense evolution was once capped at; for d = 1, up to 10 registers
 _CAPPED_SHAPES = [(d, l) for d in (1, 2, 3, 4) for l in range(1, 11)
-                  if 2 * d**l <= TOTAL_DIM_CAP]
+                  if 2 * d**l <= 512]
 
 
 @pytest.mark.parametrize("d,l", _CAPPED_SHAPES)
@@ -196,21 +196,21 @@ def test_circuit_validation():
         run_circuit_exact((P0,), np.array([1.0, 0, 0]))
     with pytest.raises(ValueError):
         run_circuit_exact((P0,), np.array([1.0, 1.0]))
-    with pytest.raises(CapacityError):
-        run_circuit_exact((P0, P0), np.array([1.0, 0]), cap=15)
-    # a huge register count is rejected without building 2 * d**l
-    with pytest.raises(CapacityError, match=r"2\*2\^1000000000 exceeds"):
-        check_circuit_dimension(2, 10**9, 512)
-    # a 1-dimensional register never grows 2 * d**l, so the register
-    # count is bounded by itself, at cap's bit length
-    with pytest.raises(CapacityError, match="10 that cap 512 allows"):
-        check_circuit_dimension(1, 11, 512)
-    with pytest.raises(CapacityError):
-        check_circuit_dimension(1, 10**9, 2)
-    check_circuit_dimension(1, 10, 512)
-    check_circuit_dimension(2, 8, 512)
-    with pytest.raises(CapacityError):
-        check_circuit_dimension(2, 9, 512)
+    # 20 qubit registers are over the budget, checked before the gather
+    with pytest.raises(CapacityError, match="20 registers of dimension 2"):
+        run_circuit_exact((P0,) * 19, np.array([1.0, 0]))
+    # a huge register count is rejected without computing d**l
+    with pytest.raises(CapacityError, match="exceeds the 256 MiB budget"):
+        check_circuit_size(2, 10**9)
+    # a 1-dimensional register never grows d**l; the bytes per register
+    # bound the count on their own
+    for registers in (10**9, 10**18):
+        with pytest.raises(CapacityError):
+            check_circuit_size(1, registers)
+    for d, most in ((1, 5_592_404), (2, 19), (3, 12), (4, 10), (256, 2)):
+        check_circuit_size(d, most)
+        with pytest.raises(CapacityError):
+            check_circuit_size(d, most + 1)
 
 
 def _circuit_inputs(tmp_path):
@@ -246,10 +246,14 @@ def _circuit_inputs(tmp_path):
 
 
 # circuit command lines over d = 1..4, from one register to the most
-# the cap allows, with listed and --copies registers, the three probe
-# kinds and runs with and without --shots; each maps to the exit code
-# and the sha256 of stdout, recorded while the readout was still read
-# off the built register tensor
+# the old dimension cap of 512 allowed, with listed and --copies
+# registers, the three probe kinds and runs with and without --shots;
+# each maps to the exit code and the sha256 of stdout, recorded while
+# the readout was still read off the built register tensor. The last
+# two lines are past that cap: d = 4 over 5 registers, recorded from the
+# gather once a byte budget replaced the cap (its readout matches the
+# closed form Re <psi|rho^4|psi> within 3e-18), and 41 qubit registers,
+# over the budget
 _CIRCUIT_GOLDEN = {
     "d1-s0 --probe d1-amplitudes":
         [0, "0df3e45203cdeff75f15fbba172dab758ad3044973de0d1370ae71b947ab8860"],
@@ -282,6 +286,8 @@ _CIRCUIT_GOLDEN = {
     "d4-s3 --copies 3 --probe d4-report":
         [0, "caa33b63441f73a5875f9fdcaf35a92bb93224008e39552059685122b5cc3c6d"],
     "d4-s0 --copies 4 --probe d4-amplitudes":
+        [0, "ece84833c5df27b27ad88db6c50169f3091684ad599cf7b4dbf0202813f201fb"],
+    "d2-s0 --copies 40 --probe d2-amplitudes":
         [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
 }
 
@@ -300,12 +306,13 @@ def test_circuit_stdout_matches_golden_digest(line, tmp_path):
 
 @pytest.mark.parametrize("d,copies", [(2, 7), (4, 3)])
 def test_circuit_at_the_cap_builds_no_register_tensor(d, copies):
-    # at 2 * d**l = 512 the (d**l)^2 register product alone would take
-    # 1 MiB; the gathered readout holds a few arrays of d**l entries
+    # at 2 * d**l = 512, the old dimension cap, the (d**l)^2 register
+    # product alone would take 1 MiB; the gathered readout holds a few
+    # arrays of d**l entries
     rng = seeded_rng(68, d)
     regs = [random_density(d, d, rng) for _ in range(copies)]
     psi = random_pure(d, rng)
-    assert 2 * d ** (copies + 1) == TOTAL_DIM_CAP
+    assert 2 * d ** (copies + 1) == 512
     run_circuit_exact(regs, psi)
     tracemalloc.start()
     try:
@@ -314,6 +321,41 @@ def test_circuit_at_the_cap_builds_no_register_tensor(d, copies):
     finally:
         tracemalloc.stop()
     assert peak < 128 * 1024
+
+
+def closed_form_readout(copies, probe) -> float:
+    """Re <psi| rho_1 ... rho_l |psi>, the product taken directly."""
+    product = reduce(np.matmul, [s.matrix for s in copies])
+    return float((probe.conj() @ product @ probe).real)
+
+
+@pytest.mark.parametrize("d,copies", [(2, 11), (2, 15), (3, 7), (4, 5)])
+def test_circuit_above_the_old_cap_matches_closed_form(d, copies):
+    # 2 * d**(copies + 1) from 2 048 to 65 536, past the old cap of 512
+    for t in range(3):
+        rng = seeded_rng(70, d, copies, t)
+        regs = [random_density(d, d, rng) for _ in range(copies)]
+        psi = random_pure(d, rng)
+        assert run_circuit_exact(regs, psi) == pytest.approx(
+            closed_form_readout(regs, psi), rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("d,l", [(1, 1000), (2, 16), (3, 10), (4, 8)])
+def test_circuit_peak_fits_the_size_model(d, l):
+    # check_circuit_size counts d**l * (16 l + 32) + 32 l bytes for a
+    # readout; the traced peak stays within that plus fixed overhead
+    rng = seeded_rng(71, d, l)
+    regs = [random_density(d, d, rng)] * (l - 1)
+    psi = random_pure(d, rng)
+    tracemalloc.start()
+    try:
+        run_circuit_exact(regs, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counted = d**l * (16 * l + 32) + 32 * l
+    assert counted <= CIRCUIT_BYTES
+    assert peak <= counted + 64 * 1024
 
 
 def test_sampled_run_is_deterministic():

@@ -127,6 +127,32 @@ def test_closed_form_purity_matches_eigen_route():
         assert closed == pytest.approx(report.purity_criterion, abs=1e-10)
 
 
+def test_closed_form_purity_agrees_relative_to_a_large_criterion():
+    # psi nearly orthogonal to rho2's support: the criterion is ~1007 and
+    # the two routes differ by 5e-10 from rounding alone (trial 536277 of
+    # the seed-0 pure-mixed scan, d = 2)
+    rng = seeded_rng(0, 536277)
+    psi = random_pure(2, rng)
+    rho2 = random_density(2, 2, rng)
+    report = pure_mixed_test(psi, rho2)
+    assert report.purity_criterion == pytest.approx(1007.2423958, abs=1e-6)
+    assert abs(report.closed_form_criterion - report.purity_criterion) > 1e-10
+    assert report.verdict is Verdict.NONPOSITIVE_WITNESSED
+
+
+@pytest.mark.parametrize("seed,trial", [(0, 536277), (21, 0)])
+def test_closed_form_off_by_1e8_relative_still_raises(monkeypatch, seed,
+                                                      trial):
+    rng = seeded_rng(seed, trial)
+    psi = random_pure(2, rng)
+    rho2 = random_density(2, 2, rng)
+    closed_forms = witness._closed_forms
+    monkeypatch.setattr(witness, "_closed_forms", lambda *args: [
+        c * (1.0 + 1e-8) for c in closed_forms(*args)])
+    with pytest.raises(AgreementError, match="purity criterion"):
+        pure_mixed_test(psi, rho2)
+
+
 def test_closed_form_purity_null():
     report = pure_mixed_test(PSI0, make_density(np.diag([0.0, 1.0])))
     assert report.closed_form_criterion is None
