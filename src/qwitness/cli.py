@@ -47,6 +47,7 @@ from .discord import (
 from .errors import (
     CommutingInputsError,
     ConditionUnreachableError,
+    DegenerateDenominatorError,
     DegenerateSpectrumError,
     QwitnessError,
     UnresolvableError,
@@ -317,6 +318,10 @@ def cmd_nested(args) -> int:
         plan_cap=args.cap)
     o = result.overlap
     lhs, rhs = margin_terms(o)
+    try:
+        purity = first_order_purity(o, tol_f=tols["f"])
+    except DegenerateDenominatorError:  # the verdict stands without it
+        purity = None
     _print({
         "target_epsilon": args.target,
         "plan1": _plan_dict(result.plan1),
@@ -324,13 +329,18 @@ def cmd_nested(args) -> int:
         "overlap": {"f": abs(o.f), "g1": o.g1, "g2": o.g2,
                     "eps1": o.eps1, "eps2": o.eps2},
         "condition": {"lhs": lhs, "rhs": rhs, "met": result.condition_met},
-        "first_order_purity": first_order_purity(o, tol_f=tols["f"]),
+        "first_order_purity": purity,
         "report": result.report.to_dict(),
     })
     return _verdict_exit(result.report.verdict)
 
 
 def cmd_amplify(args) -> int:
+    # --target plans and --n applies; neither reads the other's flag
+    if args.n is None and args.out is not None:
+        raise ValueError("--out is read only with --n")
+    if args.n is not None and args.cap is not None:
+        raise ValueError("--cap is read only with --target")
     rho = _parse_state(args.state)
     if args.n is not None:
         if args.n < 1:
@@ -343,7 +353,8 @@ def cmd_amplify(args) -> int:
         else:
             _print(payload)
         return EXIT_OK
-    plan = plan_amplification(rho, args.target, cap=args.cap)
+    plan = plan_amplification(rho, args.target,
+                              cap=PLAN_CAP if args.cap is None else args.cap)
     _print(_plan_dict(plan))
     return EXIT_DEGENERATE if plan.degenerate else EXIT_OK
 
@@ -503,9 +514,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target", type=float,
                        help="plan the smallest n reaching this epsilon")
     group.add_argument("--n", type=int, help="apply rho -> rho^n / tr")
-    p.add_argument("--out", help="write the amplified state here")
-    p.add_argument("--cap", type=int, default=PLAN_CAP,
-                   help="iteration cap of the plan")
+    p.add_argument("--out", help="with --n, write the amplified state here")
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"with --target, iteration cap of the plan "
+                        f"(default {PLAN_CAP})")
     p.set_defaults(func=cmd_amplify)
 
     p = sub.add_parser("circuit", help="controlled-shift interferometer run")

@@ -5,8 +5,8 @@ batched scans use also take stacks (n, d, d) and work member by member.
 Operations validate dimensions up front and raise typed errors instead
 of letting numpy broadcast silently. A check on a stack raises for a
 failing member. Anticommutators and commutators are symmetrized on
-output so later eigendecompositions see exactly Hermitian (respectively
-anti-Hermitian) input.
+output, so an anticommutator is exactly Hermitian (a commutator exactly
+anti-Hermitian) and goes to the eigensolver without a further check.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import (
     AgreementError,
-    CapacityError,
     ConvergenceError,
     DimensionError,
     HermiticityError,
 )
-from .tolerances import EIGEN_DIM_CAP, TOL_HERM
+from .tolerances import TOL_HERM
 
 __all__ = [
     "SpectralDecomposition",
@@ -34,7 +33,6 @@ __all__ = [
     "frobenius_norm",
     "frobenius_norms",
     "hermiticity_defect",
-    "hermitian_eigen",
     "matrix_to_json",
     "matrix_from_json",
     "complex_from_json",
@@ -145,28 +143,6 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
         eigenvectors=np.ascontiguousarray(v[..., ::-1]),
     )
-
-
-def hermitian_eigen(a) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, or of each member
-    of a stack (n, d, d).
-
-    Raises
-    ------
-    HermiticityError
-        if the deviation from Hermiticity exceeds TOL_HERM relative to
-        the Frobenius norm.
-    CapacityError
-        if the matrix dimension exceeds EIGEN_DIM_CAP.
-    ConvergenceError
-        if the underlying solver fails to converge.
-    """
-    a = as_matrix(a, stacked=getattr(a, "ndim", 2) == 3)
-    d = a.shape[-1]
-    if d > EIGEN_DIM_CAP:
-        raise CapacityError(
-            f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
-    return _eigh_descending(_hermitian_part(a, "matrix"))
 
 
 def matrix_to_json(a) -> dict:

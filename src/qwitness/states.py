@@ -200,18 +200,23 @@ def _top_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
-    """:func:`pure_decompose` of each member of a stack of spectra; the
-    remainders are checked together."""
+    """:func:`pure_decompose` of each member of a stack of spectra.
+
+    The remainders are checked together against the spectrum they are
+    built from: the normalized tail weights over the tail eigenvectors,
+    then 0 along psi. No remainder is decomposed again."""
     lam = dec.eigenvalues
     gap, degenerate = _top_gaps(lam)
     eps = 1.0 - lam[:, 0]
     mixed = eps > TOL_PSD
     psi = np.ascontiguousarray(dec.eigenvectors[:, :, 0])
     tail = np.maximum(lam[mixed, 1:], 0.0)
+    w = tail / tail.sum(axis=-1, keepdims=True)
     vecs = dec.eigenvectors[mixed, :, 1:]
     etas = StateStack.check(
-        (vecs * (tail / tail.sum(axis=-1, keepdims=True))[:, None, :])
-        @ _adjoint(vecs))
+        (vecs * w[:, None, :]) @ _adjoint(vecs),
+        SpectralDecomposition(np.pad(w, ((0, 0), (0, 1))),
+                              np.roll(dec.eigenvectors[mixed], -1, axis=-1)))
     eta = map(etas.state, range(len(tail)))
     return [PureDecomposition(
         epsilon=e if m else max(e, 0.0), psi=psi[k],

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AgreementError,
     BoundaryError,
+    CapacityError,
     CommutingInputsError,
     ConditionUnreachableError,
     DegenerateDenominatorError,
@@ -32,13 +33,13 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     _adjoint,
+    _eigh_descending,
     anticommutator,
     as_matrix,
     assert_agreement,
     commutator,
     frobenius_norm,
     frobenius_norms,
-    hermitian_eigen,
     hermiticity_defect,
 )
 from .states import (
@@ -52,6 +53,7 @@ from .states import (
     reconstruct_decomposition,
 )
 from .tolerances import (
+    EIGEN_DIM_CAP,
     PLAN_CAP,
     TOL_COMM,
     TOL_F,
@@ -138,7 +140,8 @@ class WitnessReport:
 
 def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
              closed: list | None = None) -> list[WitnessReport]:
-    """The report of each member of a stack (n, d, d) of anticommutators.
+    """The report of each member of a stack (n, d, d) of anticommutators,
+    which :func:`anticommutator` returns exactly Hermitian.
 
     ``closed``, when given, holds each member's closed-form purity
     criterion; it must agree with the eigen-analysis within 1e-10
@@ -146,7 +149,11 @@ def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
     carries it. The criterion grows like 1/tr^2 as psi nears
     orthogonality to rho2's support, and its rounding with it.
     """
-    dec = hermitian_eigen(anti)
+    d = anti.shape[-1]
+    if d > EIGEN_DIM_CAP:
+        raise CapacityError(
+            f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
+    dec = _eigh_descending(anti)
     lows = np.argmin(dec.eigenvalues, axis=-1).tolist()
     traces = anti.trace(axis1=-2, axis2=-1).real.tolist()
     reports = []
@@ -516,70 +523,61 @@ def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
     """:func:`nested_witness` of each pair of members of two stacks, the
     k-th toward targets[k].
 
-    A member that nested_witness would stop with a degenerate spectrum,
-    commuting inputs or an unreachable condition gets that error in
-    place of a result; it meets the checks in nested_witness's order,
-    so its first failing one decides. Any other failed check raises.
+    Each check runs once over the whole stack, in nested_witness's
+    order: degenerate input, commuting inputs, capped plan, boundary
+    overlap. A member that fails one gets, in place of a result, the
+    error of the first check it fails; only the members that pass them
+    all are witnessed. Any other failed check raises.
     """
     checked = [_check_plan_args(target, plan_cap) for target in targets]
     out: list = [None] * len(targets)
-    live = list(range(len(out)))
 
-    def stop(errors: dict) -> list[int]:
-        for k, error in errors.items():
+    def stop(k: int, error: QwitnessError) -> None:
+        if out[k] is None:
             out[k] = error
-        return [k for k in live if k not in errors]
 
-    for name, sigma in (("first", sigma1), ("second", sigma2)):
-        gap, degenerate = (a.tolist() for a in
-                           _top_gaps(sigma.spectrum.eigenvalues))
-        live = stop({k: DegenerateSpectrumError(
-            f"{name} input has a degenerate leading eigenvalue "
-            f"(gap {gap[k]:.3e})") for k in live if degenerate[k]})
+    pairs = (("first", sigma1), ("second", sigma2))
+    for name, sigma in pairs:
+        gap, degenerate = _top_gaps(sigma.spectrum.eigenvalues)
+        for k in np.flatnonzero(degenerate).tolist():
+            stop(k, DegenerateSpectrumError(
+                f"{name} input has a degenerate leading eigenvalue "
+                f"(gap {gap[k]:.3e})"))
     norms = frobenius_norms(commutator(sigma1.matrix, sigma2.matrix))
-    live = stop({k: CommutingInputsError(
-        f"inputs commute (commutator norm {norms[k]:.3e}); "
-        "no witness is possible") for k in live if norms[k] <= tol_comm})
-    plans: list[dict] = []
-    for name, sigma in (("first", sigma1), ("second", sigma2)):
-        plans.append(dict(zip(live, _plans(sigma.spectrum.eigenvalues[live],
-                                           [checked[k] for k in live],
-                                           plan_cap))))
-        live = stop({k: DegenerateSpectrumError(
-            f"amplification plan for the {name} input capped out at "
-            f"n = {p.n} without reaching epsilon {targets[k]}")
-            for k, p in plans[-1].items() if p.degenerate})
-    if not live:  # as at d = 1, where every pair commutes
-        return out
-    if len(live) < len(out):
-        sigma1, sigma2 = sigma1.take(live), sigma2.take(live)
-    amplified = [_amplified(sigma.spectrum, [ps[k].n for k in live])
-                 for sigma, ps in zip((sigma1, sigma2), plans)]
-    reach = []
-    for j, (dec1, dec2) in enumerate(zip(*(_pure_decompositions(rho.spectrum)
-                                           for rho in amplified))):
-        o = overlap_data(dec1, dec2)
+    for k, norm in enumerate(norms):
+        if norm <= tol_comm:
+            stop(k, CommutingInputsError(
+                f"inputs commute (commutator norm {norm:.3e}); "
+                "no witness is possible"))
+    plans = [_plans(sigma.spectrum.eigenvalues, checked, plan_cap)
+             for _, sigma in pairs]
+    for (name, _), ps in zip(pairs, plans):
+        for k, p in enumerate(ps):
+            if p.degenerate:
+                stop(k, DegenerateSpectrumError(
+                    f"amplification plan for the {name} input capped out "
+                    f"at n = {p.n} without reaching epsilon {targets[k]}"))
+    amplified = [_amplified(sigma.spectrum, [p.n for p in ps])
+                 for (_, sigma), ps in zip(pairs, plans)]
+    overlaps = [overlap_data(dec1, dec2) for dec1, dec2 in zip(
+        *(_pure_decompositions(rho.spectrum) for rho in amplified))]
+    for k, o in enumerate(overlaps):
         af = abs(o.f)
         if af <= tol_f or af >= 1.0 - tol_f:
-            out[live[j]] = ConditionUnreachableError(
+            stop(k, ConditionUnreachableError(
                 f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
-                "boundary; the margin condition cannot certify this pair")
-        else:
-            reach.append((j, o, nonpositivity_condition(o, tol_f=tol_f)))
-    if not reach:
+                "boundary; the margin condition cannot certify this pair"))
+    live = [k for k, result in enumerate(out) if result is None]
+    if not live:  # as at d = 1, where every pair commutes
         return out
-    if len(reach) < len(live):
-        rows = [j for j, _, _ in reach]
-        amplified = [rho.take(rows) for rho in amplified]
-    rho1, rho2 = amplified
+    rho1, rho2 = (rho.take(live) for rho in amplified)
     reports = _analyze(anticommutator(rho1.matrix, rho2.matrix),
                        tol_witness, tol_null)
-    for i, ((j, o, condition), report) in enumerate(zip(reach, reports)):
-        k = live[j]
+    for i, (k, report) in enumerate(zip(live, reports)):
         out[k] = NestedWitnessResult(
             report=report, plan1=plans[0][k], plan2=plans[1][k],
-            state1=rho1.state(i), state2=rho2.state(i), overlap=o,
-            condition_met=condition)
+            state1=rho1.state(i), state2=rho2.state(i), overlap=overlaps[k],
+            condition_met=nonpositivity_condition(overlaps[k], tol_f=tol_f))
     return out
 
 

@@ -245,6 +245,27 @@ def test_nested_boundary_overlap_exit(capsys, tmp_path):
     assert "boundary" in err
 
 
+def test_nested_reports_a_vanishing_first_order_denominator_as_null(
+        capsys, tmp_path):
+    # |<0|v>| = 3e-6: at n = 12 both mixing weights are ~3.5e-12, so the
+    # first-order denominator 2(|f|^2 + 2s) ~ 1.8e-11 vanishes while the
+    # amplified anticommutator still has eigenvalue -3e-6
+    v = np.array([3e-6, np.sqrt(1.0 - 9e-12)])
+    v_perp = np.array([v[1], -v[0]])
+    f1 = write_state(tmp_path, "s1.json", np.diag([0.9, 0.1]))
+    f2 = write_state(tmp_path, "s2.json", 0.9 * np.outer(v, v)
+                     + 0.1 * np.outer(v_perp, v_perp))
+    code, out, _ = run_cli(capsys, "nested", "--states", f1, f2,
+                           "--target", "1e-11")
+    assert code == 10
+    obj = json.loads(out)
+    assert obj["first_order_purity"] is None
+    assert (obj["plan1"]["n"], obj["plan2"]["n"]) == (12, 12)
+    assert obj["condition"]["met"] is True
+    assert obj["report"]["verdict"] == "NONPOSITIVE_WITNESSED"
+    assert obj["report"]["min_eigenvalue"] == pytest.approx(-3.0e-6, rel=1e-3)
+
+
 # -------------------------------------------------------------- amplify
 
 def test_amplify_plan(capsys, tmp_path):
@@ -286,9 +307,15 @@ def test_amplify_rejects_bad_n(capsys, tmp_path):
     assert code == 2
     assert "--n must be" in err
     # a nonpositive plan cap or an out-of-range target is malformed
-    # input, not a capped-out plan, even on degenerate or commuting pairs
+    # input, not a capped-out plan, even on degenerate or commuting pairs;
+    # so is the flag of the other amplify mode
     f1, f2 = mixed_pair_files(tmp_path)
+    out_path = tmp_path / "o.json"
     for argv, message in (
+            (("amplify", "--state", f, "--target", "0.05", "--out",
+              str(out_path)), "--out is read only with --n"),
+            (("amplify", "--state", f, "--n", "3", "--cap", "0"),
+             "--cap is read only with --target"),
             (("amplify", "--state", "0,0,0.5", "--target", "0.01",
               "--cap", "-4"), "cap must be >= 1"),
             (("amplify", "--state", f, "--target", "0.05", "--cap", "0"),
@@ -305,6 +332,7 @@ def test_amplify_rejects_bad_n(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert message in err
+    assert not out_path.exists()
 
 
 # -------------------------------------------------------------- circuit
@@ -367,10 +395,25 @@ def test_circuit_probe_must_be_pure(capsys, tmp_path):
 
 def test_circuit_copies_mismatch(capsys, tmp_path):
     probe = witness_report_file(capsys, tmp_path)
-    code, _, err = run_cli(capsys, "circuit", "--states", "0,0,1", "1,0,0",
-                           "--copies", "3", "--probe", probe)
-    assert code == 2
-    assert "--copies" in err
+    for copies, message in (("3", "give exactly --copies states"),
+                            ("0", "--copies must be >= 1")):
+        code, out, err = run_cli(capsys, "circuit", "--states", "0,0,1",
+                                 "1,0,0", "--copies", copies, "--probe", probe)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def test_circuit_zero_readout_cannot_be_resolved(capsys, tmp_path):
+    # <1|{|0><0|, |0><0|}|1>/2 = 0: no shot count separates it from zero
+    probe = tmp_path / "probe.json"
+    probe.write_text('{"amplitudes": [[0, 0], [1, 0]]}', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "circuit", "--states", "0,0,1", "0,0,1",
+                           "--probe", str(probe), "--shots", "100")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["exact"] == 0
+    assert obj["shots_to_resolve"] is None
 
 
 def test_circuit_rejects_zero_shots(capsys, tmp_path):
@@ -461,7 +504,8 @@ def test_discord_demo_rejects_bad_dims(capsys, tmp_path):
             (bell, "a,b", "bad --dims 'a,b'"),
             # a --dims the bell state would ignore is refused
             (bell, "3,3", "bad --dims '3,3'; the bell state is 2,2"),
-            (bell, "1,4", "bad --dims '1,4'; the bell state is 2,2")):
+            (bell, "1,4", "bad --dims '1,4'; the bell state is 2,2"),
+            (("--state", f), "2,2,2", "bad --dims '2,2,2'; expected dA,dB")):
         code, out, err = run_cli(capsys, "discord-demo", *state,
                                  "--dims", dims, "--ops", "z,x",
                                  "--outcomes", "0,+")
@@ -488,6 +532,11 @@ def test_discord_demo_unknown_measurement(capsys):
                            "--ops", "y,x", "--outcomes", "0,+")
     assert code == 2
     assert "unknown measurement" in err
+    code, out, err = run_cli(capsys, "discord-demo", "--state", "bell",
+                             "--ops", "z", "--outcomes", "0")
+    assert code == 2
+    assert out == ""
+    assert "--ops and --outcomes each need two" in err
 
 
 def test_discord_demo_degenerate_conditional_reports_direct(capsys, tmp_path):

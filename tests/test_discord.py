@@ -118,6 +118,9 @@ def test_classical_quantum_state_validation():
         classical_quantum_state([0.7, 0.7], [bob, bob])
     with pytest.raises(PositivityError):
         classical_quantum_state([1.2, -0.2], [bob, bob])
+    with pytest.raises(DimensionError, match="share one dimension"):
+        classical_quantum_state([0.5, 0.5],
+                                [bob, make_density(np.eye(3) / 3)])
 
 
 def test_measurement_from_unitary_requires_unit_columns():

@@ -5,24 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness.errors import (
-    AgreementError,
-    CapacityError,
-    DimensionError,
-    HermiticityError,
-)
+from qwitness.errors import AgreementError, DimensionError
 from qwitness.linalg import (
+    _eigh_descending,
     anticommutator,
     as_matrix,
     assert_agreement,
     commutator,
     frobenius_norm,
-    hermitian_eigen,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
 )
-from qwitness.tolerances import EIGEN_DIM_CAP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -74,27 +68,14 @@ def test_dimension_mismatch():
         anticommutator(SX, np.eye(3))
 
 
-def test_hermitian_eigen_sorted_and_reconstructs():
+def test_eigh_descending_sorted_and_reconstructs():
     h = random_hermitian(6, 42)
-    dec = hermitian_eigen(h)
+    dec = _eigh_descending(h)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
     np.testing.assert_allclose(reconstruct(dec), h, atol=1e-12)
     # columns are orthonormal
     v = dec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
-
-
-def test_hermitian_eigen_rejects_nonhermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(HermiticityError):
-        hermitian_eigen(m)
-
-
-def test_hermitian_eigen_cap():
-    d = EIGEN_DIM_CAP  # 256
-    assert hermitian_eigen(np.eye(d)).eigenvalues.shape == (d,)
-    with pytest.raises(CapacityError, match=f"{d + 1} exceeds eigensolver cap"):
-        hermitian_eigen(np.eye(d + 1))
 
 
 def test_hermiticity_defect():
@@ -155,6 +136,6 @@ def test_anticommutator_is_hermitian(a, b):
 @given(hermitian_matrices())
 @settings(max_examples=60, deadline=None)
 def test_eigen_reconstruction_property(h):
-    dec = hermitian_eigen(h)
+    dec = _eigh_descending(h)
     np.testing.assert_allclose(reconstruct(dec), h, atol=1e-10)
     assert abs(float(np.sum(dec.eigenvalues)) - float(np.trace(h).real)) < 1e-10

@@ -75,6 +75,15 @@ def test_pure_decompose_roundtrip():
                                atol=1e-10)
     # the remainder lives on the complement of the leading vector
     assert abs(np.vdot(dec.psi, dec.eta.matrix @ dec.psi)) < 1e-12
+    # its spectrum is the one it is built from, not a second eigh:
+    # descending, 0 along psi, and it reconstructs the remainder
+    lam, v = dec.eta.spectrum.eigenvalues, dec.eta.spectrum.eigenvectors
+    assert np.all(np.diff(lam) <= 0) and lam[-1] == 0.0
+    assert np.array_equal(v[:, -1], dec.psi)
+    np.testing.assert_allclose((v * lam) @ v.conj().T, dec.eta.matrix,
+                               atol=1e-14)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(dec.eta.matrix)[::-1],
+                               atol=1e-14)
 
 
 def test_pure_decompose_of_pure_state():
@@ -95,6 +104,8 @@ def test_as_pure_state():
         as_pure_state([1.0, 1.0])
     with pytest.raises(DimensionError):
         as_pure_state([])
+    with pytest.raises(ValueError, match="non-finite"):
+        as_pure_state([np.nan, 1.0])
 
 
 def test_pure_projector():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qwitness.errors import (
     AgreementError,
     BoundaryError,
+    CapacityError,
     CommutingInputsError,
     ConditionUnreachableError,
     DegenerateDenominatorError,
@@ -18,6 +19,7 @@ from qwitness.errors import (
 )
 from qwitness import witness
 from qwitness.linalg import anticommutator, commutator, frobenius_norm
+from qwitness.scans import run_scan
 from qwitness.states import (
     PureDecomposition,
     StateStack,
@@ -49,7 +51,7 @@ from qwitness.witness import (
     second_order_indicator,
     witness_anticommutator,
 )
-from qwitness.tolerances import PLAN_CAP
+from qwitness.tolerances import EIGEN_DIM_CAP, PLAN_CAP
 
 PSI0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
@@ -102,6 +104,43 @@ def test_null_anticommutator():
     assert report.verdict is Verdict.NULL_ANTICOMMUTATOR
     assert report.purity_criterion is None
     assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
+
+
+def test_witness_anticommutator_eigensolver_cap():
+    # states of any dimension validate; only the spectral analysis is capped
+    d = EIGEN_DIM_CAP  # 256
+    rho = make_density(np.eye(d) / d)
+    assert witness_anticommutator(rho, rho).witness_vector.shape == (d,)
+    big = make_density(np.eye(d + 1) / (d + 1))
+    with pytest.raises(CapacityError, match=f"{d + 1} exceeds eigensolver cap"):
+        witness_anticommutator(big, big)
+
+
+def test_witness_paths_decompose_once(monkeypatch):
+    """Once its inputs are built, a witness eigendecomposes only its
+    anticommutator stack: amplified states and their remainders keep
+    the spectra they are built from."""
+    rng = seeded_rng(3)
+    sigma1, sigma2 = random_density(3, 3, rng), random_density(3, 3, rng)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    witness_anticommutator(sigma1, sigma2)
+    assert len(calls) == 1
+    calls.clear()
+    result = nested_witness(sigma1, sigma2, 0.05)
+    assert result.report.verdict is Verdict.NONPOSITIVE_WITNESSED
+    assert len(calls) == 1
+    calls.clear()
+    # per dimension: the two state stacks and the anticommutator stack
+    run_scan("nested", trials=150, seed=1)
+    assert len(calls) == 9
 
 
 def test_report_to_dict():
