@@ -24,6 +24,7 @@ byte-identical on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -67,8 +68,8 @@ from .states import (
     state_from_json,
     state_to_json,
 )
-from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, TOL_COMM, TOL_F,
-                         TOL_NULL, TOL_WITNESS, TRIALS_CAP)
+from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, SHOTS_CAP,
+                         TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS, TRIALS_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -298,15 +299,6 @@ def cmd_witness(args) -> int:
     return _verdict_exit(report.verdict)
 
 
-def _plan_dict(plan) -> dict:
-    return {
-        "n": plan.n,
-        "achieved_epsilon": plan.achieved_epsilon,
-        "requested_epsilon": plan.requested_epsilon,
-        "degenerate": plan.degenerate,
-    }
-
-
 def cmd_nested(args) -> int:
     tols = _tols(args, ("witness", "null", "comm", "f"))
     sigma1 = _parse_state(args.states[0])
@@ -324,8 +316,8 @@ def cmd_nested(args) -> int:
         purity = None
     _print({
         "target_epsilon": args.target,
-        "plan1": _plan_dict(result.plan1),
-        "plan2": _plan_dict(result.plan2),
+        "plan1": result.plan1._asdict(),
+        "plan2": result.plan2._asdict(),
         "overlap": {"f": abs(o.f), "g1": o.g1, "g2": o.g2,
                     "eps1": o.eps1, "eps2": o.eps2},
         "condition": {"lhs": lhs, "rhs": rhs, "met": result.condition_met},
@@ -355,7 +347,7 @@ def cmd_amplify(args) -> int:
         return EXIT_OK
     plan = plan_amplification(rho, args.target,
                               cap=PLAN_CAP if args.cap is None else args.cap)
-    _print(_plan_dict(plan))
+    _print(plan._asdict())
     return EXIT_DEGENERATE if plan.degenerate else EXIT_OK
 
 
@@ -373,6 +365,8 @@ def cmd_circuit(args) -> int:
     probe = _load_probe(args.probe)
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be >= 1")
+    if args.shots is not None and args.shots > SHOTS_CAP:
+        raise ValueError(f"--shots must be <= {SHOTS_CAP}, got {args.shots}")
     exact = run_circuit_exact(states, probe)
     if args.shots is None:
         _print({"exact": exact})
@@ -460,20 +454,22 @@ def cmd_scan(args) -> int:
     if args.jobs > 1:
         print(f"note: --jobs {args.jobs} is ignored; scans run serially",
               file=sys.stderr)
-    start = time.perf_counter()
-    records, summary = run_scan(args.kind, trials=args.trials, dims=dims,
-                                seed=seed, grid=args.grid)
-    elapsed = time.perf_counter() - start
-    summary = {**summary, "version": __version__}
-    if args.format == "csv":
-        sys.stdout.write(_csv_text(records))
-    else:
-        for record in records:
-            sys.stdout.write(dumps(record) + "\n")
-    _print(summary)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text([summary]))
+    # opened before any trial runs, so that a bad path fails first
+    with (open(args.csv, "w", encoding="utf-8") if args.csv
+          else contextlib.nullcontext()) as summary_csv:
+        start = time.perf_counter()
+        records, summary = run_scan(args.kind, trials=args.trials, dims=dims,
+                                    seed=seed, grid=args.grid)
+        elapsed = time.perf_counter() - start
+        summary = {**summary, "version": __version__}
+        if args.format == "csv":
+            sys.stdout.write(_csv_text(records))
+        else:
+            for record in records:
+                sys.stdout.write(dumps(record) + "\n")
+        _print(summary)
+        if summary_csv:
+            summary_csv.write(_csv_text([summary]))
     print(f"scan {args.kind}: {len(records)} records in {elapsed:.3f} s",
           file=sys.stderr)
     counterexamples = summary.get("counterexamples", 0)
@@ -541,7 +537,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", required=True,
                    help="two measurement families, e.g. z,x")
     p.add_argument("--outcomes", required=True,
-                   help="one outcome label per family, e.g. 0,+")
+                   help="one outcome label per family, e.g. 0,+; a value "
+                        "that starts with '-' takes the = form, "
+                        "--outcomes=-,1")
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance: witness, null, comm")
     p.set_defaults(func=cmd_discord)

@@ -16,8 +16,7 @@ builds it from the columns of a unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,19 +52,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BipartiteState:
-    """A validated state on a two-factor Hilbert space."""
-
+class _Bipartite(NamedTuple):
     state: DensityOperator
     dims: tuple[int, int]
 
-    def __post_init__(self):
-        da, db = self.dims
-        if da < 1 or db < 1 or da * db != self.state.dim:
+
+class BipartiteState(_Bipartite):
+    """A validated state on a two-factor Hilbert space."""
+
+    __slots__ = ()
+
+    def __new__(cls, state: DensityOperator, dims: tuple[int, int]):
+        da, db = dims
+        if da < 1 or db < 1 or da * db != state.dim:
             raise DimensionError(
-                f"dims {da}x{db} do not factor dimension {self.state.dim}"
+                f"dims {da}x{db} do not factor dimension {state.dim}"
             )
+        return super().__new__(cls, state, dims)
 
 
 def bell_state() -> BipartiteState:
@@ -158,8 +161,7 @@ def select_outcome(rho_ab: BipartiteState,
     return prob, state
 
 
-@dataclass(frozen=True)
-class ConditionalEnsemble:
+class ConditionalEnsemble(NamedTuple):
     """Conditional states of B with their pairwise commutator norms.
 
     Only outcomes with nonzero probability enter; ``noncommuting_found``
@@ -172,8 +174,8 @@ class ConditionalEnsemble:
     noncommuting_found: bool
 
 
-def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | None]],
-                         *, tol_comm: float = TOL_COMM) -> ConditionalEnsemble:
+def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | None]]
+                         ) -> ConditionalEnsemble:
     """Pairwise commutators of (probability, state) pairs as returned
     by :func:`conditional_state`; null outcomes are dropped."""
     kept = tuple((prob, state) for prob, state in conditionals
@@ -186,7 +188,7 @@ def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | N
                 commutator(kept[i][1].matrix, kept[j][1].matrix))
     return ConditionalEnsemble(states=kept,
                                pairwise_commutator_norms=norms,
-                               noncommuting_found=bool((norms > tol_comm).any()))
+                               noncommuting_found=bool((norms > TOL_COMM).any()))
 
 
 def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,

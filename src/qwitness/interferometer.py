@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnresolvableError
 from .states import DensityOperator, as_pure_state, pure_projector, seeded_rng
-from .tolerances import CIRCUIT_BYTES
+from .tolerances import CIRCUIT_BYTES, SHOTS_CAP
 
 __all__ = ["run_circuit_exact", "sample_readout", "shots_to_resolve"]
 
@@ -97,8 +97,9 @@ def sample_readout(exact: float, shots: int | None,
     (estimate, standard error) with estimate = (n0 - n1) / shots and
     stderr = sqrt((1 - estimate^2) / shots).
     """
-    if shots is None or int(shots) < 1:
-        raise ValueError(f"sampled run needs shots >= 1, got {shots}")
+    if shots is None or not 1 <= int(shots) <= SHOTS_CAP:
+        raise ValueError(
+            f"sampled run needs shots in [1, {SHOTS_CAP}], got {shots}")
     if seed is None:
         raise ValueError("sampled run needs an explicit seed")
     shots = int(shots)

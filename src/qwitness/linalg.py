@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ def hermiticity_defect(a) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and sorted descending; ``eigenvectors``

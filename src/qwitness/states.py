@@ -9,7 +9,6 @@ explicit 64-bit seed so every run is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -169,8 +168,7 @@ def purity(rho: DensityOperator) -> float:
     return float(np.vdot(m, m).real)
 
 
-@dataclass(frozen=True)
-class PureDecomposition:
+class PureDecomposition(NamedTuple):
     """Convex split of a state into its leading pure part and a remainder.
 
     ``state == (1 - epsilon) |psi><psi| + epsilon * eta`` with ``eta``

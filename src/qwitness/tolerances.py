@@ -46,3 +46,7 @@ TRIALS_CAP = 1_000_000
 # bytes per basis index over l registers: at most 19 registers at
 # d = 2, 12 at d = 3 and 10 at d = 4
 CIRCUIT_BYTES = 256 << 20
+
+# cap on a sampled circuit's shots: numpy draws the binomial count as a
+# signed 64-bit integer
+SHOTS_CAP = 2**63 - 1

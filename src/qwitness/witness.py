@@ -13,7 +13,7 @@ second-order analyses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +96,7 @@ class Verdict(str, enum.Enum):
     NULL_ANTICOMMUTATOR = "NULL_ANTICOMMUTATOR"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Spectral analysis of one anticommutator.
 
     ``witness_vector`` is the eigenvector of the smallest eigenvalue
@@ -304,8 +303,7 @@ def amplify(rho: DensityOperator, n: int) -> DensityOperator:
     return _amplified(StateStack.of(rho).spectrum, [n]).state(0)
 
 
-@dataclass(frozen=True)
-class AmplificationPlan:
+class AmplificationPlan(NamedTuple):
     """Smallest iteration count reaching a target mixedness.
 
     ``achieved_epsilon`` is ``1 - lambda_max`` after ``n`` iterations
@@ -405,8 +403,7 @@ def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
     return _plans(rho.spectrum.eigenvalues[None], [target], cap)[0]
 
 
-@dataclass(frozen=True)
-class OverlapData:
+class OverlapData(NamedTuple):
     """Scalar data of a nearly-pure pair.
 
     ``f`` is the overlap of the two leading eigenvectors, ``g1`` the
@@ -505,8 +502,7 @@ def safe_nested_target(f: float) -> float:
     return min((1.0 - f * f) / 10.0, f * (1.0 - f) / 8.0)
 
 
-@dataclass(frozen=True)
-class NestedWitnessResult:
+class NestedWitnessResult(NamedTuple):
     report: WitnessReport
     plan1: AmplificationPlan
     plan2: AmplificationPlan
@@ -624,8 +620,7 @@ def second_order_indicator(eps1: float, eps2: float, g1: float, g2: float,
             - 8.0 * eps1 * eps2 * g1 * g2)
 
 
-@dataclass(frozen=True)
-class OrthogonalCaseReport:
+class OrthogonalCaseReport(NamedTuple):
     indicator: float
     witnessable: bool
     ratio_bound: float | None
@@ -706,8 +701,7 @@ class DegenerateVerdict(str, enum.Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-@dataclass(frozen=True)
-class DegenerateCaseReport:
+class DegenerateCaseReport(NamedTuple):
     """Leading-order purity analysis for degenerate leading eigenvalues.
 
     ``bracket`` is tr[(P1 P2)^2] + tr[P1 P2] - 2 (tr[P1 P2])^2. A
@@ -740,8 +734,7 @@ def _check_projector(p: np.ndarray, rank: int, which: str) -> np.ndarray:
 
 
 def degenerate_case_analysis(p1, d1: int, p2, d2: int,
-                             eps1: float, eps2: float, *,
-                             tol: float = TOL_PSD) -> DegenerateCaseReport:
+                             eps1: float, eps2: float) -> DegenerateCaseReport:
     """Witnessability when both leading eigenvalues are degenerate.
 
     The states are modeled as (1-eps_i) P_i / d_i + eps_i eta_i with
@@ -763,10 +756,10 @@ def degenerate_case_analysis(p1, d1: int, p2, d2: int,
     tr_pq2 = float((prod @ prod).trace().real)
     bracket = tr_pq2 + tr_pq - 2.0 * tr_pq * tr_pq
     leading = 2.0 * (1.0 - 2.0 * eps1 - 2.0 * eps2) * bracket / (d1 * d1 * d2 * d2)
-    if bracket > tol:
+    if bracket > TOL_PSD:
         verdict = DegenerateVerdict.POSITIVE_WITNESSABLE
         direct = None
-    elif bracket < -tol:
+    elif bracket < -TOL_PSD:
         verdict = DegenerateVerdict.NEGATIVE_INCONCLUSIVE
         direct = _direct_degenerate_check(p1, d1, p2, d2, eps1, eps2)
     else:

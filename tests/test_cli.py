@@ -424,6 +424,21 @@ def test_circuit_rejects_zero_shots(capsys, tmp_path):
     assert "--shots" in err
 
 
+def test_circuit_shots_bounded_by_a_64_bit_count(capsys, tmp_path):
+    # numpy draws the count as a signed 64-bit integer; one past it is
+    # malformed input, not a traceback
+    probe = witness_report_file(capsys, tmp_path)
+    argv = ["circuit", "--states", "0,0,1", "1,0,0", "--probe", probe,
+            "--seed", "1", "--shots"]
+    code, out, err = run_cli(capsys, *argv, str(2**63))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --shots must be <= {2**63 - 1}, got {2**63}\n"
+    code, out, _ = run_cli(capsys, *argv, str(2**63 - 1))
+    assert code == 0
+    assert json.loads(out)["shots"] == 2**63 - 1
+
+
 def test_circuit_copies_over_cap_rejected_before_replicating(capsys,
                                                              tmp_path):
     # over the byte budget of the readout: the check runs before the
@@ -486,6 +501,14 @@ def test_discord_demo_product_state_file(capsys, tmp_path):
                            "--outcomes", "0,+")
     assert code == 0
     assert json.loads(out)["report"]["verdict"] == "POSITIVE"
+
+
+def test_discord_demo_outcomes_starting_with_a_dash(capsys):
+    # argparse reads "-,1" after a space as a flag; the = form passes it
+    code, out, _ = run_cli(capsys, "discord-demo", "--state", "bell",
+                           "--ops", "x,z", "--outcomes=-,1")
+    assert code == 10
+    assert json.loads(out)["report"]["verdict"] == "NONPOSITIVE_WITNESSED"
 
 
 def test_discord_demo_file_needs_dims(capsys, tmp_path):
@@ -647,6 +670,16 @@ def test_scan_summary_csv_file(capsys, tmp_path):
     assert "counterexamples" in rows[0].split(",")
 
 
+def test_scan_summary_csv_path_checked_before_the_first_trial(capsys,
+                                                            tmp_path):
+    code, out, err = run_cli(capsys, "scan", "--kind", "null", "--trials",
+                             "3", "--dims", "2", "--seed", "1",
+                             "--csv", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_scan_rejects_json_format(capsys):
     code, _, err = run_cli(capsys, "scan", "--kind", "bloch", "--grid", "3",
                            "--format", "json")
@@ -806,6 +839,16 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
         for op in ops:
             args = parser.parse_args(op.argv)
             assert args.command == op.argv[0], op.argv
+
+
+def test_import_leaves_dataclasses_out(subprocess_env):
+    # the report types are NamedTuples; a one-shot run does not pay for
+    # the dataclasses import
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qwitness.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, check=True, env=subprocess_env)
+    assert result.stdout == b"False\n"
 
 
 def test_console_script_byte_identical(subprocess_env):

@@ -393,7 +393,7 @@ def test_sample_readout_matches_sampled_run(capsys, tmp_path):
 
 def test_sampled_run_validation():
     exact = run_circuit_exact((P0,), np.array([1.0, 0.0]))
-    for shots, seed in ((None, 1), (0, 1), (-3, 1), (10, None)):
+    for shots, seed in ((None, 1), (0, 1), (-3, 1), (2**63, 1), (10, None)):
         with pytest.raises(ValueError):
             sample_readout(exact, shots, seed)
 

@@ -18,7 +18,9 @@ from qwitness.errors import (
     ProjectorError,
 )
 from qwitness import witness
-from qwitness.linalg import anticommutator, commutator, frobenius_norm
+from qwitness.discord import BipartiteState, ConditionalEnsemble
+from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
+                             frobenius_norm)
 from qwitness.scans import run_scan
 from qwitness.states import (
     PureDecomposition,
@@ -33,9 +35,14 @@ from qwitness.states import (
     seeded_rng,
 )
 from qwitness.witness import (
+    AmplificationPlan,
+    DegenerateCaseReport,
     DegenerateVerdict,
+    NestedWitnessResult,
+    OrthogonalCaseReport,
     OverlapData,
     Verdict,
+    WitnessReport,
     amplify,
     degenerate_case_analysis,
     first_order_purity,
@@ -152,6 +159,54 @@ def test_report_to_dict():
     assert obj["verdict"] == "POSITIVE"
     assert obj["tolerances"] == {"witness": 0.5, "null": 0.25}
     assert len(obj["witness_vector"]) == 2
+
+
+_PLAN_FIELDS = dict(n=1, achieved_epsilon=0.01, requested_epsilon=0.05,
+                    degenerate=False)
+_REPORT_FIELDS = dict(min_eigenvalue=-0.2, witness_vector=PSI0,
+                      purity_criterion=1.5, anticommutator_trace=1.0,
+                      verdict=Verdict.NONPOSITIVE_WITNESSED, tol_witness=1e-10,
+                      tol_null=1e-10, closed_form_criterion=None)
+_OVERLAP_FIELDS = dict(f=0.5 + 0j, g1=0.1, g2=0.2, eps1=0.01, eps2=0.02)
+_PLAN = AmplificationPlan(**_PLAN_FIELDS)
+
+# every record type, with keyword arguments in field order
+_RECORDS = {
+    SpectralDecomposition: dict(eigenvalues=np.ones(2), eigenvectors=np.eye(2)),
+    PureDecomposition: dict(epsilon=0.0, psi=PSI0, eta=None, degenerate=False,
+                            gap=1.0),
+    WitnessReport: _REPORT_FIELDS,
+    AmplificationPlan: _PLAN_FIELDS,
+    OverlapData: _OVERLAP_FIELDS,
+    NestedWitnessResult: dict(report=WitnessReport(**_REPORT_FIELDS),
+                              plan1=_PLAN, plan2=_PLAN, state1=PLUS,
+                              state2=PLUS,
+                              overlap=OverlapData(**_OVERLAP_FIELDS),
+                              condition_met=True),
+    OrthogonalCaseReport: dict(indicator=0.1, witnessable=True,
+                               ratio_bound=None, g1=0.1, g2=0.2, var1=0.3,
+                               var2=0.4),
+    DegenerateCaseReport: dict(leading=0.1, bracket=0.2,
+                               verdict=DegenerateVerdict.UNDETERMINED,
+                               direct_min_eigenvalue=None),
+    BipartiteState: dict(state=make_density(np.eye(4) / 4), dims=(2, 2)),
+    ConditionalEnsemble: dict(states=((1.0, PLUS),),
+                              pairwise_commutator_norms=np.zeros((1, 1)),
+                              noncommuting_found=False),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_records_build_from_keywords_and_are_immutable(cls):
+    fields = _RECORDS[cls]
+    record = cls(**fields)
+    assert record._fields == tuple(fields)
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_closed_form_purity_matches_eigen_route():
