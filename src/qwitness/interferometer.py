@@ -115,14 +115,19 @@ def shots_to_resolve(target: float, confidence_sigmas: float) -> int:
     """Smallest shot count resolving ``target`` from zero.
 
     Returns the least n with confidence_sigmas * sqrt((1-t^2)/n) < |t|.
+    A target whose square underflows to 0, or whose n overflows a
+    float, raises UnresolvableError.
     """
     t = float(target)
     c = float(confidence_sigmas)
-    if t == 0.0:
-        raise UnresolvableError("a zero expectation cannot be resolved from zero")
+    if t * t == 0.0:  # zero, or so small that its square underflows
+        raise UnresolvableError(f"expectation {t!r} cannot be resolved from zero")
     if abs(t) >= 1.0:
         return 1
     if c < 0.0:
         raise ValueError(f"confidence must be nonnegative, got {c}")
     bound = c * c * (1.0 - t * t) / (t * t)
+    if not math.isfinite(bound):
+        raise UnresolvableError(f"expectation {t!r} needs more shots than a "
+                                "float can count")
     return int(math.floor(bound)) + 1

@@ -15,9 +15,9 @@ and a branch), in blocks of _CHUNK_BYTES of draws. The stacked calls
 are bit-identical to the per-matrix ones, each norm is summed as
 ``np.linalg.norm`` sums it, each per-member scalar product stays a call
 on that member, and each state passes ``DensityOperator``'s checks, so
-the records keep their bytes. A trial whose state needs drawing again
-draws again alone, from its own stream, and a failed check raises what
-the per-trial loop would raise first.
+the records keep their bytes. Each trial draws each of its states
+once, whatever its spectrum, and a failed check raises what the
+per-trial loop would raise first.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ __all__ = [
 
 SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 
-_REDRAW_LIMIT = 128
-
 # bytes of the matrices one stacked pass of a batched scan starts from
 # (the draws of pure-mixed, nested and null trials, bloch pair states);
 # its intermediate stacks are a few times this, whatever the trial count
@@ -77,27 +75,6 @@ _CHUNK_BYTES = 1 << 21
 # returns (~4 KiB for a nested trial at d = 2), so that a block of small
 # trials holds a bounded number of them
 _TRIAL_BYTES = 2048
-
-
-def _gapped(lam: np.ndarray, full_spectrum: bool) -> np.ndarray:
-    """Which members of a stack (n, d) of descending spectra have no
-    (near-)ties: ``full_spectrum`` demands pairwise-distinct
-    eigenvalues, otherwise only the top gap matters."""
-    if lam.shape[-1] == 1:
-        return np.ones(len(lam), dtype=bool)
-    gaps = -np.diff(lam, axis=-1) if full_spectrum else lam[:, :1] - lam[:, 1:2]
-    return gaps.min(axis=-1) > 1e-6
-
-
-def _nondegenerate_density(d: int, rng: np.random.Generator,
-                           full_spectrum: bool) -> DensityOperator:
-    """Draw a full-rank state whose spectrum has no (near-)ties, as
-    :func:`_gapped` judges it."""
-    for _ in range(_REDRAW_LIMIT):
-        rho = random_density(d, d, rng)
-        if _gapped(rho.spectrum.eigenvalues[None], full_spectrum)[0]:
-            return rho
-    raise RuntimeError("could not draw a nondegenerate state")  # pragma: no cover
 
 
 def _batched(trials: int, dims: list[int], seed: int, draw, compute
@@ -120,7 +97,7 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
         try:
             done = [r for items in block.values()
                     for r in compute(*map(list, zip(*items)))]
-        except (QwitnessError, ValueError, RuntimeError):
+        except (QwitnessError, ValueError):
             for t, drawn in sorted((item for items in block.values()
                                     for item in items), key=lambda i: i[0]):
                 compute([t], [drawn])
@@ -143,21 +120,12 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     return records
 
 
-def _gapped_states(g: np.ndarray, full_spectrum: bool
-                   ) -> tuple[StateStack, np.ndarray]:
-    """The checked states of a stack of Ginibre draws, and the indices
-    of those that :func:`_nondegenerate_density` would draw again."""
-    states = StateStack.check(_density_from_ginibre(g))
-    return states, np.flatnonzero(~_gapped(states.spectrum.eigenvalues,
-                                           full_spectrum))
-
-
 def scan_pure_mixed(trials: int, dims: Sequence[int],
                     seed: int) -> tuple[list[dict], dict]:
     """Witnessed verdict == noncommutation, for pure-vs-mixed pairs.
 
-    Each trial draws its pure state and one Ginibre matrix; a trial
-    whose state needs drawing again runs its draws again alone.
+    Each trial draws its pure state and one Ginibre matrix; the claim
+    holds for every mixed state, tied spectra included.
     """
     dims = list(dims)
 
@@ -167,11 +135,7 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
     def compute(trial_ids: list[int], draws: list) -> list[dict]:
         psi, g = (np.array(a) for a in zip(*draws))
         d = psi.shape[-1]
-        rho2, again = _gapped_states(g, full_spectrum=True)
-        for k in again.tolist():
-            rng = seeded_rng(seed, trial_ids[k])
-            random_pure(d, rng)  # psi comes first in the stream
-            rho2.put(k, _nondegenerate_density(d, rng, full_spectrum=True))
+        rho2 = StateStack.check(_density_from_ginibre(g))
         reports = _pure_mixed_reports(psi, rho2, TOL_WITNESS, TOL_NULL)
         comm_norms = frobenius_norms(commutator(_projectors(psi), rho2.matrix))
         records = []
@@ -210,9 +174,9 @@ def scan_nested(trials: int, dims: Sequence[int],
                 seed: int) -> tuple[list[dict], dict]:
     """Margin condition after planned amplification forces a witness.
 
-    Each trial draws one Ginibre matrix per state; a trial either of
-    whose states needs drawing again runs its draws again alone, both
-    states, since sigma2 is drawn after sigma1's redraws.
+    Each trial draws one Ginibre matrix per state; a trial with a tied
+    top eigenvalue in either state records a DegenerateSpectrumError
+    skip.
     """
     dims = list(dims)
 
@@ -220,15 +184,9 @@ def scan_nested(trials: int, dims: Sequence[int],
         return _ginibre(d, d, rng), _ginibre(d, d, rng)
 
     def compute(trial_ids: list[int], draws: list) -> list[dict]:
-        (sigma1, again1), (sigma2, again2) = (
-            _gapped_states(np.array(g), full_spectrum=False)
-            for g in zip(*draws))
+        sigma1, sigma2 = (StateStack.check(_density_from_ginibre(np.array(g)))
+                          for g in zip(*draws))
         d = sigma1.matrix.shape[-1]
-        for k in np.union1d(again1, again2).tolist():
-            rng = seeded_rng(seed, trial_ids[k])
-            for sigma in (sigma1, sigma2):
-                sigma.put(k, _nondegenerate_density(d, rng,
-                                                    full_spectrum=False))
         targets = [safe_nested_target(f)
                    for f in _leading_overlaps(sigma1, sigma2)]
         results = _nested(sigma1, sigma2, targets, tol_comm=TOL_COMM,

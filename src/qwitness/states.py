@@ -118,12 +118,6 @@ class StateStack(NamedTuple):
         return StateStack(self.matrix[members], SpectralDecomposition(
             dec.eigenvalues[members], dec.eigenvectors[members]))
 
-    def put(self, k: int, rho: DensityOperator) -> None:
-        """Overwrite member ``k`` with ``rho``."""
-        self.matrix[k] = rho.matrix
-        self.spectrum.eigenvalues[k] = rho.spectrum.eigenvalues
-        self.spectrum.eigenvectors[k] = rho.spectrum.eigenvectors
-
     def state(self, k: int) -> DensityOperator:
         dec = self.spectrum
         return DensityOperator._checked(self.matrix[k], SpectralDecomposition(

@@ -24,8 +24,10 @@ TOL_COMM = 1e-10
 # top-gap degeneracy flag: gap <= TOL_DEGEN * lambda_max
 TOL_DEGEN = 1e-8
 
-# overlap boundary guard: |f| <= TOL_F or |f| >= 1 - TOL_F routes to the
-# dedicated orthogonal / parallel case analyses
+# overlap boundary guard: at |f| <= TOL_F or |f| >= 1 - TOL_F the margin
+# condition cannot certify a pair, so `nested` exits 13 and
+# `discord-demo` falls back to the direct spectral report; no command
+# runs the orthogonal / parallel case analyses of `witness`
 TOL_F = 1e-6
 
 # hard cap on the amplification-plan iteration scan

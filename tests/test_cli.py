@@ -416,6 +416,24 @@ def test_circuit_zero_readout_cannot_be_resolved(capsys, tmp_path):
     assert obj["shots_to_resolve"] is None
 
 
+@pytest.mark.parametrize("amplitude,exact", [
+    ("1e-160", 9.9998886718268301e-321),  # exact**2 underflows to 0
+    ("3.1622776601683794e-78", 1e-155),  # 25/exact**2 overflows
+])
+def test_circuit_tiny_readout_cannot_be_resolved(capsys, tmp_path,
+                                                 amplitude, exact):
+    probe = tmp_path / "probe.json"
+    probe.write_text(f'{{"amplitudes": [[{amplitude}, 0], [1, 0]]}}',
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, "circuit", "--states", "0,0,1",
+                             "0,0,1", "--probe", str(probe),
+                             "--shots", "100", "--seed", "1")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["exact"] == exact
+    assert obj["shots_to_resolve"] is None
+
+
 def test_circuit_rejects_zero_shots(capsys, tmp_path):
     probe = witness_report_file(capsys, tmp_path)
     code, _, err = run_cli(capsys, "circuit", "--states", "0,0,1", "1,0,0",

@@ -418,3 +418,9 @@ def test_shots_to_resolve_edges():
         shots_to_resolve(0.0, 5.0)
     with pytest.raises(ValueError):
         shots_to_resolve(0.5, -1.0)
+    # t*t underflows to 0 (1e-320, 1e-160) or (1-t^2)/t^2 overflows
+    # (1e-155); a target a little larger still has a (huge) shot count
+    for target in (1e-320, -1e-320, 1e-160, 1e-155):
+        with pytest.raises(UnresolvableError):
+            shots_to_resolve(target, 5.0)
+    assert shots_to_resolve(1e-153, 5.0) > 1e307

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -118,7 +119,7 @@ def serial_scan_pure_mixed(trials, dims, seed):
         d = dims[t % len(dims)]
         rng = scans.seeded_rng(seed, t)
         psi = random_pure(d, rng)
-        rho2 = scans._nondegenerate_density(d, rng, full_spectrum=True)
+        rho2 = random_density(d, d, rng)
         report = pure_mixed_test(psi, rho2)
         comm_norm = frobenius_norm(commutator(pure_projector(psi), rho2.matrix))
         closed = report.closed_form_criterion
@@ -148,8 +149,8 @@ def serial_scan_nested(trials, dims, seed):
     def one(t):
         d = dims[t % len(dims)]
         rng = scans.seeded_rng(seed, t)
-        sigma1 = scans._nondegenerate_density(d, rng, full_spectrum=False)
-        sigma2 = scans._nondegenerate_density(d, rng, full_spectrum=False)
+        sigma1 = random_density(d, d, rng)
+        sigma2 = random_density(d, d, rng)
         base = {"trial": t, "dim": d}
         target = safe_nested_target(leading_overlap(sigma1, sigma2))
         try:
@@ -360,33 +361,31 @@ def _flatten_draws(monkeypatch, trial, flat):
     return opened
 
 
-# sha256 of stdout with one flat draw at trial 4 (d = 3), recorded before
-# the pure-mixed and nested scans were batched: (kind, flattened draws)
-# -> digest. Draws 0 and 1 make the first state (nested: sigma1), 2 and 3
-# nested's sigma2
-_REDRAW_GOLDEN = {
-    ("pure-mixed", (0, 1)):
-        "000a90af2c218c8ca17864a866ac03104f7c39c533ad4239730cbdd18d45b87b",
-    ("nested", (0, 1)):
-        "9ac057e360d84676db939eefafd0f810e63c2d84c1e5f0b272d6c26513325e55",
-    ("nested", (2, 3)):
-        "13a168546d9edf546c803d1264a7473c04b1f35c9e8edcb59139a76af5d9600f",
-}
+# (kind, flattened draws) with one flat state at trial 4 (d = 3): draws
+# 0 and 1 make the first state (nested: sigma1), 2 and 3 nested's sigma2
+_FLAT = [("nested", (0, 1)), ("nested", (2, 3)), ("pure-mixed", (0, 1))]
 
 
-@pytest.mark.parametrize("kind,flat", sorted(_REDRAW_GOLDEN))
-def test_mixed_scans_redraw_a_state_with_no_gap(monkeypatch, kind, flat):
+@pytest.mark.parametrize("kind,flat", _FLAT)
+def test_mixed_scans_keep_a_state_with_no_gap(monkeypatch, kind, flat):
     opened = _flatten_draws(monkeypatch, 4, set(flat))
-    code, digest = _scan_digest("--kind", kind, *_SIZES[kind], "--seed", "0")
-    assert code == 0
-    assert digest == _REDRAW_GOLDEN[kind, flat]
-    # the trial drew the flat state, then drew again: one more Ginibre
-    # matrix than it keeps, two normal draws each
+    records, _ = _BATCHED[kind](8, (2, 3, 4), 0)
+    # the trial keeps the flat state I/3: one Ginibre matrix per state,
+    # two normal draws each
     kept = {"pure-mixed": 1, "nested": 2}[kind]
-    assert max(stream.drawn for stream in opened) == 2 * (kept + 1)
-    trials = int(_SIZES[kind][1])
-    assert printed(_BATCHED[kind](trials, (2, 3, 4), 0)) == \
-        printed(_SERIAL[kind](trials, (2, 3, 4), 0))
+    assert [stream.drawn for stream in opened] == [2 * kept]
+    record = records[4]
+    if kind == "pure-mixed":
+        # {P, I/3} = 2P/3 is positive, and I/3 commutes with P
+        assert record["verdict"] == "POSITIVE"
+        assert record["commutator_norm"] == 0.0
+        assert not record["counterexample"]
+    else:
+        assert record["skipped"]
+        assert record["reason"] == "DegenerateSpectrumError"
+    assert printed(_BATCHED[kind](8, (2, 3, 4), 0)) == \
+        printed(_SERIAL[kind](8, (2, 3, 4), 0))
+    assert [stream.drawn for stream in opened] == [2 * kept] * 3
 
 
 def _skew_large_draws(monkeypatch):
@@ -431,12 +430,27 @@ def test_mixed_scans_raise_the_error_the_serial_scan_meets_first(
 
 # ------------------------------------------------------ golden stdout
 
-def _scan_digest(*argv):
+def _scan_stdout(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(["scan", *argv])
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def _scan_digest(*argv):
+    code, out = _scan_stdout(*argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["nested", "null", "pure-mixed"])
+def test_scans_run_at_the_dimension_cap(kind):
+    # Hilbert-Schmidt states at d = 256 always have some eigenvalue gap
+    # below 1e-6; each trial keeps the state it draws
+    code, out = _scan_stdout("--kind", kind, "--dims", "256",
+                             "--trials", "2", "--seed", "0")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["counterexamples"] == 0
 
 
 _SIZES = {"pure-mixed": ("--trials", "30"), "nested": ("--trials", "20"),
