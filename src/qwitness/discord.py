@@ -20,17 +20,15 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionError,
-    NullOutcomeError,
-    PositivityError,
-)
+from .errors import (CommutingInputsError, ConditionUnreachableError,
+                     DegenerateSpectrumError, DimensionError,
+                     NullOutcomeError, PositivityError)
 from .linalg import as_matrix, commutator, frobenius_norm
 from .states import DensityOperator, pure_projector
 from .tolerances import TOL_COMM, TOL_F, TOL_NULL, TOL_PSD, TOL_TRACE, TOL_WITNESS
 from .witness import (
     WitnessReport,
+    _guard_overlap,
     leading_overlap,
     nested_witness,
     safe_nested_target,
@@ -197,20 +195,21 @@ def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
                          tol_comm: float = TOL_COMM) -> WitnessReport:
     """Anticommutator witness on two conditional states of B.
 
-    Noncommuting states are amplified toward :func:`safe_nested_target`
-    first. Commuting states (zero-discord inputs) get the direct
-    spectral report, never NONPOSITIVE_WITNESSED; so do pairs with a
-    leading-vector overlap at a boundary or a tied leading eigenvalue.
+    The pair is checked at the overlap boundary, beyond which
+    :func:`safe_nested_target` is negative, then amplified toward that
+    target by :func:`nested_witness`. Pairs at the boundary and pairs it
+    declines (commuting zero-discord states, a tied leading eigenvalue)
+    get the direct spectral report, never NONPOSITIVE_WITNESSED for
+    commuting states.
     """
-    if frobenius_norm(commutator(rho1.matrix, rho2.matrix)) > tol_comm:
-        f = leading_overlap(rho1, rho2)
-        if TOL_F < f < 1.0 - TOL_F:
-            try:
-                return nested_witness(
-                    rho1, rho2, safe_nested_target(f), tol_comm=tol_comm,
-                    tol_witness=tol_witness, tol_null=tol_null).report
-            except DegenerateSpectrumError:
-                pass
-    return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
-                                  tol_null=tol_null)
+    f = leading_overlap(rho1, rho2)
+    try:
+        _guard_overlap(f, TOL_F)
+        return nested_witness(
+            rho1, rho2, safe_nested_target(f), tol_comm=tol_comm,
+            tol_witness=tol_witness, tol_null=tol_null).report
+    except (ConditionUnreachableError, CommutingInputsError,
+            DegenerateSpectrumError):
+        return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
+                                      tol_null=tol_null)
 

@@ -15,7 +15,6 @@ __all__ = [
     "PositivityError",
     "ConvergenceError",
     "CapacityError",
-    "BoundaryError",
     "DegenerateDenominatorError",
     "CommutingInputsError",
     "DegenerateSpectrumError",
@@ -57,11 +56,6 @@ class CapacityError(QwitnessError):
     """A computation would exceed a configured size limit."""
 
 
-class BoundaryError(QwitnessError):
-    """Overlap magnitude sits at a boundary (0 or 1) where the generic
-    analysis does not apply; use the dedicated case analyses."""
-
-
 class DegenerateDenominatorError(QwitnessError):
     """A closed-form denominator vanished."""
 
@@ -76,8 +70,9 @@ class DegenerateSpectrumError(QwitnessError):
 
 
 class ConditionUnreachableError(QwitnessError):
-    """The overlap sits at a boundary where the margin condition cannot
-    be satisfied for any positive mixing weights."""
+    """The leading-vector overlap |f| sits at a boundary (near 0 or 1)
+    where the first-order margin condition cannot certify a pair; raised
+    by ``nested`` and by the library's margin-condition functions."""
 
 
 class PreconditionError(QwitnessError):

@@ -115,8 +115,8 @@ def shots_to_resolve(target: float, confidence_sigmas: float) -> int:
     """Smallest shot count resolving ``target`` from zero.
 
     Returns the least n with confidence_sigmas * sqrt((1-t^2)/n) < |t|.
-    A target whose square underflows to 0, or whose n overflows a
-    float, raises UnresolvableError.
+    A target whose square underflows to 0, or whose n exceeds the
+    SHOTS_CAP that a sampled run accepts, raises UnresolvableError.
     """
     t = float(target)
     c = float(confidence_sigmas)
@@ -127,7 +127,7 @@ def shots_to_resolve(target: float, confidence_sigmas: float) -> int:
     if c < 0.0:
         raise ValueError(f"confidence must be nonnegative, got {c}")
     bound = c * c * (1.0 - t * t) / (t * t)
-    if not math.isfinite(bound):
-        raise UnresolvableError(f"expectation {t!r} needs more shots than a "
-                                "float can count")
+    if not bound < SHOTS_CAP:  # n = floor(bound) + 1 <= SHOTS_CAP; inf fails too
+        raise UnresolvableError(f"expectation {t!r} needs more than "
+                                f"{SHOTS_CAP} shots")
     return int(math.floor(bound)) + 1

@@ -32,7 +32,6 @@ __all__ = [
     "commutator",
     "frobenius_norm",
     "frobenius_norms",
-    "hermiticity_defect",
     "matrix_to_json",
     "matrix_from_json",
     "complex_from_json",
@@ -94,12 +93,6 @@ def frobenius_norms(stack: np.ndarray) -> list[float]:
             for row in stack.reshape(len(stack), math.prod(stack.shape[1:]))]
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise deviation of ``a`` from its adjoint."""
-    a = as_matrix(a)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 class SpectralDecomposition(NamedTuple):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -115,15 +108,19 @@ class SpectralDecomposition(NamedTuple):
 def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     """(a + a†)/2 of a square complex matrix or stack, after checking
     that each member deviates from its adjoint by at most TOL_HERM times
-    max(norm, 1). The first member that does not raises."""
+    max(norm, 1), with the norm summed by ``math.hypot`` over the scaled
+    member so that it cannot overflow. The first member that does not
+    raises, an overflowing (infinite) defect included."""
     adj = _adjoint(a)
-    diff = np.abs(a - adj)
+    with np.errstate(over="ignore"):
+        diff = np.abs(a - adj)
     if diff.max() > TOL_HERM:  # the margin is at least TOL_HERM
         members = a if a.ndim == 3 else a[None]
         defects = np.atleast_1d(diff.max(axis=(-2, -1)))
         for k in np.flatnonzero(defects > TOL_HERM):
             defect = float(defects[k])
-            margin = TOL_HERM * max(frobenius_norm(members[k]), 1.0)
+            scaled = np.abs(TOL_HERM * members[k]).ravel().tolist()
+            margin = max(math.hypot(*scaled), TOL_HERM)
             if defect > margin:
                 raise HermiticityError(
                     f"{what} is not Hermitian: defect {defect:.3e} exceeds "

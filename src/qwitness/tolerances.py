@@ -25,9 +25,10 @@ TOL_COMM = 1e-10
 TOL_DEGEN = 1e-8
 
 # overlap boundary guard: at |f| <= TOL_F or |f| >= 1 - TOL_F the margin
-# condition cannot certify a pair, so `nested` exits 13 and
-# `discord-demo` falls back to the direct spectral report; no command
-# runs the orthogonal / parallel case analyses of `witness`
+# condition cannot certify a pair, so `witness._guard_overlap` raises
+# ConditionUnreachableError; `nested` exits 13 with it and
+# `discord-demo` falls back to the direct spectral report. No command
+# runs the orthogonal / parallel case analyses of `witness` yet
 TOL_F = 1e-6
 
 # hard cap on the amplification-plan iteration scan

@@ -5,9 +5,10 @@ negative eigenvalue of it certifies that the pair does not commute, a
 fact that survives when one party holds only one of the states. This
 module analyzes the spectrum, runs the closed-form purity shortcut for
 pure-vs-mixed pairs, plans and applies purity amplification for
-mixed-vs-mixed pairs, and covers the boundary overlap regimes
-(orthogonal, parallel, degenerate leading eigenvalue) with dedicated
-second-order analyses.
+mixed-vs-mixed pairs. At a boundary overlap the margin condition cannot
+certify a pair (ConditionUnreachableError); the orthogonal, parallel and
+degenerate-leading-eigenvalue regimes have second-order analyses, which
+no command runs yet.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import (
     AgreementError,
-    BoundaryError,
     CapacityError,
     CommutingInputsError,
     ConditionUnreachableError,
@@ -34,13 +34,13 @@ from .linalg import (
     SpectralDecomposition,
     _adjoint,
     _eigh_descending,
+    _hermitian_part,
     anticommutator,
     as_matrix,
     assert_agreement,
     commutator,
     frobenius_norm,
     frobenius_norms,
-    hermiticity_defect,
 )
 from .states import (
     DensityOperator,
@@ -428,18 +428,12 @@ def overlap_data(dec1: PureDecomposition, dec2: PureDecomposition) -> OverlapDat
                        eps1=float(dec1.epsilon), eps2=float(dec2.epsilon))
 
 
-def _guard_overlap(o: OverlapData, tol_f: float) -> float:
-    af = abs(o.f)
-    if af <= tol_f:
-        raise BoundaryError(
-            f"|f| = {af:.3e} is at the orthogonal boundary; "
-            "use orthogonal_case_analysis"
-        )
-    if af >= 1.0 - tol_f:
-        raise BoundaryError(
-            f"|f| = {af:.17g} is at the parallel boundary; "
-            "use parallel_case_indicator"
-        )
+def _guard_overlap(af: float, tol_f: float) -> float:
+    """``af`` = |f|, unless it sits within ``tol_f`` of 0 or 1."""
+    if af <= tol_f or af >= 1.0 - tol_f:
+        raise ConditionUnreachableError(
+            f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
+            "boundary; the margin condition cannot certify this pair")
     return af
 
 
@@ -456,7 +450,7 @@ def nonpositivity_condition(o: OverlapData, *, tol_f: float = TOL_F) -> bool:
     When true, the anticommutator of the reconstructed pair is not
     positive semidefinite.
     """
-    _guard_overlap(o, tol_f)
+    _guard_overlap(abs(o.f), tol_f)
     lhs, rhs = margin_terms(o)
     return lhs < rhs
 
@@ -468,7 +462,7 @@ def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
     s = eps1*g1 + eps2*g2, and exceeds 1 exactly when
     :func:`nonpositivity_condition` holds.
     """
-    af = _guard_overlap(o, tol_f)
+    af = _guard_overlap(abs(o.f), tol_f)
     s, _ = margin_terms(o)
     denom = 2.0 * (af * af + 2.0 * s)
     if denom <= TOL_NULL:
@@ -558,11 +552,10 @@ def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
     overlaps = [overlap_data(dec1, dec2) for dec1, dec2 in zip(
         *(_pure_decompositions(rho.spectrum) for rho in amplified))]
     for k, o in enumerate(overlaps):
-        af = abs(o.f)
-        if af <= tol_f or af >= 1.0 - tol_f:
-            stop(k, ConditionUnreachableError(
-                f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
-                "boundary; the margin condition cannot certify this pair"))
+        try:
+            _guard_overlap(abs(o.f), tol_f)
+        except ConditionUnreachableError as exc:
+            stop(k, exc)
     live = [k for k, result in enumerate(out) if result is None]
     if not live:  # as at d = 1, where every pair commutes
         return out
@@ -599,6 +592,9 @@ def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
     looser targets the report stays honest: the condition flag and the
     spectral verdict are computed independently and may disagree.
     """
+    if sigma1.dim != sigma2.dim:
+        raise DimensionError(
+            f"dimension mismatch: {sigma1.dim} vs {sigma2.dim}")
     result, = _nested(StateStack.of(sigma1), StateStack.of(sigma2),
                       [target_epsilon], tol_comm=tol_comm,
                       tol_witness=tol_witness, tol_null=tol_null,
@@ -639,24 +635,22 @@ def orthogonal_case_analysis(dec1: PureDecomposition, dec2: PureDecomposition, *
     the largest admissible eps2/eps1 (None when the second variance
     vanishes).
     """
-    f = abs(complex(np.vdot(dec1.psi, dec2.psi)))
+    o = overlap_data(dec1, dec2)
+    f = abs(o.f)
     if f > tol_f:
         raise PreconditionError(
             f"pure parts are not orthogonal: |f| = {f:.3e} exceeds {tol_f:.1e}"
         )
 
-    def moments(dec_a: PureDecomposition, psi_b: np.ndarray) -> tuple[float, float]:
+    def variance(dec_a: PureDecomposition, psi_b: np.ndarray, g: float) -> float:
         if dec_a.eta is None:
-            return 0.0, 0.0
-        m = dec_a.eta.matrix
-        g = float(np.vdot(psi_b, m @ psi_b).real)
-        second = float(np.linalg.norm(m @ psi_b) ** 2)
-        return g, max(second - g * g, 0.0)
+            return 0.0
+        second = float(np.linalg.norm(dec_a.eta.matrix @ psi_b) ** 2)
+        return max(second - g * g, 0.0)
 
-    g1, var1 = moments(dec1, dec2.psi)
-    g2, var2 = moments(dec2, dec1.psi)
-    indicator = second_order_indicator(dec1.epsilon, dec2.epsilon,
-                                       g1, g2, var1, var2)
+    g1, g2 = o.g1, o.g2
+    var1, var2 = variance(dec1, dec2.psi, g1), variance(dec2, dec1.psi, g2)
+    indicator = second_order_indicator(o.eps1, o.eps2, g1, g2, var1, var2)
     disc = 4.0 * g1 * g1 * g2 * g2 - var1 * var2
     if disc >= 0.0 and var2 > TOL_NULL:
         ratio_bound = (2.0 * g1 * g2 - float(np.sqrt(disc))) / var2
@@ -675,7 +669,7 @@ def parallel_case_indicator(dec1: PureDecomposition, dec2: PureDecomposition, *,
     value is then never positive up to cubic corrections in the
     mixing weights, so this regime admits no purity witness.
     """
-    f = abs(complex(np.vdot(dec1.psi, dec2.psi)))
+    f = abs(overlap_data(dec1, dec2).f)
     if f < 1.0 - tol_f:
         raise PreconditionError(
             f"pure parts are not parallel: |f| = {f:.17g} is below 1 - {tol_f:.1e}"
@@ -719,10 +713,8 @@ class DegenerateCaseReport(NamedTuple):
 
 
 def _check_projector(p: np.ndarray, rank: int, which: str) -> np.ndarray:
-    p = as_matrix(p)
+    p = _hermitian_part(as_matrix(p), f"{which} operator")
     norm = max(frobenius_norm(p), 1.0)
-    if hermiticity_defect(p) > 1e-10 * norm:
-        raise ProjectorError(f"{which} operator is not Hermitian")
     if frobenius_norm(p @ p - p) > 1e-10 * norm:
         raise ProjectorError(f"{which} operator is not idempotent")
     tr = float(p.trace().real)

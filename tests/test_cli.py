@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -24,6 +25,7 @@ from qwitness.states import (
     random_density,
     random_pure,
     seeded_rng,
+    state_from_json,
     state_to_json,
 )
 from qwitness.witness import witness_anticommutator
@@ -245,6 +247,15 @@ def test_nested_boundary_overlap_exit(capsys, tmp_path):
     assert "boundary" in err
 
 
+def test_nested_dimension_mismatch_exit(capsys, tmp_path):
+    # the same message as witness on the pair, not the internal stack shape
+    q3 = write_state(tmp_path, "q3.json", np.diag([0.8, 0.0, 0.2]))
+    for command in (("nested", "--target", "0.05"), ("witness",)):
+        code, out, err = run_cli(capsys, command[0], "--states", "0.3,0,0.5",
+                                 q3, *command[1:])
+        assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
+
+
 def test_nested_reports_a_vanishing_first_order_denominator_as_null(
         capsys, tmp_path):
     # |<0|v>| = 3e-6: at n = 12 both mixing weights are ~3.5e-12, so the
@@ -419,6 +430,7 @@ def test_circuit_zero_readout_cannot_be_resolved(capsys, tmp_path):
 @pytest.mark.parametrize("amplitude,exact", [
     ("1e-160", 9.9998886718268301e-321),  # exact**2 underflows to 0
     ("3.1622776601683794e-78", 1e-155),  # 25/exact**2 overflows
+    ("1e-76", 9.9999999999999985e-153),  # 25/exact**2 exceeds SHOTS_CAP
 ])
 def test_circuit_tiny_readout_cannot_be_resolved(capsys, tmp_path,
                                                  amplitude, exact):
@@ -595,6 +607,27 @@ def test_discord_demo_degenerate_conditional_reports_direct(capsys, tmp_path):
     assert report["verdict"] == "POSITIVE"
     assert report["min_eigenvalue"] == pytest.approx(
         witness_anticommutator(rho1, rho2).min_eigenvalue, abs=1e-12)
+
+
+def test_discord_demo_comm_override_reports_direct(capsys, tmp_path):
+    """A --tol comm above the conditionals' commutator norm stops the
+    nested route inside nested_witness, so a pair it witnesses by
+    default gets the direct report; stdout bytes are pinned."""
+    f = write_state(tmp_path, "ab.json",
+                    random_density(4, 4, seeded_rng(0)).matrix)
+    argv = ("discord-demo", "--state", f, "--dims", "2,2", "--ops", "z,x",
+            "--outcomes", "0,+")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (10, "")
+    assert json.loads(out)["report"]["min_eigenvalue"] < 0.0
+    code, out, err = run_cli(capsys, *argv, "--tol", "comm=10")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "813a3829c76d8714bbcd6fb306ec21a6ce3568cb0bc1d4ec18c04f73a1b09fac")
+    obj = json.loads(out)
+    rho1, rho2 = (state_from_json(obj["conditionals"][which])
+                  for which in ("first", "second"))
+    assert obj["report"] == witness_anticommutator(rho1, rho2).to_dict()
 
 
 def test_discord_demo_runs_above_the_eigensolver_cap(capsys, tmp_path):
@@ -906,12 +939,12 @@ def test_closed_stdout_exits_141_without_a_message(subprocess_env, kind,
 
 def test_console_script_witness_exit_code(subprocess_env):
     """Runs the ``[project.scripts]`` target the way the installed
-    ``qwitness`` script would, so no install step is needed."""
-    import tomllib
-
+    ``qwitness`` script would, so no install step is needed. The entry
+    is read with a regex, since ``tomllib`` needs Python 3.11."""
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["qwitness"]
+    scripts = pyproject.read_text(encoding="utf-8").split(
+        "[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target, = re.findall(r'^qwitness\s*=\s*"([^"]+)"$', scripts, re.M)
     module, _, func = target.partition(":")
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     result = subprocess.run(

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 from functools import reduce
 
@@ -28,7 +29,7 @@ from qwitness.states import (
     seeded_rng,
     state_to_json,
 )
-from qwitness.tolerances import CIRCUIT_BYTES
+from qwitness.tolerances import CIRCUIT_BYTES, SHOTS_CAP
 from qwitness.witness import witness_anticommutator
 
 P0 = make_density(np.diag([1.0, 0.0]))
@@ -418,9 +419,18 @@ def test_shots_to_resolve_edges():
         shots_to_resolve(0.0, 5.0)
     with pytest.raises(ValueError):
         shots_to_resolve(0.5, -1.0)
-    # t*t underflows to 0 (1e-320, 1e-160) or (1-t^2)/t^2 overflows
-    # (1e-155); a target a little larger still has a (huge) shot count
-    for target in (1e-320, -1e-320, 1e-160, 1e-155):
+    # t*t underflows to 0 (1e-320, 1e-160), (1-t^2)/t^2 overflows
+    # (1e-155) or the count exceeds SHOTS_CAP (1e-153)
+    for target in (1e-320, -1e-320, 1e-160, 1e-155, 1e-153):
         with pytest.raises(UnresolvableError):
             shots_to_resolve(target, 5.0)
-    assert shots_to_resolve(1e-153, 5.0) > 1e307
+
+
+def test_shots_to_resolve_bounded_by_shots_cap():
+    # 25 (1 - t^2) / t^2 crosses SHOTS_CAP at t0; a sampled run accepts
+    # the count just above t0 and none just below it
+    t0 = 5.0 / math.sqrt(SHOTS_CAP)
+    n = shots_to_resolve(t0 * (1.0 + 1e-15), 5.0)
+    assert SHOTS_CAP - 10**5 < n <= SHOTS_CAP
+    with pytest.raises(UnresolvableError):
+        shots_to_resolve(t0 * (1.0 - 1e-15), 5.0)

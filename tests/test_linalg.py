@@ -13,7 +13,6 @@ from qwitness.linalg import (
     assert_agreement,
     commutator,
     frobenius_norm,
-    hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
 )
@@ -22,6 +21,11 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 PPLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+def hermiticity_defect(m):
+    """Largest entrywise deviation of ``m`` from its adjoint."""
+    return np.max(np.abs(m - m.conj().T))
 
 
 def reconstruct(dec):
@@ -76,11 +80,6 @@ def test_eigh_descending_sorted_and_reconstructs():
     # columns are orthonormal
     v = dec.eigenvectors
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
-
-
-def test_hermiticity_defect():
-    assert hermiticity_defect(SX) == 0.0
-    assert hermiticity_defect([[0, 1j], [1j, 0]]) == pytest.approx(2.0)
 
 
 def test_matrix_json_roundtrip():

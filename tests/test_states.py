@@ -50,6 +50,17 @@ def test_rejects_nonhermitian():
         make_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("entry", [1e200, 1.7e308])
+def test_rejects_nonhermitian_state_whose_norm_overflows(entry):
+    """The margin stays finite where the Frobenius norm overflows, and
+    an overflowing defect fails; no overflow warning is raised."""
+    skew = np.array([[0.5, entry], [-entry, 0.5]])
+    with pytest.raises(HermiticityError, match="state is not Hermitian"):
+        make_density(skew)
+    with pytest.raises(HermiticityError, match="state is not Hermitian"):
+        StateStack.check(np.stack([np.eye(2) / 2, skew]))
+
+
 def test_rejects_negative_eigenvalue():
     with pytest.raises(PositivityError):
         make_density(np.diag([1.2, -0.2]))

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from qwitness.errors import (
     AgreementError,
-    BoundaryError,
     CapacityError,
     CommutingInputsError,
     ConditionUnreachableError,
     DegenerateDenominatorError,
     DegenerateSpectrumError,
     DimensionError,
+    HermiticityError,
     PreconditionError,
     ProjectorError,
 )
@@ -503,10 +503,15 @@ def test_overlap_data_and_condition():
 
 
 def test_condition_boundary_guards():
-    with pytest.raises(BoundaryError):
-        nonpositivity_condition(OverlapData(f=0.0, g1=0, g2=0, eps1=0, eps2=0))
-    with pytest.raises(BoundaryError):
-        first_order_purity(OverlapData(f=1.0, g1=0, g2=0, eps1=0, eps2=0))
+    """The library guards raise what ``nested`` exits 13 with."""
+    for guard, f in ((nonpositivity_condition, 0.0),
+                     (first_order_purity, 1.0),
+                     (nonpositivity_condition, 1.0 + 2.0**-52)):
+        with pytest.raises(ConditionUnreachableError) as info:
+            guard(OverlapData(f=f, g1=0, g2=0, eps1=0, eps2=0))
+        assert str(info.value) == (
+            f"leading-eigenvector overlap |f| = {f:.17g} sits at a boundary; "
+            "the margin condition cannot certify this pair")
 
 
 def test_first_order_degenerate_denominator():
@@ -802,6 +807,14 @@ def test_degenerate_case_validation():
         degenerate_case_analysis(good, 1, good, 1, 1.5, 0.0)
     with pytest.raises(DimensionError):
         degenerate_case_analysis(good, 1, np.diag([1.0, 0.0, 0.0]), 1, 0.0, 0.0)
+    # idempotent and of trace 1, but not Hermitian; the states' rule
+    # holds, an overflowing norm included
+    skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(HermiticityError, match="second operator is not Hermitian"):
+        degenerate_case_analysis(good, 1, skew, 1, 0.0, 0.0)
+    huge = np.array([[0.5, 1e200], [-1e200, 0.5]])
+    with pytest.raises(HermiticityError, match="first operator is not Hermitian"):
+        degenerate_case_analysis(huge, 1, good, 1, 0.0, 0.0)
 
 
 # ------------------------------------------------- metamorphic relations
