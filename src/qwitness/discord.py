@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (CommutingInputsError, ConditionUnreachableError,
                      DegenerateSpectrumError, DimensionError,
                      NullOutcomeError, PositivityError)
-from .linalg import as_matrix, commutator, frobenius_norm
+from .linalg import as_matrix, commutator, frobenius_norms
 from .states import DensityOperator, pure_projector
 from .tolerances import TOL_COMM, TOL_F, TOL_NULL, TOL_PSD, TOL_TRACE, TOL_WITNESS
 from .witness import (
@@ -180,10 +180,10 @@ def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | N
                  if state is not None)
     n = len(kept)
     norms = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            norms[i, j] = norms[j, i] = frobenius_norm(
-                commutator(kept[i][1].matrix, kept[j][1].matrix))
+    if kept:  # with no state there is no stack shape; one has no pairs
+        m = np.array([state.matrix for _, state in kept])
+        i, j = np.triu_indices(n, 1)
+        norms[i, j] = norms[j, i] = frobenius_norms(commutator(m[i], m[j]))
     return ConditionalEnsemble(states=kept,
                                pairwise_commutator_norms=norms,
                                noncommuting_found=bool((norms > TOL_COMM).any()))

@@ -34,10 +34,14 @@ def _shift_trace(mats: list[np.ndarray]) -> complex:
     slot earlier, over l = len(mats) registers of one dimension d.
 
     For each basis index x = (x_1, ..., x_l) in kron order, S selects the
-    product's entry m_1[x_1, x_2] m_2[x_2, x_3] ... m_l[x_l, x_1]. Its
-    factors are multiplied left to right, as ``kron`` does, and the d**l
-    entries summed as one array in x order, so the result equals the sum
-    read off the built product bit for bit."""
+    product's entry m_1[x_1, x_2] m_2[x_2, x_3] ... m_l[x_l, x_1], and
+    the d**l entries are summed as one array in x order. Below 2**14
+    indices each step multiplies the running product by the next factor,
+    as ``kron`` does, so the result equals the sum read off the built
+    product bit for bit. From 2**14 indices (256 KiB of entries) numpy
+    evaluates each step in place on the freshly gathered factor, as
+    factor times running product, which can round differently in the
+    last bit."""
     l, d = len(mats), mats[0].shape[0]
     # x_k of each x in kron order, the first register's digit leading
     rows = np.arange(d**l) // d ** np.arange(l - 1, -1, -1)[:, None] % d

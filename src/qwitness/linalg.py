@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AgreementError,
     ConvergenceError,
     DimensionError,
     HermiticityError,
@@ -30,7 +29,6 @@ __all__ = [
     "as_matrix",
     "anticommutator",
     "commutator",
-    "frobenius_norm",
     "frobenius_norms",
     "matrix_to_json",
     "matrix_from_json",
@@ -81,14 +79,11 @@ def commutator(a, b) -> np.ndarray:
     return (m - _adjoint(m)) / 2
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def frobenius_norms(stack: np.ndarray) -> list[float]:
-    """``frobenius_norm`` of each member of a stack, summed in the same
-    order, row by row; a stacked ``np.linalg.norm`` or einsum rounds
-    differently in the last bit."""
+    """The Frobenius norm of each member of a stack, row by row as
+    sqrt(re·re + im·im): for a contiguous member, the same bits as
+    ``np.linalg.norm`` of it alone. A stacked ``np.linalg.norm`` or
+    einsum rounds differently in the last bit."""
     return [math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
             for row in stack.reshape(len(stack), math.prod(stack.shape[1:]))]
 
@@ -110,7 +105,10 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     that each member deviates from its adjoint by at most TOL_HERM times
     max(norm, 1), with the norm summed by ``math.hypot`` over the scaled
     member so that it cannot overflow. The first member that does not
-    raises, an overflowing (infinite) defect included."""
+    raises, an overflowing (infinite) defect included. The part is
+    summed as a/2 + a†/2, which cannot overflow either; halving is exact
+    for entries of magnitude 2**-1021 and above, and on those the part
+    has the bits of (a + a†)/2 wherever that sum is finite."""
     adj = _adjoint(a)
     with np.errstate(over="ignore"):
         diff = np.abs(a - adj)
@@ -125,7 +123,7 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
                 raise HermiticityError(
                     f"{what} is not Hermitian: defect {defect:.3e} exceeds "
                     f"margin {margin:.3e}")
-    return (a + adj) / 2
+    return a / 2 + adj / 2
 
 
 def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
@@ -188,9 +186,3 @@ def complex_from_json(cell, where: str) -> complex:
     if not finite:
         raise ValueError(f"{where} is not finite")
     return z
-
-
-def assert_agreement(x: complex, y: complex, tol: float, what: str) -> None:
-    """Raise AgreementError when two routes to one quantity disagree."""
-    if abs(complex(x) - complex(y)) > tol:
-        raise AgreementError(f"{what}: {x} vs {y} differ beyond {tol:.1e}")

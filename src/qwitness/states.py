@@ -119,9 +119,7 @@ class StateStack(NamedTuple):
             dec.eigenvalues[members], dec.eigenvectors[members]))
 
     def state(self, k: int) -> DensityOperator:
-        dec = self.spectrum
-        return DensityOperator._checked(self.matrix[k], SpectralDecomposition(
-            dec.eigenvalues[k], dec.eigenvectors[k]))
+        return DensityOperator._checked(*self.take(k))
 
 
 def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
@@ -132,7 +130,8 @@ def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
     its descending spectrum (``spectrum`` when given). Each check raises
     for the first member that fails it."""
     h = _hermitian_part(m, "state")
-    tr = m.trace(axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # an infinite trace fails below
+        tr = m.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0)
     if off.max() > TOL_TRACE:
         t = np.reshape(tr, -1)[np.argmax(off > TOL_TRACE)]
@@ -284,12 +283,11 @@ def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _density_from_ginibre(g: np.ndarray) -> np.ndarray:
-    """G G† / tr[G G†], exactly Hermitian, of one d x rank Ginibre
-    matrix G or of each member of a stack of them. Not yet checked."""
+    """G G† / tr[G G†], exactly Hermitian, of each member G of a stack
+    (n, d, rank) of Ginibre matrices. Not yet checked."""
     m = g @ _adjoint(g)
     m = (m + _adjoint(m)) / 2
-    tr = m.trace(axis1=-2, axis2=-1).real
-    return m / (tr if m.ndim == 2 else tr[:, None, None])
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _unitary_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -307,7 +305,8 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperat
     Draws a d x rank complex Gaussian matrix G and returns
     G G† / tr[G G†].
     """
-    return DensityOperator(_density_from_ginibre(_ginibre(d, rank, rng)))
+    g = _ginibre(d, rank, rng)
+    return DensityOperator(_density_from_ginibre(g[None])[0])
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,9 +37,7 @@ from .linalg import (
     _hermitian_part,
     anticommutator,
     as_matrix,
-    assert_agreement,
     commutator,
-    frobenius_norm,
     frobenius_norms,
 )
 from .states import (
@@ -173,9 +171,11 @@ def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
                 "purity criterion: closed form and eigen-analysis disagree "
                 f"on nullity ({other!r} vs {criterion!r})")
         if other is not None and criterion is not None:
-            assert_agreement(
-                other, criterion, 1e-10 * max(1.0, abs(criterion)),
-                "purity criterion (closed form vs eigen-analysis)")
+            bound = 1e-10 * max(1.0, abs(criterion))
+            if abs(other - criterion) > bound:
+                raise AgreementError(
+                    "purity criterion (closed form vs eigen-analysis): "
+                    f"{other} vs {criterion} differ beyond {bound:.1e}")
         reports.append(WitnessReport(
             min_eigenvalue=min_eig,
             witness_vector=np.ascontiguousarray(dec.eigenvectors[k, :, idx]),
@@ -244,8 +244,7 @@ def pure_mixed_test(psi, rho2: DensityOperator, *,
     vec = as_pure_state(psi)
     if vec.shape[0] != rho2.dim:
         raise DimensionError(
-            f"dimension mismatch: psi has {vec.shape[0]}, state has {rho2.dim}"
-        )
+            f"dimension mismatch: {vec.shape[0]} vs {rho2.dim}")
     return _pure_mixed_reports(vec[None], StateStack.of(rho2),
                                tol_witness, tol_null)[0]
 
@@ -269,8 +268,6 @@ def _powers(ratios: np.ndarray, n: list[int]) -> np.ndarray:
     power paths, so that a row comes out as it does alone; an exponent
     array rounds some entries differently in the last bit."""
     exponents = set(n)
-    if len(exponents) == 1:
-        return ratios ** exponents.pop()
     n = np.array(n)
     out = np.empty_like(ratios)
     for e in exponents:
@@ -557,8 +554,6 @@ def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
         except ConditionUnreachableError as exc:
             stop(k, exc)
     live = [k for k, result in enumerate(out) if result is None]
-    if not live:  # as at d = 1, where every pair commutes
-        return out
     rho1, rho2 = (rho.take(live) for rho in amplified)
     reports = _analyze(anticommutator(rho1.matrix, rho2.matrix),
                        tol_witness, tol_null)
@@ -714,8 +709,8 @@ class DegenerateCaseReport(NamedTuple):
 
 def _check_projector(p: np.ndarray, rank: int, which: str) -> np.ndarray:
     p = _hermitian_part(as_matrix(p), f"{which} operator")
-    norm = max(frobenius_norm(p), 1.0)
-    if frobenius_norm(p @ p - p) > 1e-10 * norm:
+    norm, defect = frobenius_norms(np.array([p, p @ p - p]))
+    if defect > 1e-10 * max(norm, 1.0):
         raise ProjectorError(f"{which} operator is not idempotent")
     tr = float(p.trace().real)
     if abs(tr - rank) > 1e-8:

@@ -182,6 +182,25 @@ def test_state_file_needs_json_numbers(capsys, tmp_path, obj):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[0.5, 1.7e308], [1.7e308, 0.5]],
+     "state has eigenvalue -1.700e+308 below -1.0e-10"),
+    ([[1e308, 0], [0, -1e308]],
+     "state trace 0+0.000e+00j deviates from 1 by 1.000e+00 (margin 1.0e-10)"),
+    ([[1e308, 0], [0, 1e308]],
+     "state trace inf+0.000e+00j deviates from 1 by inf (margin 1.0e-10)"),
+], ids=["eigenvalue", "zero-trace", "infinite-trace"])
+def test_hermitian_state_with_huge_entries_exits_2_without_warnings(
+        capsys, tmp_path, rows, message):
+    # entries near the float maximum must not overflow the Hermitian part
+    # or the trace; a numpy warning would raise here as an error
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": [
+        [[x, 0] for x in row] for row in rows]}), encoding="utf-8")
+    assert run_cli(capsys, "witness", "--states", str(bad), "0,0,1") == \
+        (2, "", f"error: {message}\n")
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100_000, encoding="utf-8")
@@ -254,6 +273,18 @@ def test_nested_dimension_mismatch_exit(capsys, tmp_path):
         code, out, err = run_cli(capsys, command[0], "--states", "0.3,0,0.5",
                                  q3, *command[1:])
         assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
+
+
+def test_witness_dimension_mismatch_message_is_the_same_on_both_routes(
+        capsys, tmp_path):
+    # a pure first state takes the closed-form route, a mixed one the
+    # anticommutator of the pair
+    one = write_state(tmp_path, "one.json", np.eye(1))
+    for first in ("0,0,1", "0,0,0.5"):
+        assert run_cli(capsys, "witness", "--states", first, one) == \
+            (2, "", "error: dimension mismatch: 2 vs 1\n")
+    assert run_cli(capsys, "witness", "--states", one, "0,0,1") == \
+        (2, "", "error: dimension mismatch: 1 vs 2\n")
 
 
 def test_nested_reports_a_vanishing_first_order_denominator_as_null(

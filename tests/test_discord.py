@@ -26,6 +26,7 @@ from qwitness.errors import (
     NullOutcomeError,
     PositivityError,
 )
+from qwitness.linalg import commutator
 from qwitness.states import (
     DensityOperator,
     bloch_to_state,
@@ -36,6 +37,7 @@ from qwitness.states import (
     random_unitary,
     seeded_rng,
 )
+from qwitness.tolerances import TOL_COMM
 from qwitness.witness import Verdict, nested_witness, witness_anticommutator
 
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
@@ -172,6 +174,25 @@ def test_commutation_scan_drops_null_outcomes():
     ensemble = commutation_scan(pure00, list(z_measurement().values()))
     assert len(ensemble.states) == 1
     assert not ensemble.noncommuting_found
+
+
+def test_conditional_norms_have_the_bits_of_each_pair_alone():
+    # one stacked commutator over the pairs gives each norm the bits of
+    # np.linalg.norm of that pair's commutator; ensembles of 0 and 1
+    # kept states have no pairs
+    rng = seeded_rng(43)
+    for t in range(60):
+        d = 1 + t % 5
+        kept = [random_density(d, d, rng) for _ in range(t % 6)]
+        ensemble = compare_conditionals(
+            [(0.0, None)] + [(1.0 / len(kept), rho) for rho in kept])
+        want = np.zeros((len(kept), len(kept)))
+        for i, a in enumerate(kept):
+            for j, b in enumerate(kept[i + 1:], i + 1):
+                want[i, j] = want[j, i] = np.linalg.norm(
+                    commutator(a.matrix, b.matrix))
+        assert np.array_equal(ensemble.pairwise_commutator_norms, want)
+        assert ensemble.noncommuting_found == (want > TOL_COMM).any()
 
 
 def test_protocol_demo_bell_is_witnessed():

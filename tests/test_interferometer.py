@@ -290,6 +290,13 @@ _CIRCUIT_GOLDEN = {
         [0, "ece84833c5df27b27ad88db6c50169f3091684ad599cf7b4dbf0202813f201fb"],
     "d2-s0 --copies 40 --probe d2-amplitudes":
         [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    # 2**14 indices and more: each loop step multiplies in place on the
+    # fresh gather, which a one-call gather of all registers would not
+    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 "
+    "d2-s0 --probe d2-amplitudes":
+        [0, "67eed936b66cbd6a1c2243ba73fde35fee9aa7db1ea626e6fcca05f51d57b679"],
+    "d4-s0 d4-s1 d4-s2 d4-s3 d4-s0 d4-s1 --probe d4-report":
+        [0, "4f65f269952b6ee74c73089d520db012e4b042a0b0ac73d49c6b06696ef37349"],
 }
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness.errors import AgreementError, DimensionError
+from qwitness.errors import DimensionError
 from qwitness.linalg import (
     _eigh_descending,
+    _hermitian_part,
     anticommutator,
     as_matrix,
-    assert_agreement,
     commutator,
-    frobenius_norm,
+    frobenius_norms,
     matrix_from_json,
     matrix_to_json,
 )
@@ -52,7 +52,7 @@ def test_as_matrix_rejects_bad_shapes():
 
 def test_pauli_products():
     # sigma_x and sigma_z anticommute
-    assert frobenius_norm(anticommutator(SX, SZ)) == 0.0
+    assert frobenius_norms(anticommutator(SX, SZ)[None])[0] == 0.0
     np.testing.assert_allclose(commutator(SX, SZ),
                                2 * np.array([[0, -1], [1, 0]]), atol=1e-15)
 
@@ -64,7 +64,7 @@ def test_projector_pair_anticommutator():
     comm = commutator(P0, PPLUS)
     np.testing.assert_allclose(comm, np.array([[0, 0.5], [-0.5, 0]]),
                                atol=1e-15)
-    assert frobenius_norm(comm) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+    assert frobenius_norms(comm[None])[0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
 
 def test_dimension_mismatch():
@@ -108,10 +108,28 @@ def test_matrix_json_rejects_nonfinite():
         matrix_from_json({"dim": 1, "entries": [[[np.inf, 0.0]]]})
 
 
-def test_assert_agreement():
-    assert_agreement(1.0, 1.0 + 1e-12, 1e-10, "x")
-    with pytest.raises(AgreementError):
-        assert_agreement(1.0, 1.1, 1e-10, "x")
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+def test_frobenius_norms_have_the_bits_of_one_matrix_norm(scale):
+    # each member summed as np.linalg.norm sums a contiguous matrix alone
+    rng = np.random.default_rng(int(np.log10(scale)) + 200)
+    for d in range(1, 7):
+        for n in (1, 2, 5):
+            stack = scale * (rng.normal(size=(n, d, d))
+                             + 1j * rng.normal(size=(n, d, d)))
+            assert frobenius_norms(stack) == \
+                [float(np.linalg.norm(m)) for m in stack]
+
+
+@pytest.mark.parametrize("scale", [1e-290, 1e-8, 1.0, 1e8, 1e290])
+def test_hermitian_part_has_the_bits_of_the_halved_sum(scale):
+    # a/2 + a†/2 cannot overflow; with normal entries halving is exact,
+    # so it equals (a + a†)/2 wherever that sum is finite
+    rng = np.random.default_rng(int(np.log10(scale)) + 300)
+    g = scale * (rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)))
+    h = (g + g.conj().swapaxes(-1, -2)) / 2
+    h = h + scale * 1e-13 * rng.normal(size=h.shape)  # within the margin
+    np.testing.assert_array_equal(
+        _hermitian_part(h, "state"), (h + h.conj().swapaxes(-1, -2)) / 2)
 
 
 @st.composite

@@ -16,7 +16,7 @@ from qwitness.cli import dumps, main
 from qwitness.errors import (CommutingInputsError, ConditionUnreachableError,
                              DegenerateSpectrumError, DimensionError,
                              TraceError)
-from qwitness.linalg import anticommutator, commutator, frobenius_norm
+from qwitness.linalg import anticommutator, commutator, frobenius_norms
 from qwitness.scans import (
     SCAN_KINDS,
     _bloch_axis,
@@ -97,8 +97,8 @@ def serial_scan_null(trials, dims, seed):
         else:
             rho2 = random_density(d, d, rng)
         proj = pure_projector(psi)
-        anti_norm = frobenius_norm(anticommutator(proj, rho2.matrix))
-        product_norm = frobenius_norm(proj @ rho2.matrix)
+        anti_norm = frobenius_norms(anticommutator(proj, rho2.matrix)[None])[0]
+        product_norm = frobenius_norms((proj @ rho2.matrix)[None])[0]
         null = anti_norm <= TOL_NULL
         return {"trial": t, "dim": d, "anticommutator_norm": anti_norm,
                 "product_norm": product_norm, "null": null,
@@ -121,7 +121,8 @@ def serial_scan_pure_mixed(trials, dims, seed):
         psi = random_pure(d, rng)
         rho2 = random_density(d, d, rng)
         report = pure_mixed_test(psi, rho2)
-        comm_norm = frobenius_norm(commutator(pure_projector(psi), rho2.matrix))
+        comm_norm = frobenius_norms(
+            commutator(pure_projector(psi), rho2.matrix)[None])[0]
         closed = report.closed_form_criterion
         deviation = (0.0 if closed is None
                      else abs(closed - report.purity_criterion))

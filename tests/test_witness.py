@@ -16,11 +16,12 @@ from qwitness.errors import (
     HermiticityError,
     PreconditionError,
     ProjectorError,
+    QwitnessError,
 )
 from qwitness import witness
 from qwitness.discord import BipartiteState, ConditionalEnsemble
 from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
-                             frobenius_norm)
+                             frobenius_norms)
 from qwitness.scans import run_scan
 from qwitness.states import (
     PureDecomposition,
@@ -266,8 +267,8 @@ def test_witnessed_iff_noncommuting_sample():
         psi = random_pure(d, rng)
         rho2 = random_density(d, d, rng)
         report = pure_mixed_test(psi, rho2)
-        noncommuting = frobenius_norm(
-            commutator(np.outer(psi, psi.conj()), rho2.matrix)) > 1e-10
+        noncommuting = frobenius_norms(
+            commutator(np.outer(psi, psi.conj()), rho2.matrix)[None])[0] > 1e-10
         witnessed = report.verdict is Verdict.NONPOSITIVE_WITNESSED
         assert witnessed == noncommuting
         hits += witnessed
@@ -319,7 +320,7 @@ def test_amplify_preserves_eigenbasis():
     rng = seeded_rng(5)
     rho = random_density(4, 4, rng)
     out = amplify(rho, 3)
-    assert frobenius_norm(commutator(rho.matrix, out.matrix)) < 1e-12
+    assert frobenius_norms(commutator(rho.matrix, out.matrix)[None])[0] < 1e-12
 
 
 def test_amplify_huge_power_stays_valid():
@@ -492,6 +493,26 @@ def test_nested_core_stops_each_member_as_nested_witness_stops_it():
                      "DegenerateSpectrumError", "DegenerateSpectrumError",
                      "ConditionUnreachableError", "result"]
     assert "second input capped out" in str(results[6])
+
+
+def test_nested_core_on_a_stack_where_every_member_stops():
+    # with no live member the anticommutator and its analysis run on
+    # empty stacks; each member keeps the error nested_witness raises
+    pairs = [(np.diag([0.6, 0.3, 0.1]), np.diag([0.2, 0.5, 0.3])),
+             (np.diag([0.4, 0.4, 0.2]), np.diag([0.1, 0.2, 0.7])),
+             (np.diag([0.5, 0.3, 0.2]), np.diag([0.1, 0.2, 0.7]))]
+    stacks = [StateStack.check(np.array([pair[i] for pair in pairs]))
+              for i in (0, 1)]
+    tols = dict(tol_comm=1e-10, tol_witness=1e-12, tol_null=1e-12,
+                tol_f=1e-6, plan_cap=PLAN_CAP)
+    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    assert len(results) == 3
+    for (m1, m2), got in zip(pairs, results):
+        with pytest.raises(QwitnessError) as alone:
+            nested_witness(make_density(m1), make_density(m2), 0.05, **tols)
+        assert (type(got), str(got)) == (type(alone.value), str(alone.value))
+    assert [type(got) for got in results] == [
+        CommutingInputsError, DegenerateSpectrumError, CommutingInputsError]
 
 
 # ------------------------------------------------- first-order condition
