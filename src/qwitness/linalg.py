@@ -112,7 +112,7 @@ def _hermitian_part(a: np.ndarray, what: str) -> np.ndarray:
     adj = _adjoint(a)
     with np.errstate(over="ignore"):
         diff = np.abs(a - adj)
-    if diff.max() > TOL_HERM:  # the margin is at least TOL_HERM
+    if diff.max(initial=0.0) > TOL_HERM:  # the margin is at least TOL_HERM
         members = a if a.ndim == 3 else a[None]
         defects = np.atleast_1d(diff.max(axis=(-2, -1)))
         for k in np.flatnonzero(defects > TOL_HERM):

@@ -100,9 +100,6 @@ class StateStack(NamedTuple):
               spectrum: SpectralDecomposition | None = None) -> "StateStack":
         """:class:`DensityOperator`'s checks on each member of a stack;
         a failing member raises what it raises alone."""
-        if not len(stack):
-            return cls(stack, spectrum or SpectralDecomposition(
-                np.empty(stack.shape[:-1]), stack))
         return cls(*_density_checks(as_matrix(stack, stacked=True), spectrum))
 
     @classmethod
@@ -133,7 +130,7 @@ def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
     with np.errstate(over="ignore"):  # an infinite trace fails below
         tr = m.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0)
-    if off.max() > TOL_TRACE:
+    if off.max(initial=0.0) > TOL_TRACE:
         t = np.reshape(tr, -1)[np.argmax(off > TOL_TRACE)]
         raise TraceError(
             f"state trace {t.real:.17g}{t.imag:+.3e}j deviates from 1 "
@@ -142,7 +139,7 @@ def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
         spectrum = _eigh_descending(h)
     low = spectrum.eigenvalues.T[-1]  # a scalar, or one per member
     # NaN from an overflowing matrix fails too
-    if not low.min() >= -TOL_PSD:
+    if not low.min(initial=np.inf) >= -TOL_PSD:
         k = np.argmax(np.logical_not(low >= -TOL_PSD))
         raise PositivityError(
             f"state has eigenvalue {float(np.reshape(low, -1)[k]):.3e} "

@@ -326,71 +326,52 @@ def _check_plan_args(target_epsilon: float, cap: int) -> float:
     return target
 
 
-def _search(target: float, cap: int):
-    """The plan search of one state toward ``target``: a generator that
-    yields each count n whose eps(n) it needs, is sent that value, and
-    returns (n, eps(n), capped). It tries n = 1, then doubles, then
-    bisects; eps is nonincreasing in n."""
-    e = yield 1
-    if e <= target:
-        return 1, e, False
-    lo, hi = 1, 2
-    while hi < cap:
-        e = yield hi
-        if e <= target:
-            break
-        lo, hi = hi, hi * 2
-    else:
-        hi = cap
-        e = yield cap
-        if e > target:
-            return cap, e, True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        e_mid = yield mid
-        if e_mid <= target:
-            hi, e = mid, e_mid
-        else:
-            lo = mid
-    return hi, e, False
-
-
 def _plans(lam: np.ndarray, targets: list[float], cap: int
            ) -> list[AmplificationPlan]:
     """:func:`plan_amplification` of each member of a stack (n, d) of
     descending spectra toward its own checked target.
 
-    Each member runs :func:`_search`; the eps(n) that the members ask
-    for in one round, s / (1 + s) for s the sum of the tail ratios to
-    the power n, are evaluated together.
+    eps(n) = s / (1 + s), for s the sum of the tail ratios to the power
+    n, is nonincreasing in n. Each nondegenerate member tries n = 1,
+    then doubles n up to the cap until eps(n) reaches its target; a
+    member that misses at the cap is capped, and any other bisects
+    between the last count that missed and the first that reached.
+    Each round evaluates the eps(n) of its members together.
     """
     _, degenerate = _top_gaps(lam)
     lam = np.maximum(lam, 0.0)
     ratios = lam[:, 1:] / lam[:, :1]
-    plans: list = [None] * len(lam)
-    searches = {}
-    for k, (top, dg) in enumerate(zip(lam[:, 0].tolist(),
-                                      degenerate.tolist())):
-        if dg:
-            plans[k] = AmplificationPlan(n=0, achieved_epsilon=1.0 - top,
-                                         requested_epsilon=targets[k],
-                                         degenerate=True)
-        else:
-            searches[k] = _search(targets[k], cap)
-    asks = {k: next(search) for k, search in searches.items()}
-    while asks:
-        members = list(asks)
-        s = _powers(ratios[members], list(asks.values())).sum(axis=-1)
-        asks = {}
-        for k, e in zip(members, (s / (1.0 + s)).tolist()):
-            try:
-                asks[k] = searches[k].send(e)
-            except StopIteration as done:
-                n, e, capped = done.value
-                plans[k] = AmplificationPlan(
-                    n=n, achieved_epsilon=e, requested_epsilon=targets[k],
-                    degenerate=capped)
-    return plans
+    target = np.array(targets)
+    # a nondegenerate member reaches eps = 0 by n = 2**37 (its tail
+    # ratios are below 1 - TOL_DEGEN), so no larger cap ever binds
+    cap = min(cap, 2**40)
+    lo = np.zeros(len(lam), dtype=np.int64)
+    hi = np.ones(len(lam), dtype=np.int64)
+    e = 1.0 - lam[:, 0]  # what a degenerate member achieves
+
+    def eps(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+        s = _powers(ratios[rows], n.tolist()).sum(axis=-1)
+        return s / (1.0 + s)
+
+    rows = np.flatnonzero(~degenerate)
+    while len(rows):
+        e[rows] = eps(rows, hi[rows])
+        rows = rows[(e[rows] > target[rows]) & (hi[rows] < cap)]
+        lo[rows], hi[rows] = hi[rows], np.minimum(2 * hi[rows], cap)
+    capped = e > target
+    rows = np.flatnonzero(~capped & (hi - lo > 1))
+    while len(rows):
+        mid = (lo[rows] + hi[rows]) // 2
+        e_mid = eps(rows, mid)
+        reached = e_mid <= target[rows]
+        hi[rows[reached]], e[rows[reached]] = mid[reached], e_mid[reached]
+        lo[rows[~reached]] = mid[~reached]
+        rows = rows[hi[rows] - lo[rows] > 1]
+    hi[degenerate] = 0
+    return [AmplificationPlan(n=n, achieved_epsilon=a, requested_epsilon=t,
+                              degenerate=dg)
+            for n, a, t, dg in zip(hi.tolist(), e.tolist(), targets,
+                                   (degenerate | capped).tolist())]
 
 
 def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
@@ -763,7 +744,7 @@ def _direct_degenerate_check(p1: np.ndarray, d1: int, p2: np.ndarray, d2: int,
 
     def build(p: np.ndarray, rank: int, eps: float) -> np.ndarray:
         base = p / rank
-        if dim == rank or eps == 0.0:
+        if dim == rank:
             return base
         return (1.0 - eps) * base + eps * (eye - p) / (dim - rank)
 

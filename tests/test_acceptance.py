@@ -5,6 +5,7 @@ Each test checks one headline property end to end and prints a single
 straight off a captured pytest run.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -327,13 +328,20 @@ def battery(tmp_path):
     ]
 
 
-def run_battery(cmds, env) -> bytes:
-    chunks = []
+# the battery's stdout digest and exit codes; any changed byte fails
+BATTERY_SHA256 = \
+    "93b201ab5a0605e1a107df28281c1fe092be678bf4f365f3160f6691c95f1978"
+BATTERY_CODES = [10, 10, 0, 0, 10, 0, 0, 0, 0, 0]
+
+
+def run_battery(cmds, env) -> tuple[bytes, list[int]]:
+    chunks, codes = [], []
     for cmd in cmds:
         result = subprocess.run(cmd, capture_output=True, check=False, env=env)
         assert result.returncode in (0, 10), (cmd, result.stderr)
         chunks.append(result.stdout)
-    return b"".join(chunks)
+        codes.append(result.returncode)
+    return b"".join(chunks), codes
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env):
@@ -341,10 +349,12 @@ def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env):
                        "JSONL; acceptance module stays inside the budget", capsys):
         cmds = battery(tmp_path)
         start = time.monotonic()
-        first = run_battery(cmds, subprocess_env)
-        second = run_battery(cmds, subprocess_env)
+        first, codes = run_battery(cmds, subprocess_env)
+        second, codes_again = run_battery(cmds, subprocess_env)
         elapsed = time.monotonic() - start
-        assert first == second
+        assert (first, codes) == (second, codes_again)
+        assert codes == BATTERY_CODES
+        assert hashlib.sha256(first).hexdigest() == BATTERY_SHA256
         for line in first.decode("utf-8").splitlines():
             json.loads(line)
         assert elapsed < 60.0

@@ -47,6 +47,7 @@ from qwitness.witness import (
     amplify,
     degenerate_case_analysis,
     first_order_purity,
+    margin_terms,
     nested_witness,
     nonpositivity_condition,
     orthogonal_case_analysis,
@@ -59,7 +60,7 @@ from qwitness.witness import (
     second_order_indicator,
     witness_anticommutator,
 )
-from qwitness.tolerances import EIGEN_DIM_CAP, PLAN_CAP
+from qwitness.tolerances import EIGEN_DIM_CAP, PLAN_CAP, TOL_DEGEN, TOL_F
 
 PSI0 = np.array([1.0, 0.0], dtype=complex)
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
@@ -395,8 +396,10 @@ def test_plan_is_minimal_across_targets():
 
 
 def _serial_plan(lam, target, cap):
-    """(n, achieved epsilon, capped) of the plan search for one spectrum,
-    every exponent a Python int."""
+    """(n, achieved epsilon, degenerate) of the plan search for one
+    spectrum, every exponent a Python int."""
+    if len(lam) > 1 and lam[0] - lam[1] <= TOL_DEGEN * lam[0]:
+        return 0, 1.0 - max(float(lam[0]), 0.0), True
     ratios = np.clip(lam, 0.0, None)[1:] / float(lam[0])
 
     def eps_at(n):
@@ -427,23 +430,40 @@ def test_stacked_plans_and_amplification_match_each_state_alone():
     rng = seeded_rng(17)
     states = [_nondegenerate(2 + k % 4, rng) for k in range(4 * 40)]
     counts = (1, 2, 3, 5, 37, 200)
+    spectra = []
     for d in range(2, 6):
         members = states[d - 2::4]
         stack = StateStack.check(np.array([rho.matrix for rho in members]))
         lam = stack.spectrum.eigenvalues
         ns = [counts[k % len(counts)] for k in range(len(members))]
         targets = [_serial_plan(row, 0.0, n)[1] for row, n in zip(lam, ns)]
-        for cap in (PLAN_CAP, 3):
-            plans = witness._plans(lam, targets, cap)
-            for row, target, plan in zip(lam, targets, plans):
-                assert (plan.n, plan.achieved_epsilon, plan.degenerate) == \
-                    _serial_plan(row, target, cap)
+        targets[0] = 0.0  # misses its target at every cap up to 7
+        spectra.append((lam, targets))
         amplified = witness._amplified(stack.spectrum, ns)
         for k, (row, n) in enumerate(zip(lam, ns)):
             w = np.clip(row, 0.0, None)
             w = (w / w[0]) ** n
             assert np.array_equal(amplified.spectrum.eigenvalues[k],
                                   w / w.sum())
+    # 1-dimensional spectra reach any target at n = 1; a degenerate
+    # member plans n = 0 beside a member that searches
+    spectra.append((np.ones((3, 1)), [0.0, 0.1, 0.5]))
+    spectra.append((np.array([[0.5, 0.5 - 1e-9, 1e-9], [0.6, 0.3, 0.1]]),
+                    [0.1, 0.1]))
+    exits = set()
+    for cap in (10**30, PLAN_CAP, 7, 3, 2, 1):
+        for lam, targets in spectra:
+            plans = witness._plans(lam, targets, cap)
+            for row, target, plan in zip(lam, targets, plans):
+                got = (plan.n, plan.achieved_epsilon, plan.degenerate)
+                assert [type(x) for x in got] == [int, float, bool]
+                assert got == _serial_plan(row, target, cap)
+                exits.add("degenerate" if plan.n == 0 else
+                          "capped" if plan.degenerate else
+                          "at n = 1" if plan.n == 1 else
+                          "bisected" if plan.n & (plan.n - 1) else "doubled")
+    assert exits == {"degenerate", "capped", "at n = 1", "bisected",
+                     "doubled"}
 
 
 def test_nested_core_stops_each_member_as_nested_witness_stops_it():
@@ -521,13 +541,20 @@ def test_overlap_data_and_condition():
     o = OverlapData(f=complex(np.sqrt(0.5)), g1=0.0, g2=0.0, eps1=0.0, eps2=0.0)
     assert nonpositivity_condition(o)
     assert first_order_purity(o) == pytest.approx(1.5, abs=1e-15)
+    # an exact tie: lhs = rhs = 0.375, and the strict condition fails
+    tie = OverlapData(f=0.5, g1=1.0, g2=0.0, eps1=0.375, eps2=0.0)
+    assert margin_terms(tie) == (0.375, 0.375)
+    assert nonpositivity_condition(tie) is False
 
 
 def test_condition_boundary_guards():
     """The library guards raise what ``nested`` exits 13 with."""
     for guard, f in ((nonpositivity_condition, 0.0),
                      (first_order_purity, 1.0),
-                     (nonpositivity_condition, 1.0 + 2.0**-52)):
+                     (nonpositivity_condition, 1.0 + 2.0**-52),
+                     # both boundaries are inclusive
+                     (nonpositivity_condition, TOL_F),
+                     (nonpositivity_condition, 1.0 - TOL_F)):
         with pytest.raises(ConditionUnreachableError) as info:
             guard(OverlapData(f=f, g1=0, g2=0, eps1=0, eps2=0))
         assert str(info.value) == (
@@ -716,6 +743,16 @@ def test_orthogonal_case_witnessable_matches_direct_eigenvalue():
     assert checked >= 5
 
 
+def test_orthogonal_pure_pair_is_not_witnessable():
+    # a pure orthogonal pair has a vanishing anticommutator: indicator 0
+    decs = [PureDecomposition(epsilon=0.0, psi=psi, eta=None,
+                              degenerate=False, gap=1.0)
+            for psi in np.eye(3, dtype=complex)[:2]]
+    report = orthogonal_case_analysis(*decs)
+    assert report.indicator == 0.0
+    assert report.witnessable is False
+
+
 def test_orthogonal_case_precondition():
     dec = pure_decompose(PLUS)
     with pytest.raises(PreconditionError):
@@ -790,6 +827,11 @@ def test_degenerate_direct_check_interior_angles():
             p1, 2, r @ np.diag([0.0, 1.0, 1.0]) @ r.T, 2, 1e-3, 1e-3)
         assert report.verdict is DegenerateVerdict.NEGATIVE_INCONCLUSIVE
         assert report.direct_min_eigenvalue < -1e-3
+        # unmixed, the direct check reads {P1/2, P2/2} itself
+        p2 = r @ np.diag([0.0, 1.0, 1.0]) @ r.T
+        report = degenerate_case_analysis(p1, 2, p2, 2, 0.0, 0.0)
+        assert report.direct_min_eigenvalue == float(
+            np.linalg.eigvalsh(anticommutator(p1 / 2, p2 / 2)).min())
 
 
 def test_degenerate_pi_half_projectors_coincide():
