@@ -190,6 +190,8 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nests too deeply") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_state(spec: str) -> DensityOperator:

@@ -10,9 +10,9 @@ That readout is Re tr[S R], R the product of the register states and S
 the cyclic shift (Ekert et al., PRL 88, 217901 (2002)); S is a
 permutation, so the d**l entries of R it selects are gathered straight
 from the registers, with neither R nor any gate of the circuit built.
-Over l registers the gather holds ~16 l + 32 bytes per basis index,
-which :func:`check_circuit_size` bounds by the byte budget
-``CIRCUIT_BYTES``.
+Over l registers the gather holds ~8 l + 32 bytes per basis index;
+:func:`check_circuit_size` charges 16 l + 32, which bounds that,
+against the byte budget ``CIRCUIT_BYTES``.
 """
 
 from __future__ import annotations
@@ -44,21 +44,23 @@ def _shift_trace(mats: list[np.ndarray]) -> complex:
     last bit."""
     l, d = len(mats), mats[0].shape[0]
     # x_k of each x in kron order, the first register's digit leading
-    rows = np.arange(d**l) // d ** np.arange(l - 1, -1, -1)[:, None] % d
-    cols = np.roll(rows, -1, axis=0)  # x_(k+1), and x_1 after x_l
-    entries = mats[0][rows[0], cols[0]]
-    for m, r, c in zip(mats[1:], rows[1:], cols[1:]):
-        entries = entries * m[r, c]
+    rows = np.arange(d**l) // d ** np.arange(l - 1, -1, -1)[:, None]
+    rows %= d
+    # each factor pairs x_k with x_(k+1), and x_l with x_1
+    entries = mats[0][rows[0], rows[1 % l]]
+    for k in range(1, l):
+        entries = entries * mats[k][rows[k], rows[(k + 1) % l]]
     return complex(entries.sum())
 
 
 def check_circuit_size(d: int, registers: int) -> None:
     """CapacityError if reading out ``registers`` registers of dimension
-    d would take more than ``CIRCUIT_BYTES``: the gather holds
+    d would take more than ``CIRCUIT_BYTES``: it charges
     16 * registers + 32 bytes for each of the d**registers basis
-    indices, and the register lists 32 bytes per register, which alone
-    bound the count at d = 1. The power stops at the budget's bit
-    length, past which any d >= 2 is over budget."""
+    indices, which bounds the 8 * registers + 32 that the gather holds,
+    and the register lists 32 bytes per register, which alone bound
+    the count at d = 1. The power stops at the budget's bit length,
+    past which any d >= 2 is over budget."""
     power = d ** min(registers, CIRCUIT_BYTES.bit_length())
     if power * (16 * registers + 32) + 32 * registers > CIRCUIT_BYTES:
         raise CapacityError(

@@ -30,8 +30,6 @@ __all__ = [
     "anticommutator",
     "commutator",
     "frobenius_norms",
-    "matrix_to_json",
-    "matrix_from_json",
     "complex_from_json",
 ]
 
@@ -137,38 +135,6 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
         eigenvectors=np.ascontiguousarray(v[..., ::-1]),
     )
-
-
-def matrix_to_json(a) -> dict:
-    """Serialize a matrix to the row-major [re, im] entry layout."""
-    a = as_matrix(a)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in a
-        ],
-    }
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Parse and validate the matrix JSON layout."""
-    if not isinstance(obj, dict):
-        raise DimensionError("matrix JSON must be an object")
-    d = obj.get("dim")
-    entries = obj.get("entries")
-    if isinstance(d, bool) or not isinstance(d, int) or entries is None:
-        raise DimensionError("matrix JSON needs integer 'dim' and 'entries'")
-    if d < 1:
-        raise DimensionError(f"matrix dimension must be positive, got {d}")
-    if not isinstance(entries, list) or len(entries) != d:
-        raise DimensionError(f"expected {d} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != d:
-            raise DimensionError(f"row {i} does not have {d} entries")
-        for j, cell in enumerate(row):
-            out[i, j] = complex_from_json(cell, f"entry ({i},{j})")
-    return out
 
 
 def complex_from_json(cell, where: str) -> complex:

@@ -13,10 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionError, PositivityError, TraceError
 from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
-                     _hermitian_part, as_matrix)
+                     _hermitian_part, as_matrix, complex_from_json)
 from .tolerances import TOL_DEGEN, TOL_PSD, TOL_TRACE
 
 __all__ = [
@@ -109,14 +108,10 @@ class StateStack(NamedTuple):
         return cls(rho.matrix[None], SpectralDecomposition(
             dec.eigenvalues[None], dec.eigenvectors[None]))
 
-    def take(self, members) -> "StateStack":
-        """The stack of the members that an index array or mask selects."""
-        dec = self.spectrum
-        return StateStack(self.matrix[members], SpectralDecomposition(
-            dec.eigenvalues[members], dec.eigenvectors[members]))
-
     def state(self, k: int) -> DensityOperator:
-        return DensityOperator._checked(*self.take(k))
+        dec = self.spectrum
+        return DensityOperator._checked(self.matrix[k], SpectralDecomposition(
+            dec.eigenvalues[k], dec.eigenvectors[k]))
 
 
 def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
@@ -320,10 +315,32 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def state_to_json(rho: DensityOperator) -> dict:
-    return linalg.matrix_to_json(rho.matrix)
+    """The state in the row-major [re, im] entry layout."""
+    return {
+        "dim": rho.dim,
+        "entries": [
+            [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
+        ],
+    }
 
 
 def state_from_json(obj) -> DensityOperator:
     """A validated state from the matrix JSON layout; other keys, such
     as an optional ``"label"``, are ignored."""
-    return DensityOperator(linalg.matrix_from_json(obj))
+    if not isinstance(obj, dict):
+        raise DimensionError("matrix JSON must be an object")
+    d = obj.get("dim")
+    entries = obj.get("entries")
+    if isinstance(d, bool) or not isinstance(d, int) or entries is None:
+        raise DimensionError("matrix JSON needs integer 'dim' and 'entries'")
+    if d < 1:
+        raise DimensionError(f"matrix dimension must be positive, got {d}")
+    if not isinstance(entries, list) or len(entries) != d:
+        raise DimensionError(f"expected {d} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    out = np.empty((d, d), dtype=np.complex128)
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != d:
+            raise DimensionError(f"row {i} does not have {d} entries")
+        for j, cell in enumerate(row):
+            out[i, j] = complex_from_json(cell, f"entry ({i},{j})")
+    return DensityOperator(out)

@@ -1,7 +1,18 @@
-"""Numerical tolerances and capacity limits, pinned in one place.
+"""Named numerical tolerances and capacity limits.
 
 Relative tolerances are scaled by a norm at the point of use; absolute
-ones are compared directly.
+ones are compared directly. Six thresholds are written at their single
+check instead:
+
+- ``cli._top_vector``: a probe state is pure at 1 - lambda_1 <= 1e-10;
+- ``cli.cmd_witness``: a first state at 1 - lambda_1 <= 1e-12 takes
+  the pure-first route;
+- ``states.as_pure_state``: unit norm within 1e-12;
+- ``states.bloch_to_state``: Bloch norm at most 1 + 1e-12;
+- ``witness._analyze``: the closed-form and eigen purity criteria agree
+  within 1e-10 relative;
+- ``witness._check_projector``: idempotent within 1e-10 relative, and
+  trace within 1e-8 of the rank.
 """
 
 from __future__ import annotations
@@ -45,9 +56,10 @@ GRID_CAP = 1000
 # each, ~0.6 GB at the cap
 TRIALS_CAP = 1_000_000
 
-# byte budget of a shift circuit's readout, which holds ~16 l + 32
-# bytes per basis index over l registers: at most 19 registers at
-# d = 2, 12 at d = 3 and 10 at d = 4
+# byte budget of a shift circuit's readout, charged at 16 l + 32 bytes
+# per basis index over l registers, which bounds the ~8 l + 32 that
+# the readout holds: at most 19 registers at d = 2, 12 at d = 3 and 10
+# at d = 4
 CIRCUIT_BYTES = 256 << 20
 
 # cap on a sampled circuit's shots: numpy draws the binomial count as a

@@ -478,8 +478,6 @@ class NestedWitnessResult(NamedTuple):
     report: WitnessReport
     plan1: AmplificationPlan
     plan2: AmplificationPlan
-    state1: DensityOperator
-    state2: DensityOperator
     overlap: OverlapData
     condition_met: bool
 
@@ -535,13 +533,12 @@ def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
         except ConditionUnreachableError as exc:
             stop(k, exc)
     live = [k for k, result in enumerate(out) if result is None]
-    rho1, rho2 = (rho.take(live) for rho in amplified)
-    reports = _analyze(anticommutator(rho1.matrix, rho2.matrix),
-                       tol_witness, tol_null)
-    for i, (k, report) in enumerate(zip(live, reports)):
+    anti = anticommutator(*(rho.matrix[live] for rho in amplified))
+    reports = _analyze(anti, tol_witness, tol_null)
+    for k, report in zip(live, reports):
         out[k] = NestedWitnessResult(
             report=report, plan1=plans[0][k], plan2=plans[1][k],
-            state1=rho1.state(i), state2=rho2.state(i), overlap=overlaps[k],
+            overlap=overlaps[k],
             condition_met=nonpositivity_condition(overlaps[k], tol_f=tol_f))
     return out
 

@@ -149,9 +149,10 @@ def test_witness_missing_file(capsys, tmp_path):
 def test_witness_malformed_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "witness", "--states", str(bad), "1,0,0")
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run_cli(capsys, "witness", "--states", str(bad), "1,0,0")
+    assert (code, out) == (2, "")
+    # a syntax error names the file that holds it
+    assert err.startswith(f"error: {bad}: Expecting property name")
 
 
 def test_witness_invalid_state_payload(capsys, tmp_path):

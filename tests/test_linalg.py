@@ -13,9 +13,9 @@ from qwitness.linalg import (
     as_matrix,
     commutator,
     frobenius_norms,
-    matrix_from_json,
-    matrix_to_json,
 )
+from qwitness.states import (random_density, seeded_rng, state_from_json,
+                             state_to_json)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -82,12 +82,14 @@ def test_eigh_descending_sorted_and_reconstructs():
     np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
 
 
+# the matrix JSON layout, which the states module reads and writes
+
 def test_matrix_json_roundtrip():
-    m = random_hermitian(3, 7) + 1j * 0.25 * np.eye(3)
-    obj = matrix_to_json(m)
+    rho = random_density(3, 3, seeded_rng(7))
+    obj = state_to_json(rho)
     assert obj["dim"] == 3
-    back = matrix_from_json(obj)
-    np.testing.assert_array_equal(back, m)
+    back = state_from_json(obj)
+    np.testing.assert_array_equal(back.matrix, rho.matrix)
 
 
 @pytest.mark.parametrize("bad", [
@@ -100,12 +102,12 @@ def test_matrix_json_roundtrip():
 ])
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(DimensionError):
-        matrix_from_json(bad)
+        state_from_json(bad)
 
 
 def test_matrix_json_rejects_nonfinite():
     with pytest.raises(ValueError):
-        matrix_from_json({"dim": 1, "entries": [[[np.inf, 0.0]]]})
+        state_from_json({"dim": 1, "entries": [[[np.inf, 0.0]]]})
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])

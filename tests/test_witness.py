@@ -181,8 +181,7 @@ _RECORDS = {
     AmplificationPlan: _PLAN_FIELDS,
     OverlapData: _OVERLAP_FIELDS,
     NestedWitnessResult: dict(report=WitnessReport(**_REPORT_FIELDS),
-                              plan1=_PLAN, plan2=_PLAN, state1=PLUS,
-                              state2=PLUS,
+                              plan1=_PLAN, plan2=_PLAN,
                               overlap=OverlapData(**_OVERLAP_FIELDS),
                               condition_met=True),
     OrthogonalCaseReport: dict(indicator=0.1, witnessable=True,
@@ -505,9 +504,11 @@ def test_nested_core_stops_each_member_as_nested_witness_stops_it():
         assert (got.plan1, got.plan2, got.overlap, got.condition_met) == \
             (alone.plan1, alone.plan2, alone.overlap, alone.condition_met)
         assert got.report.to_dict() == alone.report.to_dict()
-        for mine, theirs in ((got.state1, alone.state1),
-                             (got.state2, alone.state2)):
-            assert np.array_equal(mine.matrix, theirs.matrix)
+        # the report is the witness of the states amplify gives
+        assert witness_anticommutator(
+            amplify(rho1, got.plan1.n), amplify(rho2, got.plan2.n),
+            tol_witness=tols["tol_witness"],
+            tol_null=tols["tol_null"]).to_dict() == got.report.to_dict()
     assert kinds == ["result", "DegenerateSpectrumError", "result",
                      "DegenerateSpectrumError", "CommutingInputsError",
                      "DegenerateSpectrumError", "DegenerateSpectrumError",
@@ -610,8 +611,13 @@ def test_nested_witness_end_to_end():
     assert result.report.min_eigenvalue == pytest.approx(
         -0.16095396146365437, abs=1e-10)
     assert abs(result.overlap.f) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    # the amplified states are sharper than the inputs
-    assert result.state1.spectrum.eigenvalues[0] > 0.7
+    # the amplified states are sharper than the inputs, and the report
+    # is their witness
+    rho1 = amplify(sigma1, result.plan1.n)
+    rho2 = amplify(sigma2, result.plan2.n)
+    assert rho1.spectrum.eigenvalues[0] > 0.7
+    assert witness_anticommutator(rho1, rho2).to_dict() == \
+        result.report.to_dict()
 
 
 def test_nested_witness_condition_guarantees_verdict_at_safe_targets():
@@ -832,6 +838,16 @@ def test_degenerate_direct_check_interior_angles():
         report = degenerate_case_analysis(p1, 2, p2, 2, 0.0, 0.0)
         assert report.direct_min_eigenvalue == float(
             np.linalg.eigvalsh(anticommutator(p1 / 2, p2 / 2)).min())
+    # a first projector of full rank is the state I/3 itself, with no
+    # complement to mix in
+    r = rotation_13(0.4)
+    p2 = r @ np.diag([1.0, 1.0, 0.0]) @ r.T
+    report = degenerate_case_analysis(np.eye(3), 3, p2, 2, 1e-3, 2e-3)
+    assert report.bracket == pytest.approx(-4.0, abs=1e-12)
+    assert report.verdict is DegenerateVerdict.NEGATIVE_INCONCLUSIVE
+    mixed2 = (1.0 - 2e-3) * p2 / 2 + 2e-3 * (np.eye(3) - p2)
+    assert report.direct_min_eigenvalue == float(
+        np.linalg.eigvalsh(anticommutator(np.eye(3) / 3, mixed2)).min())
 
 
 def test_degenerate_pi_half_projectors_coincide():
