@@ -59,12 +59,13 @@ from .interferometer import (
     sample_readout,
     shots_to_resolve,
 )
-from .linalg import complex_from_json
 from .scans import SCAN_KINDS, run_scan
 from .states import (
     DensityOperator,
     as_pure_state,
     bloch_to_state,
+    complex_from_json,
+    pure_decompose,
     state_from_json,
     state_to_json,
 )
@@ -209,11 +210,11 @@ def _parse_state(spec: str) -> DensityOperator:
 
 
 def _top_vector(state: DensityOperator) -> np.ndarray:
-    lam = state.spectrum.eigenvalues
-    if 1.0 - float(lam[0]) > 1e-10:
-        raise ValueError("probe state must be pure "
-                         f"(leading eigenvalue {float(lam[0]):.17g})")
-    return np.ascontiguousarray(state.spectrum.eigenvectors[:, 0])
+    dec = pure_decompose(state)
+    if dec.eta is not None:
+        raise ValueError("probe state must be pure (leading eigenvalue "
+                         f"{float(state.spectrum.eigenvalues[0]):.17g})")
+    return dec.psi
 
 
 def _load_probe(path: str) -> np.ndarray:

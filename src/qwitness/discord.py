@@ -44,7 +44,6 @@ __all__ = [
     "x_measurement",
     "conditional_state",
     "select_outcome",
-    "ConditionalEnsemble",
     "compare_conditionals",
     "witness_conditionals",
 ]
@@ -159,34 +158,18 @@ def select_outcome(rho_ab: BipartiteState,
     return prob, state
 
 
-class ConditionalEnsemble(NamedTuple):
-    """Conditional states of B with their pairwise commutator norms.
-
-    Only outcomes with nonzero probability enter; ``noncommuting_found``
-    is set when any pairwise Frobenius norm exceeds the commutation
-    tolerance.
-    """
-
-    states: tuple[tuple[float, DensityOperator], ...]
-    pairwise_commutator_norms: np.ndarray
-    noncommuting_found: bool
-
-
 def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | None]]
-                         ) -> ConditionalEnsemble:
-    """Pairwise commutators of (probability, state) pairs as returned
-    by :func:`conditional_state`; null outcomes are dropped."""
-    kept = tuple((prob, state) for prob, state in conditionals
-                 if state is not None)
-    n = len(kept)
-    norms = np.zeros((n, n), dtype=np.float64)
-    if kept:  # with no state there is no stack shape; one has no pairs
-        m = np.array([state.matrix for _, state in kept])
-        i, j = np.triu_indices(n, 1)
-        norms[i, j] = norms[j, i] = frobenius_norms(commutator(m[i], m[j]))
-    return ConditionalEnsemble(states=kept,
-                               pairwise_commutator_norms=norms,
-                               noncommuting_found=bool((norms > TOL_COMM).any()))
+                         ) -> bool:
+    """Whether some pair of the (probability, state) pairs, as returned
+    by :func:`conditional_state`, has a commutator whose Frobenius norm
+    exceeds the commutation tolerance; null outcomes are dropped."""
+    kept = [state.matrix for _, state in conditionals if state is not None]
+    if not kept:  # with no state there is no stack shape
+        return False
+    m = np.array(kept)
+    i, j = np.triu_indices(len(kept), 1)
+    return any(norm > TOL_COMM
+               for norm in frobenius_norms(commutator(m[i], m[j])))
 
 
 def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,

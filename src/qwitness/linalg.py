@@ -11,7 +11,6 @@ anti-Hermitian) and goes to the eigensolver without a further check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -30,7 +29,6 @@ __all__ = [
     "anticommutator",
     "commutator",
     "frobenius_norms",
-    "complex_from_json",
 ]
 
 
@@ -135,20 +133,3 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
         eigenvectors=np.ascontiguousarray(v[..., ::-1]),
     )
-
-
-def complex_from_json(cell, where: str) -> complex:
-    """A finite complex number from a ``[re, im]`` pair of JSON numbers;
-    ``where`` names the cell in error messages."""
-    if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in cell)):
-        raise DimensionError(f"{where} is not a [re, im] pair of numbers")
-    try:
-        z = complex(cell[0], cell[1])
-        finite = cmath.isfinite(z)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{where} is not finite")
-    return z

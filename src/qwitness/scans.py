@@ -390,7 +390,7 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
                 for _ in range(2)]
         cc_conds, product_conds = ([_conditionals(state, m) for m in meas]
                                    for state in (cc, product))
-        ensemble = discord_mod.compare_conditionals(cc_conds[0] + cc_conds[1])
+        noncommuting = discord_mod.compare_conditionals(cc_conds[0] + cc_conds[1])
         verdicts = {
             name: discord_mod.witness_conditionals(
                 _most_likely(first), _most_likely(second)).verdict
@@ -401,10 +401,10 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
                         for v in verdicts.values())
         return {
             "trial": t,
-            "cq_noncommuting": ensemble.noncommuting_found,
+            "cq_noncommuting": noncommuting,
             "cq_verdict": verdicts["cq"].value,
             "product_verdict": verdicts["product"].value,
-            "counterexample": ensemble.noncommuting_found or witnessed,
+            "counterexample": noncommuting or witnessed,
         }
 
     records = [one(t) for t in range(trials)]

@@ -9,14 +9,15 @@ explicit 64-bit seed so every run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import cmath
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, PositivityError, TraceError
 from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
-                     _hermitian_part, as_matrix, complex_from_json)
-from .tolerances import TOL_DEGEN, TOL_PSD, TOL_TRACE
+                     _hermitian_part, as_matrix)
+from .tolerances import TOL_PSD, TOL_TRACE
 
 __all__ = [
     "DensityOperator",
@@ -34,6 +35,7 @@ __all__ = [
     "random_unitary",
     "seeded_rng",
     "state_to_json",
+    "complex_from_json",
     "state_from_json",
 ]
 
@@ -158,28 +160,12 @@ class PureDecomposition(NamedTuple):
 
     ``state == (1 - epsilon) |psi><psi| + epsilon * eta`` with ``eta``
     orthogonal to ``psi``. ``eta`` is None when the state is pure within
-    tolerance. ``gap`` is the distance between the two largest
-    eigenvalues; ``degenerate`` flags a top gap too small for
-    amplification to make sense.
+    tolerance.
     """
 
     epsilon: float
     psi: np.ndarray
     eta: DensityOperator | None
-    degenerate: bool
-    gap: float
-
-
-def _top_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_1 - lambda_2, degenerate) of each member of a stack (n, d)
-    of descending spectra, where degenerate means a gap of at most
-    TOL_DEGEN * lambda_1, too small for amplification to single out the
-    leading eigenvector; a 1-dimensional state has gap lambda_1."""
-    top = lam[:, 0]
-    if lam.shape[-1] == 1:
-        return top, np.zeros(len(lam), dtype=bool)
-    gap = top - lam[:, 1]
-    return gap, gap <= TOL_DEGEN * top
 
 
 def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
@@ -189,7 +175,6 @@ def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
     built from: the normalized tail weights over the tail eigenvectors,
     then 0 along psi. No remainder is decomposed again."""
     lam = dec.eigenvalues
-    gap, degenerate = _top_gaps(lam)
     eps = 1.0 - lam[:, 0]
     mixed = eps > TOL_PSD
     psi = np.ascontiguousarray(dec.eigenvectors[:, :, 0])
@@ -201,11 +186,9 @@ def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
         SpectralDecomposition(np.pad(w, ((0, 0), (0, 1))),
                               np.roll(dec.eigenvectors[mixed], -1, axis=-1)))
     eta = map(etas.state, range(len(tail)))
-    return [PureDecomposition(
-        epsilon=e if m else max(e, 0.0), psi=psi[k],
-        eta=next(eta) if m else None, degenerate=dg, gap=g)
-        for k, (e, m, dg, g) in enumerate(zip(
-            eps.tolist(), mixed.tolist(), degenerate.tolist(), gap.tolist()))]
+    return [PureDecomposition(epsilon=e if m else max(e, 0.0), psi=psi[k],
+                              eta=next(eta) if m else None)
+            for k, (e, m) in enumerate(zip(eps.tolist(), mixed.tolist()))]
 
 
 def pure_decompose(rho: DensityOperator) -> PureDecomposition:
@@ -322,6 +305,23 @@ def state_to_json(rho: DensityOperator) -> dict:
             [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
         ],
     }
+
+
+def complex_from_json(cell, where: str) -> complex:
+    """A finite complex number from a ``[re, im]`` pair of JSON numbers;
+    ``where`` names the cell in error messages."""
+    if (not isinstance(cell, (list, tuple)) or len(cell) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in cell)):
+        raise DimensionError(f"{where} is not a [re, im] pair of numbers")
+    try:
+        z = complex(cell[0], cell[1])
+        finite = cmath.isfinite(z)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where} is not finite")
+    return z
 
 
 def state_from_json(obj) -> DensityOperator:

@@ -1,10 +1,9 @@
 """Named numerical tolerances and capacity limits.
 
 Relative tolerances are scaled by a norm at the point of use; absolute
-ones are compared directly. Six thresholds are written at their single
+ones are compared directly. Five thresholds are written at their single
 check instead:
 
-- ``cli._top_vector``: a probe state is pure at 1 - lambda_1 <= 1e-10;
 - ``cli.cmd_witness``: a first state at 1 - lambda_1 <= 1e-12 takes
   the pure-first route;
 - ``states.as_pure_state``: unit norm within 1e-12;

@@ -46,7 +46,6 @@ from .states import (
     StateStack,
     _projectors,
     _pure_decompositions,
-    _top_gaps,
     as_pure_state,
     reconstruct_decomposition,
 )
@@ -54,6 +53,7 @@ from .tolerances import (
     EIGEN_DIM_CAP,
     PLAN_CAP,
     TOL_COMM,
+    TOL_DEGEN,
     TOL_F,
     TOL_NULL,
     TOL_PSD,
@@ -324,6 +324,18 @@ def _check_plan_args(target_epsilon: float, cap: int) -> float:
     if cap < 1:
         raise ValueError(f"plan cap must be >= 1, got {cap}")
     return target
+
+
+def _top_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_1 - lambda_2, degenerate) of each member of a stack (n, d)
+    of descending spectra, where degenerate means a gap of at most
+    TOL_DEGEN * lambda_1, too small for amplification to single out the
+    leading eigenvector; a 1-dimensional state has gap lambda_1."""
+    top = lam[:, 0]
+    if lam.shape[-1] == 1:
+        return top, np.zeros(len(lam), dtype=bool)
+    gap = top - lam[:, 1]
+    return gap, gap <= TOL_DEGEN * top
 
 
 def _plans(lam: np.ndarray, targets: list[float], cap: int

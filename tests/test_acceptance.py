@@ -200,8 +200,7 @@ def test_criterion_7_boundary_overlap_indicators(capsys):
                     m = comp @ inner.matrix @ comp.conj().T
                     decs.append(PureDecomposition(
                         epsilon=eps, psi=psi,
-                        eta=make_density((m + m.conj().T) / 2),
-                        degenerate=False, gap=1.0))
+                        eta=make_density((m + m.conj().T) / 2)))
                 value = parallel_case_indicator(decs[0], decs[1])
                 assert value <= 1e-12 + 20.0 * eps**3
         witnessable = 0
@@ -212,8 +211,7 @@ def test_criterion_7_boundary_overlap_indicators(capsys):
             for col in (0, 1):
                 psi = u[:, col]
                 decs.append(PureDecomposition(
-                    epsilon=1e-3, psi=psi, eta=low_rank_tail(psi, rng, 4),
-                    degenerate=False, gap=1.0))
+                    epsilon=1e-3, psi=psi, eta=low_rank_tail(psi, rng, 4)))
             report = orthogonal_case_analysis(decs[0], decs[1])
             if report.witnessable:
                 anti = anticommutator(reconstruct_decomposition(decs[0]),

@@ -95,7 +95,8 @@ def test_witness_null_pair(capsys):
 
 
 def test_witness_state_files(capsys, tmp_path):
-    f1 = write_state(tmp_path, "a.json", np.diag([1.0, 0.0]))
+    # a path with two commas that is not a Bloch triple is a file
+    f1 = write_state(tmp_path, "a,b,c.json", np.diag([1.0, 0.0]))
     f2 = write_state(tmp_path, "b.json", np.full((2, 2), 0.5))
     code, out, _ = run_cli(capsys, "witness", "--states", f1, f2)
     assert code == 10

@@ -19,7 +19,7 @@ from qwitness.errors import (
     QwitnessError,
 )
 from qwitness import witness
-from qwitness.discord import BipartiteState, ConditionalEnsemble
+from qwitness.discord import BipartiteState
 from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
                              frobenius_norms)
 from qwitness.scans import run_scan
@@ -175,8 +175,7 @@ _PLAN = AmplificationPlan(**_PLAN_FIELDS)
 # every record type, with keyword arguments in field order
 _RECORDS = {
     SpectralDecomposition: dict(eigenvalues=np.ones(2), eigenvectors=np.eye(2)),
-    PureDecomposition: dict(epsilon=0.0, psi=PSI0, eta=None, degenerate=False,
-                            gap=1.0),
+    PureDecomposition: dict(epsilon=0.0, psi=PSI0, eta=None),
     WitnessReport: _REPORT_FIELDS,
     AmplificationPlan: _PLAN_FIELDS,
     OverlapData: _OVERLAP_FIELDS,
@@ -191,9 +190,6 @@ _RECORDS = {
                                verdict=DegenerateVerdict.UNDETERMINED,
                                direct_min_eigenvalue=None),
     BipartiteState: dict(state=make_density(np.eye(4) / 4), dims=(2, 2)),
-    ConditionalEnsemble: dict(states=((1.0, PLUS),),
-                              pairwise_commutator_norms=np.zeros((1, 1)),
-                              noncommuting_found=False),
 }
 
 
@@ -246,6 +242,13 @@ def test_closed_form_off_by_1e8_relative_still_raises(monkeypatch, seed,
         c * (1.0 + 1e-8) for c in closed_forms(*args)])
     with pytest.raises(AgreementError, match="purity criterion"):
         pure_mixed_test(psi, rho2)
+
+
+def test_closed_form_and_eigen_route_disagreeing_on_nullity_raise():
+    anti = anticommutator(np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
+    with pytest.raises(AgreementError,
+                       match=r"disagree on nullity \(None vs 1\.5"):
+        witness._analyze(anti[None], 1e-10, 1e-10, [None])
 
 
 def test_closed_form_purity_null():
@@ -708,11 +711,9 @@ def test_orthogonal_case_projector_tails():
     v = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
     w = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     dec1 = PureDecomposition(epsilon=1e-3, psi=psi1,
-                             eta=make_density(np.outer(v, v.conj())),
-                             degenerate=False, gap=1.0)
+                             eta=make_density(np.outer(v, v.conj())))
     dec2 = PureDecomposition(epsilon=1e-3, psi=psi2,
-                             eta=make_density(np.outer(w, w.conj())),
-                             degenerate=False, gap=1.0)
+                             eta=make_density(np.outer(w, w.conj())))
     report = orthogonal_case_analysis(dec1, dec2)
     assert report.g1 == pytest.approx(0.5, abs=1e-12)
     assert report.g2 == pytest.approx(0.5, abs=1e-12)
@@ -722,10 +723,8 @@ def test_orthogonal_case_projector_tails():
         (0.5 - np.sqrt(3 / 16)) / 0.25, abs=1e-12)
     assert not report.witnessable  # equal weights sit above the ratio bound
     # tipping the weights below the bound flips the indicator sign
-    dec1_heavy = PureDecomposition(epsilon=1e-2, psi=psi1, eta=dec1.eta,
-                                   degenerate=False, gap=1.0)
-    dec2_light = PureDecomposition(epsilon=1e-3, psi=psi2, eta=dec2.eta,
-                                   degenerate=False, gap=1.0)
+    dec1_heavy = PureDecomposition(epsilon=1e-2, psi=psi1, eta=dec1.eta)
+    dec2_light = PureDecomposition(epsilon=1e-3, psi=psi2, eta=dec2.eta)
     assert orthogonal_case_analysis(dec1_heavy, dec2_light).witnessable
 
 
@@ -738,8 +737,7 @@ def test_orthogonal_case_witnessable_matches_direct_eigenvalue():
         decs = []
         for psi in (psi1, psi2):
             eta = complement_density(psi, int(rng.integers(1, 4)), rng)
-            decs.append(PureDecomposition(epsilon=1e-3, psi=psi, eta=eta,
-                                          degenerate=False, gap=1.0))
+            decs.append(PureDecomposition(epsilon=1e-3, psi=psi, eta=eta))
         report = orthogonal_case_analysis(decs[0], decs[1])
         if report.witnessable:
             anti = anticommutator(reconstruct_decomposition(decs[0]),
@@ -751,8 +749,7 @@ def test_orthogonal_case_witnessable_matches_direct_eigenvalue():
 
 def test_orthogonal_pure_pair_is_not_witnessable():
     # a pure orthogonal pair has a vanishing anticommutator: indicator 0
-    decs = [PureDecomposition(epsilon=0.0, psi=psi, eta=None,
-                              degenerate=False, gap=1.0)
+    decs = [PureDecomposition(epsilon=0.0, psi=psi, eta=None)
             for psi in np.eye(3, dtype=complex)[:2]]
     report = orthogonal_case_analysis(*decs)
     assert report.indicator == 0.0
@@ -779,8 +776,7 @@ def test_parallel_case_never_positive():
                 m = comp @ inner.matrix @ comp.conj().T
                 decs.append(PureDecomposition(
                     epsilon=eps, psi=psi,
-                    eta=make_density((m + m.conj().T) / 2),
-                    degenerate=False, gap=1.0))
+                    eta=make_density((m + m.conj().T) / 2)))
             value = parallel_case_indicator(decs[0], decs[1])
             assert value <= 1e-12 + 20.0 * eps**3
             # cross-check against the exact closed expansion
@@ -799,8 +795,7 @@ def test_parallel_case_preconditions():
     # remainder leaking onto the pure direction is rejected
     psi = np.array([1, 0, 0], dtype=complex)
     leaky = PureDecomposition(
-        epsilon=0.1, psi=psi, eta=make_density(np.eye(3) / 3),
-        degenerate=False, gap=1.0)
+        epsilon=0.1, psi=psi, eta=make_density(np.eye(3) / 3))
     with pytest.raises(PreconditionError):
         parallel_case_indicator(leaky, leaky)
 
@@ -878,6 +873,8 @@ def test_degenerate_undetermined_at_zero_bracket():
 
 def test_degenerate_case_validation():
     good = np.diag([1.0, 0.0])
+    with pytest.raises(ProjectorError, match="projector ranks must be positive"):
+        degenerate_case_analysis(good, 0, good, 1, 0.1, 0.1)
     with pytest.raises(ProjectorError):
         degenerate_case_analysis(good * 0.5, 1, good, 1, 0.0, 0.0)
     with pytest.raises(ProjectorError):
