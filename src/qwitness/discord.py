@@ -23,16 +23,18 @@ import numpy as np
 from .errors import (CommutingInputsError, ConditionUnreachableError,
                      DegenerateSpectrumError, DimensionError,
                      NullOutcomeError, PositivityError)
-from .linalg import as_matrix, commutator, frobenius_norms
-from .states import DensityOperator, pure_projector
-from .tolerances import TOL_COMM, TOL_F, TOL_NULL, TOL_PSD, TOL_TRACE, TOL_WITNESS
+from .linalg import anticommutator, as_matrix, commutator, frobenius_norms
+from .states import DensityOperator, StateStack, pure_projector
+from .tolerances import (PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_PSD,
+                         TOL_TRACE, TOL_WITNESS)
 from .witness import (
+    NestedWitnessResult,
     WitnessReport,
+    _analyze,
     _guard_overlap,
-    leading_overlap,
-    nested_witness,
+    _leading_overlaps,
+    _nested,
     safe_nested_target,
-    witness_anticommutator,
 )
 
 __all__ = [
@@ -81,17 +83,26 @@ def classical_quantum_state(probs: Sequence[float],
     """sum_i p_i |i><i| x rho_i over an orthonormal pointer basis."""
     if len(probs) != len(bob_states) or len(probs) == 0:
         raise DimensionError("need matching, nonempty probabilities and states")
-    p = np.asarray(probs, dtype=np.float64)
-    if p.min() < -TOL_PSD or abs(p.sum() - 1.0) > TOL_TRACE:
+    m = _classical_quantum(np.asarray(probs, dtype=np.float64)[None],
+                           [rho.matrix[None] for rho in bob_states])
+    return BipartiteState(state=DensityOperator(m[0]),
+                          dims=(len(probs), bob_states[0].dim))
+
+
+def _classical_quantum(p: np.ndarray, bob: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`classical_quantum_state`'s matrix of each row of a stack
+    (n, dA) of probabilities, with bob[i] the stack (n, dB, dB) of the
+    i-th states of B. The probabilities are checked, the sum is not yet
+    checked as a state."""
+    if p.min() < -TOL_PSD or (abs(p.sum(axis=-1) - 1.0) > TOL_TRACE).any():
         raise PositivityError("probabilities must be nonnegative and sum to 1")
-    db = bob_states[0].dim
-    da = len(probs)
-    m = np.zeros((da * db, da * db), dtype=np.complex128)
-    for i, (pi, rho) in enumerate(zip(p, bob_states)):
-        if rho.dim != db:
+    db = bob[0].shape[-1]
+    m = np.zeros((len(p), len(bob) * db, len(bob) * db), dtype=np.complex128)
+    for i, rho in enumerate(bob):
+        if rho.shape[-1] != db:
             raise DimensionError("conditional states must share one dimension")
-        m[i * db:(i + 1) * db, i * db:(i + 1) * db] = pi * rho.matrix
-    return BipartiteState(state=DensityOperator(m), dims=(da, db))
+        m[:, i * db:(i + 1) * db, i * db:(i + 1) * db] = p[:, i, None, None] * rho
+    return m
 
 
 def measurement_from_unitary(u, labels: Sequence[str] | None = None
@@ -126,16 +137,32 @@ def conditional_state(rho_ab: BipartiteState, projector: np.ndarray
     is None when the outcome has zero probability. The projector P
     leaves sum_a P[a,i] rho[ib,jc] conj(P[a,j]) to the state of B.
     """
-    da, db = rho_ab.dims
-    if projector.shape[0] != da:
-        raise DimensionError(f"projector dimension {projector.shape[0]} "
+    probs, possible, states = _conditional_states(
+        rho_ab.state.matrix[None], rho_ab.dims, projector[None])
+    return float(probs[0]), states.state(0) if possible[0] else None
+
+
+def _conditional_states(rho: np.ndarray, dims: tuple[int, int],
+                        projectors: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, StateStack]:
+    """:func:`conditional_state` of each member of a stack (n, dA dB,
+    dA dB) of states under the matching member of a stack (n, dA, dA)
+    of projectors on A.
+
+    Returns the probabilities (negative ones raised to 0), whether
+    each outcome is possible (probability above TOL_TRACE), and the
+    checked conditional states of the possible outcomes, in order.
+    """
+    da, db = dims
+    if projectors.shape[1] != da:
+        raise DimensionError(f"projector dimension {projectors.shape[1]} "
                              f"does not match side A ({da})")
-    r = rho_ab.state.matrix.reshape(da, db, da, db)
-    reduced = np.einsum("ai,ibjc,aj->bc", projector, r, projector.conj())
-    prob = float(reduced.trace().real)
-    if prob <= TOL_TRACE:
-        return max(prob, 0.0), None
-    return prob, DensityOperator(reduced / prob)
+    r = rho.reshape(len(rho), da, db, da, db)
+    reduced = np.einsum("nai,nibjc,naj->nbc", projectors, r, projectors.conj())
+    probs = reduced.trace(axis1=-2, axis2=-1).real
+    possible = ~(probs <= TOL_TRACE)  # a NaN probability fails the check
+    states = StateStack.check(reduced[possible] / probs[possible, None, None])
+    return np.where(probs < 0.0, 0.0, probs), possible, states
 
 
 def select_outcome(rho_ab: BipartiteState,
@@ -166,10 +193,20 @@ def compare_conditionals(conditionals: Sequence[tuple[float, DensityOperator | N
     kept = [state.matrix for _, state in conditionals if state is not None]
     if not kept:  # with no state there is no stack shape
         return False
-    m = np.array(kept)
-    i, j = np.triu_indices(len(kept), 1)
-    return any(norm > TOL_COMM
-               for norm in frobenius_norms(commutator(m[i], m[j])))
+    return bool(_noncommuting(np.array(kept)[None],
+                              np.ones((1, len(kept)), dtype=bool))[0])
+
+
+def _noncommuting(states: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """:func:`compare_conditionals` of each row of a stack (n, k, d, d)
+    of states, with ``kept`` (n, k) marking the states of possible
+    outcomes: pairs with a dropped state are not compared."""
+    n, k, d, _ = states.shape
+    i, j = np.triu_indices(k, 1)
+    norms = frobenius_norms(commutator(states[:, i].reshape(-1, d, d),
+                                       states[:, j].reshape(-1, d, d)))
+    found = np.reshape(norms, (n, len(i))) > TOL_COMM
+    return (found & kept[:, i] & kept[:, j]).any(axis=1)
 
 
 def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
@@ -185,14 +222,45 @@ def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
     get the direct spectral report, never NONPOSITIVE_WITNESSED for
     commuting states.
     """
-    f = leading_overlap(rho1, rho2)
-    try:
-        _guard_overlap(f, TOL_F)
-        return nested_witness(
-            rho1, rho2, safe_nested_target(f), tol_comm=tol_comm,
-            tol_witness=tol_witness, tol_null=tol_null).report
-    except (ConditionUnreachableError, CommutingInputsError,
-            DegenerateSpectrumError):
-        return witness_anticommutator(rho1, rho2, tol_witness=tol_witness,
-                                      tol_null=tol_null)
+    return _witness_conditionals(
+        StateStack.of(rho1), StateStack.of(rho2), tol_witness=tol_witness,
+        tol_null=tol_null, tol_comm=tol_comm)[0]
 
+
+def _witness_conditionals(first: StateStack, second: StateStack, *,
+                          tol_witness: float = TOL_WITNESS,
+                          tol_null: float = TOL_NULL,
+                          tol_comm: float = TOL_COMM) -> list[WitnessReport]:
+    """:func:`witness_conditionals` of each pair of members of two stacks.
+
+    The members that pass the overlap guard go to the nested witness
+    together. Those that fail the guard, or that the nested witness
+    declines (ConditionUnreachableError, CommutingInputsError,
+    DegenerateSpectrumError), get the direct report together. Any other
+    error raises.
+    """
+    overlaps = _leading_overlaps(first, second)
+    passed = []
+    for k, f in enumerate(overlaps):
+        try:
+            _guard_overlap(f, TOL_F)
+        except ConditionUnreachableError:
+            continue
+        passed.append(k)
+    reports: list = [None] * len(overlaps)
+    results = _nested(first.take(passed), second.take(passed),
+                      [safe_nested_target(overlaps[k]) for k in passed],
+                      tol_comm=tol_comm, tol_witness=tol_witness,
+                      tol_null=tol_null, tol_f=TOL_F, plan_cap=PLAN_CAP)
+    for k, result in zip(passed, results):
+        if isinstance(result, NestedWitnessResult):
+            reports[k] = result.report
+        elif not isinstance(result, (ConditionUnreachableError,
+                                     CommutingInputsError,
+                                     DegenerateSpectrumError)):
+            raise result
+    direct = [k for k, report in enumerate(reports) if report is None]
+    anti = anticommutator(first.matrix[direct], second.matrix[direct])
+    for k, report in zip(direct, _analyze(anti, tol_witness, tol_null)):
+        reports[k] = report
+    return reports

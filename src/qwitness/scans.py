@@ -6,12 +6,12 @@ failure. Trial ``t`` draws only from its own substream
 ``seeded_rng(seed, t)``, so its record does not depend on how many
 trials run and repeat runs are bit-identical.
 
-Only ``discord`` runs its trials one after another. ``bloch`` builds
-each axis state once and takes the anticommutators and spectra of all
-pairs in stacked calls. ``pure-mixed``, ``nested`` and ``null`` draw
-every trial in order from its stream, then run the checks and the
-linear algebra over stacks of trials that share a dimension (``null``:
-and a branch), in blocks of _CHUNK_BYTES of draws. The stacked calls
+``bloch`` builds each axis state once and takes the anticommutators
+and spectra of all pairs in stacked calls. ``pure-mixed``, ``nested``,
+``null`` and ``discord`` draw every trial in order from its stream,
+then run the checks and the linear algebra over stacks of trials that
+share a dimension (``null``: and a branch; ``discord`` trials are all
+qubit pairs), in blocks of _CHUNK_BYTES of draws. The stacked calls
 are bit-identical to the per-matrix ones, each norm is summed as
 ``np.linalg.norm`` sums it, each per-member scalar product stays a call
 on that member, and each state passes ``DensityOperator``'s checks, so
@@ -28,18 +28,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, QwitnessError
-from .linalg import _adjoint, anticommutator, commutator, frobenius_norms
+from .linalg import (_adjoint, anticommutator, as_matrix, commutator,
+                     frobenius_norms)
 from .states import (
-    DensityOperator,
     StateStack,
     _density_from_ginibre,
     _ginibre,
     _projectors,
+    _pure_states,
     _unitary_from_ginibre,
     bloch_to_state,
-    random_density,
     random_pure,
-    random_unitary,
     seeded_rng,
 )
 from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS
@@ -66,14 +65,18 @@ __all__ = [
 SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 
 # bytes of the matrices one stacked pass of a batched scan starts from
-# (the draws of pure-mixed, nested and null trials, bloch pair states);
-# its intermediate stacks are a few times this, whatever the trial count
-# or dimension
+# (the draws of pure-mixed, nested, null and discord trials, bloch pair
+# states); its intermediate stacks are a few times this, whatever the
+# trial count or dimension
 _CHUNK_BYTES = 1 << 21
 # what a batched trial adds to its block's size besides its draws: the
 # reports, plans and views a stacked pass holds per trial until it
-# returns (~4 KiB for a nested trial at d = 2), so that a block of small
-# trials holds a bounded number of them
+# returns, so that a block of small trials holds a bounded number of
+# them. A nested trial at d = 2 holds ~4 KiB. A discord trial draws
+# 368 bytes and holds ~10 KiB at its block's peak (tracemalloc): its 16
+# conditional members (the 4x4 state and the projector each starts
+# from, the 2x2 state and spectrum it ends with, and the checks'
+# temporaries) and its two witness reports
 _TRIAL_BYTES = 2048
 
 
@@ -345,21 +348,6 @@ def scan_null(trials: int, dims: Sequence[int],
     return records, summary
 
 
-def _conditionals(rho_ab: discord_mod.BipartiteState,
-                  meas: dict[str, np.ndarray]
-                  ) -> list[tuple[float, DensityOperator | None]]:
-    """(probability, state) of every outcome, in sorted outcome order."""
-    return [discord_mod.conditional_state(rho_ab, meas[key])
-            for key in sorted(meas)]
-
-
-def _most_likely(conds: list[tuple[float, DensityOperator | None]]
-                 ) -> DensityOperator:
-    """State of the most likely outcome; ties go to the first. A
-    complete measurement always has a possible outcome."""
-    return max((c for c in conds if c[1] is not None), key=lambda c: c[0])[1]
-
-
 def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     """Zero-discord states never yield a witnessed verdict.
 
@@ -368,46 +356,78 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     prefix) and a random product state, scans a random pair of
     projective families for noncommuting conditionals of the first, and
     witnesses the most likely outcome of each family on both states.
+    It draws, in order: the pointer probabilities, the Ginibre matrix of
+    Bob's common eigenbasis, Bob's two spectra, the two product factors'
+    Ginibre matrices and the two measurement bases'. The states, their
+    conditionals and the witnesses are stacked over trials; an outcome
+    of zero probability is masked out of the comparison and the pick.
     """
 
-    def one(t: int) -> dict:
-        rng = seeded_rng(seed, t)
-        # classical-classical: common eigenbasis for Bob's conditionals
-        probs = rng.dirichlet(np.ones(2))
-        common = random_unitary(2, rng)
-        bob = []
-        for _ in range(2):
-            diag = rng.dirichlet(np.ones(2))
-            bob.append(DensityOperator((common * diag) @ common.conj().T))
-        cc = discord_mod.classical_quantum_state(probs, bob)
-        product = discord_mod.BipartiteState(
-            state=DensityOperator(
-                np.kron(random_density(2, 2, rng).matrix,
-                        random_density(2, 2, rng).matrix)),
-            dims=(2, 2),
-        )
-        meas = [discord_mod.measurement_from_unitary(random_unitary(2, rng))
-                for _ in range(2)]
-        cc_conds, product_conds = ([_conditionals(state, m) for m in meas]
-                                   for state in (cc, product))
-        noncommuting = discord_mod.compare_conditionals(cc_conds[0] + cc_conds[1])
-        verdicts = {
-            name: discord_mod.witness_conditionals(
-                _most_likely(first), _most_likely(second)).verdict
-            for name, (first, second) in (("cq", cc_conds),
-                                          ("product", product_conds))
-        }
-        witnessed = any(v == Verdict.NONPOSITIVE_WITNESSED
-                        for v in verdicts.values())
-        return {
-            "trial": t,
-            "cq_noncommuting": noncommuting,
-            "cq_verdict": verdicts["cq"].value,
-            "product_verdict": verdicts["product"].value,
-            "counterexample": noncommuting or witnessed,
-        }
+    ones = np.ones(2)
 
-    records = [one(t) for t in range(trials)]
+    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+        probs = rng.dirichlet(ones)
+        common = _ginibre(2, 2, rng)
+        spectra = np.array([rng.dirichlet(ones) for _ in range(2)])
+        factors = np.array([_ginibre(2, 2, rng) for _ in range(2)])
+        bases = np.array([_ginibre(2, 2, rng) for _ in range(2)])
+        return probs, common, spectra, factors, bases
+
+    def compute(trial_ids: list[int], draws: list) -> list[dict]:
+        probs, common, spectra, factors, bases = (np.array(a) for a in zip(*draws))
+        n = len(trial_ids)
+        # classical-classical: Bob's two states share the eigenbasis u
+        u = _unitary_from_ginibre(common)[:, None]
+        bob = StateStack.check(((u * spectra[:, :, None, :]) @ _adjoint(u))
+                               .reshape(-1, 2, 2)).matrix.reshape(n, 2, 2, 2)
+        cc = StateStack.check(discord_mod._classical_quantum(
+            probs, [bob[:, 0], bob[:, 1]]))
+        a, b = StateStack.check(_density_from_ginibre(
+            factors.reshape(-1, 2, 2))).matrix.reshape(n, 2, 2, 2).swapaxes(0, 1)
+        # np.kron(a, b) of each trial's factors, entry by entry
+        product = StateStack.check(
+            (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, 4, 4))
+        # one projector per outcome (a column of each measurement basis)
+        unitaries = as_matrix(_unitary_from_ginibre(bases).reshape(-1, 2, 2),
+                              stacked=True)
+        proj = _projectors(_pure_states(unitaries.swapaxes(-1, -2).reshape(-1, 2)))
+        # members (trial, state, measurement, outcome), in the order
+        # the per-trial loop builds them
+        shape = (n, 2, 2, 2)
+        rho = np.stack([cc.matrix, product.matrix], axis=1)[:, :, None, None]
+        outcome_probs, possible, conds = discord_mod._conditional_states(
+            np.broadcast_to(rho, shape + (4, 4)).reshape(-1, 4, 4), (2, 2),
+            np.broadcast_to(proj.reshape(n, 1, 2, 2, 2, 2),
+                            shape + (2, 2)).reshape(-1, 2, 2))
+        states = np.zeros((possible.size, 2, 2), dtype=np.complex128)
+        states[possible] = conds.matrix
+        possible = possible.reshape(n, 2, 4)
+        noncommuting = discord_mod._noncommuting(
+            states.reshape(n, 2, 4, 2, 2)[:, 0], possible[:, 0])
+        # the most likely possible outcome of each measurement; ties go
+        # to the first. Each (trial, state) pair witnesses the picks of
+        # its two measurements, found by their place among the possible
+        # outcomes, which are all that ``conds`` holds
+        likely = np.argmax(np.where(possible.reshape(-1, 2),
+                                    outcome_probs.reshape(-1, 2), -np.inf),
+                           axis=-1) + np.arange(0, possible.size, 2)
+        first, second = (np.cumsum(possible) - 1)[likely].reshape(-1, 2).T
+        verdicts = [r.verdict for r in discord_mod._witness_conditionals(
+            conds.take(first), conds.take(second))]
+        records = []
+        for t, found, cq, prod in zip(trial_ids, noncommuting.tolist(),
+                                      verdicts[::2], verdicts[1::2]):
+            records.append({
+                "trial": t,
+                "cq_noncommuting": found,
+                "cq_verdict": cq.value,
+                "product_verdict": prod.value,
+                "counterexample": (found or Verdict.NONPOSITIVE_WITNESSED
+                                   in (cq, prod)),
+            })
+        return records
+
+    records = _batched(trials, [2], seed, draw, compute)
     summary = {
         "kind": "discord",
         "trials": trials,

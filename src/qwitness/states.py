@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, PositivityError, TraceError
 from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
-                     _hermitian_part, as_matrix)
+                     _hermitian_part, as_matrix, frobenius_norms)
 from .tolerances import TOL_PSD, TOL_TRACE
 
 __all__ = [
@@ -109,6 +109,12 @@ class StateStack(NamedTuple):
         dec = rho.spectrum
         return cls(rho.matrix[None], SpectralDecomposition(
             dec.eigenvalues[None], dec.eigenvectors[None]))
+
+    def take(self, rows) -> "StateStack":
+        """The members ``rows``, in that order."""
+        dec = self.spectrum
+        return StateStack(self.matrix[rows], SpectralDecomposition(
+            dec.eigenvalues[rows], dec.eigenvectors[rows]))
 
     def state(self, k: int) -> DensityOperator:
         dec = self.spectrum
@@ -209,12 +215,22 @@ def as_pure_state(v) -> np.ndarray:
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
     if vec.size == 0:
         raise DimensionError("pure state vector is empty")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("pure state vector contains non-finite entries")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"pure state norm {norm:.17g} is not 1 within 1e-12")
-    return vec
+    return _pure_states(vec[None])[0]
+
+
+def _pure_states(vecs: np.ndarray) -> np.ndarray:
+    """:func:`as_pure_state`'s checks on each row of a stack (n, d) of
+    complex vectors: finite, and of unit norm within 1e-12. The first
+    row that fails raises."""
+    finite = np.isfinite(vecs).all(axis=-1)
+    norms = np.array(frobenius_norms(vecs))
+    bad = ~finite | (abs(norms - 1.0) > 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValueError("pure state vector contains non-finite entries")
+        raise ValueError(f"pure state norm {norms[k]:.17g} is not 1 within 1e-12")
+    return vecs
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ check instead:
 
 - ``cli.cmd_witness``: a first state at 1 - lambda_1 <= 1e-12 takes
   the pure-first route;
-- ``states.as_pure_state``: unit norm within 1e-12;
+- ``states._pure_states``: unit norm within 1e-12 (``as_pure_state``
+  and the discord scan's measurement vectors);
 - ``states.bloch_to_state``: Bloch norm at most 1 + 1e-12;
 - ``witness._analyze``: the closed-form and eigen purity criteria agree
   within 1e-10 relative;

@@ -7,9 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from qwitness import discord
 from qwitness.cli import main
 from qwitness.discord import (
     BipartiteState,
+    _conditional_states,
+    _witness_conditionals,
     bell_state,
     classical_quantum_state,
     compare_conditionals,
@@ -21,6 +24,9 @@ from qwitness.discord import (
     z_measurement,
 )
 from qwitness.errors import (
+    CapacityError,
+    CommutingInputsError,
+    ConditionUnreachableError,
     DegenerateSpectrumError,
     DimensionError,
     NullOutcomeError,
@@ -29,6 +35,7 @@ from qwitness.errors import (
 from qwitness.linalg import commutator
 from qwitness.states import (
     DensityOperator,
+    StateStack,
     bloch_to_state,
     make_density,
     pure_projector,
@@ -37,8 +44,15 @@ from qwitness.states import (
     random_unitary,
     seeded_rng,
 )
-from qwitness.tolerances import TOL_COMM
-from qwitness.witness import Verdict, nested_witness, witness_anticommutator
+from qwitness.tolerances import TOL_COMM, TOL_F, TOL_TRACE
+from qwitness.witness import (
+    Verdict,
+    _guard_overlap,
+    leading_overlap,
+    nested_witness,
+    safe_nested_target,
+    witness_anticommutator,
+)
 
 PLUS = bloch_to_state([1.0, 0.0, 0.0])
 
@@ -290,3 +304,181 @@ def test_witness_conditionals_takes_the_selected_states():
     with pytest.raises(KeyError, match="first measurement"):
         select_outcome(bell, z_measurement(), "+", "first")
 
+
+
+# ------------------------------------- stacked formulas against references
+
+def single_conditional_state(rho_ab, projector):
+    """conditional_state's formula on one projector, as one einsum."""
+    da, db = rho_ab.dims
+    r = rho_ab.state.matrix.reshape(da, db, da, db)
+    reduced = np.einsum("ai,ibjc,aj->bc", projector, r, projector.conj())
+    prob = float(reduced.trace().real)
+    if prob <= TOL_TRACE:
+        return max(prob, 0.0), None
+    return prob, DensityOperator(reduced / prob)
+
+
+def test_stacked_conditional_states_have_the_bits_of_each_member_alone():
+    # one stack per (dA, dB): random states and projectors, with a
+    # null outcome (a projector onto A's unused basis vector) in each
+    rng = seeded_rng(29)
+    for da, db in [(2, 2), (2, 3), (3, 2), (4, 4), (2, 16), (16, 2)]:
+        members = []
+        for k in range(8):
+            rho_ab = BipartiteState(
+                state=random_density(da * db, da * db, rng), dims=(da, db))
+            members.append((rho_ab, pure_projector(random_pure(da, rng))))
+        pointer = np.zeros(da)
+        pointer[0] = 1.0
+        members.append((classical_quantum_state(
+            pointer, [random_density(db, db, rng)] * da),
+            pure_projector(np.eye(da)[1])))
+        probs, possible, states = _conditional_states(
+            np.array([m[0].state.matrix for m in members]), (da, db),
+            np.array([m[1] for m in members]))
+        assert possible.tolist() == [True] * 8 + [False]
+        for k, (rho_ab, projector) in enumerate(members):
+            prob, state = single_conditional_state(rho_ab, projector)
+            assert float(probs[k]) == prob
+            if state is None:
+                assert conditional_state(rho_ab, projector) == (prob, None)
+                continue
+            assert np.array_equal(states.matrix[k], state.matrix)
+            assert np.array_equal(conditional_state(rho_ab, projector)[1].matrix,
+                                  state.matrix)
+
+
+def reference_witness_conditionals(rho1, rho2):
+    """witness_conditionals one pair at a time: the overlap guard, then
+    the nested witness, then the direct report for what they decline."""
+    f = leading_overlap(rho1, rho2)
+    try:
+        _guard_overlap(f, TOL_F)
+        return nested_witness(rho1, rho2, safe_nested_target(f)).report
+    except (ConditionUnreachableError, CommutingInputsError,
+            DegenerateSpectrumError):
+        return witness_anticommutator(rho1, rho2)
+
+
+def _route(rho1, rho2):
+    """The error that sends a pair to the direct report, or None for
+    the nested route."""
+    try:
+        _guard_overlap(leading_overlap(rho1, rho2), TOL_F)
+        nested_witness(rho1, rho2,
+                       safe_nested_target(leading_overlap(rho1, rho2)))
+    except (ConditionUnreachableError, CommutingInputsError,
+            DegenerateSpectrumError) as exc:
+        return type(exc)
+    return None
+
+
+def _rotation(delta):
+    """exp(-i delta sigma_y), a real rotation of the qubit."""
+    return np.array([[np.cos(delta), -np.sin(delta)],
+                     [np.sin(delta), np.cos(delta)]], dtype=complex)
+
+
+def _pairs_of_every_route():
+    """Qubit pairs, one stack per route, and a qutrit stack."""
+    rng = seeded_rng(97)
+    nested = [(random_density(2, 2, rng), random_density(2, 2, rng))
+              for _ in range(12)]
+    near = []  # |f| within TOL_F of 1: a tiny rotation of one state
+    for delta in (1e-4, 1e-7):
+        rho = random_density(2, 2, rng)
+        u = _rotation(delta)
+        near.append((rho, make_density(u @ rho.matrix @ u.conj().T)))
+    same = []  # a state against itself: |f| rounds to 1 or just above
+    for _ in range(4):
+        rho = random_density(2, 2, rng)
+        same.append((rho, rho))
+    orthogonal = [(make_density(np.diag([0.7, 0.3])),
+                   make_density(np.diag([0.2, 0.8])))]
+    tied = [(make_density(np.eye(2) / 2), random_density(2, 2, rng))
+            for _ in range(3)]
+    # qutrits: orthogonal leading vectors with noncommuting tails
+    # (|f| = 0), and a pair that commutes within TOL_COMM although
+    # |f| = cos(0.01) and both top gaps pass
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    tail = np.zeros((3, 3), dtype=complex)
+    tail[np.ix_([0, 2], [0, 2])] = h @ np.diag([0.2, 0.1]) @ h
+    zero = (make_density(np.diag([0.8, 0.15, 0.05])),
+            make_density(np.diag([0.0, 0.7, 0.0]) + tail))
+    r = np.eye(3, dtype=complex)
+    r[:2, :2] = _rotation(0.01)
+    close = (make_density(np.diag([0.4 + 1e-8, 0.4 - 1e-8, 0.2])),
+             make_density(r @ np.diag([0.5, 0.49, 0.01]) @ r.conj().T))
+    return {"nested": nested, "near": near, "same": same,
+            "orthogonal": orthogonal, "tied": tied,
+            "qutrit": [zero, close]}
+
+
+def test_pairs_take_the_routes_they_are_built_for():
+    pairs = _pairs_of_every_route()
+    assert [_route(*p) for p in pairs["nested"]] == [None] * 12
+    for name in ("near", "orthogonal"):
+        assert {_route(*p) for p in pairs[name]} == {ConditionUnreachableError}
+    assert all(np.linalg.norm(commutator(a.matrix, b.matrix)) > TOL_COMM
+               for a, b in pairs["near"] + pairs["qutrit"][:1])
+    assert {_route(*p) for p in pairs["tied"]} == {DegenerateSpectrumError}
+    assert [_route(*p) for p in pairs["qutrit"]] == [
+        ConditionUnreachableError, CommutingInputsError]
+    # some state's leading overlap with itself rounds above 1, where
+    # the nested target would be negative
+    assert any(leading_overlap(a, b) > 1.0 for a, b in pairs["same"])
+
+
+def _same_report(a, b):
+    return (a.min_eigenvalue == b.min_eigenvalue
+            and np.array_equal(a.witness_vector, b.witness_vector)
+            and a.purity_criterion == b.purity_criterion
+            and a.anticommutator_trace == b.anticommutator_trace
+            and a.verdict is b.verdict
+            and (a.tol_witness, a.tol_null) == (b.tol_witness, b.tol_null)
+            and a.closed_form_criterion == b.closed_form_criterion)
+
+
+def test_stacked_witness_takes_each_members_route():
+    # every route in one stack, interleaved, member by member against
+    # the pair-at-a-time reference
+    pairs = _pairs_of_every_route()
+    qubits = [p for name in ("nested", "near", "same", "orthogonal", "tied")
+              for p in pairs[name]]
+    order = seeded_rng(5).permutation(len(qubits))
+    for stack in ([qubits[k] for k in order], pairs["qutrit"]):
+        first, second = (StateStack.check(np.array([p[i].matrix for p in stack]))
+                         for i in (0, 1))
+        reports = _witness_conditionals(first, second)
+        assert len(reports) == len(stack)
+        for (rho1, rho2), report in zip(stack, reports):
+            assert _same_report(report, reference_witness_conditionals(rho1, rho2))
+            assert _same_report(witness_conditionals(rho1, rho2), report)
+    # the nested route's report is the amplified pair's, not the direct one
+    rho1, rho2 = pairs["nested"][0]
+    assert not _same_report(witness_conditionals(rho1, rho2),
+                            witness_anticommutator(rho1, rho2))
+
+
+def test_stacked_witness_raises_what_the_nested_witness_does_not_decline(
+        monkeypatch):
+    error = CapacityError("not a declined input")
+    monkeypatch.setattr(discord, "_nested",
+                        lambda first, second, targets, **kw: [error] * len(targets))
+    rho1, rho2 = _pairs_of_every_route()["nested"][0]
+    with pytest.raises(CapacityError, match="not a declined input"):
+        witness_conditionals(rho1, rho2)
+
+
+def test_stacked_comparison_drops_the_states_of_null_outcomes():
+    # row 0 keeps a pair that does not commute; row 1 drops one of its
+    # states, so nothing is left to compare; row 2 keeps one commuting
+    # pair beside the dropped state
+    diag = np.diag([0.7, 0.3]).astype(complex)
+    states = np.array([[diag, PLUS.matrix, diag],
+                       [diag, PLUS.matrix, diag],
+                       [diag, PLUS.matrix, diag / 2 + np.eye(2) / 4]])
+    kept = np.array([[True, True, False], [True, False, True],
+                     [True, False, True]])
+    assert discord._noncommuting(states, kept).tolist() == [True, False, False]

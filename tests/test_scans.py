@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwitness import scans, states
+from qwitness import discord, scans, states
 from qwitness.cli import dumps, main
+from qwitness.discord import (
+    BipartiteState,
+    classical_quantum_state,
+    compare_conditionals,
+    conditional_state,
+    measurement_from_unitary,
+    witness_conditionals,
+)
 from qwitness.errors import (CommutingInputsError, ConditionUnreachableError,
                              DegenerateSpectrumError, DimensionError,
                              TraceError)
@@ -179,8 +187,61 @@ def serial_scan_nested(trials, dims, seed):
         "counterexamples": sum(r["counterexample"] for r in records)}
 
 
-_SERIAL = {"pure-mixed": serial_scan_pure_mixed, "nested": serial_scan_nested}
-_BATCHED = {"pure-mixed": scan_pure_mixed, "nested": scan_nested}
+def _conditionals(rho_ab, meas):
+    """(probability, state) of every outcome, in sorted outcome order."""
+    return [conditional_state(rho_ab, meas[key]) for key in sorted(meas)]
+
+
+def _most_likely(conds):
+    """State of the most likely outcome; ties go to the first."""
+    return max((c for c in conds if c[1] is not None), key=lambda c: c[0])[1]
+
+
+def serial_scan_discord(trials, seed):
+    """The discord scan one trial at a time, every state validated alone."""
+
+    def one(t):
+        rng = scans.seeded_rng(seed, t)
+        probs = rng.dirichlet(np.ones(2))
+        common = random_unitary(2, rng)
+        bob = []
+        for _ in range(2):
+            diag = rng.dirichlet(np.ones(2))
+            bob.append(DensityOperator((common * diag) @ common.conj().T))
+        cc = classical_quantum_state(probs, bob)
+        product = BipartiteState(
+            state=DensityOperator(
+                np.kron(random_density(2, 2, rng).matrix,
+                        random_density(2, 2, rng).matrix)),
+            dims=(2, 2))
+        meas = [measurement_from_unitary(random_unitary(2, rng))
+                for _ in range(2)]
+        cc_conds, product_conds = ([_conditionals(state, m) for m in meas]
+                                   for state in (cc, product))
+        noncommuting = compare_conditionals(cc_conds[0] + cc_conds[1])
+        verdicts = {
+            name: witness_conditionals(
+                _most_likely(first), _most_likely(second)).verdict
+            for name, (first, second) in (("cq", cc_conds),
+                                          ("product", product_conds))}
+        witnessed = any(v == Verdict.NONPOSITIVE_WITNESSED
+                        for v in verdicts.values())
+        return {"trial": t, "cq_noncommuting": noncommuting,
+                "cq_verdict": verdicts["cq"].value,
+                "product_verdict": verdicts["product"].value,
+                "counterexample": noncommuting or witnessed}
+
+    records = [one(t) for t in range(trials)]
+    return records, {
+        "kind": "discord", "trials": trials, "seed": seed,
+        "counterexamples": sum(r["counterexample"] for r in records)}
+
+
+# discord draws qubit pairs whatever the dimensions
+_SERIAL = {"pure-mixed": serial_scan_pure_mixed, "nested": serial_scan_nested,
+           "discord": lambda trials, dims, seed: serial_scan_discord(trials, seed)}
+_BATCHED = {"pure-mixed": scan_pure_mixed, "nested": scan_nested,
+            "discord": lambda trials, dims, seed: scan_discord(trials, seed)}
 
 
 def printed(result):
@@ -326,12 +387,16 @@ def test_mixed_scan_blocks_cover_large_dimensions(monkeypatch, kind):
 
 class _FlatDraws:
     """A trial's stream whose chosen 2-D normal draws come back as the
-    identity. ``flat`` counts the 2-D draws in order, the real and the
-    imaginary part of each Ginibre matrix; flattening both parts of one
-    matrix makes it (1+i)·I, whose state I/d has no gap."""
+    identity, and whose chosen Dirichlet draws as (1, 0, ...). ``flat``
+    counts the 2-D draws in order, the real and the imaginary part of
+    each Ginibre matrix; flattening both parts of one matrix makes it
+    (1+i)·I, whose state I/d has no gap and whose unitary is diagonal.
+    ``certain`` counts the Dirichlet draws in order. Every draw still
+    takes its numbers from the stream."""
 
-    def __init__(self, rng, flat):
-        self._rng, self._flat, self.drawn = rng, flat, 0
+    def __init__(self, rng, flat, certain=()):
+        self._rng, self._flat, self._certain = rng, flat, certain
+        self.drawn = self.dirichlets = 0
 
     def normal(self, size=None):
         out = self._rng.normal(size=size)
@@ -341,11 +406,18 @@ class _FlatDraws:
             self.drawn += 1
         return out
 
+    def dirichlet(self, alpha):
+        out = self._rng.dirichlet(alpha)
+        if self.dirichlets in self._certain:
+            out = np.eye(len(out))[0]
+        self.dirichlets += 1
+        return out
+
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
 
-def _flatten_draws(monkeypatch, trial, flat):
+def _flatten_draws(monkeypatch, trial, flat, certain=()):
     """Route trial ``trial``'s streams through _FlatDraws; returns the
     list of streams that trial opens."""
     opened = []
@@ -355,7 +427,7 @@ def _flatten_draws(monkeypatch, trial, flat):
         rng = real(seed, *stream)
         if stream != (trial,):
             return rng
-        opened.append(_FlatDraws(rng, flat))
+        opened.append(_FlatDraws(rng, flat, certain))
         return opened[-1]
 
     monkeypatch.setattr(scans, "seeded_rng", seeded)
@@ -387,6 +459,51 @@ def test_mixed_scans_keep_a_state_with_no_gap(monkeypatch, kind, flat):
     assert printed(_BATCHED[kind](8, (2, 3, 4), 0)) == \
         printed(_SERIAL[kind](8, (2, 3, 4), 0))
     assert [stream.drawn for stream in opened] == [2 * kept] * 3
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Wrap module.name so that each call appends its arguments to
+    ``seen``."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_discord_scan_drops_a_null_outcome(monkeypatch):
+    # trial 4's pointer weights come back (1, 0), and the Ginibre
+    # matrix of its first measurement basis flat (draws 6 and 7 after
+    # the common basis and the two product factors), so that basis is
+    # z: its outcome "1" has probability 0 on the classical-classical
+    # state |0><0| (x) rho_0
+    opened = _flatten_draws(monkeypatch, 4, {6, 7}, certain={0})
+    compared, witnessed = [], []
+    _spy(monkeypatch, discord, "_noncommuting", compared)
+    _spy(monkeypatch, discord, "_witness_conditionals", witnessed)
+    batched = scan_discord(8, 0)
+    assert [(s.drawn, s.dirichlets) for s in opened] == [(10, 3)]
+    (cc_states, kept), = compared
+    (first, second), = witnessed
+    compared.clear()
+    witnessed.clear()
+    serial = serial_scan_discord(8, 0)
+    assert printed(batched) == printed(serial)
+    # the per-trial loop compares 3 states at trial 4 and 4 elsewhere;
+    # the stacked comparison masks the null state out
+    assert [len(states[0]) for states, _ in compared] == [4] * 4 + [3] + [4] * 3
+    assert kept[4].tolist() == [True, False, True, True]
+    assert np.delete(kept, 4, axis=0).all()
+    assert np.isfinite(cc_states).all()
+    # the first measurement's most likely state is that of outcome "0",
+    # as the per-trial loop picks it; the same for every other pair
+    alone = [pair[0].matrix[0] for pair in witnessed]
+    assert len(alone) == 16
+    for k in range(16):
+        assert np.array_equal(first.matrix[k], alone[k])
+    assert not batched[0][4]["cq_noncommuting"]
 
 
 def _skew_large_draws(monkeypatch):
@@ -426,6 +543,27 @@ def test_mixed_scans_raise_the_error_the_serial_scan_meets_first(
         _SERIAL[kind](60, dims, 5)
     with pytest.raises(type(serial.value)) as batched:
         _BATCHED[kind](60, dims, 5)
+    assert str(batched.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("name", ["_density_from_ginibre",
+                                  "_unitary_from_ginibre"])
+def test_discord_scan_checks_each_state_it_builds(monkeypatch, name):
+    # every product factor (or every unitary, and so Bob's states) is
+    # off by a factor unique to its draw: the first state the per-trial
+    # loop checks fails, and a product or a mixture of failing states
+    # would fail with another trace
+    real = getattr(states, name)
+
+    def skewed(g):
+        return real(g) * (1.0 + 1e-6 * np.abs(g[..., 0, 0].real))[..., None, None]
+
+    for module in (states, scans):
+        monkeypatch.setattr(module, name, skewed)
+    with pytest.raises(TraceError) as serial:
+        serial_scan_discord(5, 0)
+    with pytest.raises(TraceError) as batched:
+        scan_discord(5, 0)
     assert str(batched.value) == str(serial.value)
 
 
