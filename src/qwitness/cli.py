@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -114,17 +115,6 @@ _SCALARS = {
     float: _float_repr,
     str: json.dumps,
 }
-_KEYS: dict[str, str] = {}  # the encoded '"key": ' of each string key seen
-_KEYS_MAX = 1024
-
-
-def _key(key) -> str:
-    prefix = _KEYS.get(key) if type(key) is str else None
-    if prefix is None:
-        prefix = json.dumps(str(key)) + ": "
-        if type(key) is str and len(_KEYS) < _KEYS_MAX:
-            _KEYS[key] = prefix
-    return prefix
 
 
 def dumps(obj) -> str:
@@ -136,8 +126,9 @@ def dumps(obj) -> str:
         parts = []
         for key, value in obj.items():
             scalar = _SCALARS.get(type(value))
-            parts.append(_key(key) + (scalar(value) if scalar is not None
-                                      else dumps(value)))
+            parts.append(json.dumps(str(key)) + ": "
+                         + (scalar(value) if scalar is not None
+                            else dumps(value)))
         return "{" + ", ".join(parts) + "}"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
@@ -150,6 +141,70 @@ def dumps(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([dumps(value) for value in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# records per write of a scan, so that the text of a large scan is never
+# held whole beside its records
+_WRITE_CHUNK = 4096
+
+
+def _write_records(records: Sequence[dict], out) -> None:
+    """Write ``dumps(record) + "\\n"`` for each record, a chunk at a time.
+    Each run of records with the same keys fills one %-template, whose
+    values are encoded column by column. A chunk that fails to encode is
+    written record by record, so that it raises after writing what the
+    records before the failing one print."""
+    templates: dict[tuple, str] = {}
+    for start in range(0, len(records), _WRITE_CHUNK):
+        chunk = records[start:start + _WRITE_CHUNK]
+        try:
+            text = "".join(_lines(keys, list(run), templates)
+                           for keys, run in itertools.groupby(chunk, tuple))
+        except (ValueError, TypeError):
+            for record in chunk:
+                out.write(dumps(record) + "\n")
+            raise  # pragma: no cover - some record fails alone as in its chunk
+        out.write(text)
+
+
+def _lines(keys: tuple, run: list[dict], templates: dict) -> str:
+    """The JSONL lines of records that all have the keys ``keys``."""
+    fields, columns = [], []
+    for key in keys:
+        field, column = _column([record[key] for record in run])
+        fields.append(field)
+        if column is not None:
+            columns.append(column)
+    layout = (keys, *fields)
+    template = templates.get(layout)
+    if template is None:
+        template = templates[layout] = "{" + ", ".join(
+            json.dumps(str(key)).replace("%", "%%") + ": " + field
+            for key, field in zip(keys, fields)) + "}\n"
+    if not columns:
+        return template % () * len(run)
+    return "".join(map(template.__mod__, zip(*columns)))
+
+
+def _column(values: list) -> tuple[str, list | None]:
+    """The template field of a column and the values it formats: floats
+    and ints as %-conversions that print what ``dumps`` prints, None as
+    a literal, and any other value as its ``dumps`` text (once per
+    distinct bool or string)."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        if not all(map(math.isfinite, values)):
+            raise ValueError("refusing to serialize a non-finite number")
+        return "%.17g", values
+    if kind is int:
+        return "%d", values
+    if kind is type(None):
+        return "null", None
+    if kind in (bool, str):
+        codes = {value: dumps(value) for value in set(values)}
+        return "%s", list(map(codes.__getitem__, values))
+    return "%s", list(map(dumps, values))
 
 
 def _csv_cell(value) -> str:
@@ -468,8 +523,7 @@ def cmd_scan(args) -> int:
         if args.format == "csv":
             sys.stdout.write(_csv_text(records))
         else:
-            for record in records:
-                sys.stdout.write(dumps(record) + "\n")
+            _write_records(records, sys.stdout)
         _print(summary)
         if summary_csv:
             summary_csv.write(_csv_text([summary]))

@@ -33,21 +33,23 @@ from .linalg import (_adjoint, anticommutator, as_matrix, commutator,
 from .states import (
     StateStack,
     _density_from_ginibre,
-    _ginibre,
+    _gaussians,
+    _ginibre_shape,
+    _normals,
     _projectors,
     _pure_states,
+    _unit_rows,
     _unitary_from_ginibre,
     bloch_to_state,
-    random_pure,
     seeded_rng,
 )
 from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS
 from .witness import (
     Verdict,
+    _bloch_conditions,
     _leading_overlaps,
     _nested,
     _pure_mixed_reports,
-    qubit_bloch_condition,
     safe_nested_target,
 )
 from . import discord as discord_mod
@@ -85,8 +87,9 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """Records of trials 0..trials-1, computed over stacks.
 
     Trial t draws ``draw(t, d, rng)``, a tuple of arrays, in trial order
-    from its own stream; ``compute(trial_ids, draws)`` then returns the
-    records of trials whose draws have the same shapes, in trial order.
+    from its own stream; ``compute(d, trial_ids, *stacks)`` then returns
+    the records of trials of dimension d whose draws have the same
+    shapes, in trial order, from each draw stacked over those trials.
     It runs on blocks of about _CHUNK_BYTES, counting each trial's draws
     and _TRIAL_BYTES. When a block fails, its trials run again one at a
     time, so that the error raised is the one a per-trial scan meets
@@ -96,14 +99,19 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     block: dict[tuple, list] = {}
     size = 0
 
+    def run(d: int, items: list) -> list[dict]:
+        trial_ids, draws = zip(*items)
+        return compute(d, list(trial_ids), *map(np.array, zip(*draws)))
+
     def flush() -> list[dict]:
         try:
-            done = [r for items in block.values()
-                    for r in compute(*map(list, zip(*items)))]
+            done = [r for (d, *_), items in block.items()
+                    for r in run(d, items)]
         except (QwitnessError, ValueError):
-            for t, drawn in sorted((item for items in block.values()
-                                    for item in items), key=lambda i: i[0]):
-                compute([t], [drawn])
+            for t, d, drawn in sorted((t, d, drawn)
+                                      for (d, *_), items in block.items()
+                                      for t, drawn in items):
+                run(d, [(t, drawn)])
             raise  # pragma: no cover - some trial fails alone as in its block
         done.sort(key=lambda r: r["trial"])
         return done
@@ -115,7 +123,7 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
         except DimensionError:
             flush()  # a failure of an earlier trial comes first
             raise
-        block.setdefault(tuple(a.shape for a in drawn), []).append((t, drawn))
+        block.setdefault((d, *(a.shape for a in drawn)), []).append((t, drawn))
         size += _TRIAL_BYTES + sum(a.nbytes for a in drawn)
         if size >= _CHUNK_BYTES or t == trials - 1:
             records += flush()
@@ -132,12 +140,15 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
     """
     dims = list(dims)
 
-    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        return random_pure(d, rng), _ginibre(d, d, rng)
+    def shapes(d: int) -> list[tuple]:
+        return [(d,), _ginibre_shape(d, d)]
 
-    def compute(trial_ids: list[int], draws: list) -> list[dict]:
-        psi, g = (np.array(a) for a in zip(*draws))
-        d = psi.shape[-1]
+    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+        return (_normals(rng, shapes(d)),)
+
+    def compute(d: int, trial_ids: list[int], normals) -> list[dict]:
+        psi, g = _gaussians(normals, shapes(d))
+        psi = _unit_rows(psi)
         rho2 = StateStack.check(_density_from_ginibre(g))
         reports = _pure_mixed_reports(psi, rho2, TOL_WITNESS, TOL_NULL)
         comm_norms = frobenius_norms(commutator(_projectors(psi), rho2.matrix))
@@ -184,12 +195,11 @@ def scan_nested(trials: int, dims: Sequence[int],
     dims = list(dims)
 
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        return _ginibre(d, d, rng), _ginibre(d, d, rng)
+        return (_normals(rng, [_ginibre_shape(d, d)] * 2),)
 
-    def compute(trial_ids: list[int], draws: list) -> list[dict]:
-        sigma1, sigma2 = (StateStack.check(_density_from_ginibre(np.array(g)))
-                          for g in zip(*draws))
-        d = sigma1.matrix.shape[-1]
+    def compute(d: int, trial_ids: list[int], normals) -> list[dict]:
+        sigma1, sigma2 = (StateStack.check(_density_from_ginibre(g))
+                          for g in _gaussians(normals, [(d, d)] * 2))
         targets = [safe_nested_target(f)
                    for f in _leading_overlaps(sigma1, sigma2)]
         results = _nested(sigma1, sigma2, targets, tol_comm=TOL_COMM,
@@ -255,7 +265,7 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
     """
     axis = _bloch_axis(grid)
     n = len(axis)
-    vecs = [np.array([r * math.sin(a), 0.0, r * math.cos(a)]) for r, a in axis]
+    vecs = np.array([[r * math.sin(a), 0.0, r * math.cos(a)] for r, a in axis])
     axis_states = np.array([bloch_to_state(b).matrix for b in vecs])
     records = []
     step = max(1, _CHUNK_BYTES // axis_states[0].nbytes)
@@ -263,9 +273,10 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
         rows, cols = np.divmod(np.arange(start, min(start + step, n * n)), n)
         min_eigs = np.linalg.eigvalsh(
             anticommutator(axis_states[rows], axis_states[cols])).min(axis=-1)
-        for i, j, min_eig in zip(rows.tolist(), cols.tolist(), min_eigs.tolist()):
+        for i, j, min_eig, condition in zip(
+                rows.tolist(), cols.tolist(), min_eigs.tolist(),
+                _bloch_conditions(vecs, rows, cols)):
             (r1, a1), (r2, a2) = axis[i], axis[j]
-            condition = qubit_bloch_condition(vecs[i], vecs[j])
             records.append({
                 "i": i,
                 "j": j,
@@ -301,20 +312,22 @@ def scan_null(trials: int, dims: Sequence[int],
     dims = list(dims)
 
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        psi = random_pure(d, rng)
+        outer = _normals(rng, [(d,), _ginibre_shape(d, d)])
         if t % 2 == 0 and d > 1:
-            ginibre = _ginibre(d, d, rng)
             rank = int(rng.integers(1, d))
-            return psi, ginibre, _ginibre(d - 1, rank, rng)
-        return psi, _ginibre(d, d, rng)
+            return outer, _normals(rng, [(d - 1, rank)])
+        return (outer,)
 
-    def compute(trial_ids: list[int], draws: list) -> list[dict]:
-        psi, ginibre, *inner = (np.array(a) for a in zip(*draws))
+    def compute(d: int, trial_ids: list[int], outer, *inner) -> list[dict]:
+        psi, ginibre = _gaussians(outer, [(d,), (d, d)])
+        psi = _unit_rows(psi)
         if inner:  # rank < d: the constructed branch
             unitary = _unitary_from_ginibre(ginibre)
             basis = np.linalg.qr(np.concatenate(
                 [psi[..., None], unitary[..., 1:]], axis=-1))[0]
-            inner_rho = StateStack.check(_density_from_ginibre(inner[0]))
+            rank = inner[0].shape[-1] // (2 * (d - 1))
+            inner_rho = StateStack.check(_density_from_ginibre(
+                _gaussians(inner[0], [(d - 1, rank)])[0]))
             comp = basis[:, :, 1:]
             mixed = comp @ inner_rho.matrix @ _adjoint(comp)
         else:
@@ -328,7 +341,7 @@ def scan_null(trials: int, dims: Sequence[int],
             null = anti_norm <= TOL_NULL
             records.append({
                 "trial": t,
-                "dim": psi.shape[-1],
+                "dim": d,
                 "anticommutator_norm": anti_norm,
                 "product_norm": product_norm,
                 "null": null,
@@ -365,16 +378,19 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
 
     ones = np.ones(2)
 
+    qubit = [(2, 2)]
+
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
         probs = rng.dirichlet(ones)
-        common = _ginibre(2, 2, rng)
-        spectra = np.array([rng.dirichlet(ones) for _ in range(2)])
-        factors = np.array([_ginibre(2, 2, rng) for _ in range(2)])
-        bases = np.array([_ginibre(2, 2, rng) for _ in range(2)])
-        return probs, common, spectra, factors, bases
+        common = _normals(rng, qubit)
+        spectra = rng.dirichlet(ones, size=2)
+        return probs, common, spectra, _normals(rng, qubit * 4)
 
-    def compute(trial_ids: list[int], draws: list) -> list[dict]:
-        probs, common, spectra, factors, bases = (np.array(a) for a in zip(*draws))
+    def compute(d: int, trial_ids: list[int], probs, common, spectra,
+                rest) -> list[dict]:
+        common, = _gaussians(common, qubit)
+        rest = np.stack(_gaussians(rest, qubit * 4), axis=1)
+        factors, bases = rest[:, :2], rest[:, 2:]
         n = len(trial_ids)
         # classical-classical: Bob's two states share the eigenbasis u
         u = _unitary_from_ginibre(common)[:, None]

@@ -10,6 +10,7 @@ explicit 64-bit seed so every run is reproducible bit for bit.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -264,13 +265,46 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 
 
-def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """A d x rank complex Gaussian matrix."""
+def _ginibre_shape(d: int, rank: int) -> tuple[int, int]:
+    """(d, rank) of a Ginibre matrix, once d >= 1 and 1 <= rank <= d."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     if rank < 1 or rank > d:
         raise DimensionError(f"rank must lie in [1, {d}], got {rank}")
-    return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return d, rank
+
+
+def _gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
+    """Complex Gaussian arrays of ``shapes`` from each row of a stack
+    (n, k) of standard normal draws. Each array takes its real block,
+    then its imaginary block, in order, so that a row drawn by one
+    ``rng.normal`` call holds the numbers one call per block draws."""
+    out, end = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        re = normals[:, end:end + size]
+        im = normals[:, end + size:end + 2 * size]
+        out.append((re + 1j * im).reshape(-1, *shape))
+        end += 2 * size
+    return out
+
+
+def _normals(rng: np.random.Generator, shapes) -> np.ndarray:
+    """The standard normal draws that ``_gaussians`` cuts into arrays of
+    ``shapes``, from one ``rng.normal`` call."""
+    return rng.normal(size=2 * sum(map(math.prod, shapes)))
+
+
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    """Each row of a stack (n, d) of complex vectors over its norm,
+    summed as ``frobenius_norms`` sums it."""
+    return vecs / np.array(frobenius_norms(vecs))[:, None]
+
+
+def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x rank complex Gaussian matrix."""
+    shape = _ginibre_shape(d, rank)
+    return _gaussians(_normals(rng, [shape])[None], [shape])[0][0]
 
 
 def _density_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -302,10 +336,8 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperat
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
-    if d < 1:
-        raise DimensionError(f"dimension must be positive, got {d}")
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
+    shape = (_ginibre_shape(d, 1)[0],)
+    return _unit_rows(_gaussians(_normals(rng, [shape])[None], [shape])[0])[0]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

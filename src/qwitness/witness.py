@@ -259,7 +259,19 @@ def qubit_bloch_condition(b1, b2) -> bool:
     y = np.asarray(b2, dtype=np.float64).reshape(-1)
     if x.shape != (3,) or y.shape != (3,):
         raise DimensionError("Bloch vectors need 3 components")
-    return float(x @ x + y @ y) <= 1.0 + float(x @ y) ** 2
+    return _bloch_conditions(np.stack([x, y]), [0], [1])[0]
+
+
+def _bloch_conditions(vecs: np.ndarray, rows, cols) -> list[bool]:
+    """:func:`qubit_bloch_condition` of the pairs (vecs[rows], vecs[cols])
+    of a stack (n, 3) of Bloch vectors, with each x @ x taken once per
+    vector. Each product is a 1 x 3 by 3 x 1 matmul, which numpy
+    evaluates as ``x @ y``, and the square is a Python float's, so a
+    pair comes out as it does alone."""
+    sq = (vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+    cross = (vecs[rows, None, :] @ vecs[cols, :, None])[:, 0, 0]
+    return [s <= 1.0 + c ** 2 for s, c in zip((sq[rows] + sq[cols]).tolist(),
+                                               cross.tolist())]
 
 
 def _powers(ratios: np.ndarray, n: list[int]) -> np.ndarray:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from qwitness import cli
 from qwitness.cli import _build_parser, dumps, main
 from qwitness.discord import classical_quantum_state
+from qwitness.scans import run_scan
 from qwitness.states import (
     make_density,
     random_density,
@@ -833,6 +835,58 @@ def test_dumps_pins_every_encoded_type():
             dumps(bad)
     with pytest.raises(TypeError, match="cannot serialize set"):
         dumps({"k": {1}})
+
+
+_RECORD_KEYS = st.sampled_from(["trial", "dim", "reason", "%d", '"q"', "\u00e9"])
+_RECORD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308]), st.text(max_size=8))
+
+
+@st.composite
+def _record_runs(draw):
+    """Records of a few key layouts, in any order, so that a layout
+    changes mid-scan and a column can hold values of several types."""
+    layouts = draw(st.lists(st.lists(_RECORD_KEYS, unique=True, max_size=4),
+                            min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(layouts) - 1), max_size=30))
+    return [{key: draw(_RECORD_VALUES) for key in layouts[k]} for k in picks]
+
+
+@given(records=_record_runs(), chunk=st.integers(min_value=1, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_record_writer_prints_what_dumps_prints(records, chunk):
+    out = io.StringIO()
+    with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
+        cli._write_records(records, out)
+    assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
+
+
+def test_record_writer_follows_nested_skip_layouts():
+    # at d = 1 every nested trial skips, so the skip and the witnessed
+    # layouts alternate
+    for seed in range(3):
+        records, _ = run_scan("nested", trials=30, dims=(1, 2, 5), seed=seed)
+        assert len({tuple(r) for r in records}) == 2
+        out = io.StringIO()
+        cli._write_records(records, out)
+        assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), {1}])
+def test_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch, bad):
+    # a later chunk fails: stdout holds the records before the bad one,
+    # as the per-record loop prints them
+    records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
+    records[6]["x"] = bad
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 4)
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: (records, {}))
+    code, out, err = run_cli(capsys, "scan", "--kind", "null")
+    assert code == 2
+    assert out == "".join(dumps(r) + "\n" for r in records[:6])
+    assert err.startswith("error: ")
+    assert ("non-finite" in err) == (bad != {1})
 
 
 # ------------------------------------------------------------- plumbing

@@ -386,38 +386,52 @@ def test_mixed_scan_blocks_cover_large_dimensions(monkeypatch, kind):
 
 
 class _FlatDraws:
-    """A trial's stream whose chosen 2-D normal draws come back as the
-    identity, and whose chosen Dirichlet draws as (1, 0, ...). ``flat``
-    counts the 2-D draws in order, the real and the imaginary part of
-    each Ginibre matrix; flattening both parts of one matrix makes it
-    (1+i)·I, whose state I/d has no gap and whose unitary is diagonal.
-    ``certain`` counts the Dirichlet draws in order. Every draw still
-    takes its numbers from the stream."""
+    """A trial's stream whose chosen 2-D normal blocks come back as the
+    identity, and whose chosen Dirichlet draws as (1, 0, ...).
+    ``shapes`` lists the complex arrays the trial draws, in order; each
+    ``normal`` call draws the real and the imaginary block of the next
+    few of them. ``flat`` counts the blocks of the 2-D arrays in order,
+    the real and the imaginary part of each Ginibre matrix; flattening
+    both parts of one matrix makes it (1+i)·I, whose state I/d has no
+    gap and whose unitary is diagonal. ``certain`` counts the Dirichlet
+    draws in order, a row of a sized draw each. Every draw still takes
+    its numbers from the stream; ``sizes`` records each ``normal``
+    call's size."""
 
-    def __init__(self, rng, flat, certain=()):
-        self._rng, self._flat, self._certain = rng, flat, certain
+    def __init__(self, rng, shapes, flat, certain=()):
+        self._rng, self._shapes = rng, list(shapes)
+        self._flat, self._certain = flat, certain
         self.drawn = self.dirichlets = 0
+        self.sizes = []
 
     def normal(self, size=None):
         out = self._rng.normal(size=size)
-        if np.ndim(out) == 2:
-            if self.drawn in self._flat:
-                out = np.eye(*out.shape)
-            self.drawn += 1
+        self.sizes.append(out.size)
+        end = 0
+        while end < out.size:
+            shape = self._shapes.pop(0)
+            block = math.prod(shape)
+            for _ in range(2):
+                if len(shape) == 2:
+                    if self.drawn in self._flat:
+                        out[end:end + block] = np.eye(*shape).ravel()
+                    self.drawn += 1
+                end += block
         return out
 
-    def dirichlet(self, alpha):
-        out = self._rng.dirichlet(alpha)
-        if self.dirichlets in self._certain:
-            out = np.eye(len(out))[0]
-        self.dirichlets += 1
+    def dirichlet(self, alpha, size=None):
+        out = self._rng.dirichlet(alpha, size)
+        for row in np.reshape(out, (-1, len(alpha))):
+            if self.dirichlets in self._certain:
+                row[:] = np.eye(len(alpha))[0]
+            self.dirichlets += 1
         return out
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
 
-def _flatten_draws(monkeypatch, trial, flat, certain=()):
+def _flatten_draws(monkeypatch, trial, shapes, flat, certain=()):
     """Route trial ``trial``'s streams through _FlatDraws; returns the
     list of streams that trial opens."""
     opened = []
@@ -427,7 +441,7 @@ def _flatten_draws(monkeypatch, trial, flat, certain=()):
         rng = real(seed, *stream)
         if stream != (trial,):
             return rng
-        opened.append(_FlatDraws(rng, flat, certain))
+        opened.append(_FlatDraws(rng, shapes, flat, certain))
         return opened[-1]
 
     monkeypatch.setattr(scans, "seeded_rng", seeded)
@@ -437,16 +451,21 @@ def _flatten_draws(monkeypatch, trial, flat, certain=()):
 # (kind, flattened draws) with one flat state at trial 4 (d = 3): draws
 # 0 and 1 make the first state (nested: sigma1), 2 and 3 nested's sigma2
 _FLAT = [("nested", (0, 1)), ("nested", (2, 3)), ("pure-mixed", (0, 1))]
+# the complex arrays a trial at d = 3 draws, in order
+_SHAPES = {"pure-mixed": [(3,), (3, 3)], "nested": [(3, 3)] * 2,
+           "discord": [(2, 2)] * 5}
 
 
 @pytest.mark.parametrize("kind,flat", _FLAT)
 def test_mixed_scans_keep_a_state_with_no_gap(monkeypatch, kind, flat):
-    opened = _flatten_draws(monkeypatch, 4, set(flat))
+    opened = _flatten_draws(monkeypatch, 4, _SHAPES[kind], set(flat))
     records, _ = _BATCHED[kind](8, (2, 3, 4), 0)
     # the trial keeps the flat state I/3: one Ginibre matrix per state,
-    # two normal draws each
+    # two normal blocks each, all from one normal call
     kept = {"pure-mixed": 1, "nested": 2}[kind]
     assert [stream.drawn for stream in opened] == [2 * kept]
+    assert [stream.sizes for stream in opened] == [
+        [2 * sum(map(math.prod, _SHAPES[kind]))]]
     record = records[4]
     if kind == "pure-mixed":
         # {P, I/3} = 2P/3 is positive, and I/3 commutes with P
@@ -479,7 +498,8 @@ def test_discord_scan_drops_a_null_outcome(monkeypatch):
     # the common basis and the two product factors), so that basis is
     # z: its outcome "1" has probability 0 on the classical-classical
     # state |0><0| (x) rho_0
-    opened = _flatten_draws(monkeypatch, 4, {6, 7}, certain={0})
+    opened = _flatten_draws(monkeypatch, 4, _SHAPES["discord"], {6, 7},
+                            certain={0})
     compared, witnessed = [], []
     _spy(monkeypatch, discord, "_noncommuting", compared)
     _spy(monkeypatch, discord, "_witness_conditionals", witnessed)
