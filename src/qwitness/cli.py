@@ -145,7 +145,7 @@ def dumps(obj) -> str:
 
 # records per write of a scan, so that the text of a large scan is never
 # held whole beside its records
-_WRITE_CHUNK = 4096
+_WRITE_CHUNK = 1024
 
 
 def _write_records(records: Sequence[dict], out) -> None:

@@ -2,20 +2,23 @@
 
 Each scan returns one record per trial plus a summary, and counts
 counterexamples (expected zero) instead of stopping at the first
-failure. Trial ``t`` draws only from its own substream
-``seeded_rng(seed, t)``, so its record does not depend on how many
-trials run and repeat runs are bit-identical.
+failure. Trial ``t`` draws only from its own block of counters of the
+scan's Philox generator (``_trial_streams``), so its record does not
+depend on how many trials run and repeat runs are bit-identical.
 
-``bloch`` builds each axis state once and takes the anticommutators
-and spectra of all pairs in stacked calls. ``pure-mixed``, ``nested``,
-``null`` and ``discord`` draw every trial in order from its stream,
-then run the checks and the linear algebra over stacks of trials that
-share a dimension (``null``: and a branch; ``discord`` trials are all
-qubit pairs), in blocks of _CHUNK_BYTES of draws. The stacked calls
-are bit-identical to the per-matrix ones, each norm is summed as
-``np.linalg.norm`` sums it, each per-member scalar product stays a call
-on that member, and each state passes ``DensityOperator``'s checks, so
-the records keep their bytes. Each trial draws each of its states
+``bloch`` builds each axis state once and takes the anticommutators,
+spectra and ball conditions of all pairs in stacked calls.
+``pure-mixed``, ``nested``, ``null`` and ``discord`` draw every trial
+in order from its stream: its integer or Dirichlet draws first, then
+all its Gaussian numbers in one ``normal`` call. They then cut the
+draws into states and run the checks and the linear algebra over
+stacks of trials that share a dimension (``null``: and a branch and a
+rank; ``discord`` trials are all qubit pairs), in blocks of
+_CHUNK_BYTES of draws. The stacked calls are bit-identical to the
+per-matrix ones, each norm is summed as ``np.linalg.norm`` sums it,
+each per-member scalar product stays a call on that member, and each
+state passes ``DensityOperator``'s checks, so the records keep their
+bytes. Each trial draws each of its states
 once, whatever its spectrum, and a failed check raises what the
 per-trial loop would raise first.
 """
@@ -41,7 +44,6 @@ from .states import (
     _unit_rows,
     _unitary_from_ginibre,
     bloch_to_state,
-    seeded_rng,
 )
 from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS
 from .witness import (
@@ -74,12 +76,34 @@ _CHUNK_BYTES = 1 << 21
 # what a batched trial adds to its block's size besides its draws: the
 # reports, plans and views a stacked pass holds per trial until it
 # returns, so that a block of small trials holds a bounded number of
-# them. A nested trial at d = 2 holds ~4 KiB. A discord trial draws
-# 368 bytes and holds ~10 KiB at its block's peak (tracemalloc): its 16
-# conditional members (the 4x4 state and the projector each starts
-# from, the 2x2 state and spectrum it ends with, and the checks'
-# temporaries) and its two witness reports
+# them. Over a block of 1000 trials, tracemalloc measures ~2.5 KiB per
+# nested trial at d = 2 above its record. A discord trial draws 368
+# bytes (six Dirichlet weights and 40 normals) and holds ~9 KiB at its
+# block's peak: its 16 conditional members (the 4x4 state and the
+# projector each starts from, the 2x2 state and spectrum it ends with,
+# and the checks' temporaries) and its two witness reports
 _TRIAL_BYTES = 2048
+
+
+def _trial_streams(seed: int):
+    """The stream of each trial of a scan seeded ``seed``: one Philox
+    generator, keyed once from ``SeedSequence(seed)``, with its counter
+    reset to (0, 0, t, 0) before trial t draws. Each trial owns a block
+    of 2**128 counters, so its draws depend on (seed, t) alone: the
+    counter-based design of Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3" (SC11, 2011). The generator is shared, so no draw
+    keeps it past its trial."""
+    bits = np.random.Philox(np.random.SeedSequence(int(seed)))
+    rng = np.random.Generator(bits)
+    start = bits.state
+    counter = start["state"]["counter"]
+
+    def stream(t: int) -> np.random.Generator:
+        counter[2] = t
+        bits.state = start
+        return rng
+
+    return stream
 
 
 def _batched(trials: int, dims: list[int], seed: int, draw, compute
@@ -87,14 +111,16 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """Records of trials 0..trials-1, computed over stacks.
 
     Trial t draws ``draw(t, d, rng)``, a tuple of arrays, in trial order
-    from its own stream; ``compute(d, trial_ids, *stacks)`` then returns
-    the records of trials of dimension d whose draws have the same
-    shapes, in trial order, from each draw stacked over those trials.
+    from its own stream (``_trial_streams``); ``compute(d, trial_ids,
+    *stacks)`` then returns the records of trials of dimension d whose
+    draws have the same shapes, in trial order, from each draw stacked
+    over those trials.
     It runs on blocks of about _CHUNK_BYTES, counting each trial's draws
     and _TRIAL_BYTES. When a block fails, its trials run again one at a
     time, so that the error raised is the one a per-trial scan meets
     first.
     """
+    stream = _trial_streams(seed)
     records: list[dict] = []
     block: dict[tuple, list] = {}
     size = 0
@@ -119,7 +145,7 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     for t in range(trials):
         d = dims[t % len(dims)]
         try:
-            drawn = draw(t, d, seeded_rng(seed, t))
+            drawn = draw(t, d, stream(t))
         except DimensionError:
             flush()  # a failure of an earlier trial comes first
             raise
@@ -312,11 +338,13 @@ def scan_null(trials: int, dims: Sequence[int],
     dims = list(dims)
 
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        outer = _normals(rng, [(d,), _ginibre_shape(d, d)])
+        outer = [(d,), _ginibre_shape(d, d)]
         if t % 2 == 0 and d > 1:
             rank = int(rng.integers(1, d))
-            return outer, _normals(rng, [(d - 1, rank)])
-        return (outer,)
+            normals = _normals(rng, outer + [(d - 1, rank)])
+            split = 2 * (d + d * d)
+            return normals[:split], normals[split:]
+        return (_normals(rng, outer),)
 
     def compute(d: int, trial_ids: list[int], outer, *inner) -> list[dict]:
         psi, ginibre = _gaussians(outer, [(d,), (d, d)])
@@ -369,9 +397,10 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     prefix) and a random product state, scans a random pair of
     projective families for noncommuting conditionals of the first, and
     witnesses the most likely outcome of each family on both states.
-    It draws, in order: the pointer probabilities, the Ginibre matrix of
-    Bob's common eigenbasis, Bob's two spectra, the two product factors'
-    Ginibre matrices and the two measurement bases'. The states, their
+    It draws the pointer probabilities and Bob's two spectra in one
+    Dirichlet call, then, in one normal call, the Ginibre matrices of
+    Bob's common eigenbasis, the two product factors and the two
+    measurement bases. The states, their
     conditionals and the witnesses are stacked over trials; an outcome
     of zero probability is masked out of the comparison and the pick.
     """
@@ -381,16 +410,13 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     qubit = [(2, 2)]
 
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        probs = rng.dirichlet(ones)
-        common = _normals(rng, qubit)
-        spectra = rng.dirichlet(ones, size=2)
-        return probs, common, spectra, _normals(rng, qubit * 4)
+        return rng.dirichlet(ones, size=3), _normals(rng, qubit * 5)
 
-    def compute(d: int, trial_ids: list[int], probs, common, spectra,
-                rest) -> list[dict]:
-        common, = _gaussians(common, qubit)
-        rest = np.stack(_gaussians(rest, qubit * 4), axis=1)
-        factors, bases = rest[:, :2], rest[:, 2:]
+    def compute(d: int, trial_ids: list[int], weights, normals
+                ) -> list[dict]:
+        probs, spectra = weights[:, 0], weights[:, 1:]
+        g = np.stack(_gaussians(normals, qubit * 5), axis=1)
+        common, factors, bases = g[:, 0], g[:, 1:3], g[:, 3:]
         n = len(trial_ids)
         # classical-classical: Bob's two states share the eigenbasis u
         u = _unitary_from_ginibre(common)[:, None]

@@ -259,8 +259,9 @@ def bloch_to_state(b) -> DensityOperator:
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator from a seed plus optional stream indices.
 
-    Scans pass the trial index as the stream, so each trial draws from
-    its own reproducible substream whatever the other trials draw.
+    ``circuit --shots`` draws its readout from ``seeded_rng(seed)``.
+    Scan trials do not come from here: each draws from a counter block
+    of one Philox generator per scan (``scans._trial_streams``).
     """
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 
@@ -336,8 +337,7 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityOperat
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
-    shape = (_ginibre_shape(d, 1)[0],)
-    return _unit_rows(_gaussians(_normals(rng, [shape])[None], [shape])[0])[0]
+    return _unit_rows(_ginibre(d, 1, rng).T)[0]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -326,20 +326,29 @@ def battery(tmp_path):
     ]
 
 
-# the battery's stdout digest and exit codes; any changed byte fails
-BATTERY_SHA256 = \
-    "93b201ab5a0605e1a107df28281c1fe092be678bf4f365f3160f6691c95f1978"
-BATTERY_CODES = [10, 10, 0, 0, 10, 0, 0, 0, 0, 0]
+# each battery command's exit code and stdout digest, in battery order;
+# any changed byte fails
+BATTERY = [
+    (10, "089e1126cb2d5ab283fe00d8456db0d0df699f895495426799aea530d2861144"),
+    (10, "7f13bd93ad157873344cb74282bfea6228da90b6bf1384af6e6c714a93f371b5"),
+    (0, "eab365b87501edeabda513485698a5e7b6e22cb1bb252f31e05ef1eae327ab6a"),
+    (0, "f2275869156767e1b69f05e6a4e2ac02bc9a532a53ae3c3d6d8e3b7eedfc677a"),
+    (10, "4a9927645fd5faccd67114bbf9b0f033ad1a0acab75dbc68d99767c2a186e3e1"),
+    (0, "48179190d270d4ac4f1a4a2523f70fea015cd7cd842fcf8a908fda40a68700a3"),
+    (0, "315df563bd8cc577702f3f17c1290f6e8cca1b36ef5b174c52cd6dd6fd0f6d7b"),
+    (0, "5e74bc2aacfb65d5f554e31895648d4c1a318e96988a381a6a3b6473e7ce14c8"),
+    (0, "bc8ee56fbe56ffc19d034fb745cdf71c47b07a3efe3897c619a28c2c4efe01dd"),
+    (0, "b5b6032bc86b6de0be02c44e9460ec89851f794eb19c31990ed10342823fe183"),
+]
 
 
-def run_battery(cmds, env) -> tuple[bytes, list[int]]:
-    chunks, codes = [], []
+def run_battery(cmds, env) -> list[tuple[int, bytes]]:
+    results = []
     for cmd in cmds:
         result = subprocess.run(cmd, capture_output=True, check=False, env=env)
         assert result.returncode in (0, 10), (cmd, result.stderr)
-        chunks.append(result.stdout)
-        codes.append(result.returncode)
-    return b"".join(chunks), codes
+        results.append((result.returncode, result.stdout))
+    return results
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env):
@@ -347,13 +356,14 @@ def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env):
                        "JSONL; acceptance module stays inside the budget", capsys):
         cmds = battery(tmp_path)
         start = time.monotonic()
-        first, codes = run_battery(cmds, subprocess_env)
-        second, codes_again = run_battery(cmds, subprocess_env)
+        first = run_battery(cmds, subprocess_env)
+        second = run_battery(cmds, subprocess_env)
         elapsed = time.monotonic() - start
-        assert (first, codes) == (second, codes_again)
-        assert codes == BATTERY_CODES
-        assert hashlib.sha256(first).hexdigest() == BATTERY_SHA256
-        for line in first.decode("utf-8").splitlines():
-            json.loads(line)
+        assert first == second
+        assert [(code, hashlib.sha256(out).hexdigest())
+                for code, out in first] == BATTERY
+        for _, out in first:
+            for line in out.decode("utf-8").splitlines():
+                json.loads(line)
         assert elapsed < 60.0
         assert time.monotonic() - _MODULE_T0 < 120.0

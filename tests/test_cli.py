@@ -837,7 +837,8 @@ def test_dumps_pins_every_encoded_type():
         dumps({"k": {1}})
 
 
-_RECORD_KEYS = st.sampled_from(["trial", "dim", "reason", "%d", '"q"', "\u00e9"])
+_RECORD_KEYS = st.sampled_from(
+    ["trial", "dim", "reason", "%d", '"q"', "\u00e9"])
 _RECORD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(allow_nan=False, allow_infinity=False),

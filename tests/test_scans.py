@@ -42,9 +42,8 @@ from qwitness.states import (
     random_density,
     random_pure,
     random_unitary,
-    seeded_rng,
 )
-from qwitness.tolerances import TOL_COMM, TOL_NULL, TOL_WITNESS
+from qwitness.tolerances import TOL_COMM, TOL_NULL, TOL_WITNESS, TRIALS_CAP
 from qwitness.witness import (
     Verdict,
     leading_overlap,
@@ -91,16 +90,19 @@ def serial_scan_bloch(grid, seed=0):
 def serial_scan_null(trials, dims, seed):
     """The null scan one trial at a time, every state validated alone."""
     dims = list(dims)
+    stream = scans._trial_streams(seed)
 
     def one(t):
         d = dims[t % len(dims)]
-        rng = seeded_rng(seed, t)
+        rng = stream(t)
+        # the constructed branch draws its rank before its normals
+        rank = int(rng.integers(1, d)) if t % 2 == 0 and d > 1 else None
         psi = random_pure(d, rng)
-        if t % 2 == 0 and d > 1:
+        if rank is not None:
             basis = np.linalg.qr(
                 np.column_stack([psi, random_unitary(d, rng)[:, 1:]]))[0]
             comp = basis[:, 1:]
-            inner = random_density(d - 1, int(rng.integers(1, d)), rng)
+            inner = random_density(d - 1, rank, rng)
             rho2 = DensityOperator(comp @ inner.matrix @ comp.conj().T)
         else:
             rho2 = random_density(d, d, rng)
@@ -122,10 +124,11 @@ def serial_scan_null(trials, dims, seed):
 def serial_scan_pure_mixed(trials, dims, seed):
     """The pure-mixed scan one trial at a time, through pure_mixed_test."""
     dims = list(dims)
+    stream = scans._trial_streams(seed)
 
     def one(t):
         d = dims[t % len(dims)]
-        rng = scans.seeded_rng(seed, t)
+        rng = stream(t)
         psi = random_pure(d, rng)
         rho2 = random_density(d, d, rng)
         report = pure_mixed_test(psi, rho2)
@@ -154,10 +157,11 @@ def serial_scan_pure_mixed(trials, dims, seed):
 def serial_scan_nested(trials, dims, seed):
     """The nested scan one trial at a time, through nested_witness."""
     dims = list(dims)
+    stream = scans._trial_streams(seed)
 
     def one(t):
         d = dims[t % len(dims)]
-        rng = scans.seeded_rng(seed, t)
+        rng = stream(t)
         sigma1 = random_density(d, d, rng)
         sigma2 = random_density(d, d, rng)
         base = {"trial": t, "dim": d}
@@ -199,15 +203,15 @@ def _most_likely(conds):
 
 def serial_scan_discord(trials, seed):
     """The discord scan one trial at a time, every state validated alone."""
+    stream = scans._trial_streams(seed)
 
     def one(t):
-        rng = scans.seeded_rng(seed, t)
-        probs = rng.dirichlet(np.ones(2))
+        rng = stream(t)
+        # the Dirichlet weights come before the normals
+        probs, *spectra = (rng.dirichlet(np.ones(2)) for _ in range(3))
         common = random_unitary(2, rng)
-        bob = []
-        for _ in range(2):
-            diag = rng.dirichlet(np.ones(2))
-            bob.append(DensityOperator((common * diag) @ common.conj().T))
+        bob = [DensityOperator((common * diag) @ common.conj().T)
+               for diag in spectra]
         cc = classical_quantum_state(probs, bob)
         product = BipartiteState(
             state=DensityOperator(
@@ -283,6 +287,21 @@ def test_scan_records_do_not_depend_on_trial_count():
         short, _ = run_scan(kind, trials=5, dims=(2, 3), seed=3)
         long, _ = run_scan(kind, trials=12, dims=(2, 3), seed=3)
         assert long[:5] == short
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 + 7])
+def test_trial_streams_are_philox_counter_blocks(seed):
+    # trial t draws from the Philox generator keyed from the seed, with
+    # its counter at (0, 0, t, 0), whatever the trials before it drew
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    stream = scans._trial_streams(seed)
+    for t in (123_456, 0, 5, TRIALS_CAP - 1, 5):
+        fresh = np.random.Generator(
+            np.random.Philox(key=key, counter=[0, 0, t, 0]))
+        rng = stream(t)
+        assert rng.integers(1, 9) == fresh.integers(1, 9)
+        size = 3 + t % 7
+        assert np.array_equal(rng.normal(size=size), fresh.normal(size=size))
 
 
 def test_bloch_scan_grid():
@@ -435,16 +454,21 @@ def _flatten_draws(monkeypatch, trial, shapes, flat, certain=()):
     """Route trial ``trial``'s streams through _FlatDraws; returns the
     list of streams that trial opens."""
     opened = []
-    real = scans.seeded_rng
+    real = scans._trial_streams
 
-    def seeded(seed, *stream):
-        rng = real(seed, *stream)
-        if stream != (trial,):
-            return rng
-        opened.append(_FlatDraws(rng, shapes, flat, certain))
-        return opened[-1]
+    def streams(seed):
+        stream = real(seed)
 
-    monkeypatch.setattr(scans, "seeded_rng", seeded)
+        def flattened(t):
+            rng = stream(t)
+            if t != trial:
+                return rng
+            opened.append(_FlatDraws(rng, shapes, flat, certain))
+            return opened[-1]
+
+        return flattened
+
+    monkeypatch.setattr(scans, "_trial_streams", streams)
     return opened
 
 
@@ -504,7 +528,8 @@ def test_discord_scan_drops_a_null_outcome(monkeypatch):
     _spy(monkeypatch, discord, "_noncommuting", compared)
     _spy(monkeypatch, discord, "_witness_conditionals", witnessed)
     batched = scan_discord(8, 0)
-    assert [(s.drawn, s.dirichlets) for s in opened] == [(10, 3)]
+    assert [(s.drawn, s.dirichlets, s.sizes) for s in opened] == \
+        [(10, 3, [40])]
     (cc_states, kept), = compared
     (first, second), = witnessed
     compared.clear()
@@ -626,101 +651,101 @@ _ONE = ("--dims", "1")  # every nested trial skips: its later stacks are empty
 # nested scans were batched
 _GOLDEN = {
     (0, "pure-mixed", ()):
-        "b3e29dc8a01fcbb4ddc549dec8586d6f1fe00988b98476dfbd4da1223c75bb26",
+        "624895a2ed151302f4028cc3826af3a848863d967e8b57d3c8651eb5e33bd31d",
     (0, "nested", ()):
-        "8ed6171d49231309bc0b5a5e4c101eaaa7bb5e7fdc8f6a7f5d8e538ad5bd8b03",
+        "4b38b5f1f7eb958852945414c4e653c1297a7cee30d8dd38020726a9087aa6ed",
     (0, "bloch", ()):
         "2697be1dbc68e56e32508d8a1596024e1f54251686641c4b3be11fe727d6e9ee",
     (0, "null", ()):
-        "5fa590d444ffa93caae13b5f5f5efca518bf98dfb1a069ed269ea20dc69fbfba",
+        "8b284477e7d4dad9c6f54166ed8f6d0aea33a8672f0ec6355b54db8a1139c2ee",
     (0, "discord", ()):
         "b79950b70b02d920445ca1432479235d232a4f9a2ce7f60d600acb013e953e96",
     (0, "pure-mixed", _WIDE):
-        "eb4962a5e0346aae5356d1861213ee94b9d2af3fed9cebde2dceeae3a9e5b99f",
+        "1965373fb1a2556c8108aac2360fb655f0238486b75b6d733ce2fc944513ff19",
     (0, "nested", _WIDE):
-        "2f3d732b613ba5c91c8e44f7638e203f9cda32c398fe84a9fd582b0491c9d614",
+        "553d83df0a577455b5a280beed6e8fb354400b54a3dd9d5b23c40a16783f3cb8",
     (0, "null", _WIDE):
-        "64a082ccd0595052de87bec275227c4ef4b4e35146032b8847033253e507665d",
+        "7eb492fa5f7b8fedd16c8a6f35252d77d629f0f6eaf5867c3e294cc256a4ee7d",
     (0, "null", ("--format", "csv")):
-        "8c843593bea24447f892cb434276207495eb8e6bddcd23ccba6e11eab7cb6b8e",
+        "67f34eb93c2457d23ea1dacb76f8f6f4f06d164d6cbd2f44224211a137ba5ad8",
     (1, "pure-mixed", ()):
-        "a63ff683bccb09f4060b2678627606c0793a63efd87f60851e07b447c7958b0f",
+        "2cc7a703762dbf16c92c9b49504d6412f3db6e81e5622b56dbdc20e966b98c22",
     (1, "nested", ()):
-        "c2eafac970315e8332231eb69b94e767c7f659388c4bb52bdedf6bc3feb2c1a3",
+        "1465ba32c24689355112b114e629bd5ee4af2d5e400a847a78baa5c348687307",
     (1, "bloch", ()):
         "8216d3dafdc42688bdef2d1c86241ca3d79ed8d51629ae1c716005e0a822dad6",
     (1, "null", ()):
-        "8e2b375df9475b0fde19b6f13cd202ff6fc187b00746c48eea4061b31c4122a6",
+        "df7e8f4b21f6bd3a4fde26629174ed2d8c3d09a114a16fb9982b417d56f1b21a",
     (1, "discord", ()):
         "3d8a6e52678cf06665829ca344ca8cd954b45f441fee740233a293a30479da33",
     (1, "pure-mixed", _WIDE):
-        "60b34b45d3c5a052cd549dad2831dbe2fea349f7f8392fe895b896cfe42a2e3c",
+        "8ca3cb857176880c27dc68feb30870e04f816ced01418ba414656caf6d2c87e0",
     (1, "nested", _WIDE):
-        "a802c84052ef974202f251b0181c69ba9cd24cccf8ef5a9c5dc1fdba2b277251",
+        "61fba938065c3f4eb1f30fbf84ecc5e86019cab81d9d6977aa83967f75c4aae9",
     (1, "null", _WIDE):
-        "b95e73ae381eae693656e3f0aa013e52831f29040b8e893771937c3b2d14d78a",
+        "64f127bdb4be329ca98e4452ffa7518ab13f209d497f5320b570986478cdb060",
     (1, "null", ("--format", "csv")):
-        "010052cd9ba413e9e0de4e99523d732616eee1d7413e5aee543a0847ab6a9309",
+        "fc81af5641a6497e0892fd3c62ec255bd52779009b7359c968c4022b68bc5fe4",
     (2, "pure-mixed", ()):
-        "58c61e0d591a1dc6b4a533641c78ea0a56f1cf48d903685980ed83e8f476dd93",
+        "9f9ba87ae3f96c035d6e7adb1e6f1abf8b83d075b08d44c7a0e60f998eaaaa3a",
     (2, "nested", ()):
-        "a973080b0504fe1a6b385f542b40fa7592eb0897638430fcaf43cf41b4f8ba58",
+        "c55eab25d78a9f84db0d3cca5721ffc8721c8ba1e40389946615ee813c47d22f",
     (2, "bloch", ()):
         "204d18cbc87c5d87ccd3ae965e95fc3ae6cf6b4b6585a07b87ad5fe5a8dc92be",
     (2, "null", ()):
-        "7777476282969a444eade79cf53a297b3a9eca7b395dcbeede792225bccbf5bf",
+        "e403e96c3a43356f6eb2bf69cbcf750fd7e1b61cd7251461ded9eb1631a721b4",
     (2, "discord", ()):
         "fe0f93f3c7dc641a20b678ade03317490872d85208b38072a8ff5c35a32fec8f",
     (2, "pure-mixed", _WIDE):
-        "2f5174f1c63c0b2d46ea41865a74a1e0bec973d0fbea0e7832cb4484b89230f7",
+        "f986202579ea329faf5409a0454b4805223c76460e4df78f0d575c76b31c3ff2",
     (2, "nested", _WIDE):
-        "165821d3d6eb1b42151a4b96109684be0c0aff0866a94349f8abf75c7c5f8c9f",
+        "c76f06cc4bd15f1127dcdf4c58d9803a55db05841e9a86806e24957ae2dbed8d",
     (2, "null", _WIDE):
-        "dd265188ef2fbe9326ad371f4c034aa5527cce8f816970baa49b374d1d730e90",
+        "c87215b0be1fe1f6d23affad15d06d01498482f30547c413cb9cf0ddba81fb4b",
     (2, "null", ("--format", "csv")):
-        "f5778d6dd8e2aefefe68fdef324f8c693e4d08184dffd07d5b143558c26aa07a",
+        "a7232db4bd8ba44b3dab3f52db7411a95e11fa37e99a3f38cf1d3db4b2508f81",
     (0, "bloch", _WIDE_CSV):
         "28e64df2902b1a6993a304925a7d2f19b8d541144b21f525f888568aad15891d",
     (0, "discord", _WIDE_CSV):
         "c80f9519b7a6a7eea4679795967bef62e73eb435ac7c67dab9ec275430d43437",
     (0, "nested", _WIDE_CSV):
-        "f49d4d6461d3b54a6cd92b81b53eb7581ee4a27175edeb4d7dde21215ab4bb6d",
+        "c58414e014d9a600df338b0c3aad0f017b0047df5735dbcda191a850f92127f8",
     (0, "null", _WIDE_CSV):
-        "7dbea3bf64e26dbd76fcef231c46b71b9ca04373f4928946ed6ff5f2eaeff17d",
+        "1dadba00dcb9c0da03505b305d7475e447c4eda718195b8a3c2cce2b91b69061",
     (0, "pure-mixed", _WIDE_CSV):
-        "26cdfedbe9d0ed2d5f65d05a1d1b89246c99edddbbd1602b642a0e306c4e16d9",
+        "1ff205ccd2c377431037253f4ec82469cca7ac6b9766571356d6443c4300a893",
     (1, "bloch", _WIDE_CSV):
         "b89b190324ae17262b95adb53b9bbeaf90f709cdc084919b9fdbe1c7583ad155",
     (1, "discord", _WIDE_CSV):
         "32697c0ed87512a68e062d36d97bc1b5ca15b7b9e51c15fed904fce40855d1fd",
     (1, "nested", _WIDE_CSV):
-        "0c473094772b4bc85689b15d665ed41800e171cbc98f2bb496cc1e7145aec4f2",
+        "ad1bc18a5e85d4a21f25da7c5bc2a592731c3b422c34ff208c946200238dd225",
     (1, "null", _WIDE_CSV):
-        "47a21a0210e108c110946ff34a4ba5a4fc7ff18b68e09885f1856a30f4deba5b",
+        "3f11f62883aa9bb0d0483b3216392e72f785c1a4f90dedc0095d3e0e1e40850f",
     (1, "pure-mixed", _WIDE_CSV):
-        "0497b048e0366d0004856c8354781da2f71495b0c24293f2aabce0512ae7ffe8",
+        "9f50c754814183175df439cd90fa9f353358b33542e0fde58bab6efc8e8a0e3a",
     (2, "bloch", _WIDE_CSV):
         "09240fc72512c9be0f9dc52132a9e46a396dd8c7de4893a3273b8a5d1addeb8f",
     (2, "discord", _WIDE_CSV):
         "30a020cf8068bdf5cac8bc626e491053874b69e05ca553175ead3000c63fb3ba",
     (2, "nested", _WIDE_CSV):
-        "586851ed606968d65a1c0dc49cd981290e186e7a38e51ff0d6bb0a2ee359a89d",
+        "a51969237f2a7f4389be9dc2eb447a701a4a39707697d801f15bcd5c3139dfbb",
     (2, "null", _WIDE_CSV):
-        "3992b35c64d9b5614fe5bc5f979b1bbca0e6c7a8bb3e9fa058dd974fe798e3a9",
+        "cf58b5b67d94a7799ecd95c0f6aeefba3d6459bd01aa2a975594621592435e5d",
     (2, "pure-mixed", _WIDE_CSV):
-        "424aa6549fe4999a597a9b5b2841066690ba6cb9d24ad0301b23d3a8c8ebd4dc",
+        "5ae695254f8238cbb63bc41c463709debe5dee88dfb0b29230ec8da2be279336",
     (0, "pure-mixed", _DEEP):
-        "482b2eb14e426d229d3d930dab27f3cd8cb36960d94e6d452e541f58b02182e2",
+        "6ef9b94f7a51d6940b3bcde8ecf27f0968336ecd8696ca4de0b6474c33d9f50a",
     (0, "nested", _DEEP):
-        "d7de40dd9bc32d669eeac11e49ef9e909760ac0db7384261bb86bd04e102d959",
+        "be7eec8ecbb3add75b6f3cd3cbf3e5af1d97446cd364157c77e33f974dd4e6d3",
     (1, "pure-mixed", _DEEP):
-        "305e455b7e4d9c7060b1eb632915b5f09f7a837b358b88b7f2f59b459de7358d",
+        "9666aa7bb751a2559ae7b924d67da1f11d0c597001f74980b3f463aac52fbaec",
     (1, "nested", _DEEP):
-        "03ac80176896f31fe47e20ee92174096d98cd241abb6fc5eb808bd6fcb06f194",
+        "44d11c22104dded90ee06616541b45315404691b0003c31735913f84e42baf50",
     (2, "pure-mixed", _DEEP):
-        "073ae5b8fe9c90564992d0519f86bba81a53b7de7cefabc2356305ad5ac32878",
+        "c2a48f27196ed1b354336400dbb74ef700ff6203957304f2fc9f75f7b79b468e",
     (2, "nested", _DEEP):
-        "aa8aed6915c5882e11c727003f3fe37763f4c75bbf0ea3bdbdd19e8b0a170b6c",
+        "2dfcf7eb39c71eac83a5c5e22287140bcf6c7d16254f5c76c69c5f98b834e82f",
     (0, "nested", _ONE):
         "e1ccccd659477c31fde2f019527e03a224607edc40b3f9a9f32f0802ee648c4b",
     (1, "nested", _ONE):
@@ -751,7 +776,7 @@ _GOLDEN_SUMMARY_CSV = {
     "discord": "33554b7db9b9341591728c1aaf2854335cb0f62f0358f66ab138123188a2550e",
     "nested": "741496afc8d2b15b781d9bd8b1dae0c9eb7491e12b3c19bd5f92d8bd8ad62192",
     "null": "4bb02d65794c8aff727ea55ff7e9851f2903d4593d9060f7ef898128b7b41792",
-    "pure-mixed": "2274bafbde2caaa4fa3b8ab6191d1efcb1b102a9be49e6e74139f1405774c96d",
+    "pure-mixed": "d9d98e1bfbf6b4700481505863f6053b5856a55b4f19c66c129c34aa16456d4b",
 }
 
 
