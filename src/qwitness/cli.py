@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -105,31 +104,10 @@ def _float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
-# encoders of the exact types a record holds, looked up without an
-# isinstance chain; numpy scalars, lists, tuples and subclasses take
-# the chain in dumps
-_SCALARS = {
-    type(None): lambda _: "null",
-    bool: lambda b: "true" if b else "false",
-    int: int.__repr__,
-    float: _float_repr,
-    str: json.dumps,
-}
-
-
 def dumps(obj) -> str:
     """Deterministic one-line JSON with 17-significant-digit floats."""
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    if isinstance(obj, dict):  # a record's scalar values need no recursion
-        parts = []
-        for key, value in obj.items():
-            scalar = _SCALARS.get(type(value))
-            parts.append(json.dumps(str(key)) + ": "
-                         + (scalar(value) if scalar is not None
-                            else dumps(value)))
-        return "{" + ", ".join(parts) + "}"
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -138,6 +116,9 @@ def dumps(obj) -> str:
         return _float_repr(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([json.dumps(str(key)) + ": " + dumps(value)
+                                for key, value in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([dumps(value) for value in obj]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -219,19 +200,15 @@ def _csv_cell(value) -> str:
     return dumps(value)
 
 
-def _csv_text(rows: Sequence[dict]) -> str:
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, restval="",
+def _write_csv(rows: Sequence[dict], out) -> None:
+    """Write ``rows`` to ``out`` as CSV under a header of their keys in
+    order of first appearance, one row at a time, so that a row that
+    fails to encode raises after the rows before it are written."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(out, fieldnames=fields, restval="",
                             lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-    return buf.getvalue()
+    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
 
 
 def _print(obj) -> None:
@@ -521,12 +498,12 @@ def cmd_scan(args) -> int:
         elapsed = time.perf_counter() - start
         summary = {**summary, "version": __version__}
         if args.format == "csv":
-            sys.stdout.write(_csv_text(records))
+            _write_csv(records, sys.stdout)
         else:
             _write_records(records, sys.stdout)
         _print(summary)
         if summary_csv:
-            summary_csv.write(_csv_text([summary]))
+            _write_csv([summary], summary_csv)
     print(f"scan {args.kind}: {len(records)} records in {elapsed:.3f} s",
           file=sys.stderr)
     counterexamples = summary.get("counterexamples", 0)

@@ -2,7 +2,9 @@
 
 Each scan returns one record per trial plus a summary, and counts
 counterexamples (expected zero) instead of stopping at the first
-failure. Trial ``t`` draws only from its own block of counters of the
+failure. One rule (``_summary``) builds every summary: the kind, size
+and seed, then each count as the number of records whose field is
+true. Trial ``t`` draws only from its own block of counters of the
 scan's Philox generator (``_trial_streams``), so its record does not
 depend on how many trials run and repeat runs are bit-identical.
 
@@ -157,6 +159,22 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     return records
 
 
+def _summary(kind: str, trials: int, shape: list[tuple], seed: int,
+             records: list[dict], counts: list[tuple[str, str]]) -> dict:
+    """A scan's summary: its kind, trial count, ``shape`` (the
+    ``("dims", dims)`` or ``("grid", n)`` pair it ran over, if any) and
+    seed, then, for each (key, field) of ``counts``, the number of
+    records whose field is true; pure-mixed adds the largest
+    ``purity_deviation``."""
+    summary = {"kind": kind, "trials": trials, **dict(shape), "seed": seed}
+    for key, field in counts:
+        summary[key] = sum(record[field] for record in records)
+    if kind == "pure-mixed":
+        summary["max_purity_deviation"] = max(
+            (record["purity_deviation"] for record in records), default=0.0)
+    return summary
+
+
 def scan_pure_mixed(trials: int, dims: Sequence[int],
                     seed: int) -> tuple[list[dict], dict]:
     """Witnessed verdict == noncommutation, for pure-vs-mixed pairs.
@@ -198,16 +216,8 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
         return records
 
     records = _batched(trials, dims, seed, draw, compute)
-    summary = {
-        "kind": "pure-mixed",
-        "trials": trials,
-        "dims": dims,
-        "seed": seed,
-        "counterexamples": sum(r["counterexample"] for r in records),
-        "max_purity_deviation": max(
-            (r["purity_deviation"] for r in records), default=0.0),
-    }
-    return records, summary
+    return records, _summary("pure-mixed", trials, [("dims", dims)], seed,
+                             records, [("counterexamples", "counterexample")])
 
 
 def scan_nested(trials: int, dims: Sequence[int],
@@ -258,16 +268,10 @@ def scan_nested(trials: int, dims: Sequence[int],
         return records
 
     records = _batched(trials, dims, seed, draw, compute)
-    summary = {
-        "kind": "nested",
-        "trials": trials,
-        "dims": dims,
-        "seed": seed,
-        "skipped": sum(bool(r.get("skipped")) for r in records),
-        "condition_met": sum(bool(r["condition"]) for r in records),
-        "counterexamples": sum(r["counterexample"] for r in records),
-    }
-    return records, summary
+    return records, _summary("nested", trials, [("dims", dims)], seed, records,
+                             [("skipped", "skipped"),
+                              ("condition_met", "condition"),
+                              ("counterexamples", "counterexample")])
 
 
 def _bloch_axis(count: int) -> list[tuple[float, float]]:
@@ -315,15 +319,9 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
                 "counterexample": condition and min_eig < -TOL_WITNESS,
                 "converse_positive": (not condition) and min_eig >= -TOL_WITNESS,
             })
-    summary = {
-        "kind": "bloch",
-        "trials": len(records),
-        "grid": n,
-        "seed": seed,
-        "counterexamples": sum(r["counterexample"] for r in records),
-        "converse_positive": sum(r["converse_positive"] for r in records),
-    }
-    return records, summary
+    return records, _summary("bloch", len(records), [("grid", n)], seed, records,
+                             [("counterexamples", "counterexample"),
+                              ("converse_positive", "converse_positive")])
 
 
 def scan_null(trials: int, dims: Sequence[int],
@@ -378,15 +376,9 @@ def scan_null(trials: int, dims: Sequence[int],
         return records
 
     records = _batched(trials, dims, seed, draw, compute)
-    summary = {
-        "kind": "null",
-        "trials": trials,
-        "dims": dims,
-        "seed": seed,
-        "null_pairs": sum(bool(r["null"]) for r in records),
-        "counterexamples": sum(r["counterexample"] for r in records),
-    }
-    return records, summary
+    return records, _summary("null", trials, [("dims", dims)], seed, records,
+                             [("null_pairs", "null"),
+                              ("counterexamples", "counterexample")])
 
 
 def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
@@ -470,13 +462,8 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
         return records
 
     records = _batched(trials, [2], seed, draw, compute)
-    summary = {
-        "kind": "discord",
-        "trials": trials,
-        "seed": seed,
-        "counterexamples": sum(r["counterexample"] for r in records),
-    }
-    return records, summary
+    return records, _summary("discord", trials, [], seed, records,
+                             [("counterexamples", "counterexample")])
 
 
 def run_scan(kind: str, *, trials: int = 1000,
