@@ -298,7 +298,7 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
     vecs = np.array([[r * math.sin(a), 0.0, r * math.cos(a)] for r, a in axis])
     axis_states = np.array([bloch_to_state(b).matrix for b in vecs])
     records = []
-    step = max(1, _CHUNK_BYTES // axis_states[0].nbytes)
+    step = _CHUNK_BYTES // np.zeros((2, 2), np.complex128).nbytes
     for start in range(0, n * n, step):
         rows, cols = np.divmod(np.arange(start, min(start + step, n * n)), n)
         min_eigs = np.linalg.eigvalsh(

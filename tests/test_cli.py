@@ -819,8 +819,8 @@ def test_refused_allocation_exits_2(capsys, monkeypatch):
 
 
 def test_dumps_pins_every_encoded_type():
-    # records take the exact-type fast path; numpy scalars, subclasses,
-    # lists and tuples take the general one, with the same bytes
+    # one isinstance chain: Python and numpy scalars print the same
+    # bytes, and lists, tuples and dicts nest
     obj = {"f": np.float64(0.1), "b": np.bool_(True), "n": np.int64(-7),
            "nested": [1, (2.5, [False, None]), ()], "s": 'a "q"\\\n\u00e9',
            "none": None, "i": 3, "x": 1e-300, "t": True, 2: "int key"}
@@ -886,6 +886,23 @@ def test_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch, bad):
     code, out, err = run_cli(capsys, "scan", "--kind", "null")
     assert code == 2
     assert out == "".join(dumps(r) + "\n" for r in records[:6])
+    assert err.startswith("error: ")
+    assert ("non-finite" in err) == (bad != {1})
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), {1}])
+def test_csv_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch,
+                                                        bad):
+    # rows go out as they are encoded: stdout holds the header and the
+    # rows before the bad one
+    records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
+    records[6]["x"] = bad
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: (records, {}))
+    code, out, err = run_cli(capsys, "scan", "--kind", "null",
+                             "--format", "csv")
+    assert code == 2
+    assert out == "trial,x\n" + "".join(f"{t},{dumps(0.5 * t)}\n"
+                                        for t in range(6))
     assert err.startswith("error: ")
     assert ("non-finite" in err) == (bad != {1})
 
@@ -1002,17 +1019,22 @@ def test_console_script_byte_identical(subprocess_env):
     assert b"records in" not in runs[0].stdout
 
 
-@pytest.mark.parametrize("kind, trials, lines_read", [
-    ("pure-mixed", 3000, 1),  # `| head -1`: the records overflow the buffer
-    ("null", 5, 0),  # `| head -n 0`: only the final flush writes
+@pytest.mark.parametrize("kind, trials, lines_read, extra", [
+    # `| head -1`: the records overflow the buffer
+    pytest.param("pure-mixed", 3000, 1, (), id="pure-mixed-3000-1"),
+    # `| head -n 0`: only the final flush writes
+    pytest.param("null", 5, 0, (), id="null-5-0"),
+    # `| head -n 0`: the pipe closes while the CSV writer writes rows
+    pytest.param("pure-mixed", 3000, 0, ("--format", "csv"),
+                 id="pure-mixed-3000-0-csv"),
 ])
 def test_closed_stdout_exits_141_without_a_message(subprocess_env, kind,
-                                                   trials, lines_read):
+                                                   trials, lines_read, extra):
     env = dict(subprocess_env)
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
     proc = subprocess.Popen(
         [sys.executable, "-m", "qwitness.cli", "scan", "--kind", kind,
-         "--trials", str(trials)],
+         "--trials", str(trials), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     for trial in range(lines_read):
         assert json.loads(proc.stdout.readline())["trial"] == trial

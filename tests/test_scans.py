@@ -352,6 +352,30 @@ def test_run_scan_dispatch():
         run_scan("swap")
 
 
+def test_scans_of_zero_size_return_no_records_and_zero_counts():
+    # the summary of each kind, key order included, with every count 0;
+    # bloch sizes its blocks without reading an axis state
+    heads = {"pure-mixed": [("dims", [2, 3])], "nested": [("dims", [2, 3])],
+             "bloch": [("grid", 0)], "null": [("dims", [2, 3])],
+             "discord": []}
+    counts = {"pure-mixed": [("counterexamples", 0),
+                             ("max_purity_deviation", 0.0)],
+              "nested": [("skipped", 0), ("condition_met", 0),
+                         ("counterexamples", 0)],
+              "bloch": [("counterexamples", 0), ("converse_positive", 0)],
+              "null": [("null_pairs", 0), ("counterexamples", 0)],
+              "discord": [("counterexamples", 0)]}
+    for kind in SCAN_KINDS:
+        records, summary = run_scan(kind, trials=0, dims=(2, 3), seed=4,
+                                    grid=0)
+        expected = [("kind", kind), ("trials", 0), *heads[kind], ("seed", 4),
+                    *counts[kind]]
+        assert records == []
+        assert list(summary.items()) == expected, kind
+        assert list(map(type, summary.values())) == [
+            type(value) for _, value in expected], kind
+
+
 # ------------------------------------- batched scans against references
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
