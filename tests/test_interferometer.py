@@ -299,9 +299,39 @@ _CIRCUIT_GOLDEN = {
         [0, "4f65f269952b6ee74c73089d520db012e4b042a0b0ac73d49c6b06696ef37349"],
 }
 
+# the lines that OpenBLAS's AVX2 kernels (Haswell, Zen) print apart from
+# the AVX-512 ones above, recorded under OPENBLAS_CORETYPE=Haswell
+_CIRCUIT_GOLDEN_AVX2 = {
+    **_CIRCUIT_GOLDEN,
+    "d2-s0 --probe d2-report":
+        [0, "9f6c9859fd2fd54a81ea4dfb30a7cf9dbdfc60400a4851cf2b3086f87254c42b"],
+    "d2-s0 d2-s1 --probe d2-report --shots 1000 --seed 5":
+        [0, "1541d08e6ac2f232ae5e3f631efb0d2d9c3b5063f36a7424c05fd881a8681e5d"],
+    "d2-s3 --copies 7 --probe d2-amplitudes --shots 4096 --seed 9":
+        [0, "1e53ae1fec412193ac8ba85ef169d3e4defdb2edaee1609b2f801c40a2ff4b2d"],
+    "d3-s0 d3-s1 --probe d3-amplitudes":
+        [0, "28057dbbd491d77c0d791adcfc399a7bc234ee951f1555452c76ab61433628e9"],
+    "d3-s0 d3-s1 d3-s2 d3-s3 --probe d3-report --shots 2000 --seed 2":
+        [0, "941cca9eb715e3b72be47594b67482b04627a3c585fc2315fa8e44b123bb6a47"],
+    "d3-s2 --copies 4 --probe d3-pure":
+        [0, "aaec769def880f70d6838e1daee3e99be7c590eac2870ac6ae40d740279768f1"],
+    "d4-s0 d4-s1 --probe d4-report":
+        [0, "dec1818f60e7fc0f9cd3007bf1de1fc7276e7039f960ebe98cbb8255555cb67d"],
+    "d4-s0 d4-s1 d4-s2 --probe d4-pure --shots 5000 --seed 3":
+        [0, "2e5e27b1d44817dfdc5902ac7c7e0e9495b82ba9700f5cb335af68d6fb287942"],
+    "d4-s3 --copies 3 --probe d4-report":
+        [0, "a966b73a537ee6db86eb6326177ad8f86bfce69fd28f252a8e808f792568de7e"],
+    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 "
+    "d2-s0 --probe d2-amplitudes":
+        [0, "26a68c93b0b90f73ff271f08a5e09a4a1dad300eadca37c4df68f1e26ef79dd8"],
+    "d4-s0 d4-s1 d4-s2 d4-s3 d4-s0 d4-s1 --probe d4-report":
+        [0, "6aa76627ab2bbb3682ce5510ca45df9fb995aa02ed4287db3960b5598fdb6bd5"],
+}
+_CIRCUIT_GOLDEN_SETS = {"avx512": _CIRCUIT_GOLDEN, "avx2": _CIRCUIT_GOLDEN_AVX2}
+
 
 @pytest.mark.parametrize("line", sorted(_CIRCUIT_GOLDEN))
-def test_circuit_stdout_matches_golden_digest(line, tmp_path):
+def test_circuit_stdout_matches_golden_digest(line, tmp_path, kernel_family):
     files = _circuit_inputs(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
@@ -309,7 +339,7 @@ def test_circuit_stdout_matches_golden_digest(line, tmp_path):
         code = main(["circuit", "--states",
                      *[files.get(word, word) for word in line.split()]])
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert [code, digest] == _CIRCUIT_GOLDEN[line]
+    assert [code, digest] == _CIRCUIT_GOLDEN_SETS[kernel_family][line]
 
 
 @pytest.mark.parametrize("d,copies", [(2, 7), (4, 3)])
