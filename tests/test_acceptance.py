@@ -5,18 +5,16 @@ Each test checks one headline property end to end and prints a single
 straight off a captured pytest run.
 """
 
-import hashlib
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 from io import StringIO
 
 import numpy as np
 import pytest
+from test_manifest import observed, pinned, run
 
-from qwitness.cli import dumps, main
+from qwitness.cli import main
 from qwitness.interferometer import (
     _shift_trace,
     run_circuit_exact,
@@ -32,7 +30,6 @@ from qwitness.states import (
     random_unitary,
     reconstruct_decomposition,
     seeded_rng,
-    state_to_json,
 )
 from qwitness.scans import scan_bloch, scan_discord, scan_nested, scan_pure_mixed
 from qwitness.witness import (
@@ -290,94 +287,35 @@ def test_criterion_9_discord_demo_and_zero_discord_corpora(capsys):
             assert not r["cq_noncommuting"]
 
 
-QWITNESS = [sys.executable, "-m", "qwitness"]
-
-
-def battery(tmp_path):
-    state1 = tmp_path / "s1.json"
-    state2 = tmp_path / "s2.json"
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    state1.write_text(
-        dumps(state_to_json(make_density(np.diag([0.7, 0.3])))) + "\n",
-        encoding="utf-8")
-    state2.write_text(
-        dumps(state_to_json(make_density(h @ np.diag([0.7, 0.3]) @ h))) + "\n",
-        encoding="utf-8")
-    probe = tmp_path / "probe.json"
-    probe.write_text('{"amplitudes": [[1, 0], [0, 0]]}', encoding="utf-8")
-    return [
-        [*QWITNESS, "witness", "--states", "0,0,1", "1,0,0"],
-        [*QWITNESS, "nested", "--states", str(state1), str(state2),
-         "--target", "0.05"],
-        [*QWITNESS, "amplify", "--state", str(state1), "--target", "0.01"],
-        [*QWITNESS, "circuit", "--states", "0,0,1", "1,0,0",
-         "--probe", str(probe), "--shots", "10000", "--seed", "3"],
-        [*QWITNESS, "discord-demo", "--state", "bell", "--ops", "z,x",
-         "--outcomes", "0,+"],
-        [*QWITNESS, "scan", "--kind", "pure-mixed", "--trials", "60",
-         "--dims", "2,3,4", "--seed", "1"],
-        [*QWITNESS, "scan", "--kind", "nested", "--trials", "30",
-         "--dims", "2,3", "--seed", "2"],
-        [*QWITNESS, "scan", "--kind", "bloch", "--grid", "20"],
-        [*QWITNESS, "scan", "--kind", "null", "--trials", "40",
-         "--dims", "2,3,4", "--seed", "4"],
-        [*QWITNESS, "scan", "--kind", "discord", "--trials", "20",
-         "--seed", "5"],
-    ]
-
-
-# each battery command's exit code and stdout digest, in battery order;
-# any changed byte fails
-BATTERY = [
-    (10, "089e1126cb2d5ab283fe00d8456db0d0df699f895495426799aea530d2861144"),
-    (10, "7f13bd93ad157873344cb74282bfea6228da90b6bf1384af6e6c714a93f371b5"),
-    (0, "eab365b87501edeabda513485698a5e7b6e22cb1bb252f31e05ef1eae327ab6a"),
-    (0, "f2275869156767e1b69f05e6a4e2ac02bc9a532a53ae3c3d6d8e3b7eedfc677a"),
-    (10, "4a9927645fd5faccd67114bbf9b0f033ad1a0acab75dbc68d99767c2a186e3e1"),
-    (0, "48179190d270d4ac4f1a4a2523f70fea015cd7cd842fcf8a908fda40a68700a3"),
-    (0, "315df563bd8cc577702f3f17c1290f6e8cca1b36ef5b174c52cd6dd6fd0f6d7b"),
-    (0, "5e74bc2aacfb65d5f554e31895648d4c1a318e96988a381a6a3b6473e7ce14c8"),
-    (0, "bc8ee56fbe56ffc19d034fb745cdf71c47b07a3efe3897c619a28c2c4efe01dd"),
-    (0, "b5b6032bc86b6de0be02c44e9460ec89851f794eb19c31990ed10342823fe183"),
+# the command lines that criterion 10 runs twice as python -m qwitness;
+# their exit codes and digests are the golden manifest's
+RERUN = [
+    "witness --states 0,0,1 1,0,0",
+    "nested --states s1.json s2.json --target 0.05",
+    "amplify --state s1.json --target 0.01",
+    "circuit --states 0,0,1 1,0,0 --probe probe.json --shots 10000 --seed 3",
+    "discord-demo --state bell --ops z,x --outcomes 0,+",
+    "scan --kind pure-mixed --trials 60 --dims 2,3,4 --seed 1",
+    "scan --kind nested --trials 30 --dims 2,3 --seed 2",
+    "scan --kind bloch --grid 20",
+    "scan --kind null --trials 40 --dims 2,3,4 --seed 4",
+    "scan --kind discord --trials 20 --seed 5",
 ]
 
-# the battery under OpenBLAS's AVX2 kernels (Haswell, Zen), recorded
-# under OPENBLAS_CORETYPE=Haswell: the pure-mixed, nested and null scans
-# print other bytes
-BATTERY_AVX2 = [
-    *BATTERY[:5],
-    (0, "afc257f7993a84f65bc4ecd596d8520da21b46f2180a93645f677a1625bef87e"),
-    (0, "dd8914197b38e347885e808308b385263738a63f9f110a146284497a69232906"),
-    BATTERY[7],
-    (0, "ea069a950cb64e455ec327bc6a8f00e3d16b01447bdf46cde8de016f9397392c"),
-    BATTERY[9],
-]
-BATTERY_SETS = {"avx512": BATTERY, "avx2": BATTERY_AVX2}
 
-
-def run_battery(cmds, env) -> list[tuple[int, bytes]]:
-    results = []
-    for cmd in cmds:
-        result = subprocess.run(cmd, capture_output=True, check=False, env=env)
-        assert result.returncode in (0, 10), (cmd, result.stderr)
-        results.append((result.returncode, result.stdout))
-    return results
-
-
-def test_criterion_10_byte_identical_reruns(tmp_path, capsys, subprocess_env,
-                                            kernel_family):
+def test_criterion_10_byte_identical_reruns(capsys, subprocess_env,
+                                            golden_inputs, kernel_family):
     with criterion(10, "reruns with identical seeds emit byte-identical "
                        "JSONL; acceptance module stays inside the budget", capsys):
-        cmds = battery(tmp_path)
         start = time.monotonic()
-        first = run_battery(cmds, subprocess_env)
-        second = run_battery(cmds, subprocess_env)
+        first, second = ([run(command, golden_inputs, subprocess_env)
+                          for command in RERUN] for _ in range(2))
         elapsed = time.monotonic() - start
         assert first == second
-        assert [(code, hashlib.sha256(out).hexdigest())
-                for code, out in first] == BATTERY_SETS[kernel_family]
-        for _, out in first:
-            for line in out.decode("utf-8").splitlines():
+        for command, outputs in zip(RERUN, first):
+            want = pinned(command, kernel_family)
+            assert observed(outputs, want) == want, command
+            for line in outputs["stdout"].decode("utf-8").splitlines():
                 json.loads(line)
         assert elapsed < 60.0
         assert time.monotonic() - _MODULE_T0 < 120.0

@@ -1,8 +1,5 @@
 """Tests for the controlled-shift interferometer simulation."""
 
-import contextlib
-import hashlib
-import io
 import json
 import math
 import tracemalloc
@@ -11,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qwitness.cli import dumps, main
+from qwitness.cli import main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
 from qwitness.interferometer import (
     _shift_trace,
@@ -27,7 +24,6 @@ from qwitness.states import (
     random_density,
     random_pure,
     seeded_rng,
-    state_to_json,
 )
 from qwitness.tolerances import CIRCUIT_BYTES, SHOTS_CAP
 from qwitness.witness import witness_anticommutator
@@ -212,134 +208,6 @@ def test_circuit_validation():
         check_circuit_size(d, most)
         with pytest.raises(CapacityError):
             check_circuit_size(d, most + 1)
-
-
-def _circuit_inputs(tmp_path):
-    """State and probe files of each register dimension d = 1..4: four
-    seeded mixed states, an amplitude probe, a pure-state probe and, for
-    d >= 2, the witness report of the first two states."""
-    files = {}
-    for d in (1, 2, 3, 4):
-        rng = seeded_rng(69, d)
-        for i in range(4):
-            path = tmp_path / f"d{d}-s{i}.json"
-            path.write_text(dumps(state_to_json(random_density(d, d, rng))),
-                            encoding="utf-8")
-            files[f"d{d}-s{i}"] = str(path)
-        psi = random_pure(d, rng)
-        path = tmp_path / f"d{d}-amplitudes.json"
-        path.write_text(dumps({"amplitudes": [[z.real, z.imag] for z in psi]}),
-                        encoding="utf-8")
-        files[f"d{d}-amplitudes"] = str(path)
-        path = tmp_path / f"d{d}-pure.json"
-        path.write_text(dumps(state_to_json(make_density(pure_projector(psi)))),
-                        encoding="utf-8")
-        files[f"d{d}-pure"] = str(path)
-        if d >= 2:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                main(["witness", "--states", files[f"d{d}-s0"],
-                      files[f"d{d}-s1"]])
-            path = tmp_path / f"d{d}-report.json"
-            path.write_text(out.getvalue(), encoding="utf-8")
-            files[f"d{d}-report"] = str(path)
-    return files
-
-
-# circuit command lines over d = 1..4, from one register to the most
-# the old dimension cap of 512 allowed, with listed and --copies
-# registers, the three probe kinds and runs with and without --shots;
-# each maps to the exit code and the sha256 of stdout, recorded while
-# the readout was still read off the built register tensor. The last
-# two lines are past that cap: d = 4 over 5 registers, recorded from the
-# gather once a byte budget replaced the cap (its readout matches the
-# closed form Re <psi|rho^4|psi> within 3e-18), and 41 qubit registers,
-# over the budget
-_CIRCUIT_GOLDEN = {
-    "d1-s0 --probe d1-amplitudes":
-        [0, "0df3e45203cdeff75f15fbba172dab758ad3044973de0d1370ae71b947ab8860"],
-    "d1-s0 --copies 9 --probe d1-pure --shots 300 --seed 1":
-        [0, "24302f7150476124924a09035be4f831ff9a093b7fa3dce084e4fc67337b5e89"],
-    "d1-s0 d1-s1 d1-s2 --probe d1-amplitudes --shots 50 --seed 0":
-        [0, "973bedecf7dd4ccf55238adbcb53aaa6bd4f9cf3b30931cf7ccb1676823962ee"],
-    "d2-s0 --probe d2-report":
-        [0, "ff3eba21d4027f4ec907fd40f7e09b4e5f51ebc8afd094ccb8778293576a8d50"],
-    "d2-s0 d2-s1 --probe d2-report --shots 1000 --seed 5":
-        [0, "9fb5b67adf3424f5213ac76d0b6e6c3731f4e58d663f776e43b5d094c2413315"],
-    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 --probe d2-pure":
-        [0, "79e2414d5ce5cc348f78cac761f0233054d00f558641d5bdda6c4fb778f77989"],
-    "d2-s3 --copies 7 --probe d2-amplitudes --shots 4096 --seed 9":
-        [0, "c42705468ecdaf3391d7d75736768f79447123598d704b2d63127c369a23154b"],
-    "d3-s0 --probe d3-pure --shots 20 --seed 6":
-        [0, "e20a56d589c57c2c0e1451f1c5660f27f4a110609ff80b2bc5d3f46c1c0dec29"],
-    "d3-s0 d3-s1 --probe d3-amplitudes":
-        [0, "652f76e7d9934ae13db755b962a2b67c0a10c9c065377e1e72149f7d08125bd9"],
-    "d3-s0 d3-s1 d3-s2 d3-s3 --probe d3-report --shots 2000 --seed 2":
-        [0, "b5eac37f5bfee14de6347c17a1eda44d306e11bc363f7bb5ef6698919057d5c9"],
-    "d3-s2 --copies 4 --probe d3-pure":
-        [0, "29bb825bad714210289cab938cd1948b0cc4ec0e76213aa81a671580c4356045"],
-    "d4-s1 --probe d4-amplitudes --seed 4 --shots 10":
-        [0, "e6358f229b0f88ccb051f72506b8510bd503ba46c75dc589b1b4fa1712f77c54"],
-    "d4-s0 d4-s1 --probe d4-report":
-        [0, "f8f8873695ec3fcb221f08b9c7a3f81d51e1728ce7655180ec3979768c48fd08"],
-    "d4-s0 d4-s1 d4-s2 --probe d4-pure --shots 5000 --seed 3":
-        [0, "ce39da251731560d05c1d740a7e2cf88e65b1b83e96472a15bce3b349e064f4b"],
-    "d4-s3 --copies 3 --probe d4-report":
-        [0, "caa33b63441f73a5875f9fdcaf35a92bb93224008e39552059685122b5cc3c6d"],
-    "d4-s0 --copies 4 --probe d4-amplitudes":
-        [0, "ece84833c5df27b27ad88db6c50169f3091684ad599cf7b4dbf0202813f201fb"],
-    "d2-s0 --copies 40 --probe d2-amplitudes":
-        [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
-    # 2**14 indices and more: each loop step multiplies in place on the
-    # fresh gather, which a one-call gather of all registers would not
-    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 "
-    "d2-s0 --probe d2-amplitudes":
-        [0, "67eed936b66cbd6a1c2243ba73fde35fee9aa7db1ea626e6fcca05f51d57b679"],
-    "d4-s0 d4-s1 d4-s2 d4-s3 d4-s0 d4-s1 --probe d4-report":
-        [0, "4f65f269952b6ee74c73089d520db012e4b042a0b0ac73d49c6b06696ef37349"],
-}
-
-# the lines that OpenBLAS's AVX2 kernels (Haswell, Zen) print apart from
-# the AVX-512 ones above, recorded under OPENBLAS_CORETYPE=Haswell
-_CIRCUIT_GOLDEN_AVX2 = {
-    **_CIRCUIT_GOLDEN,
-    "d2-s0 --probe d2-report":
-        [0, "9f6c9859fd2fd54a81ea4dfb30a7cf9dbdfc60400a4851cf2b3086f87254c42b"],
-    "d2-s0 d2-s1 --probe d2-report --shots 1000 --seed 5":
-        [0, "1541d08e6ac2f232ae5e3f631efb0d2d9c3b5063f36a7424c05fd881a8681e5d"],
-    "d2-s3 --copies 7 --probe d2-amplitudes --shots 4096 --seed 9":
-        [0, "1e53ae1fec412193ac8ba85ef169d3e4defdb2edaee1609b2f801c40a2ff4b2d"],
-    "d3-s0 d3-s1 --probe d3-amplitudes":
-        [0, "28057dbbd491d77c0d791adcfc399a7bc234ee951f1555452c76ab61433628e9"],
-    "d3-s0 d3-s1 d3-s2 d3-s3 --probe d3-report --shots 2000 --seed 2":
-        [0, "941cca9eb715e3b72be47594b67482b04627a3c585fc2315fa8e44b123bb6a47"],
-    "d3-s2 --copies 4 --probe d3-pure":
-        [0, "aaec769def880f70d6838e1daee3e99be7c590eac2870ac6ae40d740279768f1"],
-    "d4-s0 d4-s1 --probe d4-report":
-        [0, "dec1818f60e7fc0f9cd3007bf1de1fc7276e7039f960ebe98cbb8255555cb67d"],
-    "d4-s0 d4-s1 d4-s2 --probe d4-pure --shots 5000 --seed 3":
-        [0, "2e5e27b1d44817dfdc5902ac7c7e0e9495b82ba9700f5cb335af68d6fb287942"],
-    "d4-s3 --copies 3 --probe d4-report":
-        [0, "a966b73a537ee6db86eb6326177ad8f86bfce69fd28f252a8e808f792568de7e"],
-    "d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 d2-s0 d2-s1 d2-s2 d2-s3 "
-    "d2-s0 --probe d2-amplitudes":
-        [0, "26a68c93b0b90f73ff271f08a5e09a4a1dad300eadca37c4df68f1e26ef79dd8"],
-    "d4-s0 d4-s1 d4-s2 d4-s3 d4-s0 d4-s1 --probe d4-report":
-        [0, "6aa76627ab2bbb3682ce5510ca45df9fb995aa02ed4287db3960b5598fdb6bd5"],
-}
-_CIRCUIT_GOLDEN_SETS = {"avx512": _CIRCUIT_GOLDEN, "avx2": _CIRCUIT_GOLDEN_AVX2}
-
-
-@pytest.mark.parametrize("line", sorted(_CIRCUIT_GOLDEN))
-def test_circuit_stdout_matches_golden_digest(line, tmp_path, kernel_family):
-    files = _circuit_inputs(tmp_path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(["circuit", "--states",
-                     *[files.get(word, word) for word in line.split()]])
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert [code, digest] == _CIRCUIT_GOLDEN_SETS[kernel_family][line]
 
 
 @pytest.mark.parametrize("d,copies", [(2, 7), (4, 3)])
