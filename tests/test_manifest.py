@@ -128,6 +128,17 @@ def write_inputs(directory: pathlib.Path) -> dict:
     write("probe.json", '{"amplitudes": [[1, 0], [0, 0]]}')
     # a seeded two-qubit state for discord-demo --dims 2,2
     state("ab.json", random_density(4, 4, seeded_rng(0)).matrix)
+    # a pure state a hair off an eigenvector of diag(0.5, 0.3, 0.2)
+    psi = np.array([1.0, 1e-5, 0.0])
+    state("psi.json", pure_projector(psi / np.linalg.norm(psi)))
+    state("diag532.json", np.diag([0.5, 0.3, 0.2]))
+    # a qutrit pair whose nested condition no amplification reaches:
+    # diag(0.8, 0, 0.2) and 0.8|1><1| + 0.2|v><v|, v = (|1> + |2>)/sqrt 2
+    v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+    state("diag802.json", np.diag([0.8, 0.0, 0.2]))
+    state("mix1v.json", np.diag([0.0, 0.8, 0.0]) + 0.2 * np.outer(v, v))
+    # a state file cut off inside its JSON
+    write("bad.json", '{"matrix": ')
     return inputs
 
 
