@@ -12,17 +12,19 @@ by token (``write_inputs`` writes them), followed by indented lines:
 The row's text is its test id. A value without a FAMILY holds for every
 BLAS kernel family, else each family has its own line: numpy's OpenBLAS
 picks its kernels for the running CPU (``OPENBLAS_CORETYPE`` overrides
-the pick), and the AVX-512 and AVX2 kernels round some floats apart. A
-run checks the column whose stdout digest its first row prints.
-Comment lines (``#``) and blank lines go before a row.
+the pick), and the AVX-512 and AVX2 kernels round some floats
+differently. A run checks the column whose stdout digest its first row
+prints. Comment lines (``#``) and blank lines go before a row.
 
 Run as a script with one family name to record that family's column
 from the running kernels, through the runner the tests use:
 
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_manifest.py avx2
 
-A field line without a value, or a row without lines, is recorded as
-one value for every family.
+To add a row, write its command line, and a bare ``stderr`` line below
+it to pin stderr too: the script records exit, stdout, the ``--csv``
+file and each listed field as one value for every family, which the
+other family's run splits where it differs.
 """
 
 import contextlib
@@ -73,15 +75,16 @@ def read_manifest() -> dict:
     return rows
 
 
-def write_manifest(rows: dict) -> None:
+def manifest_text(rows: dict) -> str:
+    """The manifest file that holds ``rows``."""
     lines = []
     for command, (comments, fields) in rows.items():
         lines += [*comments, command]
         for name in FIELDS:
             for family, value in fields.get(name, {}).items():
-                lines.append(" ".join(("   ", name, value) if family == "*"
-                                      else ("   ", name, family, value)))
-    MANIFEST.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                lines.append(f"    {name} {value}" if family == "*"
+                             else f"    {name} {family} {value}")
+    return "\n".join(lines) + "\n"
 
 
 ROWS = read_manifest()
@@ -184,8 +187,13 @@ def fingerprint(inputs: dict) -> tuple[str | None, str]:
                  if value == digest), None), digest
 
 
+def test_manifest_is_written_as_regeneration_writes_it():
+    # so that a re-recorded column's diff holds only its changed values
+    assert manifest_text(read_manifest()) == MANIFEST.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("command", ROWS)
-def test_manifest_row(command, golden_inputs, kernel_family):
+def test_row(command, golden_inputs, kernel_family):
     want = pinned(command, kernel_family)
     assert observed(run(command, golden_inputs), want) == want
 
@@ -203,10 +211,10 @@ def regenerate(family: str) -> None:
             sys.exit(f"these kernels print the {known} column "
                      f"(fingerprint {digest}), not {family}")
         for command, (_, fields) in ROWS.items():
-            outputs = run(command, inputs)
-            names = {"exit", "stdout", *fields,
-                     *(["csv"] if outputs["csv"] is not None else [])}
-            for name, value in observed(outputs, names).items():
+            names = {"exit", "stdout", "csv", *fields}
+            for name, value in observed(run(command, inputs), names).items():
+                if value is None:
+                    continue
                 column = fields.setdefault(name, {})
                 if not column:
                     column["*"] = value
@@ -214,7 +222,7 @@ def regenerate(family: str) -> None:
                     if "*" in column:
                         column.update(dict.fromkeys(families, column.pop("*")))
                     column[family] = value
-    write_manifest(ROWS)
+    MANIFEST.write_text(manifest_text(ROWS), encoding="utf-8")
 
 
 if __name__ == "__main__":
