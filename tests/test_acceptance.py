@@ -308,8 +308,8 @@ def test_criterion_10_byte_identical_reruns(capsys, subprocess_env,
     with criterion(10, "reruns with identical seeds emit byte-identical "
                        "JSONL; acceptance module stays inside the budget", capsys):
         start = time.monotonic()
-        first, second = ([run(command, golden_inputs, subprocess_env)
-                          for command in RERUN] for _ in range(2))
+        first = [run(command, golden_inputs, subprocess_env) for command in RERUN]
+        second = [run(command, golden_inputs, subprocess_env) for command in RERUN]
         elapsed = time.monotonic() - start
         assert first == second
         for command, outputs in zip(RERUN, first):
