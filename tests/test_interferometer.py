@@ -7,6 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from test_manifest import ROWS, check
 
 from qwitness.cli import main
 from qwitness.errors import CapacityError, DimensionError, UnresolvableError
@@ -208,6 +209,21 @@ def test_circuit_validation():
         check_circuit_size(d, most)
         with pytest.raises(CapacityError):
             check_circuit_size(d, most + 1)
+
+
+# the circuit rows of manifest.txt over the seeded d = 1..4 inputs,
+# under the ids they had before the manifest held them: the line after
+# "circuit --states "
+_CIRCUIT_GOLDEN = sorted(command.removeprefix("circuit --states ")
+                         for command in ROWS
+                         if command.startswith("circuit --states d"))
+
+
+@pytest.mark.parametrize("line", _CIRCUIT_GOLDEN)
+def test_circuit_stdout_matches_golden_digest(line, golden_inputs,
+                                              kernel_family):
+    check(f"circuit --states {line}", golden_inputs, kernel_family,
+          ("exit", "stdout"))
 
 
 @pytest.mark.parametrize("d,copies", [(2, 7), (4, 3)])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_manifest import check
 
 from qwitness import discord, scans, states
 from qwitness.cli import dumps, main
@@ -654,3 +655,36 @@ def test_scans_run_at_the_dimension_cap(kind):
     assert code == 0
     assert json.loads(out.splitlines()[-1])["counterexamples"] == 0
 
+
+# the scan rows of manifest.txt, under the ids they had before the
+# manifest held them: "seed-kind-extraN", N counting the cases group by
+# group in the order the groups were added, each group sorted by text
+_SIZES = {"pure-mixed": "--trials 30", "nested": "--trials 20",
+          "bloch": "--grid 7", "null": "--trials 40", "discord": "--trials 10"}
+_WIDE = ("--dims", "1,2,5")
+_GOLDEN_GROUPS = [
+    [((), sorted(_SIZES)), (_WIDE, ["nested", "null", "pure-mixed"]),
+     (("--format", "csv"), ["null"])],
+    [((*_WIDE, "--format", "csv"), sorted(_SIZES))],
+    [(("--dims", "7,9,17"), ["nested", "pure-mixed"]),
+     (("--dims", "1"), ["nested"])],
+]
+_GOLDEN_CASES = [case for group in _GOLDEN_GROUPS for case in sorted(
+    ((seed, kind, extra) for extra, kinds in group for kind in kinds
+     for seed in (0, 1, 2)), key=str)]
+
+
+@pytest.mark.parametrize("seed,kind,extra", _GOLDEN_CASES)
+def test_scan_stdout_matches_golden_digest(seed, kind, extra, golden_inputs,
+                                           kernel_family):
+    command = " ".join(["scan", "--kind", kind, _SIZES[kind], *extra,
+                        "--seed", str(seed)])
+    check(command, golden_inputs, kernel_family, ("exit", "stdout"))
+
+
+@pytest.mark.parametrize("kind", sorted(_SIZES))
+def test_scan_summary_csv_file_matches_golden_digest(kind, golden_inputs,
+                                                     kernel_family):
+    command = (f"scan --kind {kind} {_SIZES[kind]} {' '.join(_WIDE)} "
+               f"--seed 0 --csv out.csv")
+    check(command, golden_inputs, kernel_family, ("exit", "csv"))
