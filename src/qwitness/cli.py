@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import functools
 import itertools
 import json
 import math
@@ -37,14 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .discord import (
-    BipartiteState,
-    bell_state,
-    select_outcome,
-    witness_conditionals,
-    x_measurement,
-    z_measurement,
-)
 from .errors import (
     CommutingInputsError,
     ConditionUnreachableError,
@@ -53,13 +45,6 @@ from .errors import (
     QwitnessError,
     UnresolvableError,
 )
-from .interferometer import (
-    check_circuit_size,
-    run_circuit_exact,
-    sample_readout,
-    shots_to_resolve,
-)
-from .scans import SCAN_KINDS, run_scan
 from .states import (
     DensityOperator,
     as_pure_state,
@@ -69,8 +54,9 @@ from .states import (
     state_from_json,
     state_to_json,
 )
-from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, SHOTS_CAP,
-                         TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS, TRIALS_CAP)
+from .tolerances import (EIGEN_DIM_CAP, GRID_CAP, PLAN_CAP, SCAN_KINDS,
+                         SHOTS_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS,
+                         TRIALS_CAP)
 from .witness import (
     Verdict,
     amplify,
@@ -81,6 +67,9 @@ from .witness import (
     pure_mixed_test,
     witness_anticommutator,
 )
+
+# scans, discord, interferometer and csv are imported by the commands
+# that use them, so that a run loads only what its command reads
 
 __all__ = ["main"]
 
@@ -204,6 +193,8 @@ def _write_csv(rows: Sequence[dict], out) -> None:
     """Write ``rows`` to ``out`` as CSV under a header of their keys in
     order of first appearance, one row at a time, so that a row that
     fails to encode raises after the rows before it are written."""
+    import csv
+
     fields = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.DictWriter(out, fieldnames=fields, restval="",
                             lineterminator="\n")
@@ -387,6 +378,9 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    from .interferometer import (check_circuit_size, run_circuit_exact,
+                                 sample_readout, shots_to_resolve)
+
     states = [_parse_state(s) for s in args.states]
     copies = args.copies if args.copies is not None else len(states)
     if copies < 1:
@@ -424,10 +418,9 @@ def cmd_circuit(args) -> int:
     return EXIT_OK
 
 
-_MEASUREMENTS = {"z": z_measurement, "x": x_measurement}
-
-
 def _parse_bipartite(spec: str, dims: str | None) -> BipartiteState:
+    from .discord import BipartiteState, bell_state
+
     pair = None if dims is None else _parse_dims(dims)
     if pair is not None and len(pair) != 2:
         raise ValueError(f"bad --dims {dims!r}; expected dA,dB")
@@ -443,6 +436,10 @@ def _parse_bipartite(spec: str, dims: str | None) -> BipartiteState:
 
 
 def cmd_discord(args) -> int:
+    from .discord import (select_outcome, witness_conditionals,
+                          x_measurement, z_measurement)
+
+    families = {"z": z_measurement, "x": x_measurement}
     tols = _tols(args, ("witness", "null", "comm"))
     rho_ab = _parse_bipartite(args.state, args.dims)
     op_names = args.ops.split(",")
@@ -452,10 +449,10 @@ def cmd_discord(args) -> int:
                          "comma-separated entries")
     measurements = []
     for name in op_names:
-        if name not in _MEASUREMENTS:
+        if name not in families:
             raise ValueError(
-                f"unknown measurement {name!r}; have {sorted(_MEASUREMENTS)}")
-        measurements.append(_MEASUREMENTS[name]())
+                f"unknown measurement {name!r}; have {sorted(families)}")
+        measurements.append(families[name]())
     selected = {which: select_outcome(rho_ab, meas, outcome, which)
                 for which, meas, outcome in zip(("first", "second"),
                                                 measurements, outcomes)}
@@ -472,6 +469,8 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .scans import run_scan
+
     dims = _parse_dims(args.dims)
     # a scan holds all its records; bounded before any trial runs
     caps = {"trials": TRIALS_CAP, "grid": GRID_CAP}
@@ -512,7 +511,10 @@ def cmd_scan(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use: it
+    holds no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="qwitness",
         description="Anticommutator quantumness witnesses for state pairs.")

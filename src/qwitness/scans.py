@@ -47,7 +47,8 @@ from .states import (
     _unitary_from_ginibre,
     bloch_to_state,
 )
-from .tolerances import PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_WITNESS
+from .tolerances import (PLAN_CAP, SCAN_KINDS, TOL_COMM, TOL_F, TOL_NULL,
+                         TOL_WITNESS)
 from .witness import (
     Verdict,
     _bloch_conditions,
@@ -67,8 +68,6 @@ __all__ = [
     "scan_null",
     "scan_discord",
 ]
-
-SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 
 # bytes of the matrices one stacked pass of a batched scan starts from
 # (the draws of pure-mixed, nested, null and discord trials, bloch pair

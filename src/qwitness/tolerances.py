@@ -1,4 +1,4 @@
-"""Named numerical tolerances and capacity limits.
+"""Named numerical tolerances, capacity limits and scan kinds.
 
 Relative tolerances are scaled by a norm at the point of use; absolute
 ones are compared directly. Five thresholds are written at their single
@@ -55,6 +55,10 @@ GRID_CAP = 1000
 # cap on a scan's trials: a scan holds all its records, 250-600 bytes
 # each, ~0.6 GB at the cap
 TRIALS_CAP = 1_000_000
+
+# the kinds `scans.run_scan` runs, here so that the CLI parser offers
+# them without importing `scans`
+SCAN_KINDS = ("pure-mixed", "nested", "bloch", "null", "discord")
 
 # byte budget of a shift circuit's readout, charged at 16 l + 32 bytes
 # per basis index over l registers, which bounds the ~8 l + 32 that

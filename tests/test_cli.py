@@ -10,14 +10,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_manifest import run
 
-from qwitness import cli
+from qwitness import cli, scans
 from qwitness.cli import _build_parser, dumps, main
 from qwitness.discord import classical_quantum_state
 from qwitness.scans import run_scan
@@ -808,7 +810,7 @@ def test_refused_allocation_exits_2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "run_scan", refuse)
+    monkeypatch.setattr(scans, "run_scan", refuse)
     code, out, err = run_cli(capsys, "scan", "--kind", "bloch", "--grid", "3")
     assert code == 2
     assert out == ""
@@ -879,7 +881,7 @@ def test_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch, bad):
     records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
     records[6]["x"] = bad
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 4)
-    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: (records, {}))
+    monkeypatch.setattr(scans, "run_scan", lambda *a, **k: (records, {}))
     code, out, err = run_cli(capsys, "scan", "--kind", "null")
     assert code == 2
     assert out == "".join(dumps(r) + "\n" for r in records[:6])
@@ -894,7 +896,7 @@ def test_csv_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch,
     # rows before the bad one
     records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
     records[6]["x"] = bad
-    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: (records, {}))
+    monkeypatch.setattr(scans, "run_scan", lambda *a, **k: (records, {}))
     code, out, err = run_cli(capsys, "scan", "--kind", "null",
                              "--format", "csv")
     assert code == 2
@@ -922,6 +924,48 @@ def test_unknown_flag(capsys):
     code, _, _ = run_cli(capsys, "witness", "--states", "0,0,1", "1,0,0",
                          "--frobnicate")
     assert code == 2
+
+
+# one process's calls of main, which share one parser: each kind of
+# command and of parse failure, and a valid call after each error
+_PARSER_SEQUENCE = [
+    "witness --states 0,0,1 1,0,0",
+    "nested --states s1.json s2.json --target 0.05",
+    "amplify --state s1.json --n 8",
+    "amplify --state s1.json --target 0.01",
+    "circuit --states 0,0,1 1,0,0 --probe probe.json --shots 100 --seed 3",
+    "discord-demo --state bell --ops z,x --outcomes 0,+",
+    "scan --kind bloch --grid 4 --seed 1",
+    "--version",
+    "witness --states 0,0,1 1,0,0",
+    "-h",
+    "nested --states s1.json s2.json --target 0.05",
+    "",
+    "amplify --state s1.json --target 0.01",
+    "nested --states s1.json s2.json",
+    "nested --states s1.json s2.json --target 0.05",
+    "amplify --state s1.json --target 0.01 --n 8",
+    "amplify --state s1.json --target 0.01",
+    "circuit --states 0,0,1 1,0,0 --probe probe.json --frobnicate",
+    "circuit --states 0,0,1 1,0,0 --probe probe.json --shots 100",
+    "scan --kind bogus",
+    "scan --kind bloch --grid 4",
+]
+
+
+def test_shared_parser_prints_what_a_fresh_process_prints(
+        monkeypatch, golden_inputs, subprocess_env):
+    # main builds its parser once per process, and parsing leaves it as
+    # it was: each call prints what `python -m qwitness` prints
+    assert _build_parser() is _build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    env = {**subprocess_env, "COLUMNS": "80"}
+    commands = list(dict.fromkeys(_PARSER_SEQUENCE))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = dict(zip(commands, pool.map(
+            lambda command: run(command, golden_inputs, env), commands)))
+    for command in _PARSER_SEQUENCE:
+        assert run(command, golden_inputs) == fresh[command], command
 
 
 # each subcommand takes only the flags it reads
@@ -1002,6 +1046,18 @@ def test_import_leaves_dataclasses_out(subprocess_env):
          "import sys, qwitness.cli; print('dataclasses' in sys.modules)"],
         capture_output=True, check=True, env=subprocess_env)
     assert result.stdout == b"False\n"
+
+
+def test_import_leaves_command_modules_out(subprocess_env):
+    # scans, discord, interferometer and csv load with the commands that
+    # use them, so that a witness run does not pay for them
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qwitness.cli; print(sorted({'qwitness.scans', "
+         "'qwitness.discord', 'qwitness.interferometer', 'csv'} "
+         "& set(sys.modules)))"],
+        capture_output=True, check=True, env=subprocess_env)
+    assert result.stdout == b"[]\n"
 
 
 def test_console_script_byte_identical(subprocess_env):
