@@ -75,13 +75,33 @@ def commutator(a, b) -> np.ndarray:
     return (m - _adjoint(m)) / 2
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] . b[k], unconjugated, of each pair of rows of two stacks
+    (n, m): the one batched reduction of a member to a dot product.
+    numpy evaluates the batched matmul as each row pair's own BLAS dot,
+    so each result has the bits of ``np.dot`` of its two rows alone, and
+    with ``a`` conjugated those of ``np.vdot``: unit-stride rows as fresh
+    copies of them, strided rows with their strides."""
+    a, b = _aligned(a), _aligned(b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """Unit-stride rows of ``a`` copied to 16-byte boundaries, as a fresh
+    array's: OpenBLAS's SSE3 ddot rounds an odd-length row by its start."""
+    if a.strides[-1] != a.itemsize or not (a.ctypes.data | a.strides[0]) % 16:
+        return a
+    m = a.shape[1]
+    return np.concatenate([a, a[:, :m % 2]], axis=1)[:, :m]
+
+
 def frobenius_norms(stack: np.ndarray) -> list[float]:
-    """The Frobenius norm of each member of a stack, row by row as
-    sqrt(re·re + im·im): for a contiguous member, the same bits as
-    ``np.linalg.norm`` of it alone. A stacked ``np.linalg.norm`` or
-    einsum rounds differently in the last bit."""
-    return [math.sqrt(row.real.dot(row.real) + row.imag.dot(row.imag))
-            for row in stack.reshape(len(stack), math.prod(stack.shape[1:]))]
+    """The Frobenius norm of each member of a stack, as sqrt(re.re +
+    im.im) by :func:`_row_dots`: of a contiguous member, the bits of
+    ``np.linalg.norm`` of it alone, which a stacked norm or einsum misses."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    return np.sqrt(_row_dots(flat.real, flat.real)
+                   + _row_dots(flat.imag, flat.imag)).tolist()
 
 
 class SpectralDecomposition(NamedTuple):

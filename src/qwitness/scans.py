@@ -17,11 +17,10 @@ draws into states and run the checks and the linear algebra over
 stacks of trials that share a dimension (``null``: and a branch and a
 rank; ``discord`` trials are all qubit pairs), in blocks of
 _CHUNK_BYTES of draws. The stacked calls are bit-identical to the
-per-matrix ones, each norm is summed as ``np.linalg.norm`` sums it,
-each per-member scalar product stays a call on that member, and each
-state passes ``DensityOperator``'s checks, so the records keep their
-bytes. Each trial draws each of its states
-once, whatever its spectrum, and a failed check raises what the
+per-matrix ones, each per-member dot product (a norm's too) is taken by
+``linalg._row_dots``, and each state passes ``DensityOperator``'s
+checks, so the records keep their bytes. Each trial draws each of its
+states once, whatever its spectrum, and a failed check raises what the
 per-trial loop would raise first.
 """
 

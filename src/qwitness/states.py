@@ -297,8 +297,8 @@ def _normals(rng: np.random.Generator, shapes) -> np.ndarray:
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    """Each row of a stack (n, d) of complex vectors over its norm,
-    summed as ``frobenius_norms`` sums it."""
+    """Each row of a stack (n, d) of complex vectors over its norm, which
+    ``frobenius_norms`` takes by ``linalg._row_dots``."""
     return vecs / np.array(frobenius_norms(vecs))[:, None]
 
 

@@ -35,6 +35,7 @@ from .linalg import (
     _adjoint,
     _eigh_descending,
     _hermitian_part,
+    _row_dots,
     anticommutator,
     as_matrix,
     commutator,
@@ -146,47 +147,45 @@ def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
     carries it. The criterion grows like 1/tr^2 as psi nears
     orthogonality to rho2's support, and its rounding with it.
     """
-    d = anti.shape[-1]
+    n, d = anti.shape[:2]
     if d > EIGEN_DIM_CAP:
         raise CapacityError(
             f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
     dec = _eigh_descending(anti)
-    lows = np.argmin(dec.eigenvalues, axis=-1).tolist()
+    lows = np.argmin(dec.eigenvalues, axis=-1)
+    mins = dec.eigenvalues.min(axis=-1)
     traces = anti.trace(axis1=-2, axis2=-1).real.tolist()
-    reports = []
-    for k, (idx, tr, norm) in enumerate(zip(lows, traces,
-                                            frobenius_norms(anti))):
-        min_eig = float(dec.eigenvalues[k, idx])
-        if norm <= tol_null:
-            verdict = Verdict.NULL_ANTICOMMUTATOR
-            criterion = None
-        else:
-            verdict = (Verdict.NONPOSITIVE_WITNESSED if min_eig < -tol_witness
-                       else Verdict.POSITIVE)
-            criterion = (float(np.vdot(anti[k], anti[k]).real / tr**2)
-                         if abs(tr) > tol_null else None)
-        other = None if closed is None else closed[k]
-        if closed is not None and (other is None) != (criterion is None):
+    null = [norm <= tol_null for norm in frobenius_norms(anti)]
+    flat = anti.reshape(n, d * d)
+    squares = _row_dots(flat.conj(), flat).real.tolist()
+    criteria = [None if z or abs(tr) <= tol_null else sq / tr**2
+                for z, tr, sq in zip(null, traces, squares)]
+    verdicts = [Verdict.NULL_ANTICOMMUTATOR if z else
+                Verdict.NONPOSITIVE_WITNESSED if w else Verdict.POSITIVE
+                for z, w in zip(null, (mins < -tol_witness).tolist())]
+    closed = [None] * n if closed is None else [*map(_agreed, closed, criteria)]
+    return [WitnessReport(min_eigenvalue=m, witness_vector=v,
+                          purity_criterion=c, anticommutator_trace=tr,
+                          verdict=verdict, tol_witness=float(tol_witness),
+                          tol_null=float(tol_null), closed_form_criterion=o)
+            for m, v, c, tr, verdict, o in zip(
+                mins.tolist(), dec.eigenvectors[np.arange(n), :, lows],
+                criteria, traces, verdicts, closed)]
+
+
+def _agreed(other: float | None, criterion: float | None) -> float | None:
+    """The closed-form criterion ``other``, checked against ``criterion``."""
+    if (other is None) != (criterion is None):
+        raise AgreementError(
+            "purity criterion: closed form and eigen-analysis disagree "
+            f"on nullity ({other!r} vs {criterion!r})")
+    if other is not None:
+        bound = 1e-10 * max(1.0, abs(criterion))
+        if abs(other - criterion) > bound:
             raise AgreementError(
-                "purity criterion: closed form and eigen-analysis disagree "
-                f"on nullity ({other!r} vs {criterion!r})")
-        if other is not None and criterion is not None:
-            bound = 1e-10 * max(1.0, abs(criterion))
-            if abs(other - criterion) > bound:
-                raise AgreementError(
-                    "purity criterion (closed form vs eigen-analysis): "
-                    f"{other} vs {criterion} differ beyond {bound:.1e}")
-        reports.append(WitnessReport(
-            min_eigenvalue=min_eig,
-            witness_vector=np.ascontiguousarray(dec.eigenvectors[k, :, idx]),
-            purity_criterion=criterion,
-            anticommutator_trace=tr,
-            verdict=verdict,
-            tol_witness=float(tol_witness),
-            tol_null=float(tol_null),
-            closed_form_criterion=other,
-        ))
-    return reports
+                "purity criterion (closed form vs eigen-analysis): "
+                f"{other} vs {criterion} differ beyond {bound:.1e}")
+    return other
 
 
 def witness_anticommutator(rho1: DensityOperator, rho2: DensityOperator, *,
@@ -210,15 +209,9 @@ def _closed_forms(vecs: np.ndarray, dec: SpectralDecomposition,
     """
     lam = dec.eigenvalues
     f2s = np.abs(_adjoint(dec.eigenvectors) @ vecs[:, :, None])[:, :, 0] ** 2
-    out = []
-    for lam_k, f2 in zip(lam, f2s):
-        s = float(np.dot(lam_k, f2))
-        if s <= tol_null:
-            out.append(None)
-            continue
-        q = float(np.dot(lam_k**2, f2))
-        out.append((s * s + q) / (2.0 * s * s))
-    return out
+    return [None if s <= tol_null else (s * s + q) / (2.0 * s * s)
+            for s, q in zip(_row_dots(lam, f2s).tolist(),
+                            _row_dots(lam**2, f2s).tolist())]
 
 
 def _pure_mixed_reports(vecs: np.ndarray, rho2: StateStack,
@@ -265,11 +258,10 @@ def qubit_bloch_condition(b1, b2) -> bool:
 def _bloch_conditions(vecs: np.ndarray, rows, cols) -> list[bool]:
     """:func:`qubit_bloch_condition` of the pairs (vecs[rows], vecs[cols])
     of a stack (n, 3) of Bloch vectors, with each x @ x taken once per
-    vector. Each product is a 1 x 3 by 3 x 1 matmul, which numpy
-    evaluates as ``x @ y``, and the square is a Python float's, so a
-    pair comes out as it does alone."""
-    sq = (vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
-    cross = (vecs[rows, None, :] @ vecs[cols, :, None])[:, 0, 0]
+    vector, each product by :func:`_row_dots` and each square a Python
+    float's, so that a pair comes out as it does alone."""
+    sq = _row_dots(vecs, vecs)
+    cross = _row_dots(vecs[rows], vecs[cols])
     return [s <= 1.0 + c ** 2 for s, c in zip((sq[rows] + sq[cols]).tolist(),
                                                cross.tolist())]
 
@@ -475,9 +467,8 @@ def first_order_purity(o: OverlapData, *, tol_f: float = TOL_F) -> float:
 
 def _leading_overlaps(sigma1: StateStack, sigma2: StateStack) -> list[float]:
     """:func:`leading_overlap` of each pair of members of two stacks."""
-    return [abs(complex(np.vdot(v1[:, 0], v2[:, 0])))
-            for v1, v2 in zip(sigma1.spectrum.eigenvectors,
-                              sigma2.spectrum.eigenvectors)]
+    v1, v2 = (sigma.spectrum.eigenvectors[:, :, 0] for sigma in (sigma1, sigma2))
+    return list(map(abs, _row_dots(v1.conj(), v2).tolist()))
 
 
 def leading_overlap(sigma1: DensityOperator, sigma2: DensityOperator) -> float:

@@ -18,7 +18,8 @@ def golden_inputs(tmp_path_factory):
 @pytest.fixture(scope="session")
 def kernel_family(golden_inputs):
     """The OpenBLAS kernel family whose manifest column this run checks:
-    "avx512" (SkylakeX, Cooperlake) or "avx2" (Haswell, Zen)."""
+    "avx512" (SkylakeX, Cooperlake), "avx2" (Haswell, Zen) or "prescott"
+    (the SSE3 kernels)."""
     family, digest = fingerprint(golden_inputs)
     if family is None:
         pytest.fail(f"no manifest column for the BLAS kernels with "

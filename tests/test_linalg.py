@@ -9,6 +9,7 @@ from qwitness.errors import DimensionError
 from qwitness.linalg import (
     _eigh_descending,
     _hermitian_part,
+    _row_dots,
     anticommutator,
     as_matrix,
     commutator,
@@ -120,6 +121,27 @@ def test_frobenius_norms_have_the_bits_of_one_matrix_norm(scale):
                              + 1j * rng.normal(size=(n, d, d)))
             assert frobenius_norms(stack) == \
                 [float(np.linalg.norm(m)) for m in stack]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("m", [*range(1, 10), 64])
+def test_row_dots_have_the_bits_of_one_dot_of_fresh_rows(m, n):
+    # each unit-stride row as a fresh copy of it, wherever it starts:
+    # the shifted rows start 8 bytes into their buffer, and OpenBLAS's
+    # SSE3 ddot rounds an odd-length row by where it starts
+    rng = np.random.default_rng(10 * m + n)
+    real = rng.normal(size=(2, n, m))
+    shifted = rng.normal(size=2 * n * m + 1)[1:].reshape(2, n, m)
+    cplx = rng.normal(size=(2, n, m)) + 1j * rng.normal(size=(2, n, m))
+    for a, b in (real, shifted, cplx):
+        assert _row_dots(a, b).tolist() == \
+            [np.dot(x.copy(), y.copy()) for x, y in zip(a, b)]
+    a, b = cplx
+    assert _row_dots(a.conj(), b).tolist() == \
+        [np.vdot(x.copy(), y.copy()) for x, y in zip(a, b)]
+    # strided rows keep their strides
+    a, b = cplx.real
+    assert _row_dots(a, b).tolist() == [np.dot(x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e-8, 1.0, 1e8, 1e290])

@@ -12,7 +12,7 @@ by token (``write_inputs`` writes them), followed by indented lines:
 The row's text is its test id. A value without a FAMILY holds for every
 BLAS kernel family, else each family has its own line: numpy's OpenBLAS
 picks its kernels for the running CPU (``OPENBLAS_CORETYPE`` overrides
-the pick), and the AVX-512 and AVX2 kernels round some floats
+the pick), and the AVX-512, AVX2 and SSE3 kernels round some floats
 differently. A run checks the column whose stdout digest its first row
 prints. Comment lines (``#``) and blank lines go before a row.
 
