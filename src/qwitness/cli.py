@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -117,63 +116,77 @@ def dumps(obj) -> str:
 # held whole beside its records
 _WRITE_CHUNK = 1024
 
+# the text of False and of True, indexed by a bool column
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
-def _write_records(records: Sequence[dict], out) -> None:
-    """Write ``dumps(record) + "\\n"`` for each record, a chunk at a time.
-    Each run of records with the same keys fills one %-template, whose
-    values are encoded column by column. A chunk that fails to encode is
-    written record by record, so that it raises after writing what the
-    records before the failing one print."""
+
+def _write_records(records: Records, out) -> None:
+    """Write ``dumps(record) + "\\n"`` for each record of a scan's
+    columns, a chunk of rows at a time. The rows of one key layout in a
+    chunk fill one %-template, column by column: floats through
+    ``%.17g`` once checked finite, ints through ``%d``, bools, strs and
+    None as the ``dumps`` text of each distinct value, a
+    dictionary-encoded column as the ``dumps`` text of each of its
+    entries, and any other value as its ``dumps`` text. A chunk that
+    fails to encode is written record by record, so that it raises
+    after writing what the records before the failing one print."""
     templates: dict[tuple, str] = {}
     for start in range(0, len(records), _WRITE_CHUNK):
-        chunk = records[start:start + _WRITE_CHUNK]
+        stop = min(start + _WRITE_CHUNK, len(records))
         try:
-            text = "".join(_lines(keys, list(run), templates)
-                           for keys, run in itertools.groupby(chunk, tuple))
+            text = _chunk(records, start, stop, templates)
         except (ValueError, TypeError):
-            for record in chunk:
-                out.write(dumps(record) + "\n")
+            for k in range(start, stop):
+                out.write(dumps(records[k]) + "\n")
             raise  # pragma: no cover - some record fails alone as in its chunk
         out.write(text)
 
 
-def _lines(keys: tuple, run: list[dict], templates: dict) -> str:
-    """The JSONL lines of records that all have the keys ``keys``."""
-    fields, columns = [], []
-    for key in keys:
-        field, column = _column([record[key] for record in run])
-        fields.append(field)
-        if column is not None:
-            columns.append(column)
-    layout = (keys, *fields)
-    template = templates.get(layout)
-    if template is None:
-        template = templates[layout] = "{" + ", ".join(
-            json.dumps(str(key)).replace("%", "%%") + ": " + field
-            for key, field in zip(keys, fields)) + "}\n"
-    if not columns:
-        return template % () * len(run)
-    return "".join(map(template.__mod__, zip(*columns)))
+def _chunk(records: Records, start: int, stop: int, templates: dict) -> str:
+    """The JSONL text of rows start..stop-1 of ``records``."""
+    which = records.which[start:stop]
+    lines = np.empty(stop - start, dtype=object)
+    for w, layout in enumerate(records.layouts):
+        at = np.flatnonzero(which == w)
+        if not len(at):
+            continue
+        fields, columns = [], []
+        for key in layout:
+            field, values = _field(records.columns[key], start + at)
+            fields.append(field)
+            columns.append(values)
+        template = templates.get((layout, *fields))
+        if template is None:
+            template = templates[(layout, *fields)] = "{" + ", ".join(
+                json.dumps(str(key)).replace("%", "%%") + ": " + field
+                for key, field in zip(layout, fields)) + "}\n"
+        lines[at] = (list(map(template.__mod__, zip(*columns))) if columns
+                     else [template % ()] * len(at))
+    return "".join(lines.tolist())
 
 
-def _column(values: list) -> tuple[str, list | None]:
-    """The template field of a column and the values it formats: floats
-    and ints as %-conversions that print what ``dumps`` prints, None as
-    a literal, and any other value as its ``dumps`` text (once per
-    distinct bool or string)."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        if not all(map(math.isfinite, values)):
+def _field(column, rows: np.ndarray) -> tuple[str, list]:
+    """The template field of the entries ``rows`` of a column and the
+    values it formats (see :func:`_write_records`)."""
+    from .scans import Coded
+
+    if isinstance(column, Coded):
+        texts = np.array([dumps(value) for value in column.values],
+                         dtype=object)
+        return "%s", texts[column.codes[rows]].tolist()
+    values = column[rows]
+    if values.dtype.kind == "f":
+        if not np.isfinite(values).all():
             raise ValueError("refusing to serialize a non-finite number")
-        return "%.17g", values
-    if kind is int:
-        return "%d", values
-    if kind is type(None):
-        return "null", None
-    if kind in (bool, str):
-        codes = {value: dumps(value) for value in set(values)}
-        return "%s", list(map(codes.__getitem__, values))
+        return "%.17g", values.tolist()
+    if values.dtype.kind in "iu":
+        return "%d", values.tolist()
+    if values.dtype.kind == "b":
+        return "%s", _BOOL_TEXTS[values.astype(np.intp)].tolist()
+    values = values.tolist()
+    if set(map(type, values)) <= {str, type(None)}:
+        texts = {value: dumps(value) for value in set(values)}
+        return "%s", list(map(texts.__getitem__, values))
     return "%s", list(map(dumps, values))
 
 

@@ -83,6 +83,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with ``a`` conjugated those of ``np.vdot``: unit-stride rows as fresh
     copies of them, strided rows with their strides."""
     a, b = _aligned(a), _aligned(b)
+    if len(a) == 1:  # one row: its dot alone, without the batched dispatch
+        return np.dot(a[0], b[0])[None]
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 

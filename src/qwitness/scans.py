@@ -1,15 +1,20 @@
 """Randomized and gridded property scans.
 
-Each scan returns one record per trial plus a summary, and counts
+Each scan returns its records plus a summary, and counts
 counterexamples (expected zero) instead of stopping at the first
-failure. One rule (``_summary``) builds every summary: the kind, size
-and seed, then each count as the number of records whose field is
-true. Trial ``t`` draws only from its own block of counters of the
-scan's Philox generator (``_trial_streams``), so its record does not
-depend on how many trials run and repeat runs are bit-identical.
+failure. The records are columns (:class:`Records`): one array per key,
+one entry per trial, which the CLI prints without building a dict per
+record; read as a sequence, they are one dict per trial. One rule
+(``_summary``) builds every summary: the kind, size and seed, then each
+count as the number of true entries of a column. Trial ``t`` draws only
+from its own block of counters of the scan's Philox generator
+(``_trial_streams``), so its record does not depend on how many trials
+run and repeat runs are bit-identical.
 
-``bloch`` builds each axis state once and takes the anticommutators,
-spectra and ball conditions of all pairs in stacked calls.
+``bloch`` builds and checks its axis states as one stack and takes the
+anticommutators, spectra and ball conditions of all pairs in stacked
+calls; its radius and angle columns are dictionary-encoded
+(:class:`Coded`) over the axis.
 ``pure-mixed``, ``nested``, ``null`` and ``discord`` draw every trial
 in order from its stream: its integer or Dirichlet draws first, then
 all its Gaussian numbers in one ``normal`` call. They then cut the
@@ -27,7 +32,7 @@ per-trial loop would raise first.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .linalg import (_adjoint, anticommutator, as_matrix, commutator,
                      frobenius_norms)
 from .states import (
     StateStack,
+    _bloch_matrices,
     _density_from_ginibre,
     _gaussians,
     _ginibre_shape,
@@ -44,7 +50,6 @@ from .states import (
     _pure_states,
     _unit_rows,
     _unitary_from_ginibre,
-    bloch_to_state,
 )
 from .tolerances import (PLAN_CAP, SCAN_KINDS, TOL_COMM, TOL_F, TOL_NULL,
                          TOL_WITNESS)
@@ -60,6 +65,8 @@ from . import discord as discord_mod
 
 __all__ = [
     "SCAN_KINDS",
+    "Coded",
+    "Records",
     "run_scan",
     "scan_pure_mixed",
     "scan_nested",
@@ -85,6 +92,78 @@ _CHUNK_BYTES = 1 << 21
 _TRIAL_BYTES = 2048
 
 
+class Coded(NamedTuple):
+    """A dictionary-encoded column: row k holds ``values[codes[k]]``.
+    The CLI formats each entry once per chunk of rows, not once per row,
+    and never merges entries by value, so that 0.0 and -0.0 (equal, with
+    equal hashes) stay apart."""
+
+    values: list
+    codes: np.ndarray
+
+
+class Records(Sequence):
+    """A scan's records as columns, read as the list of dicts they stand
+    for.
+
+    ``columns`` maps each key to one entry per row: an array (float,
+    int, bool, or object for str and None values) or a :class:`Coded`
+    column. Row k has the keys ``layouts[which[k]]`` in that order
+    (``layouts[0]`` for every row by default); a key outside a row's
+    layout holds a placeholder in that row. Indexing, slicing and iteration
+    build rows as dicts of Python values (``_row``), and ``==`` compares
+    those with a list's."""
+
+    def __init__(self, size: int, columns: dict, layouts=None, which=None):
+        self.size, self.columns = size, columns
+        self.layouts = layouts or [tuple(columns)]
+        self.which = np.zeros(size, np.int8) if which is None else which
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _row(self, k: int) -> dict:
+        return {key: _entry(self.columns[key], k)
+                for key in self.layouts[self.which[k]]}
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(self._row, range(self.size)[k]))
+        return self._row(range(self.size)[k])
+
+    def __iter__(self):
+        return map(self._row, range(self.size))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Records)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _entry(column, k: int):
+    """Row k of a column, as a Python value."""
+    if isinstance(column, Coded):
+        return column.values[column.codes[k]]
+    return column.item(k)
+
+
+def _merged(blocks: list[Records]) -> Records:
+    """The rows of ``blocks``, which share their keys, column types and
+    layouts, in one block in the order of their ``trial`` column."""
+    if not blocks:
+        return Records(0, {})
+    trials = np.concatenate([block.columns["trial"] for block in blocks])
+    order = np.argsort(trials, kind="stable")
+
+    def joined(parts: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts)[order]
+
+    return Records(len(order), {
+        key: joined([block.columns[key] for block in blocks])
+        for key in blocks[0].columns}, blocks[0].layouts,
+        joined([block.which for block in blocks]))
+
+
 def _trial_streams(seed: int):
     """The stream of each trial of a scan seeded ``seed``: one Philox
     generator, keyed once from ``SeedSequence(seed)``, with its counter
@@ -107,40 +186,37 @@ def _trial_streams(seed: int):
 
 
 def _batched(trials: int, dims: list[int], seed: int, draw, compute
-             ) -> list[dict]:
+             ) -> Records:
     """Records of trials 0..trials-1, computed over stacks.
 
     Trial t draws ``draw(t, d, rng)``, a tuple of arrays, in trial order
     from its own stream (``_trial_streams``); ``compute(d, trial_ids,
-    *stacks)`` then returns the records of trials of dimension d whose
+    *stacks)`` then returns the block of trials of dimension d whose
     draws have the same shapes, in trial order, from each draw stacked
-    over those trials.
+    over those trials; the blocks are merged in trial order.
     It runs on blocks of about _CHUNK_BYTES, counting each trial's draws
     and _TRIAL_BYTES. When a block fails, its trials run again one at a
     time, so that the error raised is the one a per-trial scan meets
     first.
     """
     stream = _trial_streams(seed)
-    records: list[dict] = []
+    done: list[Records] = []
     block: dict[tuple, list] = {}
     size = 0
 
-    def run(d: int, items: list) -> list[dict]:
+    def run(d: int, items: list) -> Records:
         trial_ids, draws = zip(*items)
-        return compute(d, list(trial_ids), *map(np.array, zip(*draws)))
+        return compute(d, np.array(trial_ids), *map(np.array, zip(*draws)))
 
-    def flush() -> list[dict]:
+    def flush() -> list[Records]:
         try:
-            done = [r for (d, *_), items in block.items()
-                    for r in run(d, items)]
+            return [run(d, items) for (d, *_), items in block.items()]
         except (QwitnessError, ValueError):
             for t, d, drawn in sorted((t, d, drawn)
                                       for (d, *_), items in block.items()
                                       for t, drawn in items):
                 run(d, [(t, drawn)])
             raise  # pragma: no cover - some trial fails alone as in its block
-        done.sort(key=lambda r: r["trial"])
-        return done
 
     for t in range(trials):
         d = dims[t % len(dims)]
@@ -152,29 +228,30 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
         block.setdefault((d, *(a.shape for a in drawn)), []).append((t, drawn))
         size += _TRIAL_BYTES + sum(a.nbytes for a in drawn)
         if size >= _CHUNK_BYTES or t == trials - 1:
-            records += flush()
+            done += flush()
             block, size = {}, 0
-    return records
+    return _merged(done)
 
 
 def _summary(kind: str, trials: int, shape: list[tuple], seed: int,
-             records: list[dict], counts: list[tuple[str, str]]) -> dict:
+             records: Records, counts: list[tuple[str, str]]) -> dict:
     """A scan's summary: its kind, trial count, ``shape`` (the
     ``("dims", dims)`` or ``("grid", n)`` pair it ran over, if any) and
     seed, then, for each (key, field) of ``counts``, the number of
-    records whose field is true; pure-mixed adds the largest
-    ``purity_deviation``."""
+    true entries of the bool column ``field``; pure-mixed adds the
+    largest ``purity_deviation``. A scan of no records has no columns."""
+    columns = records.columns
     summary = {"kind": kind, "trials": trials, **dict(shape), "seed": seed}
     for key, field in counts:
-        summary[key] = sum(record[field] for record in records)
+        summary[key] = int(np.count_nonzero(columns.get(field, ())))
     if kind == "pure-mixed":
-        summary["max_purity_deviation"] = max(
-            (record["purity_deviation"] for record in records), default=0.0)
+        summary["max_purity_deviation"] = (
+            float(columns["purity_deviation"].max()) if len(records) else 0.0)
     return summary
 
 
 def scan_pure_mixed(trials: int, dims: Sequence[int],
-                    seed: int) -> tuple[list[dict], dict]:
+                    seed: int) -> tuple[Records, dict]:
     """Witnessed verdict == noncommutation, for pure-vs-mixed pairs.
 
     Each trial draws its pure state and one Ginibre matrix; the claim
@@ -188,30 +265,30 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
         return (_normals(rng, shapes(d)),)
 
-    def compute(d: int, trial_ids: list[int], normals) -> list[dict]:
+    def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         psi, g = _gaussians(normals, shapes(d))
         psi = _unit_rows(psi)
         rho2 = StateStack.check(_density_from_ginibre(g))
         reports = _pure_mixed_reports(psi, rho2, TOL_WITNESS, TOL_NULL)
-        comm_norms = frobenius_norms(commutator(_projectors(psi), rho2.matrix))
-        records = []
-        for t, report, comm_norm in zip(trial_ids, reports, comm_norms):
-            closed = report.closed_form_criterion
-            deviation = (0.0 if closed is None
-                         else abs(closed - report.purity_criterion))
-            witnessed = report.verdict == Verdict.NONPOSITIVE_WITNESSED
-            noncommuting = comm_norm > TOL_COMM
-            records.append({
-                "trial": t,
-                "dim": d,
-                "commutator_norm": comm_norm,
-                "min_eigenvalue": report.min_eigenvalue,
-                "purity_criterion": report.purity_criterion,
-                "purity_deviation": deviation,
-                "verdict": report.verdict.value,
-                "counterexample": witnessed != noncommuting,
-            })
-        return records
+        comm_norms = np.array(frobenius_norms(
+            commutator(_projectors(psi), rho2.matrix)))
+        verdicts = [report.verdict for report in reports]
+        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
+                              for v in verdicts], dtype=bool)
+        return Records(len(trial_ids), {
+            "trial": trial_ids,
+            "dim": np.full(len(trial_ids), d),
+            "commutator_norm": comm_norms,
+            "min_eigenvalue": np.array([r.min_eigenvalue for r in reports]),
+            "purity_criterion": np.array([r.purity_criterion
+                                          for r in reports]),
+            "purity_deviation": np.array([
+                0.0 if r.closed_form_criterion is None
+                else abs(r.closed_form_criterion - r.purity_criterion)
+                for r in reports]),
+            "verdict": np.array([v.value for v in verdicts], dtype=object),
+            "counterexample": witnessed != (comm_norms > TOL_COMM),
+        })
 
     records = _batched(trials, dims, seed, draw, compute)
     return records, _summary("pure-mixed", trials, [("dims", dims)], seed,
@@ -219,7 +296,7 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
 
 
 def scan_nested(trials: int, dims: Sequence[int],
-                seed: int) -> tuple[list[dict], dict]:
+                seed: int) -> tuple[Records, dict]:
     """Margin condition after planned amplification forces a witness.
 
     Each trial draws one Ginibre matrix per state; a trial with a tied
@@ -231,7 +308,7 @@ def scan_nested(trials: int, dims: Sequence[int],
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
         return (_normals(rng, [_ginibre_shape(d, d)] * 2),)
 
-    def compute(d: int, trial_ids: list[int], normals) -> list[dict]:
+    def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         sigma1, sigma2 = (StateStack.check(_density_from_ginibre(g))
                           for g in _gaussians(normals, [(d, d)] * 2))
         targets = [safe_nested_target(f)
@@ -239,31 +316,37 @@ def scan_nested(trials: int, dims: Sequence[int],
         results = _nested(sigma1, sigma2, targets, tol_comm=TOL_COMM,
                           tol_witness=TOL_WITNESS, tol_null=TOL_NULL,
                           tol_f=TOL_F, plan_cap=PLAN_CAP)
-        records = []
-        for t, result in zip(trial_ids, results):
-            base = {"trial": t, "dim": d}
-            if isinstance(result, QwitnessError):
-                records.append({
-                    **base, "skipped": True, "reason": type(result).__name__,
-                    "condition": False, "min_eigenvalue": None,
-                    "verdict": None, "counterexample": False})
-                continue
-            witnessed = result.report.verdict == Verdict.NONPOSITIVE_WITNESSED
-            records.append({
-                **base,
-                "skipped": False,
-                "reason": None,
-                "n1": result.plan1.n,
-                "n2": result.plan2.n,
-                "eps1": result.overlap.eps1,
-                "eps2": result.overlap.eps2,
-                "overlap": abs(result.overlap.f),
-                "condition": result.condition_met,
-                "min_eigenvalue": result.report.min_eigenvalue,
-                "verdict": result.report.verdict.value,
-                "counterexample": result.condition_met and not witnessed,
-            })
-        return records
+        skipped = np.array([isinstance(r, QwitnessError) for r in results],
+                           dtype=bool)
+        ran = [r for r, skip in zip(results, skipped) if not skip]
+
+        def column(fill, values, rows=~skipped) -> np.ndarray:
+            """``values`` at ``rows``, and ``fill`` as the value or the
+            placeholder of every other trial."""
+            out = np.full(len(results), fill)
+            out[rows] = values
+            return out
+
+        condition = column(False, [r.condition_met for r in ran])
+        witnessed = column(False, [
+            r.report.verdict == Verdict.NONPOSITIVE_WITNESSED for r in ran])
+        return Records(len(trial_ids), {
+            "trial": trial_ids,
+            "dim": np.full(len(trial_ids), d),
+            "skipped": skipped,
+            "reason": column(None, [type(r).__name__ for r, skip
+                                    in zip(results, skipped) if skip], skipped),
+            "n1": column(0, [r.plan1.n for r in ran]),
+            "n2": column(0, [r.plan2.n for r in ran]),
+            "eps1": column(0.0, [r.overlap.eps1 for r in ran]),
+            "eps2": column(0.0, [r.overlap.eps2 for r in ran]),
+            "overlap": column(0.0, [abs(r.overlap.f) for r in ran]),
+            "condition": condition,
+            "min_eigenvalue": column(None, [r.report.min_eigenvalue
+                                            for r in ran]),
+            "verdict": column(None, [r.report.verdict.value for r in ran]),
+            "counterexample": condition & ~witnessed,
+        }, _NESTED_LAYOUTS, (~skipped).astype(np.int8))
 
     records = _batched(trials, dims, seed, draw, compute)
     return records, _summary("nested", trials, [("dims", dims)], seed, records,
@@ -272,58 +355,76 @@ def scan_nested(trials: int, dims: Sequence[int],
                               ("counterexamples", "counterexample")])
 
 
-def _bloch_axis(count: int) -> list[tuple[float, float]]:
-    """(radius, polar angle) pairs for one grid axis, in the x-z plane."""
+# the keys of a skipped nested trial, then those of one that ran
+_NESTED_LAYOUTS = [
+    ("trial", "dim", "skipped", "reason", "condition", "min_eigenvalue",
+     "verdict", "counterexample"),
+    ("trial", "dim", "skipped", "reason", "n1", "n2", "eps1", "eps2",
+     "overlap", "condition", "min_eigenvalue", "verdict", "counterexample"),
+]
+
+
+def _bloch_grid(count: int) -> tuple[list[float], list[float]]:
+    """The radii and the polar angles of one grid axis: its point k is
+    (radii[k // len(angles)], angles[k % len(angles)]), for k < count."""
     nr = max(1, math.isqrt(count))
     na = -(-count // nr)  # ceil
-    radii = [(i + 1) / nr for i in range(nr)]
-    angles = [j * math.pi / max(na - 1, 1) for j in range(na)]
-    pairs = [(r, a) for r in radii for a in angles]
-    return pairs[:count]
+    return ([(i + 1) / nr for i in range(nr)],
+            [j * math.pi / max(na - 1, 1) for j in range(na)])
 
 
-def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[list[dict], dict]:
+def _bloch_axis(count: int) -> list[tuple[float, float]]:
+    """(radius, polar angle) pairs for one grid axis, in the x-z plane."""
+    radii, angles = _bloch_grid(count)
+    return [(r, a) for r in radii for a in angles][:count]
+
+
+def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[Records, dict]:
     """Qubit ball condition implies a positive anticommutator.
 
     The two-vector geometry only depends on the radii and the angle
     between them, so the axes sample radius/angle pairs in a plane.
     Converse failures (condition false, operator still positive) are
-    recorded but never counted as counterexamples. Each axis state is
-    built once; the pairs' anticommutators and spectra are stacked.
+    recorded but never counted as counterexamples. The axis states are
+    built and checked as one stack; the pairs' anticommutators and
+    spectra are stacked, and each pair's radii and angles are codes
+    into the axis's distinct radii and angles.
     """
     axis = _bloch_axis(grid)
+    radii, angles = _bloch_grid(grid)
     n = len(axis)
-    vecs = np.array([[r * math.sin(a), 0.0, r * math.cos(a)] for r, a in axis])
-    axis_states = np.array([bloch_to_state(b).matrix for b in vecs])
-    records = []
+    vecs = np.array([[r * math.sin(a), 0.0, r * math.cos(a)]
+                     for r, a in axis]).reshape(n, 3)
+    axis_states = StateStack.check(_bloch_matrices(vecs)).matrix
+    rows, cols = np.divmod(np.arange(n * n), n)
+    min_eigs, condition = np.empty(n * n), np.empty(n * n, dtype=bool)
     step = _CHUNK_BYTES // np.zeros((2, 2), np.complex128).nbytes
     for start in range(0, n * n, step):
-        rows, cols = np.divmod(np.arange(start, min(start + step, n * n)), n)
-        min_eigs = np.linalg.eigvalsh(
-            anticommutator(axis_states[rows], axis_states[cols])).min(axis=-1)
-        for i, j, min_eig, condition in zip(
-                rows.tolist(), cols.tolist(), min_eigs.tolist(),
-                _bloch_conditions(vecs, rows, cols)):
-            (r1, a1), (r2, a2) = axis[i], axis[j]
-            records.append({
-                "i": i,
-                "j": j,
-                "r1": r1,
-                "theta1": a1,
-                "r2": r2,
-                "theta2": a2,
-                "condition": condition,
-                "min_eigenvalue": min_eig,
-                "counterexample": condition and min_eig < -TOL_WITNESS,
-                "converse_positive": (not condition) and min_eig >= -TOL_WITNESS,
-            })
-    return records, _summary("bloch", len(records), [("grid", n)], seed, records,
+        pairs = slice(start, start + step)
+        i, j = rows[pairs], cols[pairs]
+        min_eigs[pairs] = np.linalg.eigvalsh(
+            anticommutator(axis_states[i], axis_states[j])).min(axis=-1)
+        condition[pairs] = _bloch_conditions(vecs, i, j)
+    (r1, a1), (r2, a2) = (np.divmod(k, len(angles)) for k in (rows, cols))
+    records = Records(n * n, {
+        "i": rows,
+        "j": cols,
+        "r1": Coded(radii, r1),
+        "theta1": Coded(angles, a1),
+        "r2": Coded(radii, r2),
+        "theta2": Coded(angles, a2),
+        "condition": condition,
+        "min_eigenvalue": min_eigs,
+        "counterexample": condition & (min_eigs < -TOL_WITNESS),
+        "converse_positive": ~condition & (min_eigs >= -TOL_WITNESS),
+    })
+    return records, _summary("bloch", n * n, [("grid", n)], seed, records,
                              [("counterexamples", "counterexample"),
                               ("converse_positive", "converse_positive")])
 
 
 def scan_null(trials: int, dims: Sequence[int],
-              seed: int) -> tuple[list[dict], dict]:
+              seed: int) -> tuple[Records, dict]:
     """A vanishing anticommutator with a pure factor kills the product.
 
     Even trials construct a state supported orthogonally to the pure
@@ -342,7 +443,7 @@ def scan_null(trials: int, dims: Sequence[int],
             return normals[:split], normals[split:]
         return (_normals(rng, outer),)
 
-    def compute(d: int, trial_ids: list[int], outer, *inner) -> list[dict]:
+    def compute(d: int, trial_ids: np.ndarray, outer, *inner) -> Records:
         psi, ginibre = _gaussians(outer, [(d,), (d, d)])
         psi = _unit_rows(psi)
         if inner:  # rank < d: the constructed branch
@@ -358,20 +459,17 @@ def scan_null(trials: int, dims: Sequence[int],
             mixed = _density_from_ginibre(ginibre)
         rho2 = StateStack.check(mixed).matrix
         proj = _projectors(psi)
-        records = []
-        for t, anti_norm, product_norm in zip(
-                trial_ids, frobenius_norms(anticommutator(proj, rho2)),
-                frobenius_norms(proj @ rho2)):
-            null = anti_norm <= TOL_NULL
-            records.append({
-                "trial": t,
-                "dim": d,
-                "anticommutator_norm": anti_norm,
-                "product_norm": product_norm,
-                "null": null,
-                "counterexample": null and product_norm > 10.0 * TOL_NULL,
-            })
-        return records
+        anti_norms = np.array(frobenius_norms(anticommutator(proj, rho2)))
+        product_norms = np.array(frobenius_norms(proj @ rho2))
+        null = anti_norms <= TOL_NULL
+        return Records(len(trial_ids), {
+            "trial": trial_ids,
+            "dim": np.full(len(trial_ids), d),
+            "anticommutator_norm": anti_norms,
+            "product_norm": product_norms,
+            "null": null,
+            "counterexample": null & (product_norms > 10.0 * TOL_NULL),
+        })
 
     records = _batched(trials, dims, seed, draw, compute)
     return records, _summary("null", trials, [("dims", dims)], seed, records,
@@ -379,7 +477,7 @@ def scan_null(trials: int, dims: Sequence[int],
                               ("counterexamples", "counterexample")])
 
 
-def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
+def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
     """Zero-discord states never yield a witnessed verdict.
 
     Each trial builds a random classical-classical state (Bob's
@@ -402,8 +500,7 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
     def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
         return rng.dirichlet(ones, size=3), _normals(rng, qubit * 5)
 
-    def compute(d: int, trial_ids: list[int], weights, normals
-                ) -> list[dict]:
+    def compute(d: int, trial_ids: np.ndarray, weights, normals) -> Records:
         probs, spectra = weights[:, 0], weights[:, 1:]
         g = np.stack(_gaussians(normals, qubit * 5), axis=1)
         common, factors, bases = g[:, 0], g[:, 1:3], g[:, 3:]
@@ -446,18 +543,17 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
         first, second = (np.cumsum(possible) - 1)[likely].reshape(-1, 2).T
         verdicts = [r.verdict for r in discord_mod._witness_conditionals(
             conds.take(first), conds.take(second))]
-        records = []
-        for t, found, cq, prod in zip(trial_ids, noncommuting.tolist(),
-                                      verdicts[::2], verdicts[1::2]):
-            records.append({
-                "trial": t,
-                "cq_noncommuting": found,
-                "cq_verdict": cq.value,
-                "product_verdict": prod.value,
-                "counterexample": (found or Verdict.NONPOSITIVE_WITNESSED
-                                   in (cq, prod)),
-            })
-        return records
+        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
+                              for v in verdicts], dtype=bool).reshape(n, 2)
+        return Records(n, {
+            "trial": trial_ids,
+            "cq_noncommuting": noncommuting,
+            "cq_verdict": np.array([v.value for v in verdicts[::2]],
+                                   dtype=object),
+            "product_verdict": np.array([v.value for v in verdicts[1::2]],
+                                        dtype=object),
+            "counterexample": noncommuting | witnessed.any(axis=1),
+        })
 
     records = _batched(trials, [2], seed, draw, compute)
     return records, _summary("discord", trials, [], seed, records,
@@ -466,7 +562,7 @@ def scan_discord(trials: int, seed: int) -> tuple[list[dict], dict]:
 
 def run_scan(kind: str, *, trials: int = 1000,
              dims: Sequence[int] = (2, 3, 4), seed: int = 0,
-             grid: int = 100) -> tuple[list[dict], dict]:
+             grid: int = 100) -> tuple[Records, dict]:
     """Dispatch one scan kind with its natural parameters."""
     if kind == "pure-mixed":
         return scan_pure_mixed(trials, dims, seed)

@@ -251,9 +251,15 @@ def bloch_to_state(b) -> DensityOperator:
     norm = float(np.linalg.norm(vec))
     if norm > 1.0 + 1e-12:
         raise PositivityError(f"Bloch vector norm {norm:.17g} exceeds 1")
-    m = 0.5 * (np.eye(2, dtype=np.complex128)
-               + vec[0] * _SIGMA_X + vec[1] * _SIGMA_Y + vec[2] * _SIGMA_Z)
-    return DensityOperator(m)
+    return DensityOperator(_bloch_matrices(vec))
+
+
+def _bloch_matrices(vecs: np.ndarray) -> np.ndarray:
+    """(I + b . sigma)/2 of a Bloch vector b, or of each row of a stack
+    (n, 3) of them, unchecked."""
+    b = vecs[..., None, None]
+    return 0.5 * (np.eye(2, dtype=np.complex128) + b[..., 0, :, :] * _SIGMA_X
+                  + b[..., 1, :, :] * _SIGMA_Y + b[..., 2, :, :] * _SIGMA_Z)
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -49,11 +49,11 @@ PLAN_CAP = 10**6
 EIGEN_DIM_CAP = 256
 
 # cap on the bloch scan's vectors per axis: a scan holds grid**2
-# records, ~0.3 GB at the cap
+# records as columns, ~60 bytes each, ~60 MB at the cap
 GRID_CAP = 1000
 
-# cap on a scan's trials: a scan holds all its records, 250-600 bytes
-# each, ~0.6 GB at the cap
+# cap on a scan's trials: a scan holds all its records as columns,
+# 30-120 bytes each, ~0.12 GB at the cap
 TRIALS_CAP = 1_000_000
 
 # the kinds `scans.run_scan` runs, here so that the CLI parser offers

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_manifest import run
 
@@ -841,7 +841,36 @@ _RECORD_KEYS = st.sampled_from(
 _RECORD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, 1e308]), st.text(max_size=8))
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308]), st.text(max_size=8))
+
+
+def _block(records, coded=()):
+    """``records`` (dicts) as a scan's columns: one layout per key tuple,
+    in order of first appearance. A key of ``coded`` becomes a
+    dictionary-encoded column, one entry per distinct (type, repr) of
+    its values, so that repeats share an entry and 0.0 and -0.0 do not;
+    any other key an array, typed where all its values are floats,
+    bools or int64s. A row without a key holds one of its values."""
+    layouts = list(dict.fromkeys(map(tuple, records)))
+    columns = {}
+    for key in dict.fromkeys(k for layout in layouts for k in layout):
+        fill = next(r[key] for r in records if key in r)
+        values = [r.get(key, fill) for r in records]
+        kinds = set(map(type, values))
+        if key in coded:
+            index = {}
+            codes = [index.setdefault((type(v), repr(v)), (len(index), v))[0]
+                     for v in values]
+            columns[key] = scans.Coded([v for _, v in index.values()],
+                                       np.array(codes, dtype=np.intp))
+        elif kinds in ({float}, {bool}) or (
+                kinds == {int} and all(abs(v) < 2**63 for v in values)):
+            columns[key] = np.array(values, dtype=kinds.pop())
+        else:
+            columns[key] = np.empty(len(values), dtype=object)
+            columns[key][:] = values
+    which = np.array([layouts.index(tuple(r)) for r in records], dtype=np.intp)
+    return scans.Records(len(records), columns, layouts, which)
 
 
 @st.composite
@@ -854,12 +883,18 @@ def _record_runs(draw):
     return [{key: draw(_RECORD_VALUES) for key in layouts[k]} for k in picks]
 
 
-@given(records=_record_runs(), chunk=st.integers(min_value=1, max_value=8))
+@given(records=_record_runs(), chunk=st.integers(min_value=1, max_value=8),
+       coded=st.sets(_RECORD_KEYS))
+# a dictionary of repeated floats, 0.0 and -0.0 among them, beside one
+# of bools, ints and strs
+@example(records=[{"r": r, "dim": d} for r, d in
+                  [(0.0, 1), (-0.0, 1), (0.5, "x"), (-0.0, True), (0.0, 1)]],
+         chunk=4, coded={"r", "dim"})
 @settings(max_examples=200, deadline=None)
-def test_record_writer_prints_what_dumps_prints(records, chunk):
+def test_record_writer_prints_what_dumps_prints(records, chunk, coded):
     out = io.StringIO()
     with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
-        cli._write_records(records, out)
+        cli._write_records(_block(records, coded), out)
     assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
 
 
@@ -874,6 +909,34 @@ def test_record_writer_follows_nested_skip_layouts():
         assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
 
 
+@pytest.mark.parametrize("kind", scans.SCAN_KINDS)
+def test_jsonl_scan_builds_no_record_dict(capsys, monkeypatch, kind):
+    # JSONL prints the columns: with the rows of the record view refused,
+    # each kind prints what it prints unrefused. CSV reads those rows,
+    # and they are the records that JSONL prints
+    argv = ["scan", "--kind", kind, "--trials", "30", "--grid", "6",
+            "--dims", "1,2,3", "--seed", "2"]
+    code, jsonl, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def refuse(self, k):
+        raise AssertionError(f"record {k} was built as a dict")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scans.Records, "_row", refuse)
+        assert run_cli(capsys, *argv)[:2] == (0, jsonl)
+    records, _ = run_scan(kind, trials=30, dims=(1, 2, 3), seed=2, grid=6)
+    *lines, summary = jsonl.splitlines()
+    assert lines == [dumps(r) for r in records]
+    header = list(dict.fromkeys(key for r in records for key in r))
+    rows = [",".join("" if r.get(key) is None else r[key]
+                     if isinstance(r[key], str) else dumps(r[key])
+                     for key in header) for r in records]
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert csv_out.splitlines() == [",".join(header), *rows, summary]
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), {1}])
 def test_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch, bad):
     # a later chunk fails: stdout holds the records before the bad one,
@@ -881,7 +944,8 @@ def test_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch, bad):
     records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
     records[6]["x"] = bad
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 4)
-    monkeypatch.setattr(scans, "run_scan", lambda *a, **k: (records, {}))
+    monkeypatch.setattr(scans, "run_scan",
+                        lambda *a, **k: (_block(records), {}))
     code, out, err = run_cli(capsys, "scan", "--kind", "null")
     assert code == 2
     assert out == "".join(dumps(r) + "\n" for r in records[:6])
@@ -896,7 +960,8 @@ def test_csv_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch,
     # rows before the bad one
     records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
     records[6]["x"] = bad
-    monkeypatch.setattr(scans, "run_scan", lambda *a, **k: (records, {}))
+    monkeypatch.setattr(scans, "run_scan",
+                        lambda *a, **k: (_block(records), {}))
     code, out, err = run_cli(capsys, "scan", "--kind", "null",
                              "--format", "csv")
     assert code == 2
