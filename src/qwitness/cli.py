@@ -205,10 +205,18 @@ def _csv_cell(value) -> str:
 def _write_csv(rows: Sequence[dict], out) -> None:
     """Write ``rows`` to ``out`` as CSV under a header of their keys in
     order of first appearance, one row at a time, so that a row that
-    fails to encode raises after the rows before it are written."""
+    fails to encode raises after the rows before it are written. The
+    header of a scan's records comes from their key layouts, taken in
+    the order in which each first appears, without reading a row."""
     import csv
+    from .scans import Records
 
-    fields = list(dict.fromkeys(key for row in rows for key in row))
+    if isinstance(rows, Records):
+        used, first = np.unique(rows.which, return_index=True)
+        layouts = [rows.layouts[w] for w in used[np.argsort(first)]]
+    else:
+        layouts = rows
+    fields = list(dict.fromkeys(key for layout in layouts for key in layout))
     writer = csv.DictWriter(out, fieldnames=fields, restval="",
                             lineterminator="\n")
     writer.writeheader()

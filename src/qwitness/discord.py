@@ -31,7 +31,7 @@ from .witness import (
     NestedWitnessResult,
     WitnessReport,
     _analyze,
-    _guard_overlap,
+    _at_boundary,
     _leading_overlaps,
     _nested,
     safe_nested_target,
@@ -240,13 +240,7 @@ def _witness_conditionals(first: StateStack, second: StateStack, *,
     error raises.
     """
     overlaps = _leading_overlaps(first, second)
-    passed = []
-    for k, f in enumerate(overlaps):
-        try:
-            _guard_overlap(f, TOL_F)
-        except ConditionUnreachableError:
-            continue
-        passed.append(k)
+    passed = np.flatnonzero(~_at_boundary(np.array(overlaps), TOL_F))
     reports: list = [None] * len(overlaps)
     results = _nested(first.take(passed), second.take(passed),
                       [safe_nested_target(overlaps[k]) for k in passed],

@@ -17,16 +17,19 @@ calls; its radius and angle columns are dictionary-encoded
 (:class:`Coded`) over the axis.
 ``pure-mixed``, ``nested``, ``null`` and ``discord`` draw every trial
 in order from its stream: its integer or Dirichlet draws first, then
-all its Gaussian numbers in one ``normal`` call. They then cut the
-draws into states and run the checks and the linear algebra over
-stacks of trials that share a dimension (``null``: and a branch and a
-rank; ``discord`` trials are all qubit pairs), in blocks of
-_CHUNK_BYTES of draws. The stacked calls are bit-identical to the
-per-matrix ones, each per-member dot product (a norm's too) is taken by
-``linalg._row_dots``, and each state passes ``DensityOperator``'s
-checks, so the records keep their bytes. Each trial draws each of its
-states once, whatever its spectrum, and a failed check raises what the
-per-trial loop would raise first.
+all its Gaussian numbers in one ``normal`` call, whose size is worked
+out once per dimension. They then cut the draws into states and run the
+checks and the linear algebra over stacks of trials that share a
+dimension (``null``: and a branch and a rank; ``discord`` trials are
+all qubit pairs), in blocks of _CHUNK_BYTES of draws. The stacked calls
+are bit-identical to the per-matrix ones, each per-member dot product
+(a norm's too) is taken by ``linalg._row_dots``, and each state passes
+``DensityOperator``'s checks, so the records keep their bytes. Each
+trial draws each of its states once, whatever its spectrum, and a
+failed check raises what the per-trial loop would raise first.
+``nested`` takes its records from the columns of the nested witness
+(``witness._nested_columns``): a trial that stops at a check keeps only
+its error, and no later stage computes anything for it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from .states import (
     StateStack,
     _bloch_matrices,
     _density_from_ginibre,
+    _draw_size,
     _gaussians,
     _ginibre_shape,
-    _normals,
     _projectors,
     _pure_states,
     _unit_rows,
@@ -57,7 +60,7 @@ from .witness import (
     Verdict,
     _bloch_conditions,
     _leading_overlaps,
-    _nested,
+    _nested_columns,
     _pure_mixed_reports,
     safe_nested_target,
 )
@@ -81,14 +84,17 @@ __all__ = [
 # trial count or dimension
 _CHUNK_BYTES = 1 << 21
 # what a batched trial adds to its block's size besides its draws: the
-# reports, plans and views a stacked pass holds per trial until it
-# returns, so that a block of small trials holds a bounded number of
-# them. Over a block of 1000 trials, tracemalloc measures ~2.5 KiB per
-# nested trial at d = 2 above its record. A discord trial draws 368
-# bytes (six Dirichlet weights and 40 normals) and holds ~9 KiB at its
-# block's peak: its 16 conditional members (the 4x4 state and the
-# projector each starts from, the 2x2 state and spectrum it ends with,
-# and the checks' temporaries) and its two witness reports
+# stacks and columns a stacked pass holds per trial until it returns,
+# so that a block of small trials holds a bounded number of them. Over
+# a block of 1000 trials, tracemalloc measures at the pass's peak, above
+# the draws and the records, ~1.5 KiB per nested trial at d = 2 and
+# ~5.5 KiB at d = 4 (its state, amplified and remainder stacks; no
+# per-trial object). A discord trial draws 368 bytes (six Dirichlet
+# weights and 40 normals) and holds ~8 KiB: its 16 conditional members
+# (the 4x4 state and the projector each starts from, the 2x2 state and
+# spectrum it ends with, and the checks' temporaries) and its two
+# witness reports. 2 KiB sits between them: a block then holds at most
+# ~960 trials, whose peak stays a few times _CHUNK_BYTES
 _TRIAL_BYTES = 2048
 
 
@@ -189,18 +195,22 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
              ) -> Records:
     """Records of trials 0..trials-1, computed over stacks.
 
-    Trial t draws ``draw(t, d, rng)``, a tuple of arrays, in trial order
-    from its own stream (``_trial_streams``); ``compute(d, trial_ids,
-    *stacks)`` then returns the block of trials of dimension d whose
-    draws have the same shapes, in trial order, from each draw stacked
-    over those trials; the blocks are merged in trial order.
-    It runs on blocks of about _CHUNK_BYTES, counting each trial's draws
-    and _TRIAL_BYTES. When a block fails, its trials run again one at a
-    time, so that the error raised is the one a per-trial scan meets
-    first.
+    ``draw(d)``, called at the first trial of dimension d, returns the
+    drawer of that dimension. Trial t draws ``drawer(t, rng)``, a key
+    (d, tag) and then its arrays, in trial order from its own stream
+    (``_trial_streams``); the trials of one key draw arrays of the same
+    shapes. ``compute(d, trial_ids, *stacks)`` then returns the block of
+    trials of one key, in trial order, from each array stacked over
+    those trials; the blocks are merged in trial order.
+    It runs on blocks of about _CHUNK_BYTES, counting each trial's draws,
+    summed at the first trial of its key in a block, and _TRIAL_BYTES.
+    When a block fails, its trials run again one at a time, so that the
+    error raised is the one a per-trial scan meets first.
     """
     stream = _trial_streams(seed)
     done: list[Records] = []
+    drawers: dict = {}
+    cost: dict[tuple, int] = {}
     block: dict[tuple, list] = {}
     size = 0
 
@@ -210,27 +220,39 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
 
     def flush() -> list[Records]:
         try:
-            return [run(d, items) for (d, *_), items in block.items()]
+            return [run(d, items) for (d, _), items in block.items()]
         except (QwitnessError, ValueError):
             for t, d, drawn in sorted((t, d, drawn)
-                                      for (d, *_), items in block.items()
+                                      for (d, _), items in block.items()
                                       for t, drawn in items):
                 run(d, [(t, drawn)])
             raise  # pragma: no cover - some trial fails alone as in its block
 
     for t in range(trials):
         d = dims[t % len(dims)]
-        try:
-            drawn = draw(t, d, stream(t))
-        except DimensionError:
-            flush()  # a failure of an earlier trial comes first
-            raise
-        block.setdefault((d, *(a.shape for a in drawn)), []).append((t, drawn))
-        size += _TRIAL_BYTES + sum(a.nbytes for a in drawn)
+        if d not in drawers:
+            try:
+                drawers[d] = draw(d)
+            except DimensionError:
+                flush()  # a failure of an earlier trial comes first
+                raise
+        key, *drawn = drawers[d](t, stream(t))
+        if key not in block:
+            block[key] = []
+            cost[key] = _TRIAL_BYTES + sum(a.nbytes for a in drawn)
+        block[key].append((t, drawn))
+        size += cost[key]
         if size >= _CHUNK_BYTES or t == trials - 1:
             done += flush()
             block, size = {}, 0
     return _merged(done)
+
+
+def _normal_drawer(d: int, shapes: list[tuple]):
+    """The drawer (see :func:`_batched`) of a trial of dimension d that
+    draws the Gaussian arrays of ``shapes`` in one ``normal`` call."""
+    key, size = (d, None), _draw_size(shapes)
+    return lambda t, rng: (key, rng.normal(size=size))
 
 
 def _summary(kind: str, trials: int, shape: list[tuple], seed: int,
@@ -262,8 +284,8 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
     def shapes(d: int) -> list[tuple]:
         return [(d,), _ginibre_shape(d, d)]
 
-    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        return (_normals(rng, shapes(d)),)
+    def draw(d: int):
+        return _normal_drawer(d, shapes(d))
 
     def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         psi, g = _gaussians(normals, shapes(d))
@@ -305,47 +327,46 @@ def scan_nested(trials: int, dims: Sequence[int],
     """
     dims = list(dims)
 
-    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        return (_normals(rng, [_ginibre_shape(d, d)] * 2),)
+    def draw(d: int):
+        return _normal_drawer(d, [_ginibre_shape(d, d)] * 2)
 
     def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         sigma1, sigma2 = (StateStack.check(_density_from_ginibre(g))
                           for g in _gaussians(normals, [(d, d)] * 2))
         targets = [safe_nested_target(f)
                    for f in _leading_overlaps(sigma1, sigma2)]
-        results = _nested(sigma1, sigma2, targets, tol_comm=TOL_COMM,
-                          tol_witness=TOL_WITNESS, tol_null=TOL_NULL,
-                          tol_f=TOL_F, plan_cap=PLAN_CAP)
-        skipped = np.array([isinstance(r, QwitnessError) for r in results],
-                           dtype=bool)
-        ran = [r for r, skip in zip(results, skipped) if not skip]
+        nested = _nested_columns(sigma1, sigma2, targets, tol_comm=TOL_COMM,
+                                 tol_witness=TOL_WITNESS, tol_null=TOL_NULL,
+                                 tol_f=TOL_F, plan_cap=PLAN_CAP)
+        n = len(trial_ids)
+        skipped = np.ones(n, dtype=bool)
+        skipped[nested.live] = False
 
-        def column(fill, values, rows=~skipped) -> np.ndarray:
+        def column(fill, values, rows=nested.live) -> np.ndarray:
             """``values`` at ``rows``, and ``fill`` as the value or the
             placeholder of every other trial."""
-            out = np.full(len(results), fill)
+            out = np.full(n, fill)
             out[rows] = values
             return out
 
-        condition = column(False, [r.condition_met for r in ran])
-        witnessed = column(False, [
-            r.report.verdict == Verdict.NONPOSITIVE_WITNESSED for r in ran])
-        return Records(len(trial_ids), {
+        verdicts = nested.analysis.verdicts
+        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
+                              for v in verdicts], dtype=bool)
+        return Records(n, {
             "trial": trial_ids,
-            "dim": np.full(len(trial_ids), d),
+            "dim": np.full(n, d),
             "skipped": skipped,
-            "reason": column(None, [type(r).__name__ for r, skip
-                                    in zip(results, skipped) if skip], skipped),
-            "n1": column(0, [r.plan1.n for r in ran]),
-            "n2": column(0, [r.plan2.n for r in ran]),
-            "eps1": column(0.0, [r.overlap.eps1 for r in ran]),
-            "eps2": column(0.0, [r.overlap.eps2 for r in ran]),
-            "overlap": column(0.0, [abs(r.overlap.f) for r in ran]),
-            "condition": condition,
-            "min_eigenvalue": column(None, [r.report.min_eigenvalue
-                                            for r in ran]),
-            "verdict": column(None, [r.report.verdict.value for r in ran]),
-            "counterexample": condition & ~witnessed,
+            "reason": column(None, [type(e).__name__ for e in nested.errors
+                                    if e is not None], skipped),
+            "n1": column(0, nested.plans[0].n),
+            "n2": column(0, nested.plans[1].n),
+            "eps1": column(0.0, nested.overlap.eps1),
+            "eps2": column(0.0, nested.overlap.eps2),
+            "overlap": column(0.0, list(map(abs, nested.overlap.f.tolist()))),
+            "condition": column(False, nested.condition),
+            "min_eigenvalue": column(None, nested.analysis.mins),
+            "verdict": column(None, [v.value for v in verdicts]),
+            "counterexample": column(False, nested.condition & ~witnessed),
         }, _NESTED_LAYOUTS, (~skipped).astype(np.int8))
 
     records = _batched(trials, dims, seed, draw, compute)
@@ -434,14 +455,21 @@ def scan_null(trials: int, dims: Sequence[int],
     """
     dims = list(dims)
 
-    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
+    def draw(d: int):
         outer = [(d,), _ginibre_shape(d, d)]
-        if t % 2 == 0 and d > 1:
-            rank = int(rng.integers(1, d))
-            normals = _normals(rng, outer + [(d - 1, rank)])
-            split = 2 * (d + d * d)
-            return normals[:split], normals[split:]
-        return (_normals(rng, outer),)
+        split = _draw_size(outer)
+        # an even trial's key and draws, by the rank it draws
+        keys = [(d, rank) for rank in range(d)]
+        sizes = [_draw_size(outer + [(d - 1, rank)]) for rank in range(d)]
+
+        def drawer(t: int, rng: np.random.Generator) -> tuple:
+            if t % 2 == 0 and d > 1:
+                rank = int(rng.integers(1, d))
+                normals = rng.normal(size=sizes[rank])
+                return keys[rank], normals[:split], normals[split:]
+            return keys[0], rng.normal(size=split)
+
+        return drawer
 
     def compute(d: int, trial_ids: np.ndarray, outer, *inner) -> Records:
         psi, ginibre = _gaussians(outer, [(d,), (d, d)])
@@ -497,8 +525,10 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
 
     qubit = [(2, 2)]
 
-    def draw(t: int, d: int, rng: np.random.Generator) -> tuple:
-        return rng.dirichlet(ones, size=3), _normals(rng, qubit * 5)
+    def draw(d: int):
+        key, size = (d, None), _draw_size(qubit * 5)
+        return lambda t, rng: (key, rng.dirichlet(ones, size=3),
+                               rng.normal(size=size))
 
     def compute(d: int, trial_ids: np.ndarray, weights, normals) -> Records:
         probs, spectra = weights[:, 0], weights[:, 1:]

@@ -175,32 +175,49 @@ class PureDecomposition(NamedTuple):
     eta: DensityOperator | None
 
 
-def _pure_decompositions(dec: SpectralDecomposition) -> list[PureDecomposition]:
+class _PureParts(NamedTuple):
+    """:func:`pure_decompose` of each member of a stack, as columns: the
+    weights ``epsilon`` (n,), the leading vectors ``psi`` (n, d), the
+    mask ``mixed`` of the members whose weight exceeds TOL_PSD, and
+    ``eta``, the checked remainders of those members, in order (None may
+    stand for a stack of none)."""
+
+    epsilon: np.ndarray
+    psi: np.ndarray
+    eta: StateStack | None
+    mixed: np.ndarray
+
+
+def _pure_decompositions(dec: SpectralDecomposition) -> _PureParts:
     """:func:`pure_decompose` of each member of a stack of spectra.
 
     The remainders are checked together against the spectrum they are
     built from: the normalized tail weights over the tail eigenvectors,
-    then 0 along psi. No remainder is decomposed again."""
+    then 0 along psi. No remainder is decomposed again. A weight within
+    TOL_PSD of 0 is raised to 0 if negative, and its member has no
+    remainder."""
     lam = dec.eigenvalues
     eps = 1.0 - lam[:, 0]
     mixed = eps > TOL_PSD
-    psi = np.ascontiguousarray(dec.eigenvectors[:, :, 0])
     tail = np.maximum(lam[mixed, 1:], 0.0)
     w = tail / tail.sum(axis=-1, keepdims=True)
-    vecs = dec.eigenvectors[mixed, :, 1:]
-    etas = StateStack.check(
+    v = dec.eigenvectors[mixed]
+    vecs = v[:, :, 1:]
+    eta = StateStack.check(
         (vecs * w[:, None, :]) @ _adjoint(vecs),
-        SpectralDecomposition(np.pad(w, ((0, 0), (0, 1))),
-                              np.roll(dec.eigenvectors[mixed], -1, axis=-1)))
-    eta = map(etas.state, range(len(tail)))
-    return [PureDecomposition(epsilon=e if m else max(e, 0.0), psi=psi[k],
-                              eta=next(eta) if m else None)
-            for k, (e, m) in enumerate(zip(eps.tolist(), mixed.tolist()))]
+        SpectralDecomposition(
+            np.concatenate([w, np.zeros((len(w), 1))], axis=1),
+            np.concatenate([vecs, v[:, :, :1]], axis=2)))
+    return _PureParts(np.maximum(eps, 0.0),
+                      np.ascontiguousarray(dec.eigenvectors[:, :, 0]),
+                      eta, mixed)
 
 
 def pure_decompose(rho: DensityOperator) -> PureDecomposition:
     """Split a state around its leading eigenvector."""
-    return _pure_decompositions(StateStack.of(rho).spectrum)[0]
+    parts = _pure_decompositions(StateStack.of(rho).spectrum)
+    return PureDecomposition(epsilon=parts.epsilon.item(0), psi=parts.psi[0],
+                             eta=parts.eta.state(0) if parts.mixed[0] else None)
 
 
 def reconstruct_decomposition(dec: PureDecomposition) -> np.ndarray:
@@ -296,10 +313,10 @@ def _gaussians(normals: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def _normals(rng: np.random.Generator, shapes) -> np.ndarray:
-    """The standard normal draws that ``_gaussians`` cuts into arrays of
-    ``shapes``, from one ``rng.normal`` call."""
-    return rng.normal(size=2 * sum(map(math.prod, shapes)))
+def _draw_size(shapes) -> int:
+    """How many standard normal draws ``_gaussians`` cuts into arrays of
+    ``shapes``: one ``rng.normal`` call of this size draws them."""
+    return 2 * sum(map(math.prod, shapes))
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -311,7 +328,7 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 def _ginibre(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """A d x rank complex Gaussian matrix."""
     shape = _ginibre_shape(d, rank)
-    return _gaussians(_normals(rng, [shape])[None], [shape])[0][0]
+    return _gaussians(rng.normal(size=_draw_size([shape]))[None], [shape])[0][0]
 
 
 def _density_from_ginibre(g: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ from .states import (
     PureDecomposition,
     StateStack,
     _projectors,
+    _PureParts,
     _pure_decompositions,
     as_pure_state,
     reconstruct_decomposition,
@@ -136,14 +137,39 @@ class WitnessReport(NamedTuple):
         }
 
 
-def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
-             closed: list | None = None) -> list[WitnessReport]:
-    """The report of each member of a stack (n, d, d) of anticommutators,
-    which :func:`anticommutator` returns exactly Hermitian.
+class _Analysis(NamedTuple):
+    """:func:`_analyze`'s columns, one entry per member of a stack of
+    anticommutators: :class:`WitnessReport`'s fields, with the
+    tolerances shared."""
+
+    mins: list[float]
+    vectors: np.ndarray
+    criteria: list
+    traces: list[float]
+    verdicts: list[Verdict]
+    closed: list
+    tol_witness: float
+    tol_null: float
+
+    def report(self, k: int) -> WitnessReport:
+        """The report of member k."""
+        return WitnessReport(
+            min_eigenvalue=self.mins[k], witness_vector=self.vectors[k],
+            purity_criterion=self.criteria[k],
+            anticommutator_trace=self.traces[k], verdict=self.verdicts[k],
+            tol_witness=self.tol_witness, tol_null=self.tol_null,
+            closed_form_criterion=self.closed[k])
+
+
+def _analysis(anti: np.ndarray, tol_witness: float, tol_null: float,
+              closed: list | None = None) -> _Analysis:
+    """The analysis of each member of a stack (n, d, d) of
+    anticommutators, which :func:`anticommutator` returns exactly
+    Hermitian, as columns.
 
     ``closed``, when given, holds each member's closed-form purity
     criterion; it must agree with the eigen-analysis within 1e-10
-    relative to the criterion (absolute below 1), and the report
+    relative to the criterion (absolute below 1), and the analysis
     carries it. The criterion grows like 1/tr^2 as psi nears
     orthogonality to rho2's support, and its rounding with it.
     """
@@ -164,13 +190,17 @@ def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
                 Verdict.NONPOSITIVE_WITNESSED if w else Verdict.POSITIVE
                 for z, w in zip(null, (mins < -tol_witness).tolist())]
     closed = [None] * n if closed is None else [*map(_agreed, closed, criteria)]
-    return [WitnessReport(min_eigenvalue=m, witness_vector=v,
-                          purity_criterion=c, anticommutator_trace=tr,
-                          verdict=verdict, tol_witness=float(tol_witness),
-                          tol_null=float(tol_null), closed_form_criterion=o)
-            for m, v, c, tr, verdict, o in zip(
-                mins.tolist(), dec.eigenvectors[np.arange(n), :, lows],
-                criteria, traces, verdicts, closed)]
+    return _Analysis(mins.tolist(), dec.eigenvectors[np.arange(n), :, lows],
+                     criteria, traces, verdicts, closed, float(tol_witness),
+                     float(tol_null))
+
+
+def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
+             closed: list | None = None) -> list[WitnessReport]:
+    """The report of each member of a stack of anticommutators (see
+    :func:`_analysis`)."""
+    analysis = _analysis(anti, tol_witness, tol_null, closed)
+    return list(map(analysis.report, range(len(analysis.mins))))
 
 
 def _agreed(other: float | None, criterion: float | None) -> float | None:
@@ -342,10 +372,10 @@ def _top_gaps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gap, gap <= TOL_DEGEN * top
 
 
-def _plans(lam: np.ndarray, targets: list[float], cap: int
-           ) -> list[AmplificationPlan]:
+def _plans(lam: np.ndarray, targets, cap: int) -> AmplificationPlan:
     """:func:`plan_amplification` of each member of a stack (n, d) of
-    descending spectra toward its own checked target.
+    descending spectra toward its own checked target, as a plan whose
+    fields are columns (:func:`_member` takes one plan out).
 
     eps(n) = s / (1 + s), for s the sum of the tail ratios to the power
     n, is nonincreasing in n. Each nondegenerate member tries n = 1,
@@ -357,7 +387,7 @@ def _plans(lam: np.ndarray, targets: list[float], cap: int
     _, degenerate = _top_gaps(lam)
     lam = np.maximum(lam, 0.0)
     ratios = lam[:, 1:] / lam[:, :1]
-    target = np.array(targets)
+    target = np.array(targets, dtype=np.float64)
     # a nondegenerate member reaches eps = 0 by n = 2**37 (its tail
     # ratios are below 1 - TOL_DEGEN), so no larger cap ever binds
     cap = min(cap, 2**40)
@@ -384,17 +414,27 @@ def _plans(lam: np.ndarray, targets: list[float], cap: int
         lo[rows[~reached]] = mid[~reached]
         rows = rows[hi[rows] - lo[rows] > 1]
     hi[degenerate] = 0
-    return [AmplificationPlan(n=n, achieved_epsilon=a, requested_epsilon=t,
-                              degenerate=dg)
-            for n, a, t, dg in zip(hi.tolist(), e.tolist(), targets,
-                                   (degenerate | capped).tolist())]
+    return AmplificationPlan(n=hi, achieved_epsilon=e, requested_epsilon=target,
+                             degenerate=degenerate | capped)
 
 
 def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
                        cap: int = PLAN_CAP) -> AmplificationPlan:
     """Plan the smallest n with 1 - lambda_max(amplify(rho, n)) <= target."""
     target = _check_plan_args(target_epsilon, cap)
-    return _plans(rho.spectrum.eigenvalues[None], [target], cap)[0]
+    return _member(_plans(rho.spectrum.eigenvalues[None], [target], cap), 0)
+
+
+def _member(columns: tuple, k: int) -> tuple:
+    """Entry k of each array field of a named tuple of columns, as a
+    Python value, in a tuple of the same type."""
+    return type(columns)(*(column.item(k) for column in columns))
+
+
+def _rows(columns: tuple, rows) -> tuple:
+    """The entries ``rows`` of each array field of a named tuple of
+    columns, in a tuple of the same type."""
+    return type(columns)(*(column[rows] for column in columns))
 
 
 class OverlapData(NamedTuple):
@@ -412,30 +452,77 @@ class OverlapData(NamedTuple):
     eps2: float
 
 
+def _overlaps(parts1: _PureParts, parts2: _PureParts) -> OverlapData:
+    """:func:`overlap_data` of each pair of members of two stacks of pure
+    decompositions, as overlap data whose fields are columns.
+
+    Each dot product of a member is a row of :func:`_row_dots`, so that
+    it has the bits of ``np.vdot`` of the member alone, and each
+    remainder meets its vector in one stacked matmul, which numpy
+    evaluates as the member's own mat-vec."""
+    f = _row_dots(parts1.psi.conj(), parts2.psi)
+    return OverlapData(f=f, g1=_weights(parts1, parts2.psi),
+                       g2=_weights(parts2, parts1.psi),
+                       eps1=parts1.epsilon, eps2=parts2.epsilon)
+
+
+def _weights(parts: _PureParts, psi: np.ndarray) -> np.ndarray:
+    """<psi|eta|psi> of each member's remainder eta and the matching row
+    of a stack (n, d) of vectors; 0.0 for a member without one."""
+    g = np.zeros(len(psi))
+    v = psi[parts.mixed]
+    if len(v):
+        eta_v = (parts.eta.matrix @ v[:, :, None])[:, :, 0]
+        g[parts.mixed] = _row_dots(v.conj(), eta_v).real
+    return g
+
+
+def _stack_of_one(dec: PureDecomposition) -> _PureParts:
+    """A pure decomposition as a stack of one."""
+    mixed = dec.eta is not None
+    return _PureParts(np.array([dec.epsilon], dtype=np.float64),
+                      np.asarray(dec.psi, dtype=np.complex128)[None],
+                      StateStack.of(dec.eta) if mixed else None,
+                      np.array([mixed]))
+
+
 def overlap_data(dec1: PureDecomposition, dec2: PureDecomposition) -> OverlapData:
-    f = complex(np.vdot(dec1.psi, dec2.psi))
-    g1 = 0.0 if dec1.eta is None else float(
-        np.vdot(dec2.psi, dec1.eta.matrix @ dec2.psi).real)
-    g2 = 0.0 if dec2.eta is None else float(
-        np.vdot(dec1.psi, dec2.eta.matrix @ dec1.psi).real)
-    return OverlapData(f=f, g1=g1, g2=g2,
-                       eps1=float(dec1.epsilon), eps2=float(dec2.epsilon))
+    """The overlap data of a pair: :func:`_overlaps` of a stack of one."""
+    return _member(_overlaps(_stack_of_one(dec1), _stack_of_one(dec2)), 0)
+
+
+def _unreachable(af: float) -> ConditionUnreachableError:
+    """The error of a pair whose overlap |f| = ``af`` sits at a boundary."""
+    return ConditionUnreachableError(
+        f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
+        "boundary; the margin condition cannot certify this pair")
+
+
+def _at_boundary(af, tol_f: float):
+    """Whether |f| = ``af`` sits within ``tol_f`` of 0 or 1: of one
+    overlap, or of each entry of a column of them."""
+    return (af <= tol_f) | (af >= 1.0 - tol_f)
 
 
 def _guard_overlap(af: float, tol_f: float) -> float:
     """``af`` = |f|, unless it sits within ``tol_f`` of 0 or 1."""
-    if af <= tol_f or af >= 1.0 - tol_f:
-        raise ConditionUnreachableError(
-            f"leading-eigenvector overlap |f| = {af:.17g} sits at a "
-            "boundary; the margin condition cannot certify this pair")
+    if _at_boundary(af, tol_f):
+        raise _unreachable(af)
     return af
+
+
+def _margins(af, o: OverlapData) -> tuple:
+    """(eps1*g1 + eps2*g2, (1 - |f|^2)/2), the two sides of the margin
+    condition, with ``af`` = |f|: of one pair, or, of overlap data whose
+    fields are columns, of each pair, entry by entry in the same IEEE
+    operations."""
+    return o.eps1 * o.g1 + o.eps2 * o.g2, (1.0 - af * af) / 2.0
 
 
 def margin_terms(o: OverlapData) -> tuple[float, float]:
     """(eps1*g1 + eps2*g2, (1 - |f|^2)/2), the two sides of the margin
     condition."""
-    af = abs(o.f)
-    return o.eps1 * o.g1 + o.eps2 * o.g2, (1.0 - af * af) / 2.0
+    return _margins(abs(o.f), o)
 
 
 def nonpositivity_condition(o: OverlapData, *, tol_f: float = TOL_F) -> bool:
@@ -444,8 +531,7 @@ def nonpositivity_condition(o: OverlapData, *, tol_f: float = TOL_F) -> bool:
     When true, the anticommutator of the reconstructed pair is not
     positive semidefinite.
     """
-    _guard_overlap(abs(o.f), tol_f)
-    lhs, rhs = margin_terms(o)
+    lhs, rhs = _margins(_guard_overlap(abs(o.f), tol_f), o)
     return lhs < rhs
 
 
@@ -497,65 +583,99 @@ class NestedWitnessResult(NamedTuple):
     condition_met: bool
 
 
-def _nested(sigma1: StateStack, sigma2: StateStack, targets: list, *,
-            tol_comm: float, tol_witness: float, tol_null: float,
-            tol_f: float, plan_cap: int
-            ) -> list[NestedWitnessResult | QwitnessError]:
-    """:func:`nested_witness` of each pair of members of two stacks, the
-    k-th toward targets[k].
+class _NestedColumns(NamedTuple):
+    """:func:`_nested_columns`'s outcome over a stack of pairs.
 
-    Each check runs once over the whole stack, in nested_witness's
-    order: degenerate input, commuting inputs, capped plan, boundary
-    overlap. A member that fails one gets, in place of a result, the
-    error of the first check it fails; only the members that pass them
-    all are witnessed. Any other failed check raises.
+    ``errors`` holds each member's stop error, or None for a member that
+    is witnessed. The witnessed members are ``live``, in order; the other
+    fields hold one entry per live member: the two plans and the overlap
+    data (named tuples whose fields are columns), the margin
+    ``condition`` and the ``analysis`` of the amplified anticommutator.
     """
-    checked = [_check_plan_args(target, plan_cap) for target in targets]
-    out: list = [None] * len(targets)
 
-    def stop(k: int, error: QwitnessError) -> None:
-        if out[k] is None:
-            out[k] = error
+    errors: list
+    live: np.ndarray
+    plans: list[AmplificationPlan]
+    overlap: OverlapData
+    condition: np.ndarray
+    analysis: _Analysis
 
-    pairs = (("first", sigma1), ("second", sigma2))
-    for name, sigma in pairs:
+
+def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
+                    tol_comm: float, tol_witness: float, tol_null: float,
+                    tol_f: float, plan_cap: int) -> _NestedColumns:
+    """:func:`nested_witness` of each pair of members of two stacks, the
+    k-th toward targets[k], as columns.
+
+    Each check runs once over the members still live, in nested_witness's
+    order: degenerate input, commuting inputs, capped plan, boundary
+    overlap. A member that fails one stops with the error of the first
+    check it fails, and no later stage computes anything for it: the
+    plans, amplification, decompositions and overlaps run on the members
+    still live before them, and only the members that pass every check
+    are witnessed. Any other failed check raises.
+    """
+    checked = np.array([_check_plan_args(t, plan_cap) for t in targets],
+                       dtype=np.float64)
+    errors: list = [None] * len(targets)
+    live = np.arange(len(targets))
+
+    def stop(failed: np.ndarray, error) -> np.ndarray:
+        """Gives live member j, where ``failed`` holds, error(j) unless
+        an earlier check stopped it; returns ``failed``."""
+        for j in np.flatnonzero(failed).tolist():
+            if errors[live[j]] is None:
+                errors[live[j]] = error(j)
+        return failed
+
+    names = ("first", "second")
+    failed = np.zeros(len(live), dtype=bool)
+    for name, sigma in zip(names, (sigma1, sigma2)):
         gap, degenerate = _top_gaps(sigma.spectrum.eigenvalues)
-        for k in np.flatnonzero(degenerate).tolist():
-            stop(k, DegenerateSpectrumError(
-                f"{name} input has a degenerate leading eigenvalue "
-                f"(gap {gap[k]:.3e})"))
+        failed |= stop(degenerate, lambda j: DegenerateSpectrumError(
+            f"{name} input has a degenerate leading eigenvalue "
+            f"(gap {gap[j]:.3e})"))
     norms = frobenius_norms(commutator(sigma1.matrix, sigma2.matrix))
-    for k, norm in enumerate(norms):
-        if norm <= tol_comm:
-            stop(k, CommutingInputsError(
-                f"inputs commute (commutator norm {norm:.3e}); "
-                "no witness is possible"))
-    plans = [_plans(sigma.spectrum.eigenvalues, checked, plan_cap)
-             for _, sigma in pairs]
-    for (name, _), ps in zip(pairs, plans):
-        for k, p in enumerate(ps):
-            if p.degenerate:
-                stop(k, DegenerateSpectrumError(
-                    f"amplification plan for the {name} input capped out "
-                    f"at n = {p.n} without reaching epsilon {targets[k]}"))
-    amplified = [_amplified(sigma.spectrum, [p.n for p in ps])
-                 for (_, sigma), ps in zip(pairs, plans)]
-    overlaps = [overlap_data(dec1, dec2) for dec1, dec2 in zip(
-        *(_pure_decompositions(rho.spectrum) for rho in amplified))]
-    for k, o in enumerate(overlaps):
-        try:
-            _guard_overlap(abs(o.f), tol_f)
-        except ConditionUnreachableError as exc:
-            stop(k, exc)
-    live = [k for k, result in enumerate(out) if result is None]
-    anti = anticommutator(*(rho.matrix[live] for rho in amplified))
-    reports = _analyze(anti, tol_witness, tol_null)
-    for k, report in zip(live, reports):
-        out[k] = NestedWitnessResult(
-            report=report, plan1=plans[0][k], plan2=plans[1][k],
-            overlap=overlaps[k],
-            condition_met=nonpositivity_condition(overlaps[k], tol_f=tol_f))
-    return out
+    failed |= stop(np.array(norms) <= tol_comm, lambda j: CommutingInputsError(
+        f"inputs commute (commutator norm {norms[j]:.3e}); "
+        "no witness is possible"))
+    live = live[~failed]
+    spectra = [_rows(sigma.spectrum, live) for sigma in (sigma1, sigma2)]
+    plans = [_plans(dec.eigenvalues, checked[live], plan_cap)
+             for dec in spectra]
+    failed = np.zeros(len(live), dtype=bool)
+    for name, plan in zip(names, plans):
+        failed |= stop(plan.degenerate, lambda j: DegenerateSpectrumError(
+            f"amplification plan for the {name} input capped out "
+            f"at n = {plan.n[j]} without reaching epsilon {targets[live[j]]}"))
+    live, plans = live[~failed], [_rows(plan, ~failed) for plan in plans]
+    amplified = [_amplified(_rows(dec, ~failed), plan.n.tolist())
+                 for dec, plan in zip(spectra, plans)]
+    overlap = _overlaps(*(_pure_decompositions(rho.spectrum)
+                          for rho in amplified))
+    af = np.array(list(map(abs, overlap.f.tolist())))
+    failed = stop(_at_boundary(af, tol_f), lambda j: _unreachable(af[j]))
+    live, keep = live[~failed], ~failed
+    lhs, rhs = _margins(af[keep], _rows(overlap, keep))
+    anti = anticommutator(*(rho.matrix[keep] for rho in amplified))
+    return _NestedColumns(errors, live, [_rows(plan, keep) for plan in plans],
+                          _rows(overlap, keep), lhs < rhs,
+                          _analysis(anti, tol_witness, tol_null))
+
+
+def _nested(sigma1: StateStack, sigma2: StateStack, targets: list,
+            **tols) -> list[NestedWitnessResult | QwitnessError]:
+    """:func:`nested_witness` of each pair of members of two stacks: each
+    member's result, or the error it stops with (see
+    :func:`_nested_columns`)."""
+    out = _nested_columns(sigma1, sigma2, targets, **tols)
+    results = list(out.errors)
+    for j, k in enumerate(out.live.tolist()):
+        results[k] = NestedWitnessResult(
+            report=out.analysis.report(j), plan1=_member(out.plans[0], j),
+            plan2=_member(out.plans[1], j), overlap=_member(out.overlap, j),
+            condition_met=out.condition.item(j))
+    return results
 
 
 def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,

@@ -14,11 +14,12 @@ from qwitness.errors import (
     DegenerateSpectrumError,
     DimensionError,
     HermiticityError,
+    PositivityError,
     PreconditionError,
     ProjectorError,
     QwitnessError,
 )
-from qwitness import witness
+from qwitness import states, witness
 from qwitness.discord import BipartiteState
 from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
                              frobenius_norms)
@@ -455,7 +456,8 @@ def test_stacked_plans_and_amplification_match_each_state_alone():
     exits = set()
     for cap in (10**30, PLAN_CAP, 7, 3, 2, 1):
         for lam, targets in spectra:
-            plans = witness._plans(lam, targets, cap)
+            columns = witness._plans(lam, targets, cap)
+            plans = [witness._member(columns, k) for k in range(len(lam))]
             for row, target, plan in zip(lam, targets, plans):
                 got = (plan.n, plan.achieved_epsilon, plan.degenerate)
                 assert [type(x) for x in got] == [int, float, bool]
@@ -539,6 +541,62 @@ def test_nested_core_on_a_stack_where_every_member_stops():
         CommutingInputsError, DegenerateSpectrumError, CommutingInputsError]
 
 
+def test_nested_core_runs_its_stages_on_live_members_only(monkeypatch):
+    # members that stop at the degenerate or commuting check reach no
+    # plan, amplification or decomposition; a member that stops there
+    # and whose amplification would raise gets the error it gets alone
+    seen = {"_plans": [], "_amplified": [], "_pure_decompositions": []}
+
+    def spy(name):
+        real = getattr(witness, name)
+
+        def call(arg, *rest):
+            rows = arg.eigenvalues if name != "_plans" else arg
+            seen[name].append(len(rows))
+            return real(arg, *rest)
+
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(witness, name, spy(name))
+    tols = dict(tol_comm=1e-10, tol_witness=1e-12, tol_null=1e-12,
+                tol_f=1e-6, plan_cap=PLAN_CAP)
+    stopped = [(np.diag([0.6, 0.3, 0.1]), np.diag([0.2, 0.5, 0.3])),
+               (np.diag([0.4, 0.4, 0.2]), np.diag([0.1, 0.2, 0.7])),
+               (np.diag([0.5, 0.3, 0.2]), np.diag([0.3, 0.3, 0.4]))]
+    stacks = [StateStack.check(np.array([pair[i] for pair in stopped]))
+              for i in (0, 1)]
+    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    assert [type(r) for r in results] == [
+        CommutingInputsError, DegenerateSpectrumError, CommutingInputsError]
+    assert all(rows == 0 for calls in seen.values() for rows in calls)
+
+    # beside live members, a commuting member whose amplification raises
+    rng = seeded_rng(31)
+    live = [(_nondegenerate(3, rng), _nondegenerate(3, rng)) for _ in range(2)]
+    pairs = [live[0], tuple(map(make_density, stopped[0])), live[1]]
+    doomed = pairs[1][0].spectrum.eigenvalues
+    amplified = witness._amplified
+
+    def refuse(dec, n):
+        if any(np.array_equal(row, doomed) for row in dec.eigenvalues):
+            raise PositivityError("amplified a stopped member")
+        return amplified(dec, n)
+
+    monkeypatch.setattr(witness, "_amplified", refuse)
+    stacks = [StateStack.check(np.array([pair[i].matrix for pair in pairs]))
+              for i in (0, 1)]
+    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    with pytest.raises(CommutingInputsError) as alone:
+        nested_witness(*pairs[1], 0.05, **tols)
+    assert (type(results[1]), str(results[1])) == (type(alone.value),
+                                                   str(alone.value))
+    for k in (0, 2):
+        want = nested_witness(*pairs[k], 0.05, **tols)
+        assert (results[k].plan1, results[k].plan2, results[k].overlap) == \
+            (want.plan1, want.plan2, want.overlap)
+
+
 # ------------------------------------------------- first-order condition
 
 def test_overlap_data_and_condition():
@@ -594,6 +652,76 @@ def test_overlap_data_from_decompositions():
         abs(np.vdot(dec1.psi, dec2.psi)), abs=1e-15)
     assert o.eps1 == dec1.epsilon and o.eps2 == dec2.epsilon
     assert 0.0 <= o.g1 <= 1.0 + 1e-12 and 0.0 <= o.g2 <= 1.0 + 1e-12
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+def _shifted(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` that starts 8 bytes into its buffer."""
+    out = np.empty(a.nbytes + 8, dtype=np.uint8)[8:].view(a.dtype)
+    out = out.reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _decomposed(rng, kinds: list[int], d: int):
+    """Pure decompositions of random states of dimension d, one of each
+    kind: 0 mixed, 1 pure, 2 mixed below TOL_PSD (no remainder)."""
+    lam = np.zeros((len(kinds), d))
+    lam[:, 0] = 1.0
+    for k, kind in enumerate(kinds):
+        if kind == 0 or d == 1:
+            eps = rng.uniform(0.0, 0.4)
+            lam[k] = (1.0 - eps) * lam[k] + eps * rng.dirichlet(np.ones(d))
+            lam[k] = np.sort(lam[k])[::-1]
+        elif kind == 2:
+            lam[k, :2] = [1.0 - 1e-13, 1e-13]
+    vecs = np.array([random_unitary(d, rng) for _ in kinds],
+                    dtype=np.complex128).reshape(len(kinds), d, d)
+    return states._pure_decompositions(SpectralDecomposition(lam, vecs))
+
+
+def test_stacked_overlaps_match_each_pair_alone():
+    # the overlap columns and the margin condition of a stack, whose
+    # rows start 8 bytes into their buffers, have the bits of
+    # overlap_data and nonpositivity_condition of each pair alone
+    rng = seeded_rng(47)
+    met = set()
+    for d in range(1, 7):
+        for n in (0, 1, 5, 300):
+            # every pair of kinds in each run of nine members
+            parts = [_decomposed(rng, [k % 3 for k in range(n)], d),
+                     _decomposed(rng, [k // 3 % 3 for k in range(n)], d)]
+            shifted = [p._replace(epsilon=_shifted(p.epsilon),
+                                  psi=_shifted(p.psi),
+                                  eta=StateStack(_shifted(p.eta.matrix),
+                                                 p.eta.spectrum))
+                       for p in parts]
+            columns = witness._overlaps(*shifted)
+            af = np.array([abs(f) for f in columns.f.tolist()])
+            lhs, rhs = witness._margins(af, columns)
+            alone = [[PureDecomposition(
+                epsilon=p.epsilon.item(k), psi=p.psi[k].copy(),
+                eta=p.eta.state(int(p.mixed[:k].sum())) if p.mixed[k]
+                else None) for k in range(n)] for p in parts]
+            for k, (dec1, dec2) in enumerate(zip(*alone)):
+                o = overlap_data(dec1, dec2)
+                assert [type(x) for x in o] == [complex] + [float] * 4
+                assert _bits(o) == _bits([column[k] for column in columns])
+                assert _bits(margin_terms(o)) == _bits([lhs[k], rhs[k]])
+                if witness._at_boundary(af[k], TOL_F):
+                    with pytest.raises(ConditionUnreachableError):
+                        nonpositivity_condition(o)
+                    continue
+                assert nonpositivity_condition(o) == (lhs[k] < rhs[k])
+                met.add((d > 1 and (dec1.eta is None, dec2.eta is None),
+                         nonpositivity_condition(o)))
+    # every pair of pure and mixed remainders, and both outcomes
+    assert {pure for pure, _ in met} >= {(True, True), (True, False),
+                                         (False, True), (False, False)}
+    assert {cond for _, cond in met} == {True, False}
 
 
 # ------------------------------------------------------- nested witness
