@@ -20,20 +20,18 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (CommutingInputsError, ConditionUnreachableError,
-                     DegenerateSpectrumError, DimensionError,
-                     NullOutcomeError, PositivityError)
+from .errors import DimensionError, NullOutcomeError, PositivityError
 from .linalg import anticommutator, as_matrix, commutator, frobenius_norms
 from .states import DensityOperator, StateStack, pure_projector
 from .tolerances import (PLAN_CAP, TOL_COMM, TOL_F, TOL_NULL, TOL_PSD,
                          TOL_TRACE, TOL_WITNESS)
 from .witness import (
-    NestedWitnessResult,
     WitnessReport,
-    _analyze,
+    _Analysis,
     _at_boundary,
+    _check_dims,
     _leading_overlaps,
-    _nested,
+    _nested_columns,
     safe_nested_target,
 )
 
@@ -222,6 +220,7 @@ def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
     get the direct spectral report, never NONPOSITIVE_WITNESSED for
     commuting states.
     """
+    _check_dims(rho1.dim, rho2.dim)
     return _witness_conditionals(
         StateStack.of(rho1), StateStack.of(rho2), tol_witness=tol_witness,
         tol_null=tol_null, tol_comm=tol_comm)[0]
@@ -230,31 +229,24 @@ def witness_conditionals(rho1: DensityOperator, rho2: DensityOperator, *,
 def _witness_conditionals(first: StateStack, second: StateStack, *,
                           tol_witness: float = TOL_WITNESS,
                           tol_null: float = TOL_NULL,
-                          tol_comm: float = TOL_COMM) -> list[WitnessReport]:
-    """:func:`witness_conditionals` of each pair of members of two stacks.
+                          tol_comm: float = TOL_COMM) -> _Analysis:
+    """:func:`witness_conditionals` of each pair of members of two
+    stacks, as columns.
 
-    The members that pass the overlap guard go to the nested witness
-    together. Those that fail the guard, or that the nested witness
-    declines (ConditionUnreachableError, CommutingInputsError,
-    DegenerateSpectrumError), get the direct report together. Any other
-    error raises.
+    The members that pass the overlap guard go to the nested core
+    together. Those that fail the guard, or that it stops (every stop
+    error is one that witness_conditionals declines), keep their own
+    anticommutator; the amplified ones of the others take their place,
+    and the whole stack is analyzed at once.
     """
     overlaps = _leading_overlaps(first, second)
     passed = np.flatnonzero(~_at_boundary(np.array(overlaps), TOL_F))
-    reports: list = [None] * len(overlaps)
-    results = _nested(first.take(passed), second.take(passed),
-                      [safe_nested_target(overlaps[k]) for k in passed],
-                      tol_comm=tol_comm, tol_witness=tol_witness,
-                      tol_null=tol_null, tol_f=TOL_F, plan_cap=PLAN_CAP)
-    for k, result in zip(passed, results):
-        if isinstance(result, NestedWitnessResult):
-            reports[k] = result.report
-        elif not isinstance(result, (ConditionUnreachableError,
-                                     CommutingInputsError,
-                                     DegenerateSpectrumError)):
-            raise result
-    direct = [k for k, report in enumerate(reports) if report is None]
-    anti = anticommutator(first.matrix[direct], second.matrix[direct])
-    for k, report in zip(direct, _analyze(anti, tol_witness, tol_null)):
-        reports[k] = report
-    return reports
+    nested = _nested_columns(first.take(passed), second.take(passed),
+                             [safe_nested_target(overlaps[k]) for k in passed],
+                             tol_comm=tol_comm, tol_f=TOL_F, plan_cap=PLAN_CAP)
+    direct = np.ones(len(overlaps), dtype=bool)
+    direct[passed[nested.live]] = False
+    anti = np.empty_like(first.matrix)
+    anti[direct] = anticommutator(first.matrix[direct], second.matrix[direct])
+    anti[~direct] = nested.anti
+    return _Analysis(anti, tol_witness, tol_null)

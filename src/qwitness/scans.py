@@ -27,9 +27,13 @@ are bit-identical to the per-matrix ones, each per-member dot product
 ``DensityOperator``'s checks, so the records keep their bytes. Each
 trial draws each of its states once, whatever its spectrum, and a
 failed check raises what the per-trial loop would raise first.
-``nested`` takes its records from the columns of the nested witness
-(``witness._nested_columns``): a trial that stops at a check keeps only
-its error, and no later stage computes anything for it.
+The witness fields of ``pure-mixed``, ``nested`` and ``discord`` are
+the columns of the stacked analysis (``witness._Analysis``): its
+minimum eigenvalues, criteria, verdict texts and witnessed flags, with
+no report built per trial. ``nested`` takes its other fields from the
+columns of the nested witness (``witness._nested_columns``): a trial
+that stops at a check keeps only its error, and no later stage
+computes anything for it.
 """
 
 from __future__ import annotations
@@ -57,11 +61,11 @@ from .states import (
 from .tolerances import (PLAN_CAP, SCAN_KINDS, TOL_COMM, TOL_F, TOL_NULL,
                          TOL_WITNESS)
 from .witness import (
-    Verdict,
+    _Analysis,
     _bloch_conditions,
     _leading_overlaps,
     _nested_columns,
-    _pure_mixed_reports,
+    _pure_mixed_analysis,
     safe_nested_target,
 )
 from . import discord as discord_mod
@@ -92,9 +96,9 @@ _CHUNK_BYTES = 1 << 21
 # per-trial object). A discord trial draws 368 bytes (six Dirichlet
 # weights and 40 normals) and holds ~8 KiB: its 16 conditional members
 # (the 4x4 state and the projector each starts from, the 2x2 state and
-# spectrum it ends with, and the checks' temporaries) and its two
-# witness reports. 2 KiB sits between them: a block then holds at most
-# ~960 trials, whose peak stays a few times _CHUNK_BYTES
+# spectrum it ends with, and the checks' temporaries) and the witness
+# columns of its two pairs. 2 KiB sits between them: a block then holds
+# at most ~960 trials, whose peak stays a few times _CHUNK_BYTES
 _TRIAL_BYTES = 2048
 
 
@@ -291,25 +295,21 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
         psi, g = _gaussians(normals, shapes(d))
         psi = _unit_rows(psi)
         rho2 = StateStack.check(_density_from_ginibre(g))
-        reports = _pure_mixed_reports(psi, rho2, TOL_WITNESS, TOL_NULL)
+        analysis = _pure_mixed_analysis(psi, rho2, TOL_WITNESS, TOL_NULL)
         comm_norms = np.array(frobenius_norms(
             commutator(_projectors(psi), rho2.matrix)))
-        verdicts = [report.verdict for report in reports]
-        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
-                              for v in verdicts], dtype=bool)
         return Records(len(trial_ids), {
             "trial": trial_ids,
             "dim": np.full(len(trial_ids), d),
             "commutator_norm": comm_norms,
-            "min_eigenvalue": np.array([r.min_eigenvalue for r in reports]),
-            "purity_criterion": np.array([r.purity_criterion
-                                          for r in reports]),
+            "min_eigenvalue": analysis.mins,
+            "purity_criterion": analysis.criteria,
             "purity_deviation": np.array([
-                0.0 if r.closed_form_criterion is None
-                else abs(r.closed_form_criterion - r.purity_criterion)
-                for r in reports]),
-            "verdict": np.array([v.value for v in verdicts], dtype=object),
-            "counterexample": witnessed != (comm_norms > TOL_COMM),
+                0.0 if closed is None else abs(closed - criterion)
+                for closed, criterion in zip(analysis.closed.tolist(),
+                                             analysis.criteria.tolist())]),
+            "verdict": analysis.verdicts,
+            "counterexample": analysis.witnessed != (comm_norms > TOL_COMM),
         })
 
     records = _batched(trials, dims, seed, draw, compute)
@@ -336,8 +336,8 @@ def scan_nested(trials: int, dims: Sequence[int],
         targets = [safe_nested_target(f)
                    for f in _leading_overlaps(sigma1, sigma2)]
         nested = _nested_columns(sigma1, sigma2, targets, tol_comm=TOL_COMM,
-                                 tol_witness=TOL_WITNESS, tol_null=TOL_NULL,
                                  tol_f=TOL_F, plan_cap=PLAN_CAP)
+        analysis = _Analysis(nested.anti, TOL_WITNESS, TOL_NULL)
         n = len(trial_ids)
         skipped = np.ones(n, dtype=bool)
         skipped[nested.live] = False
@@ -349,9 +349,6 @@ def scan_nested(trials: int, dims: Sequence[int],
             out[rows] = values
             return out
 
-        verdicts = nested.analysis.verdicts
-        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
-                              for v in verdicts], dtype=bool)
         return Records(n, {
             "trial": trial_ids,
             "dim": np.full(n, d),
@@ -362,11 +359,12 @@ def scan_nested(trials: int, dims: Sequence[int],
             "n2": column(0, nested.plans[1].n),
             "eps1": column(0.0, nested.overlap.eps1),
             "eps2": column(0.0, nested.overlap.eps2),
-            "overlap": column(0.0, list(map(abs, nested.overlap.f.tolist()))),
+            "overlap": column(0.0, nested.af),
             "condition": column(False, nested.condition),
-            "min_eigenvalue": column(None, nested.analysis.mins),
-            "verdict": column(None, [v.value for v in verdicts]),
-            "counterexample": column(False, nested.condition & ~witnessed),
+            "min_eigenvalue": column(None, analysis.mins),
+            "verdict": column(None, analysis.verdicts),
+            "counterexample": column(False,
+                                     nested.condition & ~analysis.witnessed),
         }, _NESTED_LAYOUTS, (~skipped).astype(np.int8))
 
     records = _batched(trials, dims, seed, draw, compute)
@@ -571,18 +569,15 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
                                     outcome_probs.reshape(-1, 2), -np.inf),
                            axis=-1) + np.arange(0, possible.size, 2)
         first, second = (np.cumsum(possible) - 1)[likely].reshape(-1, 2).T
-        verdicts = [r.verdict for r in discord_mod._witness_conditionals(
-            conds.take(first), conds.take(second))]
-        witnessed = np.array([v == Verdict.NONPOSITIVE_WITNESSED
-                              for v in verdicts], dtype=bool).reshape(n, 2)
+        analysis = discord_mod._witness_conditionals(conds.take(first),
+                                                     conds.take(second))
         return Records(n, {
             "trial": trial_ids,
             "cq_noncommuting": noncommuting,
-            "cq_verdict": np.array([v.value for v in verdicts[::2]],
-                                   dtype=object),
-            "product_verdict": np.array([v.value for v in verdicts[1::2]],
-                                        dtype=object),
-            "counterexample": noncommuting | witnessed.any(axis=1),
+            "cq_verdict": analysis.verdicts[::2],
+            "product_verdict": analysis.verdicts[1::2],
+            "counterexample": noncommuting
+            | analysis.witnessed.reshape(n, 2).any(axis=1),
         })
 
     records = _batched(trials, [2], seed, draw, compute)

@@ -9,7 +9,7 @@ check instead:
 - ``states._pure_states``: unit norm within 1e-12 (``as_pure_state``
   and the discord scan's measurement vectors);
 - ``states.bloch_to_state``: Bloch norm at most 1 + 1e-12;
-- ``witness._analyze``: the closed-form and eigen purity criteria agree
+- ``witness._agreed``: the closed-form and eigen purity criteria agree
   within 1e-10 relative;
 - ``witness._check_projector``: idempotent within 1e-10 relative, and
   trace within 1e-8 of the rank.

@@ -14,7 +14,7 @@ no command runs yet.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
     DimensionError,
     PreconditionError,
     ProjectorError,
-    QwitnessError,
 )
 from .linalg import (
     SpectralDecomposition,
@@ -97,7 +96,9 @@ class Verdict(str, enum.Enum):
 
 
 class WitnessReport(NamedTuple):
-    """Spectral analysis of one anticommutator.
+    """Spectral analysis of one anticommutator: the member of
+    :class:`_Analysis`'s columns that a one-pair call returns (the
+    stacked paths read the columns and build no report).
 
     ``witness_vector`` is the eigenvector of the smallest eigenvalue
     (lowest index on ties, so reports are reproducible). The verdict
@@ -137,35 +138,22 @@ class WitnessReport(NamedTuple):
         }
 
 
-class _Analysis(NamedTuple):
-    """:func:`_analyze`'s columns, one entry per member of a stack of
-    anticommutators: :class:`WitnessReport`'s fields, with the
-    tolerances shared."""
-
-    mins: list[float]
-    vectors: np.ndarray
-    criteria: list
-    traces: list[float]
-    verdicts: list[Verdict]
-    closed: list
-    tol_witness: float
-    tol_null: float
-
-    def report(self, k: int) -> WitnessReport:
-        """The report of member k."""
-        return WitnessReport(
-            min_eigenvalue=self.mins[k], witness_vector=self.vectors[k],
-            purity_criterion=self.criteria[k],
-            anticommutator_trace=self.traces[k], verdict=self.verdicts[k],
-            tol_witness=self.tol_witness, tol_null=self.tol_null,
-            closed_form_criterion=self.closed[k])
+# the verdict texts, indexed by witnessed, or 2 for a null operator:
+# each entry of a verdict column refers to one of these three strs
+_VERDICT_TEXTS = np.array([Verdict.POSITIVE.value,
+                           Verdict.NONPOSITIVE_WITNESSED.value,
+                           Verdict.NULL_ANTICOMMUTATOR.value], dtype=object)
 
 
-def _analysis(anti: np.ndarray, tol_witness: float, tol_null: float,
-              closed: list | None = None) -> _Analysis:
-    """The analysis of each member of a stack (n, d, d) of
+class _Analysis(Sequence):
+    """The spectral analysis of each member of a stack (n, d, d) of
     anticommutators, which :func:`anticommutator` returns exactly
-    Hermitian, as columns.
+    Hermitian, as columns: :class:`WitnessReport`'s fields (``mins``,
+    ``vectors``, ``criteria``, ``traces``, ``verdicts`` as text,
+    ``closed``), one entry per member, with the tolerances shared, and
+    ``witnessed``, whether a member's verdict is NONPOSITIVE_WITNESSED.
+    Read as a sequence, it is the members' reports, each built when it
+    is read.
 
     ``closed``, when given, holds each member's closed-form purity
     criterion; it must agree with the eigen-analysis within 1e-10
@@ -173,34 +161,43 @@ def _analysis(anti: np.ndarray, tol_witness: float, tol_null: float,
     carries it. The criterion grows like 1/tr^2 as psi nears
     orthogonality to rho2's support, and its rounding with it.
     """
-    n, d = anti.shape[:2]
-    if d > EIGEN_DIM_CAP:
-        raise CapacityError(
-            f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
-    dec = _eigh_descending(anti)
-    lows = np.argmin(dec.eigenvalues, axis=-1)
-    mins = dec.eigenvalues.min(axis=-1)
-    traces = anti.trace(axis1=-2, axis2=-1).real.tolist()
-    null = [norm <= tol_null for norm in frobenius_norms(anti)]
-    flat = anti.reshape(n, d * d)
-    squares = _row_dots(flat.conj(), flat).real.tolist()
-    criteria = [None if z or abs(tr) <= tol_null else sq / tr**2
-                for z, tr, sq in zip(null, traces, squares)]
-    verdicts = [Verdict.NULL_ANTICOMMUTATOR if z else
-                Verdict.NONPOSITIVE_WITNESSED if w else Verdict.POSITIVE
-                for z, w in zip(null, (mins < -tol_witness).tolist())]
-    closed = [None] * n if closed is None else [*map(_agreed, closed, criteria)]
-    return _Analysis(mins.tolist(), dec.eigenvectors[np.arange(n), :, lows],
-                     criteria, traces, verdicts, closed, float(tol_witness),
-                     float(tol_null))
 
+    def __init__(self, anti: np.ndarray, tol_witness: float,
+                 tol_null: float, closed: list | None = None):
+        n, d = anti.shape[:2]
+        if d > EIGEN_DIM_CAP:
+            raise CapacityError(
+                f"dimension {d} exceeds eigensolver cap {EIGEN_DIM_CAP}")
+        dec = _eigh_descending(anti)
+        lows = np.argmin(dec.eigenvalues, axis=-1)
+        self.mins = dec.eigenvalues.min(axis=-1)
+        self.vectors = dec.eigenvectors[np.arange(n), :, lows]
+        self.traces = anti.trace(axis1=-2, axis2=-1).real
+        null = np.array(frobenius_norms(anti)) <= tol_null
+        flat = anti.reshape(n, d * d)
+        squares = _row_dots(flat.conj(), flat).real.tolist()
+        criteria = [None if z or abs(tr) <= tol_null else sq / tr**2
+                    for z, tr, sq in zip(null.tolist(), self.traces.tolist(),
+                                         squares)]
+        self.criteria = np.array(criteria)
+        self.witnessed = ~null & (self.mins < -tol_witness)
+        self.verdicts = _VERDICT_TEXTS[np.where(null, 2, self.witnessed)]
+        self.closed = np.array([None] * n if closed is None
+                               else [*map(_agreed, closed, criteria)])
+        self.tol_witness, self.tol_null = float(tol_witness), float(tol_null)
 
-def _analyze(anti: np.ndarray, tol_witness: float, tol_null: float,
-             closed: list | None = None) -> list[WitnessReport]:
-    """The report of each member of a stack of anticommutators (see
-    :func:`_analysis`)."""
-    analysis = _analysis(anti, tol_witness, tol_null, closed)
-    return list(map(analysis.report, range(len(analysis.mins))))
+    def __len__(self) -> int:
+        return len(self.mins)
+
+    def __getitem__(self, k: int) -> WitnessReport:
+        """The report of member k."""
+        return WitnessReport(
+            min_eigenvalue=self.mins.item(k), witness_vector=self.vectors[k],
+            purity_criterion=self.criteria.item(k),
+            anticommutator_trace=self.traces.item(k),
+            verdict=Verdict(self.verdicts.item(k)),
+            tol_witness=self.tol_witness, tol_null=self.tol_null,
+            closed_form_criterion=self.closed.item(k))
 
 
 def _agreed(other: float | None, criterion: float | None) -> float | None:
@@ -218,12 +215,18 @@ def _agreed(other: float | None, criterion: float | None) -> float | None:
     return other
 
 
+def _check_dims(d1: int, d2: int) -> None:
+    """Rejects a pair of states of different dimensions."""
+    if d1 != d2:
+        raise DimensionError(f"dimension mismatch: {d1} vs {d2}")
+
+
 def witness_anticommutator(rho1: DensityOperator, rho2: DensityOperator, *,
                            tol_witness: float = TOL_WITNESS,
                            tol_null: float = TOL_NULL) -> WitnessReport:
     """Analyze the spectrum of {rho1, rho2}."""
     anti = anticommutator(rho1.matrix, rho2.matrix)
-    return _analyze(anti[None], tol_witness, tol_null)[0]
+    return _Analysis(anti[None], tol_witness, tol_null)[0]
 
 
 def _closed_forms(vecs: np.ndarray, dec: SpectralDecomposition,
@@ -244,14 +247,13 @@ def _closed_forms(vecs: np.ndarray, dec: SpectralDecomposition,
                             _row_dots(lam**2, f2s).tolist())]
 
 
-def _pure_mixed_reports(vecs: np.ndarray, rho2: StateStack,
-                        tol_witness: float, tol_null: float
-                        ) -> list[WitnessReport]:
+def _pure_mixed_analysis(vecs: np.ndarray, rho2: StateStack,
+                         tol_witness: float, tol_null: float) -> _Analysis:
     """:func:`pure_mixed_test` of each row of a stack (n, d) of unit
-    vectors against the matching member of ``rho2``."""
+    vectors against the matching member of ``rho2``, as columns."""
     closed = _closed_forms(vecs, rho2.spectrum, tol_null)
-    return _analyze(anticommutator(_projectors(vecs), rho2.matrix),
-                    tol_witness, tol_null, closed)
+    return _Analysis(anticommutator(_projectors(vecs), rho2.matrix),
+                     tol_witness, tol_null, closed)
 
 
 def pure_mixed_test(psi, rho2: DensityOperator, *,
@@ -265,11 +267,9 @@ def pure_mixed_test(psi, rho2: DensityOperator, *,
     carries both.
     """
     vec = as_pure_state(psi)
-    if vec.shape[0] != rho2.dim:
-        raise DimensionError(
-            f"dimension mismatch: {vec.shape[0]} vs {rho2.dim}")
-    return _pure_mixed_reports(vec[None], StateStack.of(rho2),
-                               tol_witness, tol_null)[0]
+    _check_dims(vec.shape[0], rho2.dim)
+    return _pure_mixed_analysis(vec[None], StateStack.of(rho2),
+                                tol_witness, tol_null)[0]
 
 
 def qubit_bloch_condition(b1, b2) -> bool:
@@ -559,6 +559,7 @@ def _leading_overlaps(sigma1: StateStack, sigma2: StateStack) -> list[float]:
 
 def leading_overlap(sigma1: DensityOperator, sigma2: DensityOperator) -> float:
     """|<psi1|psi2>| for the leading eigenvectors of two states."""
+    _check_dims(sigma1.dim, sigma2.dim)
     return _leading_overlaps(StateStack.of(sigma1), StateStack.of(sigma2))[0]
 
 
@@ -587,23 +588,25 @@ class _NestedColumns(NamedTuple):
     """:func:`_nested_columns`'s outcome over a stack of pairs.
 
     ``errors`` holds each member's stop error, or None for a member that
-    is witnessed. The witnessed members are ``live``, in order; the other
+    passes every check. Those members are ``live``, in order; the other
     fields hold one entry per live member: the two plans and the overlap
-    data (named tuples whose fields are columns), the margin
-    ``condition`` and the ``analysis`` of the amplified anticommutator.
+    data (named tuples whose fields are columns), its modulus ``af`` =
+    |f|, the margin ``condition`` and the amplified anticommutator
+    ``anti``, which the caller analyzes (:class:`_Analysis`).
     """
 
     errors: list
     live: np.ndarray
     plans: list[AmplificationPlan]
     overlap: OverlapData
+    af: np.ndarray
     condition: np.ndarray
-    analysis: _Analysis
+    anti: np.ndarray
 
 
 def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
-                    tol_comm: float, tol_witness: float, tol_null: float,
-                    tol_f: float, plan_cap: int) -> _NestedColumns:
+                    tol_comm: float, tol_f: float,
+                    plan_cap: int) -> _NestedColumns:
     """:func:`nested_witness` of each pair of members of two stacks, the
     k-th toward targets[k], as columns.
 
@@ -613,7 +616,7 @@ def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
     check it fails, and no later stage computes anything for it: the
     plans, amplification, decompositions and overlaps run on the members
     still live before them, and only the members that pass every check
-    are witnessed. Any other failed check raises.
+    reach the anticommutator. Any other failed check raises.
     """
     checked = np.array([_check_plan_args(t, plan_cap) for t in targets],
                        dtype=np.float64)
@@ -656,26 +659,11 @@ def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
     af = np.array(list(map(abs, overlap.f.tolist())))
     failed = stop(_at_boundary(af, tol_f), lambda j: _unreachable(af[j]))
     live, keep = live[~failed], ~failed
-    lhs, rhs = _margins(af[keep], _rows(overlap, keep))
-    anti = anticommutator(*(rho.matrix[keep] for rho in amplified))
+    overlap, af = _rows(overlap, keep), af[keep]
+    lhs, rhs = _margins(af, overlap)
     return _NestedColumns(errors, live, [_rows(plan, keep) for plan in plans],
-                          _rows(overlap, keep), lhs < rhs,
-                          _analysis(anti, tol_witness, tol_null))
-
-
-def _nested(sigma1: StateStack, sigma2: StateStack, targets: list,
-            **tols) -> list[NestedWitnessResult | QwitnessError]:
-    """:func:`nested_witness` of each pair of members of two stacks: each
-    member's result, or the error it stops with (see
-    :func:`_nested_columns`)."""
-    out = _nested_columns(sigma1, sigma2, targets, **tols)
-    results = list(out.errors)
-    for j, k in enumerate(out.live.tolist()):
-        results[k] = NestedWitnessResult(
-            report=out.analysis.report(j), plan1=_member(out.plans[0], j),
-            plan2=_member(out.plans[1], j), overlap=_member(out.overlap, j),
-            condition_met=out.condition.item(j))
-    return results
+                          overlap, af, lhs < rhs, anticommutator(
+                              *(rho.matrix[keep] for rho in amplified)))
 
 
 def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
@@ -700,16 +688,20 @@ def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,
     looser targets the report stays honest: the condition flag and the
     spectral verdict are computed independently and may disagree.
     """
-    if sigma1.dim != sigma2.dim:
-        raise DimensionError(
-            f"dimension mismatch: {sigma1.dim} vs {sigma2.dim}")
-    result, = _nested(StateStack.of(sigma1), StateStack.of(sigma2),
-                      [target_epsilon], tol_comm=tol_comm,
-                      tol_witness=tol_witness, tol_null=tol_null,
-                      tol_f=tol_f, plan_cap=plan_cap)
-    if isinstance(result, QwitnessError):
-        raise result
-    return result
+    _check_dims(sigma1.dim, sigma2.dim)
+    out = _nested_columns(StateStack.of(sigma1), StateStack.of(sigma2),
+                          [target_epsilon], tol_comm=tol_comm, tol_f=tol_f,
+                          plan_cap=plan_cap)
+    # analyzed before a stop error raises, so that a dimension past the
+    # eigensolver cap raises CapacityError whatever the pair
+    analysis = _Analysis(out.anti, tol_witness, tol_null)
+    error, = out.errors
+    if error is not None:
+        raise error
+    return NestedWitnessResult(
+        report=analysis[0], plan1=_member(out.plans[0], 0),
+        plan2=_member(out.plans[1], 0), overlap=_member(out.overlap, 0),
+        condition_met=out.condition.item(0))
 
 
 def second_order_indicator(eps1: float, eps2: float, g1: float, g2: float,

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_manifest import run
 
-from qwitness import cli, scans
+from qwitness import cli, scans, witness
 from qwitness.cli import _build_parser, dumps, main
 from qwitness.discord import classical_quantum_state
 from qwitness.scans import run_scan
@@ -911,9 +911,10 @@ def test_record_writer_follows_nested_skip_layouts():
 
 @pytest.mark.parametrize("kind", scans.SCAN_KINDS)
 def test_jsonl_scan_builds_no_record_dict(capsys, monkeypatch, kind):
-    # JSONL prints the columns: with the rows of the record view refused,
-    # each kind prints what it prints unrefused. CSV reads those rows,
-    # and they are the records that JSONL prints
+    # JSONL prints the columns: with the rows of the record view and the
+    # members' witness reports refused, each kind prints what it prints
+    # unrefused. CSV reads those rows, and they are the records that
+    # JSONL prints
     argv = ["scan", "--kind", kind, "--trials", "30", "--grid", "6",
             "--dims", "1,2,3", "--seed", "2"]
     code, jsonl, _ = run_cli(capsys, *argv)
@@ -922,8 +923,12 @@ def test_jsonl_scan_builds_no_record_dict(capsys, monkeypatch, kind):
     def refuse(self, k):
         raise AssertionError(f"record {k} was built as a dict")
 
+    def refuse_report(self, k):
+        raise AssertionError(f"member {k} was built as a witness report")
+
     with monkeypatch.context() as patched:
         patched.setattr(scans.Records, "_row", refuse)
+        patched.setattr(witness._Analysis, "__getitem__", refuse_report)
         assert run_cli(capsys, *argv)[:2] == (0, jsonl)
     records, _ = run_scan(kind, trials=30, dims=(1, 2, 3), seed=2, grid=6)
     *lines, summary = jsonl.splitlines()

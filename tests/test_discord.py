@@ -463,9 +463,10 @@ def test_stacked_witness_takes_each_members_route():
 
 def test_stacked_witness_raises_what_the_nested_witness_does_not_decline(
         monkeypatch):
-    error = CapacityError("not a declined input")
-    monkeypatch.setattr(discord, "_nested",
-                        lambda first, second, targets, **kw: [error] * len(targets))
+    def refuse(first, second, targets, **kw):
+        raise CapacityError("not a declined input")
+
+    monkeypatch.setattr(discord, "_nested_columns", refuse)
     rho1, rho2 = _pairs_of_every_route()["nested"][0]
     with pytest.raises(CapacityError, match="not a declined input"):
         witness_conditionals(rho1, rho2)

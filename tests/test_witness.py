@@ -20,7 +20,7 @@ from qwitness.errors import (
     QwitnessError,
 )
 from qwitness import states, witness
-from qwitness.discord import BipartiteState
+from qwitness.discord import BipartiteState, witness_conditionals
 from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
                              frobenius_norms)
 from qwitness.scans import run_scan
@@ -48,6 +48,7 @@ from qwitness.witness import (
     amplify,
     degenerate_case_analysis,
     first_order_purity,
+    leading_overlap,
     margin_terms,
     nested_witness,
     nonpositivity_condition,
@@ -249,7 +250,24 @@ def test_closed_form_and_eigen_route_disagreeing_on_nullity_raise():
     anti = anticommutator(np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
     with pytest.raises(AgreementError,
                        match=r"disagree on nullity \(None vs 1\.5"):
-        witness._analyze(anti[None], 1e-10, 1e-10, [None])
+        witness._Analysis(anti[None], 1e-10, 1e-10, [None])
+
+
+def test_witnessed_column_is_the_nonpositive_verdict():
+    # the middle member is null and still has an eigenvalue below
+    # -tol_witness: its verdict is NULL_ANTICOMMUTATOR, and it is not
+    # witnessed
+    anti = anticommutator(np.diag([1.0, 0.0]), np.full((2, 2), 0.5))
+    positive = anticommutator(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    analysis = witness._Analysis(np.array([anti, 1e-12 * anti, positive]),
+                                 1e-14, 1e-10)
+    assert analysis.mins[1] < -1e-14
+    assert analysis.verdicts.tolist() == [
+        "NONPOSITIVE_WITNESSED", "NULL_ANTICOMMUTATOR", "POSITIVE"]
+    assert analysis.witnessed.tolist() == [True, False, False]
+    assert [report.verdict for report in analysis] == [
+        Verdict.NONPOSITIVE_WITNESSED, Verdict.NULL_ANTICOMMUTATOR,
+        Verdict.POSITIVE]
 
 
 def test_closed_form_purity_null():
@@ -260,6 +278,14 @@ def test_closed_form_purity_null():
 def test_pure_mixed_dimension_mismatch():
     with pytest.raises(DimensionError):
         pure_mixed_test(np.array([1.0, 0, 0]), PLUS)
+
+
+@pytest.mark.parametrize("pair_function", [leading_overlap,
+                                           witness_conditionals])
+def test_one_pair_entry_points_reject_a_dimension_mismatch(pair_function):
+    with pytest.raises(DimensionError, match="dimension mismatch: 2 vs 3"):
+        pair_function(make_density(np.diag([0.7, 0.3])),
+                      make_density(np.diag([0.5, 0.3, 0.2])))
 
 
 def test_witnessed_iff_noncommuting_sample():
@@ -470,6 +496,23 @@ def test_stacked_plans_and_amplification_match_each_state_alone():
                      "doubled"}
 
 
+def nested_members(sigma1, sigma2, targets, *, tol_witness, tol_null,
+                   **tols):
+    """Each member's NestedWitnessResult from the columns of the nested
+    core and the analysis of its anticommutators, or the error the
+    member stops with."""
+    out = witness._nested_columns(sigma1, sigma2, targets, **tols)
+    analysis = witness._Analysis(out.anti, tol_witness, tol_null)
+    results = list(out.errors)
+    for j, k in enumerate(out.live.tolist()):
+        results[k] = NestedWitnessResult(
+            report=analysis[j], plan1=witness._member(out.plans[0], j),
+            plan2=witness._member(out.plans[1], j),
+            overlap=witness._member(out.overlap, j),
+            condition_met=out.condition.item(j))
+    return results
+
+
 def test_nested_core_stops_each_member_as_nested_witness_stops_it():
     # one stack in which members stop at every check, between members
     # that go through: each member gets what nested_witness gives or
@@ -496,7 +539,7 @@ def test_nested_core_stops_each_member_as_nested_witness_stops_it():
               for i in (0, 1)]
     tols = dict(tol_comm=1e-10, tol_witness=1e-12, tol_null=1e-12,
                 tol_f=1e-6, plan_cap=4)
-    results = witness._nested(*stacks, [t for _, _, t in pairs], **tols)
+    results = nested_members(*stacks, [t for _, _, t in pairs], **tols)
     kinds = []
     for (rho1, rho2, target), got in zip(pairs, results):
         try:
@@ -531,7 +574,7 @@ def test_nested_core_on_a_stack_where_every_member_stops():
               for i in (0, 1)]
     tols = dict(tol_comm=1e-10, tol_witness=1e-12, tol_null=1e-12,
                 tol_f=1e-6, plan_cap=PLAN_CAP)
-    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    results = nested_members(*stacks, [0.05] * 3, **tols)
     assert len(results) == 3
     for (m1, m2), got in zip(pairs, results):
         with pytest.raises(QwitnessError) as alone:
@@ -566,7 +609,7 @@ def test_nested_core_runs_its_stages_on_live_members_only(monkeypatch):
                (np.diag([0.5, 0.3, 0.2]), np.diag([0.3, 0.3, 0.4]))]
     stacks = [StateStack.check(np.array([pair[i] for pair in stopped]))
               for i in (0, 1)]
-    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    results = nested_members(*stacks, [0.05] * 3, **tols)
     assert [type(r) for r in results] == [
         CommutingInputsError, DegenerateSpectrumError, CommutingInputsError]
     assert all(rows == 0 for calls in seen.values() for rows in calls)
@@ -586,7 +629,7 @@ def test_nested_core_runs_its_stages_on_live_members_only(monkeypatch):
     monkeypatch.setattr(witness, "_amplified", refuse)
     stacks = [StateStack.check(np.array([pair[i].matrix for pair in pairs]))
               for i in (0, 1)]
-    results = witness._nested(*stacks, [0.05] * 3, **tols)
+    results = nested_members(*stacks, [0.05] * 3, **tols)
     with pytest.raises(CommutingInputsError) as alone:
         nested_witness(*pairs[1], 0.05, **tols)
     assert (type(results[1]), str(results[1])) == (type(alone.value),
