@@ -182,8 +182,8 @@ class _Analysis(Sequence):
         self.criteria = np.array(criteria)
         self.witnessed = ~null & (self.mins < -tol_witness)
         self.verdicts = _VERDICT_TEXTS[np.where(null, 2, self.witnessed)]
-        self.closed = np.array([None] * n if closed is None
-                               else [*map(_agreed, closed, criteria)])
+        self.closed = (np.array([None] * n) if closed is None
+                       else _agreed(closed, criteria))
         self.tol_witness, self.tol_null = float(tol_witness), float(tol_null)
 
     def __len__(self) -> int:
@@ -200,19 +200,29 @@ class _Analysis(Sequence):
             closed_form_criterion=self.closed.item(k))
 
 
-def _agreed(other: float | None, criterion: float | None) -> float | None:
-    """The closed-form criterion ``other``, checked against ``criterion``."""
-    if (other is None) != (criterion is None):
-        raise AgreementError(
-            "purity criterion: closed form and eigen-analysis disagree "
-            f"on nullity ({other!r} vs {criterion!r})")
-    if other is not None:
-        bound = 1e-10 * max(1.0, abs(criterion))
-        if abs(other - criterion) > bound:
+def _agreed(closed: list, criteria: list) -> np.ndarray:
+    """The closed-form criteria ``closed`` as a column, checked against
+    the eigen-analysis's ``criteria`` (None for a null operator) in one
+    test over the stack: a member's two must agree on nullity, then
+    within 1e-10 relative (absolute below 1). The first member that
+    fails raises, with the message it raises alone."""
+    other, mine = (np.array(c, dtype=np.float64) for c in (closed, criteria))
+    bound = 1e-10 * np.maximum(1.0, np.abs(mine))
+    # None reads as NaN: this flags every member that fails, and any
+    # NaN criterion, which the loop lets through as a lone member does
+    flagged = ((np.isnan(other) != np.isnan(mine))
+               | (np.abs(other - mine) > bound))
+    for k in np.flatnonzero(flagged).tolist():
+        a, c = closed[k], criteria[k]
+        if (a is None) != (c is None):
+            raise AgreementError(
+                "purity criterion: closed form and eigen-analysis disagree "
+                f"on nullity ({a!r} vs {c!r})")
+        if a is not None and abs(a - c) > bound[k]:
             raise AgreementError(
                 "purity criterion (closed form vs eigen-analysis): "
-                f"{other} vs {criterion} differ beyond {bound:.1e}")
-    return other
+                f"{a} vs {c} differ beyond {bound[k]:.1e}")
+    return np.array(closed)
 
 
 def _check_dims(d1: int, d2: int) -> None:
@@ -296,21 +306,21 @@ def _bloch_conditions(vecs: np.ndarray, rows, cols) -> list[bool]:
                                                cross.tolist())]
 
 
-def _powers(ratios: np.ndarray, n: list[int]) -> np.ndarray:
-    """ratios[k] ** n[k] for each row of a stack (m, d). Each distinct
-    exponent is raised as a Python int, which takes numpy's scalar
-    power paths, so that a row comes out as it does alone; an exponent
-    array rounds some entries differently in the last bit."""
-    exponents = set(n)
-    n = np.array(n)
-    out = np.empty_like(ratios)
-    for e in exponents:
-        rows = n == e
-        out[rows] = ratios[rows] ** e
+def _powers(ratios: np.ndarray, n) -> np.ndarray:
+    """ratios[k] ** n[k] for each row of a stack (m, d) and counts n:
+    the powers whose row sums give the eps(n) by which :func:`_plans`
+    finds the smallest n <= cap with eps(n) <= target. One power takes
+    the counts as float exponents, which runs numpy's power loop as a
+    Python int exponent does, so that a row comes out as it does alone;
+    numpy squares for a Python int 2, so the rows of n = 2 are squared."""
+    n = np.asarray(n)
+    out = ratios ** n[:, None].astype(np.float64)
+    two = n == 2
+    out[two] = np.square(ratios[two])
     return out
 
 
-def _amplified(dec: SpectralDecomposition, n: list[int]) -> StateStack:
+def _amplified(dec: SpectralDecomposition, n) -> StateStack:
     """:func:`amplify` of each member of a stack of spectra by its own
     count n[k] >= 1, checked together."""
     lam = np.maximum(dec.eigenvalues, 0.0)
@@ -378,11 +388,14 @@ def _plans(lam: np.ndarray, targets, cap: int) -> AmplificationPlan:
     fields are columns (:func:`_member` takes one plan out).
 
     eps(n) = s / (1 + s), for s the sum of the tail ratios to the power
-    n, is nonincreasing in n. Each nondegenerate member tries n = 1,
-    then doubles n up to the cap until eps(n) reaches its target; a
-    member that misses at the cap is capped, and any other bisects
-    between the last count that missed and the first that reached.
-    Each round evaluates the eps(n) of its members together.
+    n (:func:`_powers`), is nonincreasing in n. A nondegenerate member
+    plans the smallest n <= cap with eps(n) <= its target; a member
+    with no such n is capped at n = cap. Each member bisects a bracket
+    (lo, hi] of counts, where lo misses the target or is 0 and hi
+    reaches it or is the cap; :func:`_brackets` sets it from the
+    largest tail ratio, and one round checks both ends. A member whose
+    ends fail the check bisects (0, cap]. Each round evaluates the
+    eps(n) of its members together.
     """
     _, degenerate = _top_gaps(lam)
     lam = np.maximum(lam, 0.0)
@@ -396,16 +409,20 @@ def _plans(lam: np.ndarray, targets, cap: int) -> AmplificationPlan:
     e = 1.0 - lam[:, 0]  # what a degenerate member achieves
 
     def eps(rows: np.ndarray, n: np.ndarray) -> np.ndarray:
-        s = _powers(ratios[rows], n.tolist()).sum(axis=-1)
+        s = _powers(ratios[rows], n).sum(axis=-1)
         return s / (1.0 + s)
 
     rows = np.flatnonzero(~degenerate)
-    while len(rows):
-        e[rows] = eps(rows, hi[rows])
-        rows = rows[(e[rows] > target[rows]) & (hi[rows] < cap)]
-        lo[rows], hi[rows] = hi[rows], np.minimum(2 * hi[rows], cap)
+    lo[rows], hi[rows] = _brackets(ratios[rows], target[rows], cap)
+    ends = np.concatenate([lo[rows], hi[rows]])
+    e_lo, e[rows] = np.split(eps(np.tile(rows, 2), ends), 2)
+    wide = rows[((lo[rows] > 0) & (e_lo <= target[rows]))
+                | ((hi[rows] < cap) & (e[rows] > target[rows]))]
+    if len(wide):
+        lo[wide], hi[wide] = 0, cap
+        e[wide] = eps(wide, hi[wide])
     capped = e > target
-    rows = np.flatnonzero(~capped & (hi - lo > 1))
+    rows = rows[~capped[rows] & (hi[rows] - lo[rows] > 1)]
     while len(rows):
         mid = (lo[rows] + hi[rows]) // 2
         e_mid = eps(rows, mid)
@@ -416,6 +433,29 @@ def _plans(lam: np.ndarray, targets, cap: int) -> AmplificationPlan:
     hi[degenerate] = 0
     return AmplificationPlan(n=hi, achieved_epsilon=e, requested_epsilon=target,
                              degenerate=degenerate | capped)
+
+
+def _brackets(ratios: np.ndarray, target: np.ndarray,
+              cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends (lo, hi) of the bracket of each member's plan, for a
+    stack (m, d) of tail ratios below 1 and their targets t.
+
+    For the largest ratio r and the k nonzero ones, r**n <= s(n) <=
+    k r**n, so the smallest n with s(n) <= T = t / (1 - t) lies between
+    log T / log r and log(T / k) / log r. The bracket widens that by one
+    count on each side, clipped to (0, cap]; where a log is not finite
+    (a zero target) it is all of (0, cap]. :func:`_plans` checks both
+    ends, which covers the rounding of the logs."""
+    r = ratios[:, :1].max(axis=-1, initial=0.0)  # the ratios descend
+    k = np.maximum(np.count_nonzero(ratios, axis=-1), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t, log_r = np.log(target / (1.0 - target)), np.log(r)
+        lo = np.floor(log_t / log_r) - 1.0
+        hi = np.ceil((log_t - np.log(k)) / log_r) + 1.0
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    hi = np.where(finite, np.clip(hi, 1.0, cap), cap)
+    lo = np.where(finite, np.clip(lo, 0.0, hi - 1.0), 0.0)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 def plan_amplification(rho: DensityOperator, target_epsilon: float, *,
@@ -435,6 +475,13 @@ def _rows(columns: tuple, rows) -> tuple:
     """The entries ``rows`` of each array field of a named tuple of
     columns, in a tuple of the same type."""
     return type(columns)(*(column[rows] for column in columns))
+
+
+def _halves(columns: tuple) -> list[tuple]:
+    """The first and the second half of each field of a named tuple of
+    columns over an even number of members."""
+    m = len(columns[0]) // 2
+    return [_rows(columns, slice(None, m)), _rows(columns, slice(m, None))]
 
 
 class OverlapData(NamedTuple):
@@ -475,6 +522,18 @@ def _weights(parts: _PureParts, psi: np.ndarray) -> np.ndarray:
         eta_v = (parts.eta.matrix @ v[:, :, None])[:, :, 0]
         g[parts.mixed] = _row_dots(v.conj(), eta_v).real
     return g
+
+
+def _split_parts(parts: _PureParts) -> list[_PureParts]:
+    """The pure decompositions of the first and the second half of a
+    stack of an even number of members; a half's remainders are those
+    of its mixed members."""
+    m = len(parts.mixed) // 2
+    c = np.count_nonzero(parts.mixed[:m])
+    return [_PureParts(parts.epsilon[rows], parts.psi[rows],
+                       parts.eta.take(mixed), parts.mixed[rows])
+            for rows, mixed in ((slice(None, m), slice(None, c)),
+                                (slice(m, None), slice(c, None)))]
 
 
 def _stack_of_one(dec: PureDecomposition) -> _PureParts:
@@ -616,7 +675,10 @@ def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
     check it fails, and no later stage computes anything for it: the
     plans, amplification, decompositions and overlaps run on the members
     still live before them, and only the members that pass every check
-    reach the anticommutator. Any other failed check raises.
+    reach the anticommutator. The plans, amplification and
+    decompositions take the two inputs of those members as one stack,
+    first inputs first, and split it back into halves. Any other failed
+    check raises.
     """
     checked = np.array([_check_plan_args(t, plan_cap) for t in targets],
                        dtype=np.float64)
@@ -643,27 +705,30 @@ def _nested_columns(sigma1: StateStack, sigma2: StateStack, targets: list, *,
         f"inputs commute (commutator norm {norms[j]:.3e}); "
         "no witness is possible"))
     live = live[~failed]
-    spectra = [_rows(sigma.spectrum, live) for sigma in (sigma1, sigma2)]
-    plans = [_plans(dec.eigenvalues, checked[live], plan_cap)
-             for dec in spectra]
+    # the two inputs of the live members as one stack, first inputs first
+    both = SpectralDecomposition(*(
+        np.concatenate([column1[live], column2[live]])
+        for column1, column2 in zip(sigma1.spectrum, sigma2.spectrum)))
+    plan = _plans(both.eigenvalues, np.tile(checked[live], 2), plan_cap)
     failed = np.zeros(len(live), dtype=bool)
-    for name, plan in zip(names, plans):
-        failed |= stop(plan.degenerate, lambda j: DegenerateSpectrumError(
+    for name, half in zip(names, _halves(plan)):
+        failed |= stop(half.degenerate, lambda j: DegenerateSpectrumError(
             f"amplification plan for the {name} input capped out "
-            f"at n = {plan.n[j]} without reaching epsilon {targets[live[j]]}"))
-    live, plans = live[~failed], [_rows(plan, ~failed) for plan in plans]
-    amplified = [_amplified(_rows(dec, ~failed), plan.n.tolist())
-                 for dec, plan in zip(spectra, plans)]
-    overlap = _overlaps(*(_pure_decompositions(rho.spectrum)
-                          for rho in amplified))
+            f"at n = {half.n[j]} without reaching epsilon {targets[live[j]]}"))
+    live, kept = live[~failed], np.tile(~failed, 2)
+    plan = _rows(plan, kept)
+    amplified = _amplified(_rows(both, kept), plan.n)
+    overlap = _overlaps(*_split_parts(_pure_decompositions(amplified.spectrum)))
     af = np.array(list(map(abs, overlap.f.tolist())))
     failed = stop(_at_boundary(af, tol_f), lambda j: _unreachable(af[j]))
     live, keep = live[~failed], ~failed
     overlap, af = _rows(overlap, keep), af[keep]
     lhs, rhs = _margins(af, overlap)
-    return _NestedColumns(errors, live, [_rows(plan, keep) for plan in plans],
-                          overlap, af, lhs < rhs, anticommutator(
-                              *(rho.matrix[keep] for rho in amplified)))
+    first, second = np.split(amplified.matrix, 2)
+    return _NestedColumns(errors, live,
+                          [_rows(half, keep) for half in _halves(plan)],
+                          overlap, af, lhs < rhs,
+                          anticommutator(first[keep], second[keep]))
 
 
 def nested_witness(sigma1: DensityOperator, sigma2: DensityOperator,

@@ -575,6 +575,26 @@ def test_discord_scan_drops_a_null_outcome(monkeypatch):
     assert not batched[0][4]["cq_noncommuting"]
 
 
+def test_discord_scan_counts_a_trial_with_one_witnessed_pair(monkeypatch):
+    # zero-discord states never give a witnessed verdict, so a witnessed
+    # pick is forced: of trial 3, the product state's pair of conditionals
+    # reads as witnessed and the classical-classical state's does not,
+    # and that one pair makes the trial a counterexample
+    real = discord._witness_conditionals
+
+    def one_witnessed(first, second):
+        analysis = real(first, second)
+        analysis.witnessed = np.arange(len(analysis)) == 2 * 3 + 1
+        return analysis
+
+    monkeypatch.setattr(discord, "_witness_conditionals", one_witnessed)
+    records, summary = scan_discord(8, 0)
+    assert not any(record["cq_noncommuting"] for record in records)
+    assert [record["counterexample"] for record in records] == \
+        [k == 3 for k in range(8)]
+    assert summary["counterexamples"] == 1
+
+
 def _skew_large_draws(monkeypatch):
     """Push the trace of each state whose Ginibre matrix starts with a
     large entry off 1 by an amount unique to it, so that its TraceError

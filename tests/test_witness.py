@@ -253,6 +253,33 @@ def test_closed_form_and_eigen_route_disagreeing_on_nullity_raise():
         witness._Analysis(anti[None], 1e-10, 1e-10, [None])
 
 
+@pytest.mark.parametrize("faults", [("bound", "nullity"),
+                                    ("nullity", "bound")])
+def test_agreement_raises_the_message_of_the_first_member_that_fails(faults):
+    # members 1 and 3 of a stack disagree, each in its own way, and
+    # member 0 drifts within the bound: the stack raises member 1's
+    # message, as member 1 raises it alone
+    rng = seeded_rng(61)
+    anti = np.array([anticommutator(random_density(3, 3, rng).matrix,
+                                    random_density(3, 3, rng).matrix)
+                     for _ in range(5)])
+    criteria = witness._Analysis(anti, 1e-10, 1e-10).criteria.tolist()
+    closed = list(criteria)
+    closed[0] += 5e-11
+    assert witness._Analysis(anti, 1e-10, 1e-10, closed).closed.tolist() == closed
+    for k, fault in zip((1, 3), faults):
+        closed[k] = None if fault == "nullity" else criteria[k] * (1.0 + 1e-8)
+    c = criteria[1]
+    want = ("purity criterion: closed form and eigen-analysis disagree on "
+            f"nullity (None vs {c!r})" if faults[0] == "nullity" else
+            f"purity criterion (closed form vs eigen-analysis): {closed[1]} "
+            f"vs {c} differ beyond {1e-10 * max(1.0, abs(c)):.1e}")
+    for rows in (slice(None), slice(1, 2)):
+        with pytest.raises(AgreementError) as raised:
+            witness._Analysis(anti[rows], 1e-10, 1e-10, closed[rows])
+        assert str(raised.value) == want
+
+
 def test_witnessed_column_is_the_nonpositive_verdict():
     # the middle member is null and still has an eigenvalue below
     # -tol_witness: its verdict is NULL_ANTICOMMUTATOR, and it is not
@@ -494,6 +521,83 @@ def test_stacked_plans_and_amplification_match_each_state_alone():
                           "bisected" if plan.n & (plan.n - 1) else "doubled")
     assert exits == {"degenerate", "capped", "at n = 1", "bisected",
                      "doubled"}
+
+
+def test_powers_have_the_bits_of_each_exponent_alone():
+    # one broadcast power over rows whose counts run from 1 to 2**40,
+    # 2 among them, against each count raised alone as a Python int
+    rng = seeded_rng(53)
+    for d in (1, 2, 3, 5):
+        ratios = rng.random((3000, d)) ** rng.choice([1.0, 0.01, 40.0],
+                                                     (3000, 1))
+        ratios[::11, -1] = 0.0
+        ratios[::13, 0] = 1.0 - TOL_DEGEN
+        n = np.concatenate([np.arange(1, 65), np.full(200, 2), 2 ** np.arange(41),
+                            rng.integers(1, 2 ** rng.integers(1, 41, 2695))])
+        got = witness._powers(ratios, n)
+        assert got.dtype == np.float64
+        for e in np.unique(n).tolist():
+            rows = n == e
+            assert (ratios[rows] ** e).tobytes() == got[rows].tobytes()
+
+
+def _adversarial_spectra(rng, m, d):
+    """A stack (m, d) of descending spectra, mixing tails that are
+    zero, tiny or slightly negative, leading gaps just above and below
+    TOL_DEGEN, and tail ratios near 1."""
+    lam = -np.sort(-rng.dirichlet(np.full(d, rng.choice([0.2, 1.0, 5.0])), m))
+    kind = rng.integers(0, 7, m)
+    if d > 1:
+        for k, scale in ((1, rng.uniform(1.01, 3.0, m)),
+                         (2, rng.uniform(0.0, 1.0, m)),
+                         (3, 10.0 ** rng.uniform(-7.9, -2.0, m) / TOL_DEGEN)):
+            lam[kind == k, 1] = (lam[:, 0] * (1.0 - TOL_DEGEN * scale))[kind == k]
+        lam[kind == 4, 1:] = 0.0
+        lam[kind == 5, 1:] *= 10.0 ** rng.uniform(-300, -10, ((kind == 5).sum(), 1))
+        lam[kind == 6, -1] = -1e-15
+    return lam
+
+
+def _adversarial_targets(rng, lam):
+    """Targets for a stack of spectra: 0, the smallest subnormal, 1e-300,
+    log-uniform ones, ones near 1, and the eps(n) of a count n, exactly
+    or one ulp off."""
+    m = len(lam)
+    t = rng.uniform(0.0, 1.0, m) ** rng.choice([1, 3, 10, 30], m)
+    pick = rng.integers(0, 8, m)
+    t[pick == 0] = 0.0
+    t[pick == 1] = 5e-324
+    t[pick == 2] = 1e-300
+    t[pick == 3] = 10.0 ** rng.uniform(-320, -1, (pick == 3).sum())
+    for k in np.flatnonzero(pick >= 6).tolist():
+        ratios = np.clip(lam[k], 0.0, None)[1:] / float(lam[k][0])
+        s = float(np.sum(ratios ** int(rng.integers(1, 2 ** rng.integers(1, 30)))))
+        e = s / (1.0 + s)
+        t[k] = min(np.nextafter(e, rng.choice([0.0, 1.0])) if pick[k] == 7
+                   else e, np.nextafter(1.0, 0.0))
+    return t
+
+
+def test_bracketed_plans_match_the_serial_search():
+    # the smallest n <= cap with eps(n) <= target, member by member, as
+    # the doubling-then-bisecting serial search finds it, over stacks of
+    # 1000 members whose targets and spectra sit at the search's edges
+    rng = seeded_rng(59)
+    stacks = [(lam, _adversarial_targets(rng, lam)) for lam in
+              [_adversarial_spectra(rng, m, d)
+               for m, d in ((50, 1), (1000, 2), (1000, 3), (1000, 6))]]
+    exits = set()
+    for cap in (1, 2, 3, 7, PLAN_CAP, 2**50):
+        for lam, targets in stacks:
+            columns = witness._plans(lam, targets, cap)
+            for k, (row, target) in enumerate(zip(lam, targets.tolist())):
+                plan = witness._member(columns, k)
+                assert (plan.n, plan.achieved_epsilon, plan.degenerate) == \
+                    _serial_plan(row, target, cap)
+                exits.add("degenerate" if plan.n == 0 else
+                          "capped" if plan.degenerate else
+                          "zero target" if target == 0.0 else "reached")
+    assert exits == {"degenerate", "capped", "zero target", "reached"}
 
 
 def nested_members(sigma1, sigma2, targets, *, tol_witness, tol_null,
