@@ -15,13 +15,17 @@ run and repeat runs are bit-identical.
 anticommutators, spectra and ball conditions of all pairs in stacked
 calls; its radius and angle columns are dictionary-encoded
 (:class:`Coded`) over the axis.
-``pure-mixed``, ``nested``, ``null`` and ``discord`` draw every trial
-in order from its stream: its integer or Dirichlet draws first, then
-all its Gaussian numbers in one ``normal`` call, whose size is worked
-out once per dimension. They then cut the draws into states and run the
-checks and the linear algebra over stacks of trials that share a
-dimension (``null``: and a branch and a rank; ``discord`` trials are
-all qubit pairs), in blocks of _CHUNK_BYTES of draws. The stacked calls
+``pure-mixed``, ``nested``, ``null`` and ``discord`` draw each block
+of trials into one float64 array per dimension, a row per trial, which
+each trial fills in place, in order from its stream: its integer draw
+or its Dirichlet numbers (as standard exponential ones) first, then all
+its Gaussian numbers in one ``standard_normal`` call, whose size is
+worked out once per dimension. They then cut column slices of the rows
+into states and run the checks and the linear algebra over stacks of
+trials that share a dimension (``null``: and a branch and a rank;
+``discord`` trials are all qubit pairs), in blocks of _CHUNK_BYTES of
+draws. The draws have the bits of the ``normal`` and ``dirichlet``
+calls of a per-trial loop. The stacked calls
 are bit-identical to the per-matrix ones, each per-member dot product
 (a norm's too) is taken by ``linalg._row_dots``, and each state passes
 ``DensityOperator``'s checks, so the records keep their bytes. Each
@@ -39,6 +43,7 @@ computes anything for it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,18 +92,19 @@ __all__ = [
 # states); its intermediate stacks are a few times this, whatever the
 # trial count or dimension
 _CHUNK_BYTES = 1 << 21
-# what a batched trial adds to its block's size besides its draws: the
-# stacks and columns a stacked pass holds per trial until it returns,
-# so that a block of small trials holds a bounded number of them. Over
-# a block of 1000 trials, tracemalloc measures at the pass's peak, above
-# the draws and the records, ~1.5 KiB per nested trial at d = 2 and
-# ~5.5 KiB at d = 4 (its state, amplified and remainder stacks; no
-# per-trial object). A discord trial draws 368 bytes (six Dirichlet
-# weights and 40 normals) and holds ~8 KiB: its 16 conditional members
-# (the 4x4 state and the projector each starts from, the 2x2 state and
-# spectrum it ends with, and the checks' temporaries) and the witness
-# columns of its two pairs. 2 KiB sits between them: a block then holds
-# at most ~960 trials, whose peak stays a few times _CHUNK_BYTES
+# what a batched trial adds to its block's size besides its row of
+# draws: the stacks and columns a stacked pass holds per trial until it
+# returns, so that a block of small trials holds a bounded number of
+# them. Over a block of 1000 trials, tracemalloc measures at the pass's
+# peak, above the draws and the records, ~2.0 KiB per nested trial at
+# d = 2 and ~6.4 KiB at d = 4 (its state, amplified and remainder
+# stacks; no per-trial object). A discord trial draws a row of 368
+# bytes (six exponential numbers and 40 normals) and holds ~8.2 KiB: its
+# 16 conditional members (the 4x4 state and the projector each starts
+# from, the 2x2 state and spectrum it ends with, and the checks'
+# temporaries) and the witness columns of its two pairs. 2 KiB is the
+# least of them: a block then holds at most ~1000 trials, whose peak
+# stays a few times _CHUNK_BYTES
 _TRIAL_BYTES = 2048
 
 
@@ -181,10 +187,15 @@ def _trial_streams(seed: int):
     of 2**128 counters, so its draws depend on (seed, t) alone: the
     counter-based design of Salmon et al., "Parallel random numbers: as
     easy as 1, 2, 3" (SC11, 2011). The generator is shared, so no draw
-    keeps it past its trial."""
+    keeps it past its trial. The reset sets a state whose counter, key
+    and buffer are lists of Python ints, which the state setter takes
+    without unboxing a numpy scalar per word."""
     bits = np.random.Philox(np.random.SeedSequence(int(seed)))
     rng = np.random.Generator(bits)
     start = bits.state
+    start["state"] = {name: words.tolist()
+                      for name, words in start["state"].items()}
+    start["buffer"] = start["buffer"].tolist()
     counter = start["state"]["counter"]
 
     def stream(t: int) -> np.random.Generator:
@@ -200,63 +211,94 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """Records of trials 0..trials-1, computed over stacks.
 
     ``draw(d)``, called at the first trial of dimension d, returns the
-    drawer of that dimension. Trial t draws ``drawer(t, rng)``, a key
-    (d, tag) and then its arrays, in trial order from its own stream
-    (``_trial_streams``); the trials of one key draw arrays of the same
-    shapes. ``compute(d, trial_ids, *stacks)`` then returns the block of
-    trials of one key, in trial order, from each array stacked over
-    those trials; the blocks are merged in trial order.
-    It runs on blocks of about _CHUNK_BYTES, counting each trial's draws,
-    summed at the first trial of its key in a block, and _TRIAL_BYTES.
-    When a block fails, its trials run again one at a time, so that the
-    error raised is the one a per-trial scan meets first.
+    layouts of that dimension and its drawer. A layout lists the widths
+    of the arrays a trial draws, in order. The trials of one dimension
+    in a block share one float64 array, a row each, as wide as the
+    widest layout: trial t fills the start of its row in place with
+    ``drawer(t, row, rng)``, in order from its own stream
+    (``_trial_streams``), and returns the index of its layout.
+    ``compute(d, trial_ids, *stacks)`` then returns the block of the
+    trials of one dimension and layout, in trial order, from each array
+    of the layout as a column slice of their rows; the blocks are merged
+    in trial order.
+    It runs on blocks of about _CHUNK_BYTES, counting each trial's row
+    and _TRIAL_BYTES. When a block fails, its trials run again one at a
+    time, so that the error raised is the one a per-trial scan meets
+    first; a ``draw(d)`` that fails ends its block before its trial.
     """
     stream = _trial_streams(seed)
     done: list[Records] = []
     drawers: dict = {}
-    cost: dict[tuple, int] = {}
-    block: dict[tuple, list] = {}
-    size = 0
 
-    def run(d: int, items: list) -> Records:
-        trial_ids, draws = zip(*items)
-        return compute(d, np.array(trial_ids), *map(np.array, zip(*draws)))
+    def drawn(members: dict[int, list[int]]) -> list[tuple]:
+        """(d, trial ids, stacks) of each dimension and layout of a block,
+        from the trial ids of each dimension."""
+        groups = []
+        for d, ids in members.items():
+            layouts, drawer, width = drawers[d]
+            rows = np.empty((len(ids), width))
+            codes = np.array([drawer(t, row, stream(t))
+                              for t, row in zip(ids, rows)])
+            ids = np.array(ids)
+            for code in np.unique(codes).tolist():
+                taken = codes == code
+                part = rows if len(layouts) == 1 else rows[taken]
+                cuts = list(accumulate(layouts[code], initial=0))
+                groups.append((d, ids[taken], [part[:, a:b] for a, b
+                                               in zip(cuts, cuts[1:])]))
+        return groups
 
-    def flush() -> list[Records]:
+    def computed(groups: list[tuple]) -> list[Records]:
         try:
-            return [run(d, items) for (d, _), items in block.items()]
+            return [compute(d, ids, *stacks) for d, ids, stacks in groups]
         except (QwitnessError, ValueError):
-            for t, d, drawn in sorted((t, d, drawn)
-                                      for (d, _), items in block.items()
-                                      for t, drawn in items):
-                run(d, [(t, drawn)])
+            for _, g, k in sorted((t, g, k) for g, (_, ids, _) in
+                                  enumerate(groups)
+                                  for k, t in enumerate(ids.tolist())):
+                d, ids, stacks = groups[g]
+                compute(d, ids[k:k + 1], *(s[k:k + 1] for s in stacks))
             raise  # pragma: no cover - some trial fails alone as in its block
 
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        if d not in drawers:
-            try:
-                drawers[d] = draw(d)
-            except DimensionError:
-                flush()  # a failure of an earlier trial comes first
-                raise
-        key, *drawn = drawers[d](t, stream(t))
-        if key not in block:
-            block[key] = []
-            cost[key] = _TRIAL_BYTES + sum(a.nbytes for a in drawn)
-        block[key].append((t, drawn))
-        size += cost[key]
-        if size >= _CHUNK_BYTES or t == trials - 1:
-            done += flush()
-            block, size = {}, 0
+    start = 0
+    while start < trials:
+        members: dict[int, list[int]] = {}
+        size, stop = 0, start
+        while stop < trials and size < _CHUNK_BYTES:
+            d = dims[stop % len(dims)]
+            if d not in drawers:
+                try:
+                    layouts, drawer = draw(d)
+                except DimensionError:
+                    computed(drawn(members))  # an earlier trial's error first
+                    raise
+                drawers[d] = layouts, drawer, max(map(sum, layouts))
+            members.setdefault(d, []).append(stop)
+            size += _TRIAL_BYTES + 8 * drawers[d][2]
+            stop += 1
+        done += computed(drawn(members))
+        start = stop
     return _merged(done)
 
 
-def _normal_drawer(d: int, shapes: list[tuple]):
-    """The drawer (see :func:`_batched`) of a trial of dimension d that
-    draws the Gaussian arrays of ``shapes`` in one ``normal`` call."""
-    key, size = (d, None), _draw_size(shapes)
-    return lambda t, rng: (key, rng.normal(size=size))
+def _normal_drawer(shapes: list[tuple]):
+    """The layouts and drawer (see :func:`_batched`) of a trial that fills
+    its row with the Gaussian arrays of ``shapes`` in one
+    ``standard_normal`` call, which draws the numbers of
+    ``normal(size=row.size)``."""
+
+    def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
+        rng.standard_normal(out=row)
+        return 0
+
+    return [(_draw_size(shapes),)], drawer
+
+
+def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
+    """Dirichlet(1, 1) weights from pairs (..., 2) of standard exponential
+    draws, with the bits of ``Generator.dirichlet(np.ones(2))``: it draws
+    each weight as a standard gamma(1) variate, that is, a standard
+    exponential one, and scales each pair by one over its sum."""
+    return e * (1.0 / (e[..., 0] + e[..., 1]))[..., None]
 
 
 def _summary(kind: str, trials: int, shape: list[tuple], seed: int,
@@ -289,7 +331,7 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
         return [(d,), _ginibre_shape(d, d)]
 
     def draw(d: int):
-        return _normal_drawer(d, shapes(d))
+        return _normal_drawer(shapes(d))
 
     def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         psi, g = _gaussians(normals, shapes(d))
@@ -328,7 +370,7 @@ def scan_nested(trials: int, dims: Sequence[int],
     dims = list(dims)
 
     def draw(d: int):
-        return _normal_drawer(d, [_ginibre_shape(d, d)] * 2)
+        return _normal_drawer([_ginibre_shape(d, d)] * 2)
 
     def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
         sigma1, sigma2 = (StateStack.check(_density_from_ginibre(g))
@@ -454,20 +496,18 @@ def scan_null(trials: int, dims: Sequence[int],
     dims = list(dims)
 
     def draw(d: int):
-        outer = [(d,), _ginibre_shape(d, d)]
-        split = _draw_size(outer)
-        # an even trial's key and draws, by the rank it draws
-        keys = [(d, rank) for rank in range(d)]
-        sizes = [_draw_size(outer + [(d - 1, rank)]) for rank in range(d)]
+        outer = _draw_size([(d,), _ginibre_shape(d, d)])
+        # layout 0 for an odd trial (or d = 1); an even one's is its rank
+        layouts = [(outer,)] + [(outer, _draw_size([(d - 1, rank)]))
+                                for rank in range(1, d)]
+        ends = list(map(sum, layouts))
 
-        def drawer(t: int, rng: np.random.Generator) -> tuple:
-            if t % 2 == 0 and d > 1:
-                rank = int(rng.integers(1, d))
-                normals = rng.normal(size=sizes[rank])
-                return keys[rank], normals[:split], normals[split:]
-            return keys[0], rng.normal(size=split)
+        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
+            rank = int(rng.integers(1, d)) if t % 2 == 0 and d > 1 else 0
+            rng.standard_normal(out=row[:ends[rank]])
+            return rank
 
-        return drawer
+        return layouts, drawer
 
     def compute(d: int, trial_ids: np.ndarray, outer, *inner) -> Records:
         psi, ginibre = _gaussians(outer, [(d,), (d, d)])
@@ -511,24 +551,30 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
     prefix) and a random product state, scans a random pair of
     projective families for noncommuting conditionals of the first, and
     witnesses the most likely outcome of each family on both states.
-    It draws the pointer probabilities and Bob's two spectra in one
-    Dirichlet call, then, in one normal call, the Ginibre matrices of
-    Bob's common eigenbasis, the two product factors and the two
-    measurement bases. The states, their
-    conditionals and the witnesses are stacked over trials; an outcome
-    of zero probability is masked out of the comparison and the pick.
+    It draws the pointer probabilities and Bob's two spectra as three
+    Dirichlet(1, 1) rows, from six standard exponential numbers
+    (``_dirichlet_rows``), then, in one ``standard_normal`` call, the
+    Ginibre matrices of Bob's common eigenbasis, the two product factors
+    and the two measurement bases. The states, their conditionals and
+    the witnesses are stacked over trials; an outcome of zero
+    probability is masked out of the comparison and the pick.
     """
-
-    ones = np.ones(2)
 
     qubit = [(2, 2)]
 
     def draw(d: int):
-        key, size = (d, None), _draw_size(qubit * 5)
-        return lambda t, rng: (key, rng.dirichlet(ones, size=3),
-                               rng.normal(size=size))
+        size = _draw_size(qubit * 5)
 
-    def compute(d: int, trial_ids: np.ndarray, weights, normals) -> Records:
+        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
+            rng.standard_exponential(out=row[:6])
+            rng.standard_normal(out=row[6:])
+            return 0
+
+        return [(6, size)], drawer
+
+    def compute(d: int, trial_ids: np.ndarray, exponentials,
+                normals) -> Records:
+        weights = _dirichlet_rows(exponentials.reshape(-1, 3, 2))
         probs, spectra = weights[:, 0], weights[:, 1:]
         g = np.stack(_gaussians(normals, qubit * 5), axis=1)
         common, factors, bases = g[:, 0], g[:, 1:3], g[:, 3:]

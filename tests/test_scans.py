@@ -304,6 +304,63 @@ def test_trial_streams_are_philox_counter_blocks(seed):
         assert np.array_equal(rng.normal(size=size), fresh.normal(size=size))
 
 
+def _philox_state(bits):
+    """A Philox generator's state as plain values, buffer and all."""
+    state = bits.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+# trials 0..10**4 at seeds 0-2: the draws every scan's records rest on
+_DRAW_SEEDS, _DRAW_TRIALS = (0, 1, 2), range(10**4 + 1)
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_trial_stream_resets_give_the_state_of_a_fresh_philox(seed):
+    # a reset to a state of Python ints leaves the generator as a fresh
+    # Philox at counter (0, 0, t, 0) starts: its buffer emptied and its
+    # spare 32-bit half (which integers() leaves) dropped
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    stream = scans._trial_streams(seed)
+    for t in _DRAW_TRIALS:
+        fresh = np.random.Philox(key=key, counter=[0, 0, t, 0])
+        rng = stream(t)
+        assert _philox_state(rng.bit_generator) == _philox_state(fresh), t
+        assert rng.integers(1, 9) == np.random.Generator(fresh).integers(1, 9)
+        assert rng.bit_generator.random_raw(3).tolist() == \
+            fresh.random_raw(3).tolist()
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_normal_drawer_rows_hold_the_bits_of_one_normal_call(seed):
+    # a drawer fills its row with standard_normal(out=...), which draws
+    # the numbers of normal(size=...), bit for bit
+    stream, fresh = scans._trial_streams(seed), scans._trial_streams(seed)
+    drawers = [scans._normal_drawer([(d,), (d, rank)])
+               for d in range(1, 6) for rank in range(1, d + 1)]
+    for t in _DRAW_TRIALS:
+        (layout,), drawer = drawers[t % len(drawers)]
+        row = np.empty(layout[0])
+        assert drawer(t, row, stream(t)) == 0
+        assert row.tobytes() == fresh(t).normal(size=row.size).tobytes(), t
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_dirichlet_rows_from_exponentials_hold_the_bits_of_dirichlet(seed):
+    # discord's three Dirichlet(1, 1) rows per trial, normalized from six
+    # standard exponential numbers, are those of dirichlet(ones(2), 3)
+    stream, fresh = scans._trial_streams(seed), scans._trial_streams(seed)
+    exponentials = np.empty((len(_DRAW_TRIALS), 6))
+    for t, row in zip(_DRAW_TRIALS, exponentials):
+        stream(t).standard_exponential(out=row)
+    expected = np.array([fresh(t).dirichlet(np.ones(2), size=3)
+                         for t in _DRAW_TRIALS])
+    weights = scans._dirichlet_rows(exponentials.reshape(-1, 3, 2))
+    assert weights.shape == expected.shape
+    assert weights.tobytes() == expected.tobytes()
+
+
 def test_bloch_scan_grid():
     records, summary = scan_bloch(9)
     assert len(records) == 81
@@ -432,14 +489,17 @@ class _FlatDraws:
     """A trial's stream whose chosen 2-D normal blocks come back as the
     identity, and whose chosen Dirichlet draws as (1, 0, ...).
     ``shapes`` lists the complex arrays the trial draws, in order; each
-    ``normal`` call draws the real and the imaginary block of the next
-    few of them. ``flat`` counts the blocks of the 2-D arrays in order,
-    the real and the imaginary part of each Ginibre matrix; flattening
-    both parts of one matrix makes it (1+i)·I, whose state I/d has no
-    gap and whose unitary is diagonal. ``certain`` counts the Dirichlet
-    draws in order, a row of a sized draw each. Every draw still takes
-    its numbers from the stream; ``sizes`` records each ``normal``
-    call's size."""
+    ``normal`` or ``standard_normal`` call draws the real and the
+    imaginary block of the next few of them. ``flat`` counts the blocks
+    of the 2-D arrays in order, the real and the imaginary part of each
+    Ginibre matrix; flattening both parts of one matrix makes it
+    (1+i)·I, whose state I/d has no gap and whose unitary is diagonal.
+    ``certain`` counts the Dirichlet draws in order, a row of a sized
+    ``dirichlet`` draw each, or a pair of ``standard_exponential``
+    numbers, the gamma draws of one Dirichlet(1, 1) row: a certain pair
+    comes back as (1, 0), whose weights are (1, 0) too. Every draw
+    still takes its numbers from the stream; ``sizes`` records each
+    normal call's size."""
 
     def __init__(self, rng, shapes, flat, certain=()):
         self._rng, self._shapes = rng, list(shapes)
@@ -448,7 +508,12 @@ class _FlatDraws:
         self.sizes = []
 
     def normal(self, size=None):
-        out = self._rng.normal(size=size)
+        return self._flattened(self._rng.normal(size=size))
+
+    def standard_normal(self, size=None, out=None):
+        return self._flattened(self._rng.standard_normal(size=size, out=out))
+
+    def _flattened(self, out):
         self.sizes.append(out.size)
         end = 0
         while end < out.size:
@@ -463,10 +528,17 @@ class _FlatDraws:
         return out
 
     def dirichlet(self, alpha, size=None):
-        out = self._rng.dirichlet(alpha, size)
-        for row in np.reshape(out, (-1, len(alpha))):
+        return self._made_certain(self._rng.dirichlet(alpha, size),
+                                  len(alpha))
+
+    def standard_exponential(self, size=None, out=None):
+        return self._made_certain(
+            self._rng.standard_exponential(size=size, out=out), 2)
+
+    def _made_certain(self, out, width):
+        for row in np.reshape(out, (-1, width)):
             if self.dirichlets in self._certain:
-                row[:] = np.eye(len(alpha))[0]
+                row[:] = np.eye(width)[0]
             self.dirichlets += 1
         return out
 
