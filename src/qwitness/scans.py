@@ -237,11 +237,10 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
         for d, ids in members.items():
             layouts, drawer, width = drawers[d]
             rows = np.empty((len(ids), width))
-            codes = np.array([drawer(t, row, stream(t))
-                              for t, row in zip(ids, rows)])
-            ids = np.array(ids)
-            for code in np.unique(codes).tolist():
-                taken = codes == code
+            codes = [drawer(t, row, stream(t)) for t, row in zip(ids, rows)]
+            ids, code_column = np.array(ids), np.array(codes)
+            for code in sorted(set(codes)):
+                taken = code_column == code
                 part = rows if len(layouts) == 1 else rows[taken]
                 cuts = list(accumulate(layouts[code], initial=0))
                 groups.append((d, ids[taken], [part[:, a:b] for a, b
