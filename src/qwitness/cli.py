@@ -116,111 +116,110 @@ def dumps(obj) -> str:
 # held whole beside its records
 _WRITE_CHUNK = 1024
 
-# the text of False and of True, indexed by a bool column
-_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
-
-def _write_records(records: Records, out) -> None:
-    """Write ``dumps(record) + "\\n"`` for each record of a scan's
-    columns, a chunk of rows at a time. The rows of one key layout in a
-    chunk fill one %-template, column by column: floats through
-    ``%.17g`` once checked finite, ints through ``%d``, bools, strs and
-    None as the ``dumps`` text of each distinct value, a
-    dictionary-encoded column as the ``dumps`` text of each of its
-    entries, and any other value as its ``dumps`` text. A chunk that
-    fails to encode is written record by record, so that it raises
-    after writing what the records before the failing one print."""
-    templates: dict[tuple, str] = {}
+def _write_records(records: Records, out, cell=dumps, header=None) -> None:
+    """Write a scan's rows as lines, a chunk of rows at a time: each
+    row's JSONL record ``dumps(record) + "\\n"`` or, with a ``header``,
+    its CSV row over the header, with an empty cell for each key outside
+    its layout. The rows of one key layout in a chunk fill one
+    %-template, column by column: floats through ``%.17g`` once checked
+    finite, ints through ``%d``, and any other value as its ``cell``
+    text, made once per distinct str or None and per entry of a bool or
+    dictionary-encoded column that the chunk's rows use. A chunk that
+    fails to encode is written row by row, so that it raises after
+    writing the rows before the failing one."""
     for start in range(0, len(records), _WRITE_CHUNK):
         stop = min(start + _WRITE_CHUNK, len(records))
         try:
-            text = _chunk(records, start, stop, templates)
+            text = _chunk(records, start, stop, cell, header)
         except (ValueError, TypeError):
             for k in range(start, stop):
-                out.write(dumps(records[k]) + "\n")
-            raise  # pragma: no cover - some record fails alone as in its chunk
+                out.write(_chunk(records, k, k + 1, cell, header))
+            raise  # pragma: no cover - some row fails alone as in its chunk
         out.write(text)
 
 
-def _chunk(records: Records, start: int, stop: int, templates: dict) -> str:
-    """The JSONL text of rows start..stop-1 of ``records``."""
+def _chunk(records: Records, start: int, stop: int, cell, header) -> str:
+    """The lines of rows start..stop-1 of ``records``."""
     which = records.which[start:stop]
     lines = np.empty(stop - start, dtype=object)
     for w, layout in enumerate(records.layouts):
         at = np.flatnonzero(which == w)
         if not len(at):
             continue
-        fields, columns = [], []
-        for key in layout:
-            field, values = _field(records.columns[key], start + at)
-            fields.append(field)
+        keys = layout if header is None else [k for k in header if k in layout]
+        fields, columns = {}, []
+        for key in keys:
+            fields[key], values = _field(records.columns[key], start + at,
+                                         cell)
             columns.append(values)
-        template = templates.get((layout, *fields))
-        if template is None:
-            template = templates[(layout, *fields)] = "{" + ", ".join(
+        if header is None:
+            template = "{" + ", ".join(
                 json.dumps(str(key)).replace("%", "%%") + ": " + field
-                for key, field in zip(layout, fields)) + "}\n"
+                for key, field in fields.items()) + "}\n"
+        else:
+            template = ",".join(fields.get(key, cell(None))
+                                for key in header) + "\n"
         lines[at] = (list(map(template.__mod__, zip(*columns))) if columns
                      else [template % ()] * len(at))
     return "".join(lines.tolist())
 
 
-def _field(column, rows: np.ndarray) -> tuple[str, list]:
+def _field(column, rows: np.ndarray, cell) -> tuple[str, list]:
     """The template field of the entries ``rows`` of a column and the
     values it formats (see :func:`_write_records`)."""
     from .scans import Coded
 
+    if isinstance(column, np.ndarray) and column.dtype == bool:
+        column = Coded([False, True], column.view(np.int8))
     if isinstance(column, Coded):
-        texts = np.array([dumps(value) for value in column.values],
-                         dtype=object)
-        return "%s", texts[column.codes[rows]].tolist()
+        codes = column.codes[rows]
+        used = np.bincount(codes, minlength=len(column.values)).tolist()
+        texts = np.array([cell(value) if n else "" for value, n
+                          in zip(column.values, used)], dtype=object)
+        return "%s", texts[codes].tolist()
     values = column[rows]
-    if values.dtype.kind == "f":
+    if values.dtype.kind in "fiu":
         if not np.isfinite(values).all():
             raise ValueError("refusing to serialize a non-finite number")
-        return "%.17g", values.tolist()
-    if values.dtype.kind in "iu":
-        return "%d", values.tolist()
-    if values.dtype.kind == "b":
-        return "%s", _BOOL_TEXTS[values.astype(np.intp)].tolist()
+        return "%.17g" if values.dtype.kind == "f" else "%d", values.tolist()
     values = values.tolist()
     if set(map(type, values)) <= {str, type(None)}:
-        texts = {value: dumps(value) for value in set(values)}
+        texts = {value: cell(value) for value in set(values)}
         return "%s", list(map(texts.__getitem__, values))
-    return "%s", list(map(dumps, values))
+    return "%s", list(map(cell, values))
 
 
-def _csv_cell(value) -> str:
-    """A CSV cell: empty for None, a bare string, list entries joined
-    by ';', and any other scalar as ``dumps`` encodes it."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_csv_cell(v) for v in value)
-    return dumps(value)
-
-
-def _write_csv(rows: Sequence[dict], out) -> None:
-    """Write ``rows`` to ``out`` as CSV under a header of their keys in
-    order of first appearance, one row at a time, so that a row that
-    fails to encode raises after the rows before it are written. The
-    header of a scan's records comes from their key layouts, taken in
-    the order in which each first appears, without reading a row."""
+def _csv_cells(columns: int):
+    """The cell rule of a CSV table of ``columns`` columns: a value's
+    text (empty for None, a list's entries' texts joined by ';', a str
+    itself, else its ``dumps`` text) quoted by the ``csv`` module, whose
+    rule for a bare \\r varies between Python versions, as in a row of
+    that many cells, so that an empty only cell reads ``""``."""
     import csv
-    from .scans import Records
 
-    if isinstance(rows, Records):
-        used, first = np.unique(rows.which, return_index=True)
-        layouts = [rows.layouts[w] for w in used[np.argsort(first)]]
-    else:
-        layouts = rows
-    fields = list(dict.fromkeys(key for layout in layouts for key in layout))
-    writer = csv.DictWriter(out, fieldnames=fields, restval="",
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
+    def text(value) -> str:
+        if value is None or isinstance(value, str):
+            return value or ""
+        if isinstance(value, (list, tuple)):
+            return ";".join(map(text, value))
+        return dumps(value)
+
+    # writerow returns what its file's write returns: here, the line
+    echo = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
+    pad = ("",) * min(columns - 1, 1)
+    return lambda value: echo.writerow((text(value), *pad))[:-1 - len(pad)]
+
+
+def _write_csv(records: Records, out) -> None:
+    """Write a scan's records as CSV: a header of the keys of the
+    layouts its rows use, each layout taken in the order in which it
+    first appears, then the rows through :func:`_write_records`."""
+    header = list(dict.fromkeys(key for w in dict.fromkeys(
+        records.which.tolist()) for key in records.layouts[w]))
+    cell = _csv_cells(len(header))
+    out.write(",".join(map(cell, header)) + "\n")
+    _write_records(records, out, cell, header)
 
 
 def _print(obj) -> None:
@@ -490,7 +489,7 @@ def cmd_discord(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .scans import run_scan
+    from .scans import Coded, Records, run_scan
 
     dims = _parse_dims(args.dims)
     # a scan holds all its records; bounded before any trial runs
@@ -522,8 +521,10 @@ def cmd_scan(args) -> int:
         else:
             _write_records(records, sys.stdout)
         _print(summary)
-        if summary_csv:
-            _write_csv([summary], summary_csv)
+        if summary_csv:  # one row, each value a dictionary of one entry
+            _write_csv(Records(1, {key: Coded([value], np.zeros(1, np.int8))
+                                   for key, value in summary.items()}),
+                       summary_csv)
     print(f"scan {args.kind}: {len(records)} records in {elapsed:.3f} s",
           file=sys.stderr)
     counterexamples = summary.get("counterexamples", 0)

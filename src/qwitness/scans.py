@@ -126,9 +126,10 @@ class Records(Sequence):
     int, bool, or object for str and None values) or a :class:`Coded`
     column. Row k has the keys ``layouts[which[k]]`` in that order
     (``layouts[0]`` for every row by default); a key outside a row's
-    layout holds a placeholder in that row. Indexing, slicing and iteration
-    build rows as dicts of Python values (``_row``), and ``==`` compares
-    those with a list's."""
+    layout holds a placeholder in that row. The CLI prints the columns.
+    Indexing, slicing and iteration build rows as dicts of Python values
+    (``_row``), and ``==`` compares those with a list's: the view of
+    ``run_scan``'s Python callers and of the tests, not of the CLI."""
 
     def __init__(self, size: int, columns: dict, layouts=None, which=None):
         self.size, self.columns = size, columns
@@ -146,9 +147,6 @@ class Records(Sequence):
         if isinstance(k, slice):
             return list(map(self._row, range(self.size)[k]))
         return self._row(range(self.size)[k])
-
-    def __iter__(self):
-        return map(self._row, range(self.size))
 
     def __eq__(self, other):
         if isinstance(other, (list, Records)):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -746,13 +747,18 @@ def test_scan_csv_records_format(capsys):
 
 
 def test_scan_summary_csv_file(capsys, tmp_path):
+    # one header line and one row, as DictWriter writes the summary, the
+    # dims list joined by ';'
     path = tmp_path / "summary.csv"
-    code, _, _ = run_cli(capsys, "scan", "--kind", "null", "--trials", "4",
-                         "--dims", "3", "--csv", str(path))
+    code, out, _ = run_cli(capsys, "scan", "--kind", "null", "--trials",
+                           "4", "--dims", "3,2", "--csv", str(path))
     assert code == 0
     rows = path.read_text(encoding="utf-8").splitlines()
     assert len(rows) == 2
     assert "counterexamples" in rows[0].split(",")
+    assert rows[1].startswith("null,4,3;2,0,")
+    summary = json.loads(out.splitlines()[-1])
+    assert path.read_text(encoding="utf-8") == _dictwriter_csv([summary])
 
 
 def test_scan_summary_csv_path_checked_before_the_first_trial(capsys,
@@ -898,6 +904,66 @@ def test_record_writer_prints_what_dumps_prints(records, chunk, coded):
     assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
 
 
+def _csv_text(value):
+    """A CSV cell's text before quoting: empty for None, a bare string,
+    a list's entries joined by ';', any other value as ``dumps`` prints
+    it."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ";".join(map(_csv_text, value))
+    return dumps(value)
+
+
+def _dictwriter_csv(records):
+    """``records`` (dicts) as ``csv.DictWriter`` writes them, under a
+    header of their keys in order of first appearance."""
+    header = list(dict.fromkeys(key for r in records for key in r))
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=header, restval="",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: _csv_text(v) for k, v in r.items()} for r in records)
+    return out.getvalue()
+
+
+# keys and strs that the csv module quotes, or that a %-template or the
+# ';' list rule could misread
+_CSV_CHARS = ',"\n\r%;a \u00e9'
+_CSV_KEYS = st.one_of(_RECORD_KEYS, st.text(_CSV_CHARS, max_size=3))
+_CSV_VALUES = st.one_of(_RECORD_VALUES, st.text(_CSV_CHARS, max_size=6))
+
+
+@st.composite
+def _csv_runs(draw):
+    """Records of a few key layouts, in any order (see
+    :func:`_record_runs`), with keys and strs that need quoting."""
+    layouts = draw(st.lists(st.lists(_CSV_KEYS, unique=True, max_size=4),
+                            min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(layouts) - 1), max_size=30))
+    return [{key: draw(_CSV_VALUES) for key in layouts[k]} for k in picks]
+
+
+@given(records=_csv_runs(), chunk=st.integers(min_value=1, max_value=8),
+       coded=st.sets(_CSV_KEYS))
+# a one-column table, where DictWriter writes an empty row's only cell
+# (a None, an empty str or a missing key) and an empty key as ""
+@example(records=[{"k": None}, {"k": ""}, {}, {"k": "a\rb"}, {"k": 1.5}],
+         chunk=2, coded={"k"})
+@example(records=[{"": None}, {"": 'x,"y"'}], chunk=1, coded=set())
+# two layouts of the same keys in different orders, and one of none
+@example(records=[{"a": 1, "b": "%s"}, {"b": "\n", "a": 0.5}, {}],
+         chunk=8, coded={"b"})
+@settings(max_examples=200, deadline=None)
+def test_csv_writer_prints_what_dictwriter_prints(records, chunk, coded):
+    out = io.StringIO()
+    with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
+        cli._write_csv(_block(records, coded), out)
+    assert out.getvalue() == _dictwriter_csv(records)
+
+
 def test_record_writer_follows_nested_skip_layouts():
     # at d = 1 every nested trial skips, so the skip and the witnessed
     # layouts alternate
@@ -911,13 +977,16 @@ def test_record_writer_follows_nested_skip_layouts():
 
 @pytest.mark.parametrize("kind", scans.SCAN_KINDS)
 def test_jsonl_scan_builds_no_record_dict(capsys, monkeypatch, kind):
-    # JSONL prints the columns: with the rows of the record view and the
-    # members' witness reports refused, each kind prints what it prints
-    # unrefused. CSV reads those rows, and they are the records that
-    # JSONL prints
+    # JSONL and CSV both print the columns: with the rows of the record
+    # view and the members' witness reports refused, each kind prints
+    # in each format what it prints unrefused. The record view's rows
+    # are the reference: JSONL prints their dumps, and CSV what
+    # DictWriter writes of them
     argv = ["scan", "--kind", kind, "--trials", "30", "--grid", "6",
             "--dims", "1,2,3", "--seed", "2"]
     code, jsonl, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
 
     def refuse(self, k):
@@ -930,16 +999,22 @@ def test_jsonl_scan_builds_no_record_dict(capsys, monkeypatch, kind):
         patched.setattr(scans.Records, "_row", refuse)
         patched.setattr(witness._Analysis, "__getitem__", refuse_report)
         assert run_cli(capsys, *argv)[:2] == (0, jsonl)
+        assert run_cli(capsys, *argv, "--format", "csv")[:2] == (0, csv_out)
     records, _ = run_scan(kind, trials=30, dims=(1, 2, 3), seed=2, grid=6)
     *lines, summary = jsonl.splitlines()
     assert lines == [dumps(r) for r in records]
-    header = list(dict.fromkeys(key for r in records for key in r))
-    rows = [",".join("" if r.get(key) is None else r[key]
-                     if isinstance(r[key], str) else dumps(r[key])
-                     for key in header) for r in records]
-    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
-    assert code == 0
-    assert csv_out.splitlines() == [",".join(header), *rows, summary]
+    assert csv_out == _dictwriter_csv(list(records)) + summary + "\n"
+
+
+def test_jsonl_scan_leaves_csv_out(subprocess_env):
+    # only a CSV scan, or a --csv summary file, loads the csv module
+    code = ("import sys; from qwitness.cli import main; "
+            "main(['scan', '--kind', 'nested', '--trials', '5', '--dims', "
+            "'1,2']); print('csv' in sys.modules, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, check=True,
+                            env=subprocess_env)
+    assert result.stderr.endswith(b"False\n")
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), {1}])
@@ -974,6 +1049,23 @@ def test_csv_scan_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch,
                                         for t in range(6))
     assert err.startswith("error: ")
     assert ("non-finite" in err) == (bad != {1})
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_coded_record_that_cannot_be_encoded_exits_2(capsys, monkeypatch,
+                                                     fmt):
+    # a dictionary-encoded entry fails only the rows that use it: stdout
+    # holds the rows before the first of them, in either format
+    records = [{"trial": t, "x": 0.5 * t} for t in range(9)]
+    records[6]["x"] = float("inf")
+    monkeypatch.setattr(scans, "run_scan",
+                        lambda *a, **k: (_block(records, {"x"}), {}))
+    code, out, err = run_cli(capsys, "scan", "--kind", "null",
+                             "--format", fmt)
+    assert code == 2
+    assert out == (_dictwriter_csv(records[:6]) if fmt == "csv" else
+                   "".join(dumps(r) + "\n" for r in records[:6]))
+    assert "non-finite" in err
 
 
 # ------------------------------------------------------------- plumbing
