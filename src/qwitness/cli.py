@@ -191,11 +191,11 @@ def _field(column, rows: np.ndarray, cell) -> tuple[str, list]:
 
 
 def _csv_cells(columns: int):
-    """The cell rule of a CSV table of ``columns`` columns: a value's
-    text (empty for None, a list's entries' texts joined by ';', a str
-    itself, else its ``dumps`` text) quoted by the ``csv`` module, whose
-    rule for a bare \\r varies between Python versions, as in a row of
-    that many cells, so that an empty only cell reads ``""``."""
+    """The cell rule of a CSV table of ``columns`` columns: the ``csv``
+    module quotes a value's text (empty for None, a str itself, a list's
+    texts joined by ';', else ``dumps``) as in a row of that many cells,
+    so an empty only cell reads ``""``. Its rule for a bare \\r differs
+    between Python versions, so a rule written here would drift."""
     import csv
 
     def text(value) -> str:

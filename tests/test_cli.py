@@ -852,12 +852,14 @@ _RECORD_VALUES = st.one_of(
 
 def _block(records, coded=()):
     """``records`` (dicts) as a scan's columns: one layout per key tuple,
-    in order of first appearance. A key of ``coded`` becomes a
-    dictionary-encoded column, one entry per distinct (type, repr) of
-    its values, so that repeats share an entry and 0.0 and -0.0 do not;
-    any other key an array, typed where all its values are floats,
-    bools or int64s. A row without a key holds one of its values."""
-    layouts = list(dict.fromkeys(map(tuple, records)))
+    listed in reverse order of first appearance, so that a writer cannot
+    take the order of the layouts for the order of the rows. A key of
+    ``coded`` becomes a dictionary-encoded column, one entry per
+    distinct (type, repr) of its values, so that repeats share an entry
+    and 0.0 and -0.0 do not; any other key an array, typed where all its
+    values are floats, bools or int64s. A row without a key holds one of
+    its values."""
+    layouts = list(dict.fromkeys(map(tuple, records)))[::-1]
     columns = {}
     for key in dict.fromkeys(k for layout in layouts for k in layout):
         fill = next(r[key] for r in records if key in r)
