@@ -155,3 +155,12 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
         eigenvectors=np.ascontiguousarray(v[..., ::-1]),
     )
+
+
+def _least_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of an exactly Hermitian matrix, or of each
+    member of a stack, from ``eigvalsh``: no eigenvectors are formed."""
+    try:
+        return np.linalg.eigvalsh(h).T[0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc

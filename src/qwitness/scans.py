@@ -12,25 +12,27 @@ from its own block of counters of the scan's Philox generator
 run and repeat runs are bit-identical.
 
 ``bloch`` builds and checks its axis states as one stack and takes the
-anticommutators, spectra and ball conditions of all pairs in stacked
-calls; its radius and angle columns are dictionary-encoded
-(:class:`Coded`) over the axis.
+anticommutator, spectrum and ball condition of each unordered pair
+once, in stacked calls, for both orders of the pair; its radius and
+angle columns are dictionary-encoded (:class:`Coded`) over the axis.
 ``pure-mixed``, ``nested``, ``null`` and ``discord`` draw each block
 of trials into one float64 array per dimension, a row per trial, which
 each trial fills in place, in order from its stream: its integer draw
 or its Dirichlet numbers (as standard exponential ones) first, then all
 its Gaussian numbers in one ``standard_normal`` call, whose size is
-worked out once per dimension. They then cut column slices of the rows
-into states and run the checks and the linear algebra over stacks of
-trials that share a dimension (``null``: and a branch and a rank;
-``discord`` trials are all qubit pairs), in blocks of _CHUNK_BYTES of
+worked out once per dimension (``null`` then writes its rank at the
+row's end). They then cut column slices of the rows into states and
+run the checks and the linear algebra over one stack per dimension
+(``discord`` trials are all qubit pairs), in blocks of _CHUNK_BYTES of
 draws. The draws have the bits of the ``normal`` and ``dirichlet``
 calls of a per-trial loop. The stacked calls
 are bit-identical to the per-matrix ones, each per-member dot product
 (a norm's too) is taken by ``linalg._row_dots``, and each state passes
-``DensityOperator``'s checks, so the records keep their bytes. Each
-trial draws each of its states once, whatever its spectrum, and a
-failed check raises what the per-trial loop would raise first.
+``DensityOperator``'s checks, so the records keep their bytes; a stack
+whose spectra no record reads is checked on its eigenvalues alone
+(``states._checked_matrices``). Each trial draws each of its states
+once, whatever its spectrum, and a failed check raises what the
+per-trial loop would raise first.
 The witness fields of ``pure-mixed``, ``nested`` and ``discord`` are
 the columns of the stacked analysis (``witness._Analysis``): its
 minimum eigenvalues, criteria, verdict texts and witnessed flags, with
@@ -54,6 +56,7 @@ from .linalg import (_adjoint, anticommutator, as_matrix, commutator,
 from .states import (
     StateStack,
     _bloch_matrices,
+    _checked_matrices,
     _density_from_ginibre,
     _draw_size,
     _gaussians,
@@ -209,16 +212,14 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """Records of trials 0..trials-1, computed over stacks.
 
     ``draw(d)``, called at the first trial of dimension d, returns the
-    layouts of that dimension and its drawer. A layout lists the widths
-    of the arrays a trial draws, in order. The trials of one dimension
-    in a block share one float64 array, a row each, as wide as the
-    widest layout: trial t fills the start of its row in place with
-    ``drawer(t, row, rng)``, in order from its own stream
-    (``_trial_streams``), and returns the index of its layout.
-    ``compute(d, trial_ids, *stacks)`` then returns the block of the
-    trials of one dimension and layout, in trial order, from each array
-    of the layout as a column slice of their rows; the blocks are merged
-    in trial order.
+    layout of that dimension and its drawer. The layout lists the widths
+    of the arrays a trial's row holds, in order. The trials of one
+    dimension in a block share one float64 array, a row each: trial t
+    fills its row in place with ``drawer(t, row, rng)``, in order from
+    its own stream (``_trial_streams``). ``compute(d, trial_ids,
+    *stacks)`` then returns the block of the trials of one dimension, in
+    trial order, from each array of the layout as a column slice of
+    their rows; the blocks are merged in trial order.
     It runs on blocks of about _CHUNK_BYTES, counting each trial's row
     and _TRIAL_BYTES. When a block fails, its trials run again one at a
     time, so that the error raised is the one a per-trial scan meets
@@ -229,20 +230,16 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     drawers: dict = {}
 
     def drawn(members: dict[int, list[int]]) -> list[tuple]:
-        """(d, trial ids, stacks) of each dimension and layout of a block,
-        from the trial ids of each dimension."""
+        """(d, trial ids, stacks) of each dimension of a block, from the
+        trial ids of each dimension."""
         groups = []
         for d, ids in members.items():
-            layouts, drawer, width = drawers[d]
-            rows = np.empty((len(ids), width))
-            codes = [drawer(t, row, stream(t)) for t, row in zip(ids, rows)]
-            ids, code_column = np.array(ids), np.array(codes)
-            for code in sorted(set(codes)):
-                taken = code_column == code
-                part = rows if len(layouts) == 1 else rows[taken]
-                cuts = list(accumulate(layouts[code], initial=0))
-                groups.append((d, ids[taken], [part[:, a:b] for a, b
-                                               in zip(cuts, cuts[1:])]))
+            cuts, drawer = drawers[d]
+            rows = np.empty((len(ids), cuts[-1]))
+            for t, row in zip(ids, rows):
+                drawer(t, row, stream(t))
+            groups.append((d, np.array(ids), [rows[:, a:b] for a, b
+                                              in zip(cuts, cuts[1:])]))
         return groups
 
     def computed(groups: list[tuple]) -> list[Records]:
@@ -264,13 +261,13 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
             d = dims[stop % len(dims)]
             if d not in drawers:
                 try:
-                    layouts, drawer = draw(d)
+                    layout, drawer = draw(d)
                 except DimensionError:
                     computed(drawn(members))  # an earlier trial's error first
                     raise
-                drawers[d] = layouts, drawer, max(map(sum, layouts))
+                drawers[d] = list(accumulate(layout, initial=0)), drawer
             members.setdefault(d, []).append(stop)
-            size += _TRIAL_BYTES + 8 * drawers[d][2]
+            size += _TRIAL_BYTES + 8 * drawers[d][0][-1]
             stop += 1
         done += computed(drawn(members))
         start = stop
@@ -278,16 +275,15 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
 
 
 def _normal_drawer(shapes: list[tuple]):
-    """The layouts and drawer (see :func:`_batched`) of a trial that fills
+    """The layout and drawer (see :func:`_batched`) of a trial that fills
     its row with the Gaussian arrays of ``shapes`` in one
     ``standard_normal`` call, which draws the numbers of
     ``normal(size=row.size)``."""
 
-    def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
+    def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
         rng.standard_normal(out=row)
-        return 0
 
-    return [(_draw_size(shapes),)], drawer
+    return (_draw_size(shapes),), drawer
 
 
 def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
@@ -437,6 +433,29 @@ def _bloch_axis(count: int) -> list[tuple[float, float]]:
     return [(r, a) for r in radii for a in angles][:count]
 
 
+def _bloch_tables(vecs: np.ndarray, states: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The least eigenvalue of {states[i], states[j]} and the ball
+    condition of (vecs[i], vecs[j]) of each pair, as columns in the
+    order of the pairs (i, j) of an (n, n) table. Both are symmetric bit
+    for bit: pair (j, i) sums the two products of pair (i, j), and IEEE
+    addition commutes; the condition's row dots and sums of squares are
+    symmetric in their operands. So each is taken once, for i <= j, in
+    stacked calls of at most _CHUNK_BYTES of pair matrices, and written
+    at [i, j] and at [j, i] of the table."""
+    n = len(vecs)
+    columns = np.empty(n * n), np.empty(n * n, dtype=bool)
+    min_eigs, condition = (column.reshape(n, n) for column in columns)
+    upper = np.triu_indices(n)
+    step = _CHUNK_BYTES // np.zeros((2, 2), np.complex128).nbytes
+    for start in range(0, len(upper[0]), step):
+        i, j = (k[start:start + step] for k in upper)
+        min_eigs[i, j] = min_eigs[j, i] = np.linalg.eigvalsh(
+            anticommutator(states[i], states[j])).min(axis=-1)
+        condition[i, j] = condition[j, i] = _bloch_conditions(vecs, i, j)
+    return columns
+
+
 def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[Records, dict]:
     """Qubit ball condition implies a positive anticommutator.
 
@@ -444,25 +463,19 @@ def scan_bloch(grid: int = 100, *, seed: int = 0) -> tuple[Records, dict]:
     between them, so the axes sample radius/angle pairs in a plane.
     Converse failures (condition false, operator still positive) are
     recorded but never counted as counterexamples. The axis states are
-    built and checked as one stack; the pairs' anticommutators and
-    spectra are stacked, and each pair's radii and angles are codes
-    into the axis's distinct radii and angles.
+    built and checked as one stack; each unordered pair's
+    anticommutator, spectrum and ball condition are taken once, in
+    stacked calls (:func:`_bloch_tables`), and each pair's radii and
+    angles are codes into the axis's distinct radii and angles.
     """
     axis = _bloch_axis(grid)
     radii, angles = _bloch_grid(grid)
     n = len(axis)
     vecs = np.array([[r * math.sin(a), 0.0, r * math.cos(a)]
                      for r, a in axis]).reshape(n, 3)
-    axis_states = StateStack.check(_bloch_matrices(vecs)).matrix
+    min_eigs, condition = _bloch_tables(
+        vecs, _checked_matrices(_bloch_matrices(vecs)))
     rows, cols = np.divmod(np.arange(n * n), n)
-    min_eigs, condition = np.empty(n * n), np.empty(n * n, dtype=bool)
-    step = _CHUNK_BYTES // np.zeros((2, 2), np.complex128).nbytes
-    for start in range(0, n * n, step):
-        pairs = slice(start, start + step)
-        i, j = rows[pairs], cols[pairs]
-        min_eigs[pairs] = np.linalg.eigvalsh(
-            anticommutator(axis_states[i], axis_states[j])).min(axis=-1)
-        condition[pairs] = _bloch_conditions(vecs, i, j)
     (r1, a1), (r2, a2) = (np.divmod(k, len(angles)) for k in (rows, cols))
     records = Records(n * n, {
         "i": rows,
@@ -488,39 +501,50 @@ def scan_null(trials: int, dims: Sequence[int],
     Even trials construct a state supported orthogonally to the pure
     one (anticommutator exactly null); odd trials draw generic pairs,
     for which the premise almost surely fails and the check is vacuous.
-    Trials of one dimension, branch and rank are stacked.
+    A trial's row holds its draws and then its rank: the rank of its
+    inner state in the constructed branch, 0 in the generic one. The
+    trials of one dimension are stacked, both branches and all ranks:
+    only the inner Ginibre products are taken per rank.
     """
     dims = list(dims)
 
     def draw(d: int):
         outer = _draw_size([(d,), _ginibre_shape(d, d)])
-        # layout 0 for an odd trial (or d = 1); an even one's is its rank
-        layouts = [(outer,)] + [(outer, _draw_size([(d - 1, rank)]))
-                                for rank in range(1, d)]
-        ends = list(map(sum, layouts))
+        per_rank = _draw_size([(d - 1, 1)])
 
-        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
-            rank = int(rng.integers(1, d)) if t % 2 == 0 and d > 1 else 0
-            rng.standard_normal(out=row[:ends[rank]])
-            return rank
+        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
+            rank = 0
+            if t % 2 == 0 and d > 1:
+                # integers(1, 2) draws nothing and returns 1
+                rank = 1 if d == 2 else int(rng.integers(1, d))
+            rng.standard_normal(out=row[:outer + per_rank * rank])
+            row[-1] = rank
 
-        return layouts, drawer
+        return (outer, per_rank * (d - 1), 1), drawer
 
-    def compute(d: int, trial_ids: np.ndarray, outer, *inner) -> Records:
+    def compute(d: int, trial_ids: np.ndarray, outer, inner,
+                ranks) -> Records:
         psi, ginibre = _gaussians(outer, [(d,), (d, d)])
         psi = _unit_rows(psi)
-        if inner:  # rank < d: the constructed branch
-            unitary = _unitary_from_ginibre(ginibre)
+        ranks = ranks[:, 0].astype(int)
+        built = np.flatnonzero(ranks)  # rank >= 1: the constructed branch
+        mixed = np.empty((len(trial_ids), d, d), np.complex128)
+        generic = ranks == 0
+        mixed[generic] = _density_from_ginibre(ginibre[generic])
+        if len(built):
+            unitary = _unitary_from_ginibre(ginibre[built])
             basis = np.linalg.qr(np.concatenate(
-                [psi[..., None], unitary[..., 1:]], axis=-1))[0]
-            rank = inner[0].shape[-1] // (2 * (d - 1))
-            inner_rho = StateStack.check(_density_from_ginibre(
-                _gaussians(inner[0], [(d - 1, rank)])[0]))
+                [psi[built, :, None], unitary[..., 1:]], axis=-1))[0]
+            inner_ranks = ranks[built]
+            inner_rho = np.empty((len(built), d - 1, d - 1), np.complex128)
+            for rank in set(inner_ranks.tolist()):
+                taken = inner_ranks == rank
+                inner_rho[taken] = _density_from_ginibre(_gaussians(
+                    inner[built[taken]], [(d - 1, rank)])[0])
             comp = basis[:, :, 1:]
-            mixed = comp @ inner_rho.matrix @ _adjoint(comp)
-        else:
-            mixed = _density_from_ginibre(ginibre)
-        rho2 = StateStack.check(mixed).matrix
+            mixed[built] = (comp @ _checked_matrices(inner_rho)
+                            @ _adjoint(comp))
+        rho2 = _checked_matrices(mixed)
         proj = _projectors(psi)
         anti_norms = np.array(frobenius_norms(anticommutator(proj, rho2)))
         product_norms = np.array(frobenius_norms(proj @ rho2))
@@ -562,12 +586,11 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
     def draw(d: int):
         size = _draw_size(qubit * 5)
 
-        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> int:
+        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
             rng.standard_exponential(out=row[:6])
             rng.standard_normal(out=row[6:])
-            return 0
 
-        return [(6, size)], drawer
+        return (6, size), drawer
 
     def compute(d: int, trial_ids: np.ndarray, exponentials,
                 normals) -> Records:
@@ -578,14 +601,14 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
         n = len(trial_ids)
         # classical-classical: Bob's two states share the eigenbasis u
         u = _unitary_from_ginibre(common)[:, None]
-        bob = StateStack.check(((u * spectra[:, :, None, :]) @ _adjoint(u))
-                               .reshape(-1, 2, 2)).matrix.reshape(n, 2, 2, 2)
-        cc = StateStack.check(discord_mod._classical_quantum(
+        bob = _checked_matrices(((u * spectra[:, :, None, :]) @ _adjoint(u))
+                                .reshape(-1, 2, 2)).reshape(n, 2, 2, 2)
+        cc = _checked_matrices(discord_mod._classical_quantum(
             probs, [bob[:, 0], bob[:, 1]]))
-        a, b = StateStack.check(_density_from_ginibre(
-            factors.reshape(-1, 2, 2))).matrix.reshape(n, 2, 2, 2).swapaxes(0, 1)
+        a, b = _checked_matrices(_density_from_ginibre(
+            factors.reshape(-1, 2, 2))).reshape(n, 2, 2, 2).swapaxes(0, 1)
         # np.kron(a, b) of each trial's factors, entry by entry
-        product = StateStack.check(
+        product = _checked_matrices(
             (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, 4, 4))
         # one projector per outcome (a column of each measurement basis)
         unitaries = as_matrix(_unitary_from_ginibre(bases).reshape(-1, 2, 2),
@@ -594,7 +617,7 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
         # members (trial, state, measurement, outcome), in the order
         # the per-trial loop builds them
         shape = (n, 2, 2, 2)
-        rho = np.stack([cc.matrix, product.matrix], axis=1)[:, :, None, None]
+        rho = np.stack([cc, product], axis=1)[:, :, None, None]
         outcome_probs, possible, conds = discord_mod._conditional_states(
             np.broadcast_to(rho, shape + (4, 4)).reshape(-1, 4, 4), (2, 2),
             np.broadcast_to(proj.reshape(n, 1, 2, 2, 2, 2),

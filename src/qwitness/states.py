@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, PositivityError, TraceError
 from .linalg import (SpectralDecomposition, _adjoint, _eigh_descending,
-                     _hermitian_part, as_matrix, frobenius_norms)
+                     _hermitian_part, _least_eigenvalues, as_matrix,
+                     frobenius_norms)
 from .tolerances import TOL_PSD, TOL_TRACE
 
 __all__ = [
@@ -123,13 +124,24 @@ class StateStack(NamedTuple):
             dec.eigenvalues[k], dec.eigenvectors[k]))
 
 
-def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
-                    ) -> tuple[np.ndarray, SpectralDecomposition]:
+def _checked_matrices(stack) -> np.ndarray:
+    """``StateStack.check(stack).matrix`` without the eigenvectors: the
+    checked Hermitian parts of a stack whose spectra no caller reads.
+    The positivity check takes each member's least eigenvalue from
+    ``eigvalsh``; a failing member raises what ``StateStack.check``
+    raises."""
+    return _density_checks(as_matrix(stack, stacked=True), vectors=False)[0]
+
+
+def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None,
+                    *, vectors: bool = True
+                    ) -> tuple[np.ndarray, SpectralDecomposition | None]:
     """The checks of :class:`DensityOperator` on a finite square matrix,
     or on each member of a stack (n, d, d): Hermitian within its margin,
     unit trace and positive semidefinite. Returns the Hermitian part and
-    its descending spectrum (``spectrum`` when given). Each check raises
-    for the first member that fails it."""
+    its descending spectrum (``spectrum`` when given), or None for it
+    with ``vectors`` false, which checks positivity on the eigenvalues
+    alone. Each check raises for the first member that fails it."""
     h = _hermitian_part(m, "state")
     with np.errstate(over="ignore"):  # an infinite trace fails below
         tr = m.trace(axis1=-2, axis2=-1)
@@ -139,9 +151,11 @@ def _density_checks(m: np.ndarray, spectrum: SpectralDecomposition | None = None
         raise TraceError(
             f"state trace {t.real:.17g}{t.imag:+.3e}j deviates from 1 "
             f"by {abs(t - 1.0):.3e} (margin {TOL_TRACE:.1e})")
-    if spectrum is None:
+    if spectrum is None and vectors:
         spectrum = _eigh_descending(h)
-    low = spectrum.eigenvalues.T[-1]  # a scalar, or one per member
+    # the least eigenvalue: a scalar, or one per member
+    low = (_least_eigenvalues(h) if spectrum is None
+           else spectrum.eigenvalues.T[-1])
     # NaN from an overflowing matrix fails too
     if not low.min(initial=np.inf) >= -TOL_PSD:
         k = np.argmax(np.logical_not(low >= -TOL_PSD))

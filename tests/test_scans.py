@@ -340,9 +340,9 @@ def test_normal_drawer_rows_hold_the_bits_of_one_normal_call(seed):
     drawers = [scans._normal_drawer([(d,), (d, rank)])
                for d in range(1, 6) for rank in range(1, d + 1)]
     for t in _DRAW_TRIALS:
-        (layout,), drawer = drawers[t % len(drawers)]
-        row = np.empty(layout[0])
-        assert drawer(t, row, stream(t)) == 0
+        (width,), drawer = drawers[t % len(drawers)]
+        row = np.empty(width)
+        drawer(t, row, stream(t))
         assert row.tobytes() == fresh(t).normal(size=row.size).tobytes(), t
 
 
@@ -460,6 +460,27 @@ def test_null_scan_blocks_cover_large_dimensions(monkeypatch):
     for dims in ((2, 3, 4), (1, 9, 17), (40,)):
         assert printed(scan_null(24, dims, 11)) == \
             printed(serial_scan_null(24, dims, 11))
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 16])
+def test_bloch_scan_mirrors_pairs_across_chunk_edges(monkeypatch, pairs):
+    # chunks of a few upper-triangle pairs, so that a pair's chunk
+    # differs from its neighbours' and writes both it and its mirror
+    monkeypatch.setattr(scans, "_CHUNK_BYTES", 64 * pairs)
+    for grid in range(1, 16):
+        assert printed(scan_bloch(grid, seed=grid)) == \
+            printed(serial_scan_bloch(grid, seed=grid)), grid
+
+
+def test_null_scan_decomposes_once_per_dimension(monkeypatch):
+    # one block, three dimensions, ten constructed trials each at ranks
+    # 1 to d - 1: the Haar unitary's QR and the basis QR run once per
+    # dimension, over all its constructed trials
+    calls = []
+    _spy(monkeypatch, np.linalg, "qr", calls)
+    batched = printed(scan_null(60, (2, 3, 4), 3))
+    assert [len(args[0]) for args in calls] == [10] * 6
+    assert batched == printed(serial_scan_null(60, (2, 3, 4), 3))
 
 
 @pytest.mark.parametrize("kind", sorted(_SERIAL))

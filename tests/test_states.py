@@ -14,6 +14,7 @@ from qwitness.errors import (
 from qwitness.states import (
     DensityOperator,
     StateStack,
+    _checked_matrices,
     as_pure_state,
     bloch_to_state,
     make_density,
@@ -247,17 +248,18 @@ def test_top_gap(d):
 
 # ------------------------------------------------------- stacked checks
 
-def _member(kind, d, rng):
+def _member(kind, d, rng, k=0):
     """A d x d matrix that passes DensityOperator's checks, or fails the
-    one that ``kind`` names."""
+    one that ``kind`` names, by a defect that grows with ``k``."""
     m = random_density(d, d, rng).matrix.copy()
     if kind == "nonhermitian":
-        m[0, -1] += 1e-3j if d == 1 else 1e-3
+        m[0, -1] += (1e-3j if d == 1 else 1e-3) * (1 + k)
     elif kind == "offtrace":
-        m *= 1.01
+        m *= 1.01 + 0.01 * k
     elif kind == "nonpsd":
         u = random_unitary(d, rng)
-        m = (u * np.array([1.2, -0.2] + [0.0] * (d - 2))) @ u.conj().T
+        m = (u * np.array([1.2 + 0.1 * k, -0.2 - 0.1 * k] + [0.0] * (d - 2))
+             ) @ u.conj().T
     elif kind == "nonfinite":
         m[-1, 0] = np.nan if rng.random() < 0.5 else np.inf
     return m
@@ -297,3 +299,35 @@ def test_state_stack_check_raises_what_a_failing_member_raises(seed, d, kinds):
                               rho.spectrum.eigenvalues)
         assert np.array_equal(checked.spectrum.eigenvectors[k],
                               rho.spectrum.eigenvectors)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_checked_matrices_keep_or_raise_what_the_stack_check_does(kind, size):
+    # the route that checks positivity on eigvalsh's eigenvalues alone
+    # keeps StateStack.check's Hermitian parts bit for bit, and raises
+    # its error for the first failing member (1 of five, before 3). The
+    # least eigenvalues -0.2 and -0.3 print alike from eigh and eigvalsh
+    rng = seeded_rng(size)
+    bad = [0] if size == 1 else [1, 3]
+    for d in (1, 2, 3, 4):
+        if d == 1 and kind == "nonpsd":  # a 1x1 state is positive
+            continue
+        stack = np.array([_member(kind if k in bad else "valid", d, rng, k)
+                          for k in range(size)])
+        if kind == "valid":
+            # a defect within the Hermiticity margin, so that the
+            # Hermitian part differs from the input
+            stack[:, 0, -1] += 1e-13j
+            checked = _checked_matrices(stack)
+            assert checked.shape == stack.shape
+            assert checked.tobytes() == StateStack.check(stack).matrix.tobytes()
+            assert checked.tobytes() != stack.tobytes()
+            continue
+        raised = []
+        for check in (_checked_matrices, StateStack.check,
+                      lambda s: DensityOperator(s[bad[0]])):
+            with pytest.raises(Exception) as exc:
+                check(stack)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1] == raised[2], (kind, d)
