@@ -149,7 +149,7 @@ def _eigh_descending(h: np.ndarray) -> SpectralDecomposition:
     member of a stack, largest eigenvalue first."""
     try:
         w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(w[..., ::-1]),
@@ -162,5 +162,5 @@ def _least_eigenvalues(h: np.ndarray) -> np.ndarray:
     member of a stack, from ``eigvalsh``: no eigenvectors are formed."""
     try:
         return np.linalg.eigvalsh(h).T[0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc

@@ -15,21 +15,22 @@ run and repeat runs are bit-identical.
 anticommutator, spectrum and ball condition of each unordered pair
 once, in stacked calls, for both orders of the pair; its radius and
 angle columns are dictionary-encoded (:class:`Coded`) over the axis.
-``pure-mixed``, ``nested``, ``null`` and ``discord`` draw each block
-of trials into one float64 array per dimension, a row per trial, which
-each trial fills in place, in order from its stream: its integer draw
-or its Dirichlet numbers (as standard exponential ones) first, then all
-its Gaussian numbers in one ``standard_normal`` call, whose size is
-worked out once per dimension (``null`` then writes its rank at the
-row's end). They then cut column slices of the rows into states and
-run the checks and the linear algebra over one stack per dimension
+``pure-mixed``, ``nested``, ``null`` and ``discord`` each give the
+width of a trial's row at a dimension, the fill that draws the row and
+the compute that turns one dimension's rows into records
+(:func:`_batched`). A trial fills its float64 row in place, in order
+from its stream: its integer draw or its Dirichlet numbers (as
+standard exponential ones) first, then all its Gaussian numbers in one
+``standard_normal`` call (``null`` then writes its rank at the row's
+end). The compute slices the rows into states itself and runs the
+checks and the linear algebra over one stack per dimension
 (``discord`` trials are all qubit pairs), in blocks of _CHUNK_BYTES of
 draws. The draws have the bits of the ``normal`` and ``dirichlet``
-calls of a per-trial loop. The stacked calls
-are bit-identical to the per-matrix ones, each per-member dot product
-(a norm's too) is taken by ``linalg._row_dots``, and each state passes
-``DensityOperator``'s checks, so the records keep their bytes; a stack
-whose spectra no record reads is checked on its eigenvalues alone
+calls of a per-trial loop. The stacked calls are bit-identical to the
+per-matrix ones, each per-member dot product (a norm's too) is taken
+by ``linalg._row_dots``, and each state passes ``DensityOperator``'s
+checks, so the records keep their bytes; a stack whose spectra no
+record reads is checked on its eigenvalues alone
 (``states._checked_matrices``). Each trial draws each of its states
 once, whatever its spectrum, and a failed check raises what the
 per-trial loop would raise first.
@@ -45,14 +46,13 @@ computes anything for it.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, QwitnessError
-from .linalg import (_adjoint, anticommutator, as_matrix, commutator,
-                     frobenius_norms)
+from .linalg import (_adjoint, _least_eigenvalues, anticommutator, as_matrix,
+                     commutator, frobenius_norms)
 from .states import (
     StateStack,
     _bloch_matrices,
@@ -212,14 +212,13 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """Records of trials 0..trials-1, computed over stacks.
 
     ``draw(d)``, called at the first trial of dimension d, returns the
-    layout of that dimension and its drawer. The layout lists the widths
-    of the arrays a trial's row holds, in order. The trials of one
-    dimension in a block share one float64 array, a row each: trial t
-    fills its row in place with ``drawer(t, row, rng)``, in order from
-    its own stream (``_trial_streams``). ``compute(d, trial_ids,
-    *stacks)`` then returns the block of the trials of one dimension, in
-    trial order, from each array of the layout as a column slice of
-    their rows; the blocks are merged in trial order.
+    width of a trial's row at that dimension and its fill. The trials of
+    one dimension in a block share one float64 array, a row each: trial
+    t fills its row in place with ``fill(t, row, rng)``, in order from
+    its own stream (``_trial_streams``). ``compute(d, trial_ids, rows)``
+    then returns the block of the trials of one dimension, in trial
+    order, from their rows, which it slices itself; the blocks are
+    merged in trial order.
     It runs on blocks of about _CHUNK_BYTES, counting each trial's row
     and _TRIAL_BYTES. When a block fails, its trials run again one at a
     time, so that the error raised is the one a per-trial scan meets
@@ -227,30 +226,27 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
     """
     stream = _trial_streams(seed)
     done: list[Records] = []
-    drawers: dict = {}
+    draws: dict = {}
 
-    def drawn(members: dict[int, list[int]]) -> list[tuple]:
-        """(d, trial ids, stacks) of each dimension of a block, from the
-        trial ids of each dimension."""
-        groups = []
-        for d, ids in members.items():
-            cuts, drawer = drawers[d]
-            rows = np.empty((len(ids), cuts[-1]))
-            for t, row in zip(ids, rows):
-                drawer(t, row, stream(t))
-            groups.append((d, np.array(ids), [rows[:, a:b] for a, b
-                                              in zip(cuts, cuts[1:])]))
-        return groups
+    def drawn(d: int, ids: list[int]) -> tuple:
+        """(d, trial ids, rows) of the trials ``ids`` of dimension d."""
+        width, fill = draws[d]
+        rows = np.empty((len(ids), width))
+        for t, row in zip(ids, rows):
+            fill(t, row, stream(t))
+        return d, np.array(ids), rows
 
-    def computed(groups: list[tuple]) -> list[Records]:
+    def computed(members: dict[int, list[int]]) -> list[Records]:
+        """The records of each dimension of a block, from its trial ids."""
+        groups = [drawn(d, ids) for d, ids in members.items()]
         try:
-            return [compute(d, ids, *stacks) for d, ids, stacks in groups]
+            return [compute(*group) for group in groups]
         except (QwitnessError, ValueError):
             for _, g, k in sorted((t, g, k) for g, (_, ids, _) in
                                   enumerate(groups)
                                   for k, t in enumerate(ids.tolist())):
-                d, ids, stacks = groups[g]
-                compute(d, ids[k:k + 1], *(s[k:k + 1] for s in stacks))
+                d, ids, rows = groups[g]
+                compute(d, ids[k:k + 1], rows[k:k + 1])
             raise  # pragma: no cover - some trial fails alone as in its block
 
     start = 0
@@ -259,31 +255,25 @@ def _batched(trials: int, dims: list[int], seed: int, draw, compute
         size, stop = 0, start
         while stop < trials and size < _CHUNK_BYTES:
             d = dims[stop % len(dims)]
-            if d not in drawers:
+            if d not in draws:
                 try:
-                    layout, drawer = draw(d)
+                    draws[d] = draw(d)
                 except DimensionError:
-                    computed(drawn(members))  # an earlier trial's error first
+                    computed(members)  # an earlier trial's error first
                     raise
-                drawers[d] = list(accumulate(layout, initial=0)), drawer
             members.setdefault(d, []).append(stop)
-            size += _TRIAL_BYTES + 8 * drawers[d][0][-1]
+            size += _TRIAL_BYTES + 8 * draws[d][0]
             stop += 1
-        done += computed(drawn(members))
+        done += computed(members)
         start = stop
     return _merged(done)
 
 
-def _normal_drawer(shapes: list[tuple]):
-    """The layout and drawer (see :func:`_batched`) of a trial that fills
-    its row with the Gaussian arrays of ``shapes`` in one
-    ``standard_normal`` call, which draws the numbers of
-    ``normal(size=row.size)``."""
-
-    def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
-        rng.standard_normal(out=row)
-
-    return (_draw_size(shapes),), drawer
+def _fill_normals(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
+    """The fill (see :func:`_batched`) of a trial whose row holds only
+    Gaussian arrays: one ``standard_normal`` call, which draws the
+    numbers of ``normal(size=row.size)``."""
+    rng.standard_normal(out=row)
 
 
 def _dirichlet_rows(e: np.ndarray) -> np.ndarray:
@@ -299,15 +289,11 @@ def _summary(kind: str, trials: int, shape: list[tuple], seed: int,
     """A scan's summary: its kind, trial count, ``shape`` (the
     ``("dims", dims)`` or ``("grid", n)`` pair it ran over, if any) and
     seed, then, for each (key, field) of ``counts``, the number of
-    true entries of the bool column ``field``; pure-mixed adds the
-    largest ``purity_deviation``. A scan of no records has no columns."""
-    columns = records.columns
+    true entries of the bool column ``field``. A scan of no records has
+    no columns."""
     summary = {"kind": kind, "trials": trials, **dict(shape), "seed": seed}
     for key, field in counts:
-        summary[key] = int(np.count_nonzero(columns.get(field, ())))
-    if kind == "pure-mixed":
-        summary["max_purity_deviation"] = (
-            float(columns["purity_deviation"].max()) if len(records) else 0.0)
+        summary[key] = int(np.count_nonzero(records.columns.get(field, ())))
     return summary
 
 
@@ -324,10 +310,10 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
         return [(d,), _ginibre_shape(d, d)]
 
     def draw(d: int):
-        return _normal_drawer(shapes(d))
+        return _draw_size(shapes(d)), _fill_normals
 
-    def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
-        psi, g = _gaussians(normals, shapes(d))
+    def compute(d: int, trial_ids: np.ndarray, rows) -> Records:
+        psi, g = _gaussians(rows, shapes(d))
         psi = _unit_rows(psi)
         rho2 = StateStack.check(_density_from_ginibre(g))
         analysis = _pure_mixed_analysis(psi, rho2, TOL_WITNESS, TOL_NULL)
@@ -339,17 +325,17 @@ def scan_pure_mixed(trials: int, dims: Sequence[int],
             "commutator_norm": comm_norms,
             "min_eigenvalue": analysis.mins,
             "purity_criterion": analysis.criteria,
-            "purity_deviation": np.array([
-                0.0 if closed is None else abs(closed - criterion)
-                for closed, criterion in zip(analysis.closed.tolist(),
-                                             analysis.criteria.tolist())]),
+            "purity_deviation": analysis.deviations,
             "verdict": analysis.verdicts,
             "counterexample": analysis.witnessed != (comm_norms > TOL_COMM),
         })
 
     records = _batched(trials, dims, seed, draw, compute)
-    return records, _summary("pure-mixed", trials, [("dims", dims)], seed,
-                             records, [("counterexamples", "counterexample")])
+    summary = _summary("pure-mixed", trials, [("dims", dims)], seed, records,
+                       [("counterexamples", "counterexample")])
+    summary["max_purity_deviation"] = float(
+        np.max(records.columns.get("purity_deviation", 0.0)))
+    return records, summary
 
 
 def scan_nested(trials: int, dims: Sequence[int],
@@ -362,12 +348,15 @@ def scan_nested(trials: int, dims: Sequence[int],
     """
     dims = list(dims)
 
-    def draw(d: int):
-        return _normal_drawer([_ginibre_shape(d, d)] * 2)
+    def shapes(d: int) -> list[tuple]:
+        return [_ginibre_shape(d, d)] * 2
 
-    def compute(d: int, trial_ids: np.ndarray, normals) -> Records:
+    def draw(d: int):
+        return _draw_size(shapes(d)), _fill_normals
+
+    def compute(d: int, trial_ids: np.ndarray, rows) -> Records:
         sigma1, sigma2 = (StateStack.check(_density_from_ginibre(g))
-                          for g in _gaussians(normals, [(d, d)] * 2))
+                          for g in _gaussians(rows, shapes(d)))
         targets = [safe_nested_target(f)
                    for f in _leading_overlaps(sigma1, sigma2)]
         nested = _nested_columns(sigma1, sigma2, targets, tol_comm=TOL_COMM,
@@ -450,8 +439,8 @@ def _bloch_tables(vecs: np.ndarray, states: np.ndarray
     step = _CHUNK_BYTES // np.zeros((2, 2), np.complex128).nbytes
     for start in range(0, len(upper[0]), step):
         i, j = (k[start:start + step] for k in upper)
-        min_eigs[i, j] = min_eigs[j, i] = np.linalg.eigvalsh(
-            anticommutator(states[i], states[j])).min(axis=-1)
+        min_eigs[i, j] = min_eigs[j, i] = _least_eigenvalues(
+            anticommutator(states[i], states[j]))
         condition[i, j] = condition[j, i] = _bloch_conditions(vecs, i, j)
     return columns
 
@@ -501,18 +490,22 @@ def scan_null(trials: int, dims: Sequence[int],
     Even trials construct a state supported orthogonally to the pure
     one (anticommutator exactly null); odd trials draw generic pairs,
     for which the premise almost surely fails and the check is vacuous.
-    A trial's row holds its draws and then its rank: the rank of its
-    inner state in the constructed branch, 0 in the generic one. The
-    trials of one dimension are stacked, both branches and all ranks:
-    only the inner Ginibre products are taken per rank.
+    A trial's row holds its draws, with room for an inner Ginibre matrix
+    of up to d - 1 columns, and then its rank: the rank of its inner
+    state in the constructed branch, 0 in the generic one. The trials of
+    one dimension are stacked, both branches and all ranks: only the
+    inner Ginibre products are taken per rank.
     """
     dims = list(dims)
 
+    def shapes(d: int) -> list[tuple]:
+        return [(d,), _ginibre_shape(d, d)]
+
     def draw(d: int):
-        outer = _draw_size([(d,), _ginibre_shape(d, d)])
+        outer = _draw_size(shapes(d))
         per_rank = _draw_size([(d - 1, 1)])
 
-        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
+        def fill(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
             rank = 0
             if t % 2 == 0 and d > 1:
                 # integers(1, 2) draws nothing and returns 1
@@ -520,13 +513,13 @@ def scan_null(trials: int, dims: Sequence[int],
             rng.standard_normal(out=row[:outer + per_rank * rank])
             row[-1] = rank
 
-        return (outer, per_rank * (d - 1), 1), drawer
+        return outer + per_rank * (d - 1) + 1, fill
 
-    def compute(d: int, trial_ids: np.ndarray, outer, inner,
-                ranks) -> Records:
-        psi, ginibre = _gaussians(outer, [(d,), (d, d)])
+    def compute(d: int, trial_ids: np.ndarray, rows) -> Records:
+        psi, ginibre = _gaussians(rows, shapes(d))
         psi = _unit_rows(psi)
-        ranks = ranks[:, 0].astype(int)
+        inner = rows[:, _draw_size(shapes(d)):]
+        ranks = rows[:, -1].astype(int)
         built = np.flatnonzero(ranks)  # rank >= 1: the constructed branch
         mixed = np.empty((len(trial_ids), d, d), np.complex128)
         generic = ranks == 0
@@ -581,22 +574,19 @@ def scan_discord(trials: int, seed: int) -> tuple[Records, dict]:
     probability is masked out of the comparison and the pick.
     """
 
-    qubit = [(2, 2)]
+    shapes = [(2, 2)] * 5
+
+    def fill(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
+        rng.standard_exponential(out=row[:6])
+        rng.standard_normal(out=row[6:])
 
     def draw(d: int):
-        size = _draw_size(qubit * 5)
+        return 6 + _draw_size(shapes), fill
 
-        def drawer(t: int, row: np.ndarray, rng: np.random.Generator) -> None:
-            rng.standard_exponential(out=row[:6])
-            rng.standard_normal(out=row[6:])
-
-        return (6, size), drawer
-
-    def compute(d: int, trial_ids: np.ndarray, exponentials,
-                normals) -> Records:
-        weights = _dirichlet_rows(exponentials.reshape(-1, 3, 2))
+    def compute(d: int, trial_ids: np.ndarray, rows) -> Records:
+        weights = _dirichlet_rows(rows[:, :6].reshape(-1, 3, 2))
         probs, spectra = weights[:, 0], weights[:, 1:]
-        g = np.stack(_gaussians(normals, qubit * 5), axis=1)
+        g = np.stack(_gaussians(rows[:, 6:], shapes), axis=1)
         common, factors, bases = g[:, 0], g[:, 1:3], g[:, 3:]
         n = len(trial_ids)
         # classical-classical: Bob's two states share the eigenbasis u

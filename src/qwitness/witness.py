@@ -34,6 +34,7 @@ from .linalg import (
     _adjoint,
     _eigh_descending,
     _hermitian_part,
+    _least_eigenvalues,
     _row_dots,
     anticommutator,
     as_matrix,
@@ -157,9 +158,11 @@ class _Analysis(Sequence):
 
     ``closed``, when given, holds each member's closed-form purity
     criterion; it must agree with the eigen-analysis within 1e-10
-    relative to the criterion (absolute below 1), and the analysis
-    carries it. The criterion grows like 1/tr^2 as psi nears
-    orthogonality to rho2's support, and its rounding with it.
+    relative to the criterion (absolute below 1). The analysis carries
+    it, and each member's |closed - criterion| as ``deviations`` (0.0
+    where both are None, and for every member without ``closed``). The
+    criterion grows like 1/tr^2 as psi nears orthogonality to rho2's
+    support, and its rounding with it.
     """
 
     def __init__(self, anti: np.ndarray, tol_witness: float,
@@ -182,8 +185,9 @@ class _Analysis(Sequence):
         self.criteria = np.array(criteria)
         self.witnessed = ~null & (self.mins < -tol_witness)
         self.verdicts = _VERDICT_TEXTS[np.where(null, 2, self.witnessed)]
-        self.closed = (np.array([None] * n) if closed is None
-                       else _agreed(closed, criteria))
+        self.closed, self.deviations = (
+            (np.array([None] * n), np.zeros(n)) if closed is None
+            else _agreed(closed, criteria))
         self.tol_witness, self.tol_null = float(tol_witness), float(tol_null)
 
     def __len__(self) -> int:
@@ -200,18 +204,18 @@ class _Analysis(Sequence):
             closed_form_criterion=self.closed.item(k))
 
 
-def _agreed(closed: list, criteria: list) -> np.ndarray:
-    """The closed-form criteria ``closed`` as a column, checked against
-    the eigen-analysis's ``criteria`` (None for a null operator) in one
-    test over the stack: a member's two must agree on nullity, then
-    within 1e-10 relative (absolute below 1). The first member that
-    fails raises, with the message it raises alone."""
+def _agreed(closed: list, criteria: list) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form criteria ``closed`` and their deviations from the
+    eigen-analysis's ``criteria`` (None for a null operator) as columns,
+    checked in one test over the stack: a member's two must agree on
+    nullity, then within 1e-10 relative (absolute below 1). The first
+    member that fails raises, with the message it raises alone."""
     other, mine = (np.array(c, dtype=np.float64) for c in (closed, criteria))
     bound = 1e-10 * np.maximum(1.0, np.abs(mine))
+    gaps = np.abs(other - mine)
     # None reads as NaN: this flags every member that fails, and any
     # NaN criterion, which the loop lets through as a lone member does
-    flagged = ((np.isnan(other) != np.isnan(mine))
-               | (np.abs(other - mine) > bound))
+    flagged = (np.isnan(other) != np.isnan(mine)) | (gaps > bound)
     for k in np.flatnonzero(flagged).tolist():
         a, c = closed[k], criteria[k]
         if (a is None) != (c is None):
@@ -222,7 +226,7 @@ def _agreed(closed: list, criteria: list) -> np.ndarray:
             raise AgreementError(
                 "purity criterion (closed form vs eigen-analysis): "
                 f"{a} vs {c} differ beyond {bound[k]:.1e}")
-    return np.array(closed)
+    return np.array(closed), np.where(np.isnan(gaps), 0.0, gaps)
 
 
 def _check_dims(d1: int, d2: int) -> None:
@@ -938,4 +942,4 @@ def _direct_degenerate_check(p1: np.ndarray, d1: int, p2: np.ndarray, d2: int,
         return (1.0 - eps) * base + eps * (eye - p) / (dim - rank)
 
     anti = anticommutator(build(p1, d1, eps1), build(p2, d2, eps2))
-    return float(np.linalg.eigvalsh(anti).min())
+    return float(_least_eigenvalues(anti))

@@ -334,15 +334,14 @@ def test_trial_stream_resets_give_the_state_of_a_fresh_philox(seed):
 
 @pytest.mark.parametrize("seed", _DRAW_SEEDS)
 def test_normal_drawer_rows_hold_the_bits_of_one_normal_call(seed):
-    # a drawer fills its row with standard_normal(out=...), which draws
-    # the numbers of normal(size=...), bit for bit
+    # the normal fill draws its row with standard_normal(out=...), which
+    # draws the numbers of normal(size=...), bit for bit
     stream, fresh = scans._trial_streams(seed), scans._trial_streams(seed)
-    drawers = [scans._normal_drawer([(d,), (d, rank)])
-               for d in range(1, 6) for rank in range(1, d + 1)]
+    widths = [states._draw_size([(d,), (d, rank)])
+              for d in range(1, 6) for rank in range(1, d + 1)]
     for t in _DRAW_TRIALS:
-        (width,), drawer = drawers[t % len(drawers)]
-        row = np.empty(width)
-        drawer(t, row, stream(t))
+        row = np.empty(widths[t % len(widths)])
+        scans._fill_normals(t, row, stream(t))
         assert row.tobytes() == fresh(t).normal(size=row.size).tobytes(), t
 
 
@@ -504,6 +503,32 @@ def test_mixed_scan_blocks_cover_large_dimensions(monkeypatch, kind):
     for dims in ((2, 3, 4), (1, 9, 17), (40,)):
         assert printed(_BATCHED[kind](24, dims, 11)) == \
             printed(_SERIAL[kind](24, dims, 11))
+
+
+class _NanEmpty:
+    """numpy, with ``empty`` filling the arrays it returns with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
+@pytest.mark.parametrize("kind", ["pure-mixed", "nested", "null", "discord"])
+def test_scan_records_read_no_row_entry_their_trial_did_not_draw(
+        monkeypatch, capsys, kind):
+    # every array the scans leave unwritten reads NaN, so a record that
+    # read a row entry its trial did not fill would print otherwise; a
+    # null row leaves room for an inner matrix of up to d - 1 columns
+    argv = ["scan", "--kind", kind, "--trials", "300", "--dims", "1,5,2",
+            "--seed", "6"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(scans, "np", _NanEmpty())
+    assert main(argv) == code == 0
+    assert capsys.readouterr().out == expected
 
 
 class _FlatDraws:

@@ -10,6 +10,7 @@ from qwitness.errors import (
     CapacityError,
     CommutingInputsError,
     ConditionUnreachableError,
+    ConvergenceError,
     DegenerateDenominatorError,
     DegenerateSpectrumError,
     DimensionError,
@@ -23,7 +24,7 @@ from qwitness import states, witness
 from qwitness.discord import BipartiteState, witness_conditionals
 from qwitness.linalg import (SpectralDecomposition, anticommutator, commutator,
                              frobenius_norms)
-from qwitness.scans import run_scan
+from qwitness.scans import run_scan, scan_bloch
 from qwitness.states import (
     PureDecomposition,
     StateStack,
@@ -1166,6 +1167,34 @@ def test_degenerate_case_validation():
     huge = np.array([[0.5, 1e200], [-1e200, 0.5]])
     with pytest.raises(HermiticityError, match="first operator is not Hermitian"):
         degenerate_case_analysis(huge, 1, good, 1, 0.0, 0.0)
+
+
+def test_least_eigenvalue_failures_raise_convergence_error(monkeypatch):
+    # a LAPACK failure in bloch's pair stacks, after its axis check has
+    # passed, or in the degenerate case's direct check raises what every
+    # other eigen call raises
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def failing_after(passed):
+        def fake(h):
+            calls.append(len(h))
+            if len(calls) > passed:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(h)
+        return fake
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_after(1))
+    with pytest.raises(ConvergenceError, match="eigendecomposition failed"):
+        scan_bloch(3)
+    assert calls == [3, 6]  # the axis states, then the upper-triangle pairs
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_after(0))
+    r = rotation_13(np.pi / 4)
+    with pytest.raises(ConvergenceError, match="eigendecomposition failed"):
+        degenerate_case_analysis(np.diag([1.0, 1.0, 0.0]), 2,
+                                 r @ np.diag([0.0, 1.0, 1.0]) @ r.T, 2,
+                                 1e-3, 1e-3)
+    assert calls == [3]
 
 
 # ------------------------------------------------- metamorphic relations
